@@ -4,7 +4,9 @@ Each suite returns CheckResult rows; everything is enumerated outright
 (all units, all class pairs, all representative changes), which is the
 point: at n = 3 the whole space is small enough to close the books.
 The CLI `selfcheck` command runs every suite; the test suite asserts on
-the same rows.
+the same rows.  Within the package only these suites call the mod-8
+oracle `hilbert2`, as the independent reference for the trace form that
+the residue layer builds its tables from.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import product
 from . import residue
 from .density import s_pair
 from .intpoly import norm_mod
-from .residue import RingFamily, class_rep, hilbert2, m4_class_of, rot
+from .residue import RingFamily, StarTable, class_rep, hilbert2, m4_class_of, rot
 
 
 @dataclass(frozen=True)
@@ -27,6 +29,32 @@ class CheckResult:
 
 def _result(name, ok, detail=""):
     return CheckResult(name, bool(ok), detail if not ok else "")
+
+
+def oracle_star_table(family: RingFamily) -> StarTable:
+    """Star table by brute force: the oracle on every class against its conjugates.
+
+    The norm sign is the exact field norm of the class representative mod 4,
+    so neither column reads the trace form.
+    """
+    r3 = family.level(3)
+    n = family.n
+    star: dict = {}
+    norm_sign: dict = {}
+    for bits in product((0, 1), repeat=n):
+        rep = class_rep(family, bits)
+        val = 1
+        for k in range(1, n):
+            if hilbert2(r3, rep, r3.apply_tau(rep, k)) == -1:
+                val = -1
+                break
+        star[bits] = val
+        nrm = norm_mod([c % 4 for c in rep], family.spec.f) % 4
+        assert nrm in (1, 3), "norm of a unit lift must be odd"
+        norm_sign[bits] = 1 if nrm == 1 else -1
+    ker_plus = sum(1 for c in star if star[c] == 1 and norm_sign[c] == 1)
+    ker_minus = sum(1 for c in star if star[c] == 1 and norm_sign[c] == -1)
+    return StarTable(star, norm_sign, ker_plus, ker_minus)
 
 
 def m4_suite(family: RingFamily) -> list[CheckResult]:
@@ -113,9 +141,13 @@ def hilbert_suite(family: RingFamily, pairing: residue.CirculantA) -> list[Check
     return out
 
 
-def kernel_suite(family: RingFamily, star: residue.StarTable,
+def kernel_suite(family: RingFamily, star: StarTable,
                  pairing: residue.CirculantA) -> list[CheckResult]:
-    """Three independent kernel counts plus the anchor values."""
+    """Three independent kernel counts plus the anchor values.
+
+    `star` is route 2, the oracle's table (`oracle_star_table`); `pairing`
+    is the trace form, whose autocorrelation count is route 3.
+    """
     n = family.n
     r3 = family.level(3)
     closed = s_pair(n)
@@ -146,7 +178,7 @@ def kernel_suite(family: RingFamily, star: residue.StarTable,
 
 def run_all(spec) -> list[CheckResult]:
     family = residue.build_family(spec)
-    star = residue.star_table(family)
+    star = oracle_star_table(family)
     pairing = residue.build_matrix_A(family)
     rows = []
     rows += m4_suite(family)

@@ -91,7 +91,7 @@ def _cmd_density(args) -> int:
 def _cmd_verify_kernel(args) -> int:
     spec = _load_field(args.field)
     family = residue.build_family(spec)
-    star = residue.star_table(family)
+    star = checks.oracle_star_table(family)
     pairing = residue.build_matrix_A(family)
     from .density import s_pair
 
@@ -118,7 +118,6 @@ def _cmd_sweep(args) -> int:
         chunk_size=args.chunk_size,
         check_spin_relation=not args.no_spin_check,
         check_r4_equivariance=not args.no_r4_check,
-        emit_csv=args.csv is not None,
     )
     try:
         result = run_sweep(config, jobs=args.jobs)

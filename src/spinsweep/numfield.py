@@ -224,7 +224,9 @@ def _isolate_real_roots(f):
         if count == 0:
             continue
         if count == 1:
-            out.append(_tighten_to_sign_change(f, a, b))
+            # an isolated simple real root always flips the sign across the interval
+            assert _eval_frac(f, a) * _eval_frac(f, b) < 0, "isolating interval without a sign change"
+            out.append((a, b))
             continue
         mid = (a + b) / 2
         vm = _variations(chain, mid)
@@ -232,14 +234,6 @@ def _isolate_real_roots(f):
         stack.append((mid, b, vm, vb))
     out.sort(key=lambda iv: iv[0])
     return out
-
-
-def _tighten_to_sign_change(f, a, b):
-    fa, fb = _eval_frac(f, a), _eval_frac(f, b)
-    assert fa != 0 and fb != 0
-    # an isolated simple real root always flips the sign across the interval
-    assert (fa < 0) != (fb < 0), "isolating interval without a sign change"
-    return a, b
 
 
 _CONFIG_KEYS = {"name", "n", "f", "sigma", "h", "unit", "disc_f"}

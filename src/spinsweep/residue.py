@@ -7,22 +7,23 @@ Galois generator and its powers; all values are immutable and shareable.
 Built on top of the rings:
 
   * the group of invertible classes mod 4 taken up to squares, a GF(2)
-    vector space of dimension n presented in a normal basis (`m4_class_of`,
-    `class_rep`);
-  * the dyadic Hilbert symbol as a brute-force solvability oracle mod 8
-    (`hilbert2`), practical for n <= 5;
-  * the same symbol as a circulant GF(2) bilinear form (`build_matrix_A`),
-    which costs only n oracle calls and scales to any n;
-  * kernel counts of the "trivial pairing against all conjugates"
-    condition, computed independently from the brute-force table
-    (`star_table`) and from a cyclic-convolution enumeration
-    (`b_map` / `h_poly` / `kernel_counts_via_B`).
-
-The mod-8 oracle decides solvability of a*x^2 + b*y^2 = z^2 with at least
-one of x, y, z a unit.  Because 2 is inert the dyadic completion is
-unramified, so a mod-8 solution with a unit coordinate lifts (Hensel) and
-any solution in the completion scales to a primitive integral one; the
-congruence condition is therefore exactly solvability at the place 2.
+    vector space of dimension n presented in a normal basis y, tau(y), ...
+    of O/2 (`m4_class_of`, `class_rep`);
+  * the dyadic Hilbert symbol on those classes as a circulant GF(2) form
+    (`build_matrix_A`) and the star values and norm signs it gives
+    (`star_table`), by linear algebra alone.  For a class 1 + 2x the
+    symbol is (1 + 2x, 1 + 2z)_2 = (-1)^Tr(xz), so A is the trace Gram
+    matrix of the normal basis, c_k = Tr(y tau^k(y)) mod 2, and since
+    N(1 + 2x) = 1 + 2 Tr(x) mod 4, norm_sign(u) = (-1)^(c_0 |u|);
+  * kernel counts from a cyclic-convolution enumeration (`b_map` /
+    `h_poly` / `kernel_counts_via_B`);
+  * the reference the checks and tests compare against: the symbol as a
+    brute-force solvability oracle mod 8 (`hilbert2`), practical for
+    n <= 5.  It decides solvability of a*x^2 + b*y^2 = z^2 with at least
+    one of x, y, z a unit.  Because 2 is inert the dyadic completion is
+    unramified, so a mod-8 solution with a unit coordinate lifts (Hensel)
+    and any solution in the completion scales to a primitive integral one;
+    the congruence condition is therefore exactly solvability at the place 2.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from . import f2poly
-from .intpoly import norm_mod, poly_rem_monic
+from .intpoly import newton_power_sums, poly_rem_monic
 
 Elem = tuple[int, ...]
 M4Class = tuple[int, ...]
@@ -91,10 +92,6 @@ class ResidueRing:
     def neg_one(self) -> Elem:
         return (self.mod - 1,) + (0,) * (self.n - 1)
 
-    def add(self, a: Elem, b: Elem) -> Elem:
-        m = self.mod
-        return tuple((x + y) % m for x, y in zip(a, b))
-
     def mul(self, a: Elem, b: Elem) -> Elem:
         n, m = self.n, self.mod
         prod = [0] * (2 * n - 1)
@@ -126,15 +123,7 @@ class ResidueRing:
 
     def apply_tau(self, a: Elem, k: int = 1) -> Elem:
         """Image of a under the k-th power of the Galois generator."""
-        mat = self._sigma_mats[k % self.n]
-        n, m = self.n, self.mod
-        out = [0] * n
-        for i, ai in enumerate(a):
-            if ai:
-                row = mat[i]
-                for j in range(n):
-                    out[j] += ai * row[j]
-        return tuple(c % m for c in out)
+        return self._mat_apply(self._sigma_mats[k % self.n], a)
 
     def _build_sigma_mats(self, sigma: Elem):
         n = self.n
@@ -256,8 +245,11 @@ def find_normal_basis(ring: ResidueRing) -> Elem:
         orbit = [cand]
         for _ in range(n - 1):
             orbit.append(ring.apply_tau(orbit[-1]))
-        if _gf2_rank([_bits_to_int(v) for v in orbit]) == n:
-            return cand
+        try:
+            _GF2Solver([_bits_to_int(v) for v in orbit])
+        except ValueError:
+            continue
+        return cand
     raise RuntimeError("internal error: no normal basis generator found")
 
 
@@ -267,22 +259,6 @@ def _bits_to_int(bits) -> int:
         if b & 1:
             out |= 1 << j
     return out
-
-
-def _gf2_rank(rows) -> int:
-    rank = 0
-    rows = list(rows)
-    for pivot in range(max(r.bit_length() for r in rows) if rows else 0):
-        sel = None
-        for i, r in enumerate(rows):
-            if (r >> pivot) & 1:
-                sel = rows.pop(i)
-                break
-        if sel is None:
-            continue
-        rank += 1
-        rows = [r ^ sel if (r >> pivot) & 1 else r for r in rows]
-    return rank
 
 
 class _GF2Solver:
@@ -383,7 +359,7 @@ def class_rep(family: RingFamily, bits: M4Class) -> Elem:
 
 
 def hilbert2(ring: ResidueRing, a: Elem, b: Elem) -> int:
-    """Dyadic Hilbert symbol of two units, by brute force mod 8.
+    """Dyadic Hilbert symbol of two units, by brute force mod 8 (reference only).
 
     +1 iff a*x^2 + b*y^2 = z^2 has a solution mod 8 with at least one of
     x, y, z a unit; -1 otherwise.  Organized as membership tests between
@@ -427,22 +403,15 @@ class StarTable:
 
 
 def star_table(family: RingFamily) -> StarTable:
-    """Brute-force table over all 2^n classes: star values, norm signs, kernel counts."""
-    r3 = family.level(3)
+    """Star values, norm signs and kernel counts of all 2^n classes, from the trace form."""
+    a = build_matrix_A(family)
     n = family.n
     star: dict[M4Class, int] = {}
     norm_sign: dict[M4Class, int] = {}
     for bits in product((0, 1), repeat=n):
-        rep = class_rep(family, bits)
-        val = 1
-        for k in range(1, n):
-            if hilbert2(r3, rep, r3.apply_tau(rep, k)) == -1:
-                val = -1
-                break
-        star[bits] = val
-        nrm = norm_mod([c % 4 for c in rep], family.spec.f) % 4
-        assert nrm in (1, 3), "norm of a unit lift must be odd"
-        norm_sign[bits] = 1 if nrm == 1 else -1
+        trivial = not any(a.pairing_bit(bits, rot(bits, k)) for k in range(1, n))
+        star[bits] = 1 if trivial else -1
+        norm_sign[bits] = -1 if a.c[0] * sum(bits) % 2 else 1
     ker_plus = sum(1 for c in star if star[c] == 1 and norm_sign[c] == 1)
     ker_minus = sum(1 for c in star if star[c] == 1 and norm_sign[c] == -1)
     return StarTable(star, norm_sign, ker_plus, ker_minus)
@@ -463,8 +432,10 @@ class CirculantA:
         for i in range(1, n):
             if self.c[i] != self.c[n - i]:
                 raise AssertionError("pairing matrix must be symmetric (upstream bug)")
-        if _gf2_rank([_bits_to_int(row) for row in self.rows()]) != n:
-            raise AssertionError("pairing matrix must be invertible (upstream bug)")
+        try:
+            _GF2Solver([_bits_to_int(row) for row in self.rows()])
+        except ValueError:
+            raise AssertionError("pairing matrix must be invertible (upstream bug)") from None
 
     def rows(self):
         n = len(self.c)
@@ -485,13 +456,13 @@ class CirculantA:
 
 
 def build_matrix_A(family: RingFamily) -> CirculantA:
-    """Pairing matrix from the n symbol evaluations against conjugate basis factors."""
-    r3 = family.level(3)
-    alpha = family.basis_lifts[0]
-    c = []
-    for i in range(family.n):
-        c.append(0 if hilbert2(r3, alpha, family.basis_lifts[i]) == 1 else 1)
-    return CirculantA(tuple(c))
+    """Pairing matrix as the trace Gram matrix of the normal basis: c_k = Tr(y tau^k(y))."""
+    r1 = family.level(1)
+    trace = newton_power_sums(r1.f, r1.n)  # Tr(theta^j), exact mod 2
+    c = tuple(
+        sum(x * t for x, t in zip(r1.mul(family.y, yk), trace)) % 2 for yk in family.y_orbit
+    )
+    return CirculantA(c)
 
 
 def b_map(u, n: int) -> f2poly.F2Poly:

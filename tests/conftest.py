@@ -2,7 +2,7 @@ from importlib import resources
 
 import pytest
 
-from spinsweep import numfield, residue
+from spinsweep import checks, numfield, residue
 
 
 def _builtin(name):
@@ -38,6 +38,16 @@ def star7(family7):
 @pytest.fixture(scope="session")
 def star9(family9):
     return residue.star_table(family9)
+
+
+@pytest.fixture(scope="session")
+def oracle_star7(family7):
+    return checks.oracle_star_table(family7)
+
+
+@pytest.fixture(scope="session")
+def oracle_star9(family9):
+    return checks.oracle_star_table(family9)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
-from spinsweep import f2poly, residue
+from spinsweep import checks, f2poly, residue
 from spinsweep.density import s_pair
 from spinsweep.residue import (
     CirculantA,
@@ -19,9 +20,18 @@ from spinsweep.residue import (
     rot,
     star_table,
 )
+from spinsweep.sweep import build_tables
 
 ZERO = (0, 0, 0)
 ONES = (1, 1, 1)
+
+# Q(zeta_11)^+, given only what the residue layer reads: theta = zeta + zeta^-1
+ZETA11_PLUS = SimpleNamespace(n=5, f=(1, 3, -3, -4, 1, 1), sigma=(-2, 0, 1))
+
+
+@pytest.fixture(scope="module")
+def family11():
+    return residue.build_family(ZETA11_PLUS)
 
 
 # -- ring construction -------------------------------------------------------
@@ -236,6 +246,32 @@ def test_norm_sign_splits_in_half(star7):
     assert sum(1 for v in star7.norm_sign.values() if v == 1) == 4
 
 
+def test_star_table_matches_oracle(star7, oracle_star7, star9, oracle_star9):
+    assert star7 == oracle_star7
+    assert star9 == oracle_star9
+
+
+def test_star_table_matches_oracle_at_n5(family11):
+    form = star_table(family11)
+    oracle = checks.oracle_star_table(family11)
+    assert len(form.star) == 32
+    assert form.star == oracle.star
+    assert form.norm_sign == oracle.norm_sign
+    assert (form.ker_plus, form.ker_minus) == (oracle.ker_plus, oracle.ker_minus) == (1, 5)
+
+
+def test_tables_never_call_the_oracle(monkeypatch, spec7, spec9, family11):
+    def refuse(*args):
+        raise AssertionError("hilbert2 called outside the reference checks")
+
+    monkeypatch.setattr(residue, "hilbert2", refuse)
+    for spec in (spec7, spec9):
+        tables = build_tables(spec)
+        assert (tables.star.ker_plus, tables.star.ker_minus) == (1, 3)
+    assert build_matrix_A(family11).c == (1, 0, 0, 0, 0)
+    assert star_table(family11).ker_minus == 5
+
+
 # -- pairing matrix -----------------------------------------------------------
 
 
@@ -247,9 +283,16 @@ def test_pairing_matrix_matches_brute_force(family7, pairing7):
             assert direct == pairing7.pairing(u, v)
 
 
-def test_pairing_c0_vs_norm_sign(family7, star7, pairing7):
+def test_pairing_matrix_matches_oracle_at_n5(family11):
+    r3 = family11.level(3)
+    lifts = family11.basis_lifts
+    oracle_c = tuple(0 if hilbert2(r3, lifts[0], b) == 1 else 1 for b in lifts)
+    assert build_matrix_A(family11).c == oracle_c == (1, 0, 0, 0, 0)
+
+
+def test_pairing_c0_vs_norm_sign(family7, oracle_star7, pairing7):
     alpha_class = m4_class_of(family7, tuple(c % 4 for c in family7.basis_lifts[0]))
-    assert (pairing7.c[0] == 0) == (star7.norm_sign[alpha_class] == 1)
+    assert (pairing7.c[0] == 0) == (oracle_star7.norm_sign[alpha_class] == 1)
 
 
 def test_pairing_all_ones_parity(pairing7, star7):
@@ -319,9 +362,9 @@ def test_kernel_counts_via_b(pairing7, pairing9):
     assert kernel_counts_via_B(CirculantA((1, 0, 0)))[0] >= 1  # u = 0 always maps to 0
 
 
-def test_three_way_agreement(star7, pairing7, star9, pairing9):
+def test_three_way_agreement(oracle_star7, pairing7, oracle_star9, pairing9):
     closed = s_pair(3)
-    for st, pa in ((star7, pairing7), (star9, pairing9)):
+    for st, pa in ((oracle_star7, pairing7), (oracle_star9, pairing9)):
         assert closed == (st.ker_plus, st.ker_minus) == kernel_counts_via_B(pa)
 
 
