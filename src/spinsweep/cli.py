@@ -5,7 +5,9 @@ to stdout, diagnostics to stderr, so CSV and table output pipe cleanly.
 
 Exit codes: 0 success/PASS, 1 usage error, 2 validation error (bad config
 or arguments, with the violated condition named), 3 acceptance failure
-(kernel disagreement, spin-relation violation, tolerance breach).
+(kernel disagreement, spin-relation violation, tolerance breach), 4 sweep
+failed at a prime (GeneratorNotFound, AmbiguousSign or
+GeneratorSelfCheckFailed, named with the prime).
 """
 
 from __future__ import annotations
@@ -17,9 +19,16 @@ from importlib import resources
 from . import checks, f2poly, residue
 from .density import N15_ERRATUM_NOTE, density_report, format_table
 from .numfield import FieldConfigError, load_spec_file
-from .sweep import SweepConfig, SpinRelationViolation, emit_csv, format_report, run_sweep
+from .sweep import (
+    SEARCH_FAILURES,
+    SweepConfig,
+    SpinRelationViolation,
+    emit_csv,
+    format_report,
+    run_sweep,
+)
 
-USAGE_ERROR, VALIDATION_ERROR, ACCEPTANCE_FAIL = 1, 2, 3
+USAGE_ERROR, VALIDATION_ERROR, ACCEPTANCE_FAIL, SWEEP_FAILED = 1, 2, 3, 4
 
 BUILTIN_FIELDS = ("simplest-cubic-7", "cyclic-cubic-9")
 
@@ -112,18 +121,15 @@ def _cmd_verify_kernel(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = _load_field(args.field)
-    config = SweepConfig(
-        spec=spec,
-        limit=args.limit,
-        chunk_size=args.chunk_size,
-        check_spin_relation=not args.no_spin_check,
-        check_r4_equivariance=not args.no_r4_check,
-    )
+    config = SweepConfig(spec=spec, limit=args.limit, chunk_size=args.chunk_size)
     try:
         result = run_sweep(config, jobs=args.jobs)
     except SpinRelationViolation as exc:
         print(f"hard consistency violation: {exc}", file=sys.stderr)
         return ACCEPTANCE_FAIL
+    except SEARCH_FAILURES as exc:
+        print(f"sweep failed [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return SWEEP_FAILED
     report_stream = sys.stdout
     if args.csv:
         text = emit_csv(result.records, spec.n)
@@ -174,10 +180,6 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="write per-prime CSV here ('-' for stdout)")
     p.add_argument("--chunk-size", type=int, default=100_000)
     p.add_argument("--jobs", type=int, default=1, help="worker processes (0 = auto)")
-    p.add_argument("--no-spin-check", action="store_true",
-                   help="skip the per-prime spin/Hilbert identity")
-    p.add_argument("--no-r4-check", action="store_true",
-                   help="skip the per-prime conjugate-class rotation check")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("selfcheck", help="run the exhaustive property suites")

@@ -87,20 +87,6 @@ def mulmod(a: F2Poly, b: F2Poly, m: F2Poly) -> F2Poly:
     return rem(mul(a, b), m)
 
 
-def pow_mod(a: F2Poly, e: int, m: F2Poly) -> F2Poly:
-    """a**e reduced modulo m, for e >= 0."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    r = rem(1, m)
-    a = rem(a, m)
-    while e:
-        if e & 1:
-            r = mulmod(r, a, m)
-        a = mulmod(a, a, m)
-        e >>= 1
-    return r
-
-
 def from_coeffs(coeffs) -> F2Poly:
     """Build a polynomial from a coefficient sequence, index i = coefficient of x^i."""
     a = 0

@@ -18,6 +18,14 @@ generator of the h-th power of such an ideal by enumerating short vectors
 of the ideal lattice under the trace form and then correcting the sign
 pattern with a unit; `spin` is the quadratic residue symbol of that
 generator at a conjugate prime.
+
+Sigma-orbit invariant: the config guarantees f(s(x)) = 0 mod f and that
+sigma has order n, so for p not dividing disc_f the map b -> s(b) mod p
+permutes the roots of f mod p without fixed points of any power below n.
+A split p therefore has roots a, s(a), ..., s^(n-1)(a), all distinct, and
+`split_completely` finds one root and reads the rest off its orbit.
+Conjugation convention: sigma(P) = (p, theta - b) with s(b) = a mod p, so
+sigma^k(P) has root s^(n-k)(a); only `conjugate_chain` encodes this.
 """
 
 from __future__ import annotations
@@ -76,6 +84,10 @@ class GeneratorNotFound(RuntimeError):
 
 class AmbiguousSign(RuntimeError):
     """Embedding sign undecided at the precision cap."""
+
+
+class GeneratorSelfCheckFailed(RuntimeError):
+    """A generator returned by the search failed its independent verification."""
 
 
 AlgInt = tuple[int, ...]
@@ -378,10 +390,6 @@ class FieldSpec:
     def norm(self, a: AlgInt) -> int:
         return norm_mod(a, self.f)
 
-    def apply_sigma(self, a: AlgInt) -> AlgInt:
-        out = compose_mod(a, self.sigma, self.f)
-        return tuple(out) + (0,) * (self.n - len(out))
-
     def trace_inner(self, a: AlgInt, b: AlgInt) -> int:
         g = self.trace_gram
         return sum(ai * sum(gi[j] * b[j] for j in range(self.n)) for ai, gi in zip(a, g) if ai)
@@ -453,70 +461,70 @@ def eval_mod(a, x: int, p: int) -> int:
     return acc
 
 
+def _check_unramified(spec: FieldSpec, p: int) -> None:
+    if p < 3 or p % 2 == 0:
+        raise ValueError("p must be an odd prime")
+    if spec.disc_f % p == 0:
+        raise RamifiedPrime(p)
+
+
+def _sigma_orbit(spec: FieldSpec, a: int, p: int) -> list[int]:
+    """a, s(a), ..., s^(n-1)(a) mod p for a root a of f mod p, p unramified."""
+    orbit = [a]
+    for _ in range(spec.n - 1):
+        orbit.append(eval_mod(spec.sigma, orbit[-1], p))
+    assert len(set(orbit)) == spec.n, "sigma acts freely on the roots of an unramified prime"
+    return orbit
+
+
 def split_completely(spec: FieldSpec, p: int) -> list[int]:
     """Roots of f mod p when p splits completely; empty list otherwise.
 
     Raises RamifiedPrime when p divides disc_f.
     """
-    if p < 3 or p % 2 == 0:
-        raise ValueError("p must be an odd prime")
-    if spec.disc_f % p == 0:
-        raise RamifiedPrime(p)
+    _check_unramified(spec, p)
     n = spec.n
     fp = [c % p for c in spec.f]
     xp = _ppow([0, 1], p, fp, p)
     if xp != [0, 1] + [0] * (n - 2):
         return []
-    roots = sorted(_all_roots(fp, p))
-    assert len(roots) == n, "split test and root count disagree"
-    return roots
+    return sorted(_sigma_orbit(spec, _one_root(fp, p), p))
 
 
-def _all_roots(g, p):
-    """Roots of a monic product of distinct linear factors mod p.
+def _one_root(g, p):
+    """One root of a monic product of distinct linear factors mod p.
 
-    Deterministic splitting: (x + shift)^((p-1)/2) - 1 separates roots by
-    the quadratic character of root + shift; shifts are tried in order.
+    Deterministic gcd descent: gcd(g, (x + shift)^((p-1)/2) - 1) keeps the
+    roots r with r + shift a nonzero square; shifts are tried in order and
+    each proper factor found replaces g until g is linear.
     """
-    g = [c % p for c in g]
-    if len(g) == 2:
-        return [(-g[0] * pow(g[1], p - 2, p)) % p]
-    for shift in range(p):
+    shift = 0
+    while len(g) > 2:
+        if shift == p:
+            raise RuntimeError("internal error: no shift separated the roots")
         h = _ppow([shift, 1], (p - 1) // 2, g, p)
         h[0] = (h[0] - 1) % p
         d = _pgcd(g, h, p)
         if 0 < len(d) - 1 < len(g) - 1:
             inv = pow(d[-1], p - 2, p)
-            d = [c * inv % p for c in d]
-            q, r = _pdivmod(g, d, p)
-            assert not any(r)
-            return _all_roots(d, p) + _all_roots(q, p)
-    raise RuntimeError("internal error: no shift separated the roots")
+            g = [c * inv % p for c in d]
+        shift += 1
+    return (-g[0] * pow(g[1], p - 2, p)) % p
 
 
-def _pdivmod(a, b, p):
-    a = [c % p for c in a]
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    inv = pow(b[-1], p - 2, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv % p
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return q, a[:db]
+def conjugate_chain(spec: FieldSpec, P: PrimeDeg1) -> list[PrimeDeg1]:
+    """P, sigma(P), ..., sigma^(n-1)(P): sigma^k(P) = (p, theta - s^(n-k)(a))."""
+    p, a = P
+    _check_unramified(spec, p)
+    if not 0 <= a < p or eval_mod(spec.f, a, p):
+        raise ValueError("P is not a degree-one prime of this field")
+    orbit = _sigma_orbit(spec, a, p)
+    return [PrimeDeg1(p, orbit[-k]) for k in range(spec.n)]
 
 
 def conjugate_prime(spec: FieldSpec, P: PrimeDeg1) -> PrimeDeg1:
     """The Galois image of P: the prime (p, theta - b) with s(b) = a mod p."""
-    roots = split_completely(spec, P.p)
-    if P.a not in roots:
-        raise ValueError("P is not a degree-one prime of this field")
-    for b in roots:
-        if eval_mod(spec.sigma, b, P.p) == P.a % P.p:
-            return PrimeDeg1(P.p, b)
-    raise RuntimeError("internal error: conjugate root not found for a split prime")
+    return conjugate_chain(spec, P)[1]
 
 
 # -- generator search --------------------------------------------------------
@@ -583,7 +591,11 @@ def _gso(gram):
 
 
 def _lll_reduce(spec: FieldSpec, basis):
-    """LLL on the ideal lattice under the exact trace form (delta = 0.99)."""
+    """LLL on the ideal lattice under the exact trace form (delta = 0.99).
+
+    Returns (basis, mu, q): the reduced rows and their Gram-Schmidt data,
+    which the size reductions keep exact and each swap recomputes.
+    """
     delta = Fraction(99, 100)
     n = len(basis)
     basis = [list(r) for r in basis]
@@ -607,13 +619,15 @@ def _lll_reduce(spec: FieldSpec, basis):
             basis[k], basis[k - 1] = basis[k - 1], basis[k]
             mu, q = _gso(gram())
             k = max(k - 1, 1)
-    return basis
+    return basis, mu, q
 
 
-def _enumerate_short(gram, bound: float):
-    """Coordinate vectors with quadratic form value <= bound, one per +- pair."""
-    n = len(gram)
-    mu, q = _gso(gram)
+def _enumerate_short(mu, q, bound: float):
+    """Coordinate vectors with quadratic form value <= bound, one per +- pair.
+
+    mu, q are the Gram-Schmidt data of the lattice basis (see `_gso`).
+    """
+    n = len(q)
     muf = [[float(x) for x in row] for row in mu]
     qf = [float(x) for x in q]
     coords = [0] * n
@@ -667,11 +681,10 @@ def generator_of_power(spec: FieldSpec, P: PrimeDeg1, h: int | None = None) -> A
         raise ValueError("h must be odd and positive")
     n = spec.n
     target = P.p**h
-    basis = _lll_reduce(spec, _ideal_power_basis(spec, P, h))
-    gram = [[spec.trace_inner(tuple(u), tuple(v)) for v in basis] for u in basis]
+    basis, mu, q = _lll_reduce(spec, _ideal_power_basis(spec, P, h))
     base_t2 = n * (target * math.sqrt(abs(spec.disc_f))) ** (2.0 / n)
     for mult in _RADIUS_STAGES:
-        for coords in _enumerate_short(gram, mult * mult * base_t2):
+        for coords in _enumerate_short(mu, q, mult * mult * base_t2):
             vec = [0] * n
             for c, row in zip(coords, basis):
                 if c:
@@ -685,11 +698,11 @@ def generator_of_power(spec: FieldSpec, P: PrimeDeg1, h: int | None = None) -> A
                 cand = spec.mul(spec.unit_by_signature[signs], cand)
             # independent verification of the search result
             if spec.norm(cand) != target:
-                raise RuntimeError("generator self-check failed: norm")
+                raise GeneratorSelfCheckFailed("norm")
             if any(s < 0 for s in spec.embeddings.signs_of(cand)):
-                raise RuntimeError("generator self-check failed: not totally positive")
+                raise GeneratorSelfCheckFailed("not totally positive")
             if not _in_row_span(basis, cand):
-                raise RuntimeError("generator self-check failed: left the ideal lattice")
+                raise GeneratorSelfCheckFailed("left the ideal lattice")
             return cand
     raise GeneratorNotFound(f"no generator of norm {target} within the search radius")
 
@@ -735,10 +748,7 @@ def spin(spec: FieldSpec, P: PrimeDeg1, k: int) -> int:
     if not 1 <= k <= spec.n - 1:
         raise ValueError("k must be in 1..n-1")
     alpha = generator_of_power(spec, P, spec.h)
-    q = P
-    for _ in range(k):
-        q = conjugate_prime(spec, q)
-    value = legendre_deg1(spec, alpha, q)
+    value = legendre_deg1(spec, alpha, conjugate_chain(spec, P)[k])
     assert value != 0, "conjugate prime divides the generator"
     return value
 

@@ -38,8 +38,6 @@ class SweepConfig:
     spec: numfield.FieldSpec
     limit: int
     chunk_size: int = 100_000
-    check_spin_relation: bool = True
-    check_r4_equivariance: bool = True
 
     def __post_init__(self):
         if self.limit < 100:
@@ -125,37 +123,27 @@ def build_tables(spec: numfield.FieldSpec) -> FieldTables:
     return FieldTables(spec, family, star, pairing)
 
 
-def classify_prime(tables: FieldTables, p: int,
-                   check_spin_relation: bool = True,
-                   check_r4_equivariance: bool = True) -> PrimeRecord | None:
+def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
     """Classify one odd unramified prime; None when p does not split completely."""
     spec = tables.spec
     n = spec.n
     roots = numfield.split_completely(spec, p)
     if not roots:
         return None
-    a = roots[0]
-    # conjugation chain: root of sigma^k(P) satisfies s(b_k) = b_{k-1} mod p
-    smap = {b: numfield.eval_mod(spec.sigma, b, p) for b in roots}
-    chain = [a]
-    for _ in range(n - 1):
-        chain.append(next(b for b in roots if smap[b] == chain[-1]))
-    alpha = numfield.generator_of_power(spec, PrimeDeg1(p, a), spec.h)
-    spins = tuple(
-        numfield.legendre_deg1(spec, alpha, PrimeDeg1(p, chain[k])) for k in range(1, n)
-    )
+    chain = numfield.conjugate_chain(spec, PrimeDeg1(p, roots[0]))
+    alpha = numfield.generator_of_power(spec, chain[0], spec.h)
+    spins = tuple(numfield.legendre_deg1(spec, alpha, chain[k]) for k in range(1, n))
     if 0 in spins:
         raise SpinRelationViolation(f"p={p}: residue symbol degenerated to 0")
     bits = residue.m4_class_of(tables.family, tuple(c % 4 for c in alpha))
 
-    if check_spin_relation:
-        for k in range(1, n):
-            product = spins[k - 1] * spins[n - k - 1]
-            pairing = tables.pairing.pairing(bits, residue.rot(bits, k))
-            if product != pairing:
-                raise SpinRelationViolation(
-                    f"p={p}: spin({k})*spin({n - k}) = {product} but Hilbert pairing = {pairing}"
-                )
+    for k in range(1, n):
+        product = spins[k - 1] * spins[n - k - 1]
+        pairing = tables.pairing.pairing(bits, residue.rot(bits, k))
+        if product != pairing:
+            raise SpinRelationViolation(
+                f"p={p}: spin({k})*spin({n - k}) = {product} but Hilbert pairing = {pairing}"
+            )
     in_r_spin = all(spins[k - 1] * spins[n - k - 1] == 1 for k in range(1, n))
     in_r_star = tables.star.star[bits] == 1
     if in_r_spin != in_r_star:
@@ -166,19 +154,18 @@ def classify_prime(tables: FieldTables, p: int,
     if tables.star.norm_sign[bits] != expected_sign:
         raise SpinRelationViolation(f"p={p}: norm sign of the mod-4 class is not p mod 4")
 
-    if check_r4_equivariance:
-        for k in range(1, n):
-            alpha_k = numfield.generator_of_power(spec, PrimeDeg1(p, chain[k]), spec.h)
-            bits_k = residue.m4_class_of(tables.family, tuple(c % 4 for c in alpha_k))
-            if bits_k != residue.rot(bits, k):
-                raise SpinRelationViolation(
-                    f"p={p}: class of conjugate prime is not the rotated class"
-                )
+    for k in range(1, n):
+        alpha_k = numfield.generator_of_power(spec, chain[k], spec.h)
+        bits_k = residue.m4_class_of(tables.family, tuple(c % 4 for c in alpha_k))
+        if bits_k != residue.rot(bits, k):
+            raise SpinRelationViolation(
+                f"p={p}: class of conjugate prime is not the rotated class"
+            )
 
     return PrimeRecord(
         p=p,
         p_mod4=p % 4,
-        root_a=a,
+        root_a=chain[0].a,
         spins=spins,
         in_R=in_r_spin,
         in_F=all(s == 1 for s in spins),
@@ -217,21 +204,26 @@ def odd_primes_in(lo: int, hi: int) -> list[int]:
 # -- sweep driver -------------------------------------------------------------
 
 
-def _classify_range(tables: FieldTables, lo: int, hi: int, cfg: SweepConfig):
+# generator-search failures a sweep reports by condition name, with the prime
+SEARCH_FAILURES = (
+    numfield.GeneratorNotFound,
+    numfield.AmbiguousSign,
+    numfield.GeneratorSelfCheckFailed,
+)
+
+
+def _classify_range(tables: FieldTables, lo: int, hi: int):
     tally = Tally()
     records = []
     skipped = []
     for p in odd_primes_in(lo, hi):
         try:
-            rec = classify_prime(
-                tables,
-                p,
-                check_spin_relation=cfg.check_spin_relation,
-                check_r4_equivariance=cfg.check_r4_equivariance,
-            )
+            rec = classify_prime(tables, p)
         except numfield.RamifiedPrime:
             skipped.append(p)
             continue
+        except SEARCH_FAILURES as exc:
+            raise type(exc)(f"p={p}: {exc}") from exc
         if rec is None:
             continue
         tally.add_record(rec)
@@ -242,14 +234,13 @@ def _classify_range(tables: FieldTables, lo: int, hi: int, cfg: SweepConfig):
 _WORKER_CTX = {}
 
 
-def _worker_init(config: SweepConfig):
-    _WORKER_CTX["tables"] = build_tables(config.spec)
-    _WORKER_CTX["cfg"] = config
+def _worker_init(spec: numfield.FieldSpec):
+    _WORKER_CTX["tables"] = build_tables(spec)
 
 
 def _worker_chunk(bounds):
     lo, hi = bounds
-    return _classify_range(_WORKER_CTX["tables"], lo, hi, _WORKER_CTX["cfg"])
+    return _classify_range(_WORKER_CTX["tables"], lo, hi)
 
 
 @dataclass
@@ -294,9 +285,9 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     skipped: list[int] = []
     if jobs == 1:
         tables = build_tables(spec)
-        parts = [_classify_range(tables, lo, hi, config) for lo, hi in bounds]
+        parts = [_classify_range(tables, lo, hi) for lo, hi in bounds]
     else:
-        with multiprocessing.Pool(jobs, initializer=_worker_init, initargs=(config,)) as pool:
+        with multiprocessing.Pool(jobs, initializer=_worker_init, initargs=(spec,)) as pool:
             parts = pool.map(_worker_chunk, bounds)
     for part_tally, part_records, part_skipped in parts:
         tally.merge(part_tally)
@@ -317,10 +308,8 @@ def _ratio_row(name, num, den, theoretical, tol):
     return (name, emp, stderr, theoretical, delta, delta < tol)
 
 
-def build_report_rows(spec: numfield.FieldSpec, tally: Tally, tolerances=None):
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+def build_report_rows(spec: numfield.FieldSpec, tally: Tally):
+    tol = DEFAULT_TOLERANCES
     rep = density_report(spec.n)
     half = Fraction(1, 1 << ((spec.n - 1) // 2))
     s_all = tally.s_plus + tally.s_minus

@@ -36,13 +36,7 @@ def _report(num, desc, ok, elapsed=None):
 
 @pytest.fixture(scope="module")
 def sweep_result(spec7):
-    cfg = SweepConfig(
-        spec=spec7,
-        limit=X_SWEEP,
-        chunk_size=100_000,
-        check_spin_relation=True,
-        check_r4_equivariance=True,
-    )
+    cfg = SweepConfig(spec=spec7, limit=X_SWEEP, chunk_size=100_000)
     t0 = time.time()
     result = run_sweep(cfg, jobs=0)
     return result, time.time() - t0
@@ -166,11 +160,7 @@ def test_criterion_7_zero_tolerance_consistency(sweep_result, spec7, capsys):
     # built tables, rather than trusting that the sweep's own checks ran
     tables = build_tables(spec7)
     n = spec7.n
-    ok = (
-        result.config.check_spin_relation
-        and result.config.check_r4_equivariance
-        and len(result.records) == result.tally.s_plus + result.tally.s_minus
-    )
+    ok = len(result.records) == result.tally.s_plus + result.tally.s_minus
     products = 0
     for rec in result.records:
         bits = rec.m4_bits

@@ -2,7 +2,8 @@ from importlib import resources
 
 import pytest
 
-from spinsweep.cli import main
+from spinsweep import numfield
+from spinsweep.cli import _load_field, main
 
 
 def builtin_path():
@@ -101,3 +102,38 @@ def test_sweep_csv_file(tmp_path, capsys):
 
 def test_sweep_bad_limit(capsys):
     assert main(["sweep", "--field", builtin_path(), "--limit", "10"]) == 2
+
+
+def test_sweep_skip_flags_removed(capsys):
+    for flag in ("--no-spin-check", "--no-r4-check"):
+        assert main(["sweep", "--field", "simplest-cubic-7", "--limit", "100", flag]) == 1
+
+
+def _no_radius_stages(monkeypatch):
+    monkeypatch.setattr(numfield, "_RADIUS_STAGES", ())
+
+
+def _undecided_signs(monkeypatch):
+    # load first, so only the sweep's sign queries see undecidable intervals
+    spec = _load_field("simplest-cubic-7")
+    monkeypatch.setattr("spinsweep.cli._load_field", lambda arg: spec)
+    monkeypatch.setattr(numfield, "_eval_interval", lambda coeffs, lo, hi: (-1, 1))
+    monkeypatch.setattr(numfield, "_MAX_BITS", 2 * numfield._START_BITS)
+
+
+def _lattice_check_fails(monkeypatch):
+    monkeypatch.setattr(numfield, "_in_row_span", lambda basis, vec: False)
+
+
+@pytest.mark.parametrize("condition, inject", [
+    ("GeneratorNotFound", _no_radius_stages),
+    ("AmbiguousSign", _undecided_signs),
+    ("GeneratorSelfCheckFailed", _lattice_check_fails),
+])
+def test_sweep_search_failure_is_named(monkeypatch, capsys, condition, inject):
+    inject(monkeypatch)
+    code = main(["sweep", "--field", "simplest-cubic-7", "--limit", "100", "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith(f"sweep failed [{condition}]: p=13: ")  # first split prime
+    assert "Traceback" not in err

@@ -10,6 +10,7 @@ from spinsweep.numfield import (
     NotAutomorphism,
     PrimeDeg1,
     RamifiedPrime,
+    conjugate_chain,
     conjugate_prime,
     eval_mod,
     generator_of_power,
@@ -159,14 +160,30 @@ def test_split_7_ramified(spec7):
         split_completely(spec7, 7)
 
 
-@pytest.mark.parametrize("p", [11, 17, 19, 23, 29, 31, 37, 41, 43, 97, 101, 9973])
-def test_split_matches_brute_force(spec7, p):
-    try:
-        roots = split_completely(spec7, p)
-    except RamifiedPrime:
-        pytest.skip("ramified")
-    brute = brute_roots(spec7, p)
-    assert roots == (sorted(brute) if len(brute) == 3 else [])
+@pytest.mark.parametrize("p", [p for p in range(3, 2000, 2)
+                               if all(p % q for q in range(3, int(p**0.5) + 1, 2))] + [9973])
+def test_split_matches_brute_force(spec7, spec9, p):
+    for spec in (spec7, spec9):
+        if spec.disc_f % p == 0:
+            with pytest.raises(RamifiedPrime):
+                split_completely(spec, p)
+            continue
+        roots = split_completely(spec, p)
+        brute = brute_roots(spec, p)
+        assert roots == (sorted(brute) if len(brute) == spec.n else [])
+        for a in roots:
+            # the conjugate chain walks the sigma-orbit backwards: s(b_k) = b_{k-1}
+            P = PrimeDeg1(p, a)
+            chain = conjugate_chain(spec, P)
+            assert chain[0] == P and all(Q.p == p for Q in chain)
+            for k in range(spec.n):
+                assert eval_mod(spec.sigma, chain[k].a, p) == chain[k - 1].a
+            assert sorted(Q.a for Q in chain) == roots
+            Q = P
+            for k in range(spec.n):
+                assert Q == chain[k]
+                Q = conjugate_prime(spec, Q)
+            assert Q == P
 
 
 def test_split_rule_mod_conductor(spec7):
@@ -192,6 +209,8 @@ def test_conjugate_orbit(spec7):
 def test_conjugate_rejects_foreign_prime(spec7):
     with pytest.raises(ValueError):
         conjugate_prime(spec7, PrimeDeg1(13, 1))
+    with pytest.raises(RamifiedPrime):
+        conjugate_prime(spec7, PrimeDeg1(7, 2))
 
 
 # -- generators ---------------------------------------------------------------
@@ -225,6 +244,21 @@ def test_generator_many_primes(spec7, p):
         alpha = generator_of_power(spec7, PrimeDeg1(p, a), 1)
         assert spec7.norm(alpha) == p
         assert eval_mod(alpha, a, p) == 0
+
+
+@pytest.mark.parametrize("h", [1, 3])
+def test_lll_returns_its_gram_schmidt_data(spec7, spec9, h):
+    # the (mu, q) the search enumerates with must be the Gram-Schmidt data of
+    # the reduced basis, recomputed here from scratch under the trace form
+    for spec, p in ((spec7, 13), (spec7, 97), (spec9, 19), (spec9, 73)):
+        for a in split_completely(spec, p):
+            lattice = numfield._ideal_power_basis(spec, PrimeDeg1(p, a), h)
+            basis, mu, q = numfield._lll_reduce(spec, lattice)
+            gram = [[spec.trace_inner(tuple(u), tuple(v)) for v in basis] for u in basis]
+            assert (mu, q) == numfield._gso(gram)
+            # a unimodular change of basis: the same covolume
+            assert abs(numfield.det_bareiss([r[:] for r in basis])) == \
+                abs(numfield.det_bareiss([r[:] for r in lattice]))
 
 
 def test_generator_rejects_even_h(spec7):

@@ -167,9 +167,3 @@ def test_violation_on_tampered_star_table(spec7):
     )
     with pytest.raises(sweep.SpinRelationViolation):
         classify_prime(broken, 13)
-
-
-def test_classify_prime_equivariance_toggle(tables7):
-    fast = classify_prime(tables7, 13, check_r4_equivariance=False)
-    full = classify_prime(tables7, 13, check_r4_equivariance=True)
-    assert fast == full
