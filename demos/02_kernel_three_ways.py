@@ -5,7 +5,7 @@ pairing against every nontrivial Galois conjugate is trivial.  Its kernel
 sizes, split by norm sign, are computed here by three routes that share
 no code path:
 
-  1. the closed-form product over divisors of n (density module),
+  1. the closed-form product over the cyclotomic cosets of 2 mod n (density module),
   2. brute force: evaluate the mod-8 solvability oracle on all 2^n classes,
      with norm signs from exact field norms (`checks.oracle_star_table`),
   3. linear algebra: the pairing as a circulant GF(2) form, counting bit

@@ -5,7 +5,7 @@ cross-validated three independent ways, and empirical prime sweeps in
 concrete cyclic cubic fields.
 """
 
-from .density import DensityReport, density_report, format_table, s_pair, s_pair_prime
+from .density import DensityReport, density_report, format_table, s_pair
 from .numfield import FieldSpec, PrimeDeg1, load_spec, load_spec_file
 from .sweep import SweepConfig, Tally, classify_prime, emit_csv, run_sweep
 
@@ -23,5 +23,4 @@ __all__ = [
     "load_spec_file",
     "run_sweep",
     "s_pair",
-    "s_pair_prime",
 ]

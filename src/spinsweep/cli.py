@@ -6,8 +6,9 @@ to stdout, diagnostics to stderr, so CSV and table output pipe cleanly.
 Exit codes: 0 success/PASS, 1 usage error, 2 validation error (bad config
 or arguments, with the violated condition named), 3 acceptance failure
 (kernel disagreement, spin-relation violation, tolerance breach), 4 sweep
-failed at a prime (GeneratorNotFound, AmbiguousSign or
-GeneratorSelfCheckFailed, named with the prime).
+failed: at a prime (GeneratorNotFound, AmbiguousSign or
+GeneratorSelfCheckFailed, named with the prime), or because a worker
+process of a parallel sweep died (WorkerCrashed).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .sweep import (
     SEARCH_FAILURES,
     SweepConfig,
     SpinRelationViolation,
+    WorkerCrashed,
     emit_csv,
     format_report,
     run_sweep,
@@ -127,7 +129,7 @@ def _cmd_sweep(args) -> int:
     except SpinRelationViolation as exc:
         print(f"hard consistency violation: {exc}", file=sys.stderr)
         return ACCEPTANCE_FAIL
-    except SEARCH_FAILURES as exc:
+    except (*SEARCH_FAILURES, WorkerCrashed) as exc:
         print(f"sweep failed [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return SWEEP_FAILED
     report_stream = sys.stdout

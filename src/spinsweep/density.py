@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .f2poly import cyclo_profile
+from .f2poly import cyclotomic_cosets
 
 
 def _check_n(n: int) -> None:
@@ -38,54 +38,34 @@ def _half(x: int) -> int:
 
 
 def s_pair(n: int) -> tuple[int, int]:
-    """Kernel sizes (s_plus, s_minus) for odd n >= 3.
+    """Kernel sizes (s_plus, s_minus) for odd n >= 3, from the cosets of 2 mod n.
 
-    s_plus = 1 + prod_{k|n, d_k odd, k!=1} 2^(phi(k)/2d_k)
-                 * (prod_{k|n, d_k odd, k!=1} 2^(phi(k)/2) - 1)
-    s_minus = prod_{k|n, d_k even, k!=1} (2^(d_k/2)+1)^(phi(k)/d_k)
-                 * prod_{k|n, d_k odd, k!=1} (2^d_k - 1)^(phi(k)/2d_k)
-
-    with d_k the order of 2 mod k; empty products are 1.
+    Invariant: write a class u as u(x) in R = GF(2)[x]/(x^n - 1) and let
+    b(u) = u(x) u(1/x).  The pairing is a symmetric unit c of R with
+    c_0 = Tr(y) = 1, and <u, tau^k u> is the x^k coefficient of c b(u), so
+    in every field with 2 inert u is star-trivial iff b(u) is 0 or h = c^-1.
+    As b(u)_0 = |u| mod 2 and h_0 = h(1) = 1 (h is symmetric), the norm
+    sign (-1)^(c_0 |u|) puts b(u) = 0 in s_plus and b(u) = h in s_minus.
+    By CRT, R is a product of fields GF(2^|C|), one per coset C
+    (`f2poly.cyclotomic_cosets`; x + 1 contributes a factor 1), and
+    x -> 1/x swaps C and -C.  On C = -C, b is the norm to GF(2^(|C|/2)):
+    one zero, 2^(|C|/2) + 1 preimages of each unit.  On a pair {C, -C}, b
+    is the product of the two coordinates: 2^(|C|+1) - 1 zeros, 2^|C| - 1
+    preimages of each unit.  Hence s_plus = prod over pairs of
+    (2^(|C|+1) - 1), s_minus = prod over C = -C of (2^(|C|/2) + 1) times
+    prod over pairs of (2^|C| - 1).
     """
     _check_n(n)
-    profile = cyclo_profile(n)
-    a = b = s_minus = 1
-    for k, (d, r, m) in profile.table.items():
-        if k == 1:
-            continue
-        phi = (2 * r - m) * d
-        if d % 2 == 1:
-            a *= 1 << (phi // (2 * d))
-            b *= 1 << _half(phi)
-            s_minus *= ((1 << d) - 1) ** (phi // (2 * d))
-        else:
-            s_minus *= ((1 << (d // 2)) + 1) ** (phi // d)
-    return 1 + a * (b - 1), s_minus
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def s_pair_prime(n: int) -> tuple[int, int]:
-    """Specialized (s_plus, s_minus) for an odd prime n; must equal s_pair(n)."""
-    _check_n(n)
-    if not _is_prime(n):
-        raise ValueError("n must be prime")
-    from .f2poly import order_of_two
-
-    d = order_of_two(n)
-    if d % 2 == 1:
-        e = (n - 1) // (2 * d)
-        return 1 + (1 << e) * ((1 << _half(n - 1)) - 1), ((1 << d) - 1) ** e
-    return 1, ((1 << (d // 2)) + 1) ** ((n - 1) // d)
+    s_plus = s_minus = 1
+    for coset in cyclotomic_cosets(n):
+        d = len(coset)
+        mirror = frozenset(n - c for c in coset)
+        if mirror == coset:
+            s_minus *= (1 << _half(d)) + 1
+        elif min(coset) < min(mirror):  # count each pair once
+            s_plus *= (1 << (d + 1)) - 1
+            s_minus *= (1 << d) - 1
+    return s_plus, s_minus
 
 
 @dataclass(frozen=True)
@@ -130,13 +110,12 @@ def density_report(n: int) -> DensityReport:
 
 TABLE_HEADER = "n | d(F+|S+) | d(F-|S-) | d(F|S)"
 
-# The published table of these densities prints 47/262144 in the final
-# column at n = 15; the row's own +/- entries force (1+375)/2^22 = 47/524288,
-# which is what the formula engine emits.  Surfaced by the CLI as a footnote.
+# The CLI's footnote whenever n = 15 is printed.
 N15_ERRATUM_NOTE = (
-    "note: at n = 15 the value d(F|S) = 47/524288 follows from the +/- columns "
-    "(1 + 375)/2^22; a published table prints 47/262144, which is inconsistent "
-    "with its own row."
+    "note: at n = 15 this row is the exact count (s_plus, s_minus) = (31, 225); a "
+    "published table prints 1/2097152 | 375/2097152 | 47/262144, from a parity rule "
+    "that takes the two degree-4 factors of x^15 - 1 for k = 15 to be self-reciprocal, "
+    "but they form a reciprocal pair."
 )
 
 

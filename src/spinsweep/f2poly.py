@@ -9,14 +9,12 @@ Inputs are capped at degree 63: the module serves cyclic fields of degree
 n <= 31, where every intermediate product (degree <= 62) stays word-sized.
 
 Beyond ring arithmetic the module knows one structured object: x^n - 1
-over GF(2) for odd n, whose irreducible factors come in reciprocal pairs.
-`cyclo_profile` predicts the factor counts from multiplicative orders of 2
-and `factor_xn_minus_1` produces the factors themselves.
+over GF(2) for odd n.  `cyclotomic_cosets` gives its factors' degrees and
+reciprocal pairing from the cosets of 2 mod n, and `factor_xn_minus_1`
+produces the factors themselves, as the independent reference.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 F2Poly = int  # alias used in signatures; see module docstring
 
@@ -154,91 +152,17 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """Positive divisors of n, ascending."""
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def cyclotomic_cosets(n: int) -> list[frozenset[int]]:
+    """Cosets {k, 2k, 4k, ...} of 2 modulo odd n >= 3 on the nonzero residues, by least element.
 
-
-def euler_phi(k: int) -> int:
-    """Euler's totient of k >= 1."""
-    phi = k
-    for p in _prime_factors(k):
-        phi -= phi // p
-    return phi
-
-
-def order_of_two(k: int) -> int:
-    """Multiplicative order of 2 modulo k, for odd k >= 1 (order 1 for k = 1)."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError("k must be odd and positive")
-    if k == 1:
-        return 1
-    d, t = 1, 2 % k
-    while t != 1:
-        t = (t * 2) % k
-        d += 1
-    return d
-
-
-@dataclass(frozen=True)
-class CycloProfile:
-    """Factor-count profile of x^n - 1 over GF(2) for odd n.
-
-    For each divisor k of n, `table[k] = (d_k, r_k, m_k)` where d_k is the
-    order of 2 mod k and the 2*r_k - m_k irreducible factors carrying the
-    primitive k-th roots of unity are classified as m_k self-reciprocal
-    ones plus r_k - m_k reciprocal pairs, by the parity of d_k: all
-    self-reciprocal when d_k is even, all paired when d_k is odd.  The
-    divisor k = 1 contributes the factor x + 1, so d_1 = r_1 = m_1 = 1.
-
-    The parity classification is the one the closed-form kernel counts are
-    built on.  It is exact precisely when an even d_k implies
-    2^(d_k/2) = -1 mod k; the first odd k where that implication fails are
-    k = 15 and k = 21, where the two primitive-root factors actually form
-    a reciprocal pair (`factor_xn_minus_1` reports the true flags).  The
-    total count 2*r_k - m_k = phi(k)/d_k is unaffected.
+    Coset C holds the exponents of the roots zeta^c of one irreducible factor
+    of x^n - 1 over GF(2) other than x + 1, of degree |C| and self-reciprocal
+    iff -C = C; the other factors come in reciprocal pairs {C, -C}.
     """
-
-    n: int
-    table: dict[int, tuple[int, int, int]]
-
-    @property
-    def total_factors(self) -> int:
-        return sum(2 * r - m for (_, r, m) in self.table.values())
-
-    @property
-    def self_reciprocal_count(self) -> int:
-        return sum(m for (_, _, m) in self.table.values())
-
-    def __post_init__(self):
-        total = 0
-        for k, (d, r, m) in self.table.items():
-            if k == 1:
-                if (d, r, m) != (1, 1, 1):
-                    raise ValueError("divisor 1 must carry (1, 1, 1)")
-            elif (2 * r - m) * d != euler_phi(k):
-                raise ValueError(f"inconsistent counts at divisor {k}")
-            total += (2 * r - m) * d
-        if total != self.n:
-            raise ValueError("factor degrees do not sum to n")
-
-
-def cyclo_profile(n: int) -> CycloProfile:
-    """Predicted factor counts of x^n - 1 over GF(2), for odd n >= 3."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    table: dict[int, tuple[int, int, int]] = {1: (1, 1, 1)}
-    for k in divisors(n):
-        if k == 1:
-            continue
-        d = order_of_two(k)
-        phi = euler_phi(k)
-        if d % 2 == 1:
-            table[k] = (d, phi // (2 * d), 0)
-        else:
-            table[k] = (d, phi // d, phi // d)
-    return CycloProfile(n, table)
+    cosets = {frozenset(k * pow(2, j, n) % n for j in range(n)) for k in range(1, n)}
+    return sorted(cosets, key=min)
 
 
 def factor_xn_minus_1(n: int) -> list[tuple[F2Poly, bool]]:

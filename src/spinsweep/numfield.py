@@ -367,7 +367,10 @@ class FieldSpec:
                 if (mask >> i) & 1:
                     u = self.mul(u, self.pad(self.units[i]))
             for v in (u, self.neg(u)):
-                sig = self.embeddings.signs_of(v)
+                try:
+                    sig = self.embeddings.signs_of(v)
+                except AmbiguousSign as exc:
+                    raise BadUnit(f"sign pattern of unit {v} undecided: {exc}") from exc
                 if sig in table:
                     raise BadUnit("listed units do not realize all sign patterns")
                 table[sig] = v

