@@ -161,8 +161,15 @@ def cyclotomic_cosets(n: int) -> list[frozenset[int]]:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    cosets = {frozenset(k * pow(2, j, n) % n for j in range(n)) for k in range(1, n)}
-    return sorted(cosets, key=min)
+    cosets, seen = [], set()
+    for k in range(1, n):  # doubling from each unseen k visits every residue once
+        if k not in seen:
+            coset = [k]
+            while (c := 2 * coset[-1] % n) != k:
+                coset.append(c)
+            seen.update(coset)
+            cosets.append(frozenset(coset))
+    return cosets
 
 
 def factor_xn_minus_1(n: int) -> list[tuple[F2Poly, bool]]:

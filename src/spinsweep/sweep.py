@@ -17,6 +17,7 @@ and CSV output are identical for every chunking and worker count.
 
 from __future__ import annotations
 
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 import math
@@ -291,17 +292,11 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
         tables = build_tables(spec)
         parts = [_classify_range(tables, lo, hi) for lo, hi in bounds]
     else:
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("spawn")  # fork is unsafe once threads exist
-        pool = ProcessPoolExecutor(jobs, mp_context=ctx, initializer=_worker_init, initargs=(spec,))
-        try:
-            parts = list(pool.map(_worker_chunk, bounds))  # in chunk order
-        except BrokenProcessPool as exc:
-            raise WorkerCrashed(str(exc)) from exc
-        finally:
-            pool.shutdown(cancel_futures=True)
+        with ProcessPoolExecutor(jobs, initializer=_worker_init, initargs=(spec,)) as pool:
+            try:
+                parts = list(pool.map(_worker_chunk, bounds))  # in chunk order
+            except BrokenProcessPool as exc:
+                raise WorkerCrashed(str(exc)) from exc
     for part_tally, part_records, part_skipped in parts:
         tally.merge(part_tally)
         records.extend(part_records)
