@@ -14,6 +14,7 @@ process of a parallel sweep died (WorkerCrashed).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 
@@ -48,6 +49,8 @@ def _load_field(arg: str):
         return load_spec_file(arg)
     except FileNotFoundError:
         pass
+    except OSError as exc:
+        raise FieldConfigError(f"field config unreadable: {arg}: {exc.strerror}") from None
     name = arg.removesuffix(".cfg")
     if name in BUILTIN_FIELDS:
         ref = resources.files("spinsweep.data") / f"{name}.cfg"
@@ -124,6 +127,10 @@ def _cmd_verify_kernel(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _load_field(args.field)
     config = SweepConfig(spec=spec, limit=args.limit, chunk_size=args.chunk_size)
+    if args.csv and args.csv != "-":  # reject an unwritable target before any prime is classified
+        folder = os.path.dirname(os.path.abspath(args.csv))
+        if os.path.isdir(args.csv) or not os.access(folder, os.W_OK):
+            raise ValueError(f"cannot write --csv target {args.csv}")
     try:
         result = run_sweep(config, jobs=args.jobs)
     except SpinRelationViolation as exc:

@@ -3,6 +3,12 @@
 Polynomials are tuples of Python ints, constant term first.  Everything is
 exact; the only division performed is the fraction-free one inside the
 Bareiss determinant.
+
+All arithmetic in Z[x]/(f, m) for monic f lives here: `mul_mod` and
+`pow_mod` reduce by f and then, when m is given, every coefficient into
+[0, m).  The split test and root descent mod p (`numfield`) and the
+residue rings O/2^k (`residue`) use them; apart from the numpy tables of
+the mod-8 oracle, no other module multiplies polynomials modulo f itself.
 """
 
 from __future__ import annotations
@@ -43,19 +49,29 @@ def poly_rem_monic(a, f) -> tuple[int, ...]:
 
 def compose_mod(g, s, f) -> tuple[int, ...]:
     """g(s(x)) reduced modulo monic f (Horner in the quotient ring)."""
-    n = len(f) - 1
-    acc: tuple[int, ...] = (0,) * n
+    acc: tuple[int, ...] = ()
     for c in reversed(g):
-        acc = poly_rem_monic(poly_mul(acc, s), f)
-        acc = tuple(x + (c if k == 0 else 0) for k, x in enumerate(acc))
+        acc = mul_mod(acc, s, f)
+        acc = (acc[0] + c,) + acc[1:]
     return acc
 
 
-def mul_mod(a, b, f) -> tuple[int, ...]:
-    """Product of a and b modulo monic f, padded to degree < deg f."""
-    n = len(f) - 1
+def mul_mod(a, b, f, m: int = 0) -> tuple[int, ...]:
+    """Product of a and b modulo monic f (and modulo m when m > 0), padded to degree < deg f."""
     r = poly_rem_monic(poly_mul(a, b), f)
-    return tuple(r) + (0,) * (n - len(r))
+    return tuple([c % m for c in r]) if m else r
+
+
+def pow_mod(a, e: int, f, m: int) -> tuple[int, ...]:
+    """a^e in Z[x]/(f, m) by repeated squaring, f monic, e >= 0."""
+    r = poly_rem_monic((1,), f)
+    a = tuple(c % m for c in poly_rem_monic(a, f))
+    while e:
+        if e & 1:
+            r = mul_mod(r, a, f, m)
+        a = mul_mod(a, a, f, m)
+        e >>= 1
+    return r
 
 
 def mult_matrix(a, f) -> list[list[int]]:
@@ -63,13 +79,7 @@ def mult_matrix(a, f) -> list[list[int]]:
 
     Row j holds the coordinates of a * x^j mod f.
     """
-    n = len(f) - 1
-    rows = []
-    cur = tuple(a[:n]) + (0,) * (n - len(a))
-    for _ in range(n):
-        rows.append(list(cur))
-        cur = poly_rem_monic(poly_mul(cur, (0, 1)), f)
-    return rows
+    return [list(mul_mod(a, (0,) * j + (1,), f)) for j in range(len(f) - 1)]
 
 
 def det_bareiss(m: list[list[int]]) -> int:

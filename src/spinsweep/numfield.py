@@ -19,6 +19,13 @@ of the ideal lattice under the trace form and then correcting the sign
 pattern with a unit; `spin` is the quadratic residue symbol of that
 generator at a conjugate prime.
 
+Ideal-power invariant: for p not dividing disc_f, P^h meets Z[theta] in
+exactly the kernel of Z[theta] -> Z/p^h, theta -> a_h, where a_h is the
+Hensel lift of a (`_lift_root`).  So the lattice of P^h has the basis
+p^h, theta^j (theta - a_h) (j < n - 1), and g lies in P^h iff
+g(a_h) = 0 mod p^h; the search's membership self-check is that one
+evaluation.  Every product modulo f, mod p or exact, is `intpoly`'s.
+
 Sigma-orbit invariant: the config guarantees f(s(x)) = 0 mod f and that
 sigma has order n, so for p not dividing disc_f the map b -> s(b) mod p
 permutes the roots of f mod p without fixed points of any power below n.
@@ -37,12 +44,13 @@ from typing import NamedTuple
 
 from .intpoly import (
     compose_mod,
-    det_bareiss,
     discriminant,
     mul_mod,
     newton_power_sums,
     norm_mod,
+    poly_derivative,
     poly_rem_monic,
+    pow_mod,
 )
 from . import f2poly
 from . import residue
@@ -401,40 +409,6 @@ class FieldSpec:
 # -- prime splitting --------------------------------------------------------
 
 
-def _pmul(a, b, fp, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pred(out, fp, p)
-
-
-def _pred(a, fp, p):
-    n = len(fp) - 1
-    a = list(a)
-    for i in range(len(a) - 1, n - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(n):
-                a[i - n + j] = (a[i - n + j] - c * fp[j]) % p
-    out = [c % p for c in a[:n]]
-    return out + [0] * (n - len(out))
-
-
-def _ppow(a, e, fp, p):
-    n = len(fp) - 1
-    r = [1] + [0] * (n - 1)
-    a = _pred(a, fp, p)
-    while e:
-        if e & 1:
-            r = _pmul(r, a, fp, p)
-        a = _pmul(a, a, fp, p)
-        e >>= 1
-    return r
-
-
 def _pgcd(a, b, p):
     a, b = [c % p for c in a], [c % p for c in b]
     while any(b):
@@ -471,6 +445,14 @@ def _check_unramified(spec: FieldSpec, p: int) -> None:
         raise RamifiedPrime(p)
 
 
+def _check_deg1_prime(spec: FieldSpec, P: PrimeDeg1) -> None:
+    """Reject P unless it is (p, theta - a) with p unramified and f(a) = 0 mod p."""
+    p, a = P
+    _check_unramified(spec, p)
+    if not 0 <= a < p or eval_mod(spec.f, a, p):
+        raise ValueError("P is not a degree-one prime of this field")
+
+
 def _sigma_orbit(spec: FieldSpec, a: int, p: int) -> list[int]:
     """a, s(a), ..., s^(n-1)(a) mod p for a root a of f mod p, p unramified."""
     orbit = [a]
@@ -486,12 +468,9 @@ def split_completely(spec: FieldSpec, p: int) -> list[int]:
     Raises RamifiedPrime when p divides disc_f.
     """
     _check_unramified(spec, p)
-    n = spec.n
-    fp = [c % p for c in spec.f]
-    xp = _ppow([0, 1], p, fp, p)
-    if xp != [0, 1] + [0] * (n - 2):
+    if pow_mod((0, 1), p, spec.f, p) != (0, 1) + (0,) * (spec.n - 2):
         return []
-    return sorted(_sigma_orbit(spec, _one_root(fp, p), p))
+    return sorted(_sigma_orbit(spec, _one_root([c % p for c in spec.f], p), p))
 
 
 def _one_root(g, p):
@@ -505,7 +484,7 @@ def _one_root(g, p):
     while len(g) > 2:
         if shift == p:
             raise RuntimeError("internal error: no shift separated the roots")
-        h = _ppow([shift, 1], (p - 1) // 2, g, p)
+        h = list(pow_mod((shift, 1), (p - 1) // 2, g, p))
         h[0] = (h[0] - 1) % p
         d = _pgcd(g, h, p)
         if 0 < len(d) - 1 < len(g) - 1:
@@ -517,10 +496,8 @@ def _one_root(g, p):
 
 def conjugate_chain(spec: FieldSpec, P: PrimeDeg1) -> list[PrimeDeg1]:
     """P, sigma(P), ..., sigma^(n-1)(P): sigma^k(P) = (p, theta - s^(n-k)(a))."""
+    _check_deg1_prime(spec, P)
     p, a = P
-    _check_unramified(spec, p)
-    if not 0 <= a < p or eval_mod(spec.f, a, p):
-        raise ValueError("P is not a degree-one prime of this field")
     orbit = _sigma_orbit(spec, a, p)
     return [PrimeDeg1(p, orbit[-k]) for k in range(spec.n)]
 
@@ -533,46 +510,23 @@ def conjugate_prime(spec: FieldSpec, P: PrimeDeg1) -> PrimeDeg1:
 # -- generator search --------------------------------------------------------
 
 
-def _hnf_rows(rows, n):
-    """Row-style Hermite reduction of an integer row span to n independent rows."""
-    rows = [list(r) for r in rows if any(r)]
-    basis = []
-    col = 0
-    while col < n and rows:
-        live = [r for r in rows if r[col]]
-        if not live:
-            col += 1
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            pivot = live[0]
-            for r in live[1:]:
-                q = r[col] // pivot[col]
-                for j in range(n):
-                    r[j] -= q * pivot[j]
-            live = [r for r in rows if r[col]]
-        pivot = live[0]
-        rows = [r for r in rows if r is not pivot and any(r)]
-        basis.append(pivot)
-        col += 1
-    assert len(basis) == n, "ideal lattice is not full rank"
-    return basis
-
-
-def _ideal_power_basis(spec: FieldSpec, P: PrimeDeg1, h: int):
-    n = spec.n
+def _lift_root(spec: FieldSpec, P: PrimeDeg1, h: int) -> int:
+    """The root a_h of f mod p^h with a_h = a mod p (Hensel), by Newton's iteration."""
     p, a = P
-    gens = [[p] + [0] * (n - 1)]
-    for j in range(n - 1):
-        row = [0] * n
-        row[j] = -a
-        row[j + 1] = 1
-        gens.append(row)
-    basis = gens
-    for _ in range(h - 1):
-        prods = [list(spec.mul(tuple(u), tuple(v))) for u in basis for v in gens]
-        basis = _hnf_rows(prods, n)
-    return basis
+    q = p**h
+    df = poly_derivative(spec.f)
+    while r := eval_mod(spec.f, a, q):
+        a = (a - r * pow(eval_mod(df, a, q), -1, q)) % q
+    return a
+
+
+def _ideal_power_basis(n: int, q: int, root: int) -> list[list[int]]:
+    """Rows q and theta^j (theta - root), j < n - 1: the lattice {g : g(root) = 0 mod q}.
+
+    They span it because g = (x - root) k(x) + g(root) for every g of degree < n.
+    """
+    rows = [[0] * j + [-root, 1] + [0] * (n - 2 - j) for j in range(n - 1)]
+    return [[q] + [0] * (n - 1)] + rows
 
 
 def _gso(gram):
@@ -676,15 +630,18 @@ def generator_of_power(spec: FieldSpec, P: PrimeDeg1, h: int | None = None) -> A
     Enumerates lattice vectors of P^h under the trace form in growing
     radius stages (up to 4x a Minkowski-style balanced-generator bound),
     takes the first with |norm| = p^h, and multiplies by the unit whose
-    sign pattern cancels the candidate's.
+    sign pattern cancels the candidate's.  Raises RamifiedPrime for p
+    dividing disc_f and ValueError when P is not a prime of this field.
     """
     if h is None:
         h = spec.h
     if h < 1 or h % 2 == 0:
         raise ValueError("h must be odd and positive")
+    _check_deg1_prime(spec, P)
     n = spec.n
     target = P.p**h
-    basis, mu, q = _lll_reduce(spec, _ideal_power_basis(spec, P, h))
+    root = _lift_root(spec, P, h)
+    basis, mu, q = _lll_reduce(spec, _ideal_power_basis(n, target, root))
     base_t2 = n * (target * math.sqrt(abs(spec.disc_f))) ** (2.0 / n)
     for mult in _RADIUS_STAGES:
         for coords in _enumerate_short(mu, q, mult * mult * base_t2):
@@ -704,26 +661,10 @@ def generator_of_power(spec: FieldSpec, P: PrimeDeg1, h: int | None = None) -> A
                 raise GeneratorSelfCheckFailed("norm")
             if any(s < 0 for s in spec.embeddings.signs_of(cand)):
                 raise GeneratorSelfCheckFailed("not totally positive")
-            if not _in_row_span(basis, cand):
+            if eval_mod(cand, root, target):
                 raise GeneratorSelfCheckFailed("left the ideal lattice")
             return cand
     raise GeneratorNotFound(f"no generator of norm {target} within the search radius")
-
-
-def _in_row_span(basis, vec) -> bool:
-    """Exact test that vec is an integer combination of the basis rows (Cramer)."""
-    n = len(basis)
-    bt = [[basis[r][c] for r in range(n)] for c in range(n)]
-    d = det_bareiss([row[:] for row in bt])
-    if d == 0:
-        raise RuntimeError("ideal lattice basis is singular")
-    for i in range(n):
-        m = [row[:] for row in bt]
-        for r in range(n):
-            m[r][i] = vec[r]
-        if det_bareiss(m) % d != 0:
-            return False
-    return True
 
 
 # -- residue symbols and spin -------------------------------------------------

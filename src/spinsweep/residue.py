@@ -3,6 +3,8 @@
 Elements are tuples of ints of length n: power-basis coordinates modulo
 2^k.  A ring knows its reduced minimal polynomial and the matrices of the
 Galois generator and its powers; all values are immutable and shareable.
+Products and powers are `intpoly.mul_mod`/`pow_mod` modulo (f, 2^k); the
+only reduction by f written here is the numpy matrix of the mod-8 oracle.
 
 Built on top of the rings:
 
@@ -34,7 +36,7 @@ from itertools import product
 import numpy as np
 
 from . import f2poly
-from .intpoly import newton_power_sums, poly_rem_monic
+from .intpoly import compose_mod, mul_mod, newton_power_sums, poly_rem_monic, pow_mod
 
 Elem = tuple[int, ...]
 M4Class = tuple[int, ...]
@@ -66,25 +68,13 @@ class ResidueRing:
         fbar = f2poly.from_coeffs(c % 2 for c in f_int)
         if not f2poly.is_irreducible(fbar):
             raise RingBuildError("minimal polynomial is reducible mod 2 (2 not inert)")
-        # reduction rows: coordinates of x^(n+t) for t = 0..n-2
-        rows = [tuple(-c % m for c in self.f[:n])]
-        for _ in range(n - 2):
-            rows.append(self._x_times(rows[-1]))
-        self._red_rows = rows
+        if any(c % m for c in compose_mod(self.f, tuple(sigma_int), self.f)):
+            raise RingBuildError("sigma polynomial is not a root of f modulo 2^level")
         sigma = tuple(c % m for c in poly_rem_monic(tuple(sigma_int), tuple(f_int)))
         self._sigma_mats = self._build_sigma_mats(sigma)
         self._bulk_cache = None
 
     # -- scalar element arithmetic -------------------------------------
-
-    def _x_times(self, a: Elem) -> Elem:
-        n, m = self.n, self.mod
-        out = [0] + list(a[: n - 1])
-        top = a[n - 1]
-        if top:
-            red = tuple(-c % m for c in self.f[:n])
-            out = [(out[j] + top * red[j]) % m for j in range(n)]
-        return tuple(c % m for c in out)
 
     def one(self) -> Elem:
         return (1,) + (0,) * (self.n - 1)
@@ -93,29 +83,10 @@ class ResidueRing:
         return (self.mod - 1,) + (0,) * (self.n - 1)
 
     def mul(self, a: Elem, b: Elem) -> Elem:
-        n, m = self.n, self.mod
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = prod[:n]
-        for t in range(n - 1):
-            c = prod[n + t]
-            if c:
-                row = self._red_rows[t]
-                for j in range(n):
-                    out[j] += c * row[j]
-        return tuple(c % m for c in out)
+        return mul_mod(a, b, self.f, self.mod)
 
     def pow(self, a: Elem, e: int) -> Elem:
-        r = self.one()
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        return pow_mod(a, e, self.f, self.mod)
 
     def is_unit(self, a: Elem) -> bool:
         # O/2 is a field, so a is a unit iff it is nonzero mod 2
@@ -128,20 +99,12 @@ class ResidueRing:
     def _build_sigma_mats(self, sigma: Elem):
         n = self.n
         # row i of the generator matrix: coordinates of s(theta)^i
-        base = []
-        cur = self.one()
-        for _ in range(n):
-            base.append(cur)
-            cur = self.mul(cur, sigma)
+        base = [self.pow(sigma, i) for i in range(n)]
         ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         mats = [ident]
         for _ in range(n - 1):
             prev = mats[-1]
             mats.append(tuple(self._mat_apply(base, row) for row in prev))
-        # f(s(theta)) must vanish: s defines an automorphism mod 2^level
-        img = self._horner_f(sigma)
-        if any(img):
-            raise RingBuildError("sigma polynomial is not a root of f modulo 2^level")
         if tuple(base) == ident:
             raise RingBuildError("sigma polynomial acts trivially modulo 2^level")
         if any(self._mat_apply(base, mats[-1][i]) != ident[i] for i in range(n)):
@@ -157,13 +120,6 @@ class ResidueRing:
                 for j in range(n):
                     out[j] += ai * row[j]
         return tuple(c % m for c in out)
-
-    def _horner_f(self, x: Elem) -> Elem:
-        acc = (0,) * self.n
-        for c in reversed(self.f):
-            acc = self.mul(acc, x)
-            acc = ((acc[0] + c) % self.mod,) + acc[1:]
-        return acc
 
     # -- vectorized index arithmetic (used by the mod-8 oracle) ---------
 
@@ -190,7 +146,8 @@ class _BulkTables:
         self.place = m ** np.arange(n, dtype=np.int64)
         idx = np.arange(count, dtype=np.int64)
         coeffs = (idx[:, None] // self.place[None, :]) % m
-        self.red = np.array(ring._red_rows, dtype=np.int64).reshape(n - 1, n)
+        # row t: x^(n+t) mod (f, m), which replaces the coefficient of x^(n+t)
+        self.red = np.array([pow_mod((0, 1), n + t, ring.f, m) for t in range(n - 1)], dtype=np.int64)
         sq = self._square_all(coeffs)
         unit = (coeffs % 2).any(axis=1)
         self.is_sq_all = np.zeros(count, dtype=bool)

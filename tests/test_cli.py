@@ -71,6 +71,14 @@ def test_verify_kernel_missing_field(capsys):
     assert main(["verify-kernel", "--field", "/does/not/exist.cfg"]) == 2
 
 
+def test_verify_kernel_unreadable_field(tmp_path, capsys):
+    # a directory is not a config: named, exit 2, no traceback
+    assert main(["verify-kernel", "--field", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error [config]: field config unreadable: ")
+    assert "Traceback" not in err
+
+
 def test_selfcheck(capsys):
     assert main(["selfcheck", "--field", builtin_path()]) == 0
     out = capsys.readouterr().out
@@ -104,6 +112,16 @@ def test_sweep_csv_file(tmp_path, capsys):
     assert "quantity" in captured.out  # report on stdout when csv goes to a file
 
 
+@pytest.mark.parametrize("where", ["missing-dir/out.csv", "."])
+def test_sweep_unwritable_csv_fails_before_the_sweep(tmp_path, monkeypatch, capsys, where):
+    monkeypatch.setattr("spinsweep.cli.run_sweep", lambda *a, **k: pytest.fail("sweep ran"))
+    target = str(tmp_path / where)
+    assert main(["sweep", "--field", "simplest-cubic-7", "--limit", "1000", "--csv", target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot write --csv target {target}")
+    assert "Traceback" not in err
+
+
 def test_sweep_bad_limit(capsys):
     assert main(["sweep", "--field", builtin_path(), "--limit", "10"]) == 2
 
@@ -126,7 +144,11 @@ def _undecided_signs(monkeypatch):
 
 
 def _lattice_check_fails(monkeypatch):
-    monkeypatch.setattr(numfield, "_in_row_span", lambda basis, vec: False)
+    # search the lattice of another root of f mod p: its generator is not in P
+    spec = _load_field("simplest-cubic-7")
+    lattice = numfield._ideal_power_basis
+    monkeypatch.setattr(numfield, "_ideal_power_basis",
+                        lambda n, q, root: lattice(n, q, numfield.eval_mod(spec.sigma, root, q)))
 
 
 @pytest.mark.parametrize("condition, inject", [

@@ -1,6 +1,7 @@
 import pytest
 
 from spinsweep import numfield, residue
+from spinsweep.intpoly import det_bareiss
 from spinsweep.numfield import (
     BadUnit,
     C4Violation,
@@ -252,13 +253,14 @@ def test_lll_returns_its_gram_schmidt_data(spec7, spec9, h):
     # the reduced basis, recomputed here from scratch under the trace form
     for spec, p in ((spec7, 13), (spec7, 97), (spec9, 19), (spec9, 73)):
         for a in split_completely(spec, p):
-            lattice = numfield._ideal_power_basis(spec, PrimeDeg1(p, a), h)
+            root = numfield._lift_root(spec, PrimeDeg1(p, a), h)
+            lattice = numfield._ideal_power_basis(spec.n, p**h, root)
             basis, mu, q = numfield._lll_reduce(spec, lattice)
             gram = [[spec.trace_inner(tuple(u), tuple(v)) for v in basis] for u in basis]
             assert (mu, q) == numfield._gso(gram)
             # a unimodular change of basis: the same covolume
-            assert abs(numfield.det_bareiss([r[:] for r in basis])) == \
-                abs(numfield.det_bareiss([r[:] for r in lattice]))
+            assert abs(det_bareiss([r[:] for r in basis])) == \
+                abs(det_bareiss([r[:] for r in lattice]))
 
 
 def test_generator_rejects_even_h(spec7):
@@ -274,6 +276,51 @@ def test_generator_cube_power(spec7):
     assert all(s > 0 for s in spec7.embeddings.signs_of(alpha))
     # the generator of P^3 reduces to 0 under theta -> 7 (it lies in P)
     assert eval_mod(alpha, 7, 13) == 0
+
+
+def test_generator_rejects_foreign_prime(spec7):
+    # 2 and 1 are not roots of f mod 13, and 5 is inert: none is a prime of the field
+    for P in (PrimeDeg1(13, 2), PrimeDeg1(13, 1), PrimeDeg1(5, 1)):
+        with pytest.raises(ValueError, match="not a degree-one prime"):
+            generator_of_power(spec7, P, 1)
+
+
+def test_generator_rejects_ramified_prime(spec7, spec9):
+    # f(2) = 0 mod 7 and f(1) = 0 mod 3, but 7 | disc c7 and 3 | disc c9
+    for spec, P in ((spec7, PrimeDeg1(7, 2)), (spec9, PrimeDeg1(3, 1))):
+        assert eval_mod(spec.f, P.a, P.p) == 0
+        for h in (1, 3):
+            with pytest.raises(RamifiedPrime):
+                generator_of_power(spec, P, h)
+
+
+LIFT_PRIMES = (13, 19, 97, 1009, 10009)
+
+
+def test_lift_root_is_the_hensel_lift(spec7, spec9):
+    lifted = 0
+    for spec in (spec7, spec9):
+        for p in LIFT_PRIMES:
+            for a in split_completely(spec, p):
+                for h in (1, 3, 5):
+                    root = numfield._lift_root(spec, PrimeDeg1(p, a), h)
+                    assert 0 <= root < p**h
+                    assert eval_mod(spec.f, root, p**h) == 0
+                    assert root % p == a
+                    lifted += 1
+    assert lifted == 3 * 3 * 7  # 4 split primes on c7, 3 on c9, 3 roots each
+
+
+@pytest.mark.parametrize("h", [3, 5])
+def test_power_generator_lies_in_the_kernel(spec7, spec9, h):
+    # the generator of P^h has norm p^h and vanishes at the lifted root mod p^h
+    for spec, p in ((spec7, 13), (spec7, 29), (spec9, 19), (spec9, 37)):
+        for a in split_completely(spec, p):
+            P = PrimeDeg1(p, a)
+            alpha = generator_of_power(spec, P, h)
+            assert spec.norm(alpha) == p**h
+            assert all(s > 0 for s in spec.embeddings.signs_of(alpha))
+            assert eval_mod(alpha, numfield._lift_root(spec, P, h), p**h) == 0
 
 
 # -- residue symbols ----------------------------------------------------------
