@@ -2,7 +2,8 @@
 
 Polynomials are tuples of Python ints, constant term first.  Everything is
 exact; the only division performed is the fraction-free one inside the
-Bareiss determinant.
+Bareiss determinant, which gives norms (of multiplication matrices) and
+the discriminant of f (of the trace form built from `newton_power_sums`).
 
 All arithmetic in Z[x]/(f, m) for monic f lives here: `mul_mod` and
 `pow_mod` reduce by f and then, when m is given, every coefficient into
@@ -12,14 +13,6 @@ the mod-8 oracle, no other module multiplies polynomials modulo f itself.
 """
 
 from __future__ import annotations
-
-
-def normalize(a) -> tuple[int, ...]:
-    """Drop trailing zero coefficients."""
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
 
 
 def poly_mul(a, b) -> tuple[int, ...]:
@@ -82,9 +75,9 @@ def mult_matrix(a, f) -> list[list[int]]:
     return [list(mul_mod(a, (0,) * j + (1,), f)) for j in range(len(f) - 1)]
 
 
-def det_bareiss(m: list[list[int]]) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    a = [row[:] for row in m]
+def det_bareiss(m) -> int:
+    """Exact determinant of a square matrix of integer rows (fraction-free Gaussian elimination)."""
+    a = [list(row) for row in m]
     n = len(a)
     sign = 1
     prev = 1
@@ -111,35 +104,6 @@ def norm_mod(a, f) -> int:
 
 def poly_derivative(f) -> tuple[int, ...]:
     return tuple(i * c for i, c in enumerate(f))[1:] or (0,)
-
-
-def resultant(f, g) -> int:
-    """Resultant of f and g via the Sylvester matrix, exact."""
-    fn = normalize(f)
-    gn = normalize(g)
-    m, n = len(fn) - 1, len(gn) - 1
-    if m < 0 or n < 0:
-        return 0
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(fn)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(gn)):
-            row[i + j] = c
-        rows.append(row)
-    return det_bareiss(rows) if size else 1
-
-
-def discriminant(f) -> int:
-    """Discriminant of monic f."""
-    n = len(f) - 1
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, poly_derivative(f))
 
 
 def newton_power_sums(f, count: int) -> list[int]:

@@ -30,7 +30,13 @@ Sigma-orbit invariant: the config guarantees f(s(x)) = 0 mod f and that
 sigma has order n, so for p not dividing disc_f the map b -> s(b) mod p
 permutes the roots of f mod p without fixed points of any power below n.
 A split p therefore has roots a, s(a), ..., s^(n-1)(a), all distinct, and
-`split_completely` finds one root and reads the rest off its orbit.
+`split_completely` finds one root and reads the rest off its orbit.  The
+same holds over R: the field is Galois of odd degree, so its Galois group
+has no complex conjugation and the field is totally real, with real
+roots r, s(r), ..., s^(n-1)(r) for any one root r.  `Embeddings` isolates
+one root and carries its bracket along that orbit.  The discriminant of
+f is the determinant of the trace form Tr(theta^(i+j)) that the field
+keeps for the generator search.
 Conjugation convention: sigma(P) = (p, theta - b) with s(b) = a mod p, so
 sigma^k(P) has root s^(n-k)(a); only `conjugate_chain` encodes this.
 """
@@ -44,7 +50,7 @@ from typing import NamedTuple
 
 from .intpoly import (
     compose_mod,
-    discriminant,
+    det_bareiss,
     mul_mod,
     newton_power_sums,
     norm_mod,
@@ -115,40 +121,22 @@ _MAX_BITS = 4096
 class Embeddings:
     """Certified isolating intervals for the real roots of f, ascending.
 
-    Endpoints are dyadic rationals with f(lo)*f(hi) < 0; refinement is
-    exact bisection, so a sign query either resolves or hits the
-    precision cap and raises AmbiguousSign.  Logically immutable: sign
-    queries may narrow the stored intervals, but only monotonically, so
-    concurrent readers at worst repeat work.
+    Built from the sigma-orbit of one root (see the module docstring), so
+    f must already satisfy f(s(x)) = 0 mod f.  Endpoints are dyadic
+    rationals with f(lo)*f(hi) < 0; refinement is exact bisection, so a
+    sign query either resolves or hits the precision cap and raises
+    AmbiguousSign.  Logically immutable: sign queries may narrow the
+    stored intervals, but only monotonically, so concurrent readers at
+    worst repeat work.
     """
 
-    def __init__(self, f):
+    def __init__(self, f, sigma):
         self.f = tuple(Fraction(c) for c in f)
-        self._ivals = _isolate_real_roots(self.f)
-        self._refine_all(_START_BITS)
-
-    def __len__(self):
-        return len(self._ivals)
+        width = Fraction(1, 1 << _START_BITS)
+        self._ivals = [_bisect(self.f, iv, width) for iv in _isolate_along_orbit(self.f, sigma)]
 
     def intervals(self):
         return list(self._ivals)
-
-    def _refine_all(self, bits: int):
-        width = Fraction(1, 1 << bits)
-        self._ivals = [self._refine(iv, width) for iv in self._ivals]
-
-    def _refine(self, iv, width):
-        lo, hi = iv
-        flo = _eval_frac(self.f, lo)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            fmid = _eval_frac(self.f, mid)
-            assert fmid != 0, "irreducible f has no rational roots"
-            if (flo < 0) == (fmid < 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        return lo, hi
 
     def signs_of(self, a: AlgInt) -> tuple[int, ...]:
         """Exact sign of a(theta) under each real embedding, ascending root order."""
@@ -172,7 +160,46 @@ class Embeddings:
             if bits >= _MAX_BITS:
                 raise AmbiguousSign(f"sign undecided at {_MAX_BITS} bits")
             bits *= 2
-            self._ivals[i] = self._refine(self._ivals[i], Fraction(1, 1 << bits))
+            self._ivals[i] = _bisect(self.f, self._ivals[i], Fraction(1, 1 << bits))
+
+
+def _isolate_along_orbit(f, sigma):
+    """Disjoint brackets, ascending, each holding exactly one root of f.
+
+    Bisects one root r, then carries its bracket along r, s(r), ...,
+    s^(n-1)(r) by interval arithmetic, doubling the bits until the n
+    images are pairwise disjoint.  They then hold n distinct roots, and f
+    has only n.  Integer s keeps the endpoints dyadic.
+    """
+    bound = 1 + max(abs(c) for c in f[:-1])  # Cauchy bound; f monic of odd degree
+    seed = (Fraction(-bound), Fraction(bound))  # so f(-bound) < 0 < f(bound)
+    bits = 1
+    while True:
+        seed = _bisect(f, seed, Fraction(1, 1 << bits))
+        ivals = [seed]
+        for _ in range(len(f) - 2):
+            ivals.append(_eval_interval(sigma, *ivals[-1]))
+        ivals.sort()
+        if all(hi < lo for (_, hi), (lo, _) in zip(ivals, ivals[1:])):
+            return ivals
+        if bits >= _MAX_BITS:
+            raise FieldConfigError(f"real roots of f not isolated along the sigma-orbit at {_MAX_BITS} bits")
+        bits *= 2
+
+
+def _bisect(f, iv, width):
+    """Halve a bracket (lo, hi) with f(lo)*f(hi) < 0 until it is at most width wide."""
+    lo, hi = iv
+    flo = _eval_frac(f, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fmid = _eval_frac(f, mid)
+        assert fmid != 0, "irreducible f has no rational roots"
+        if (flo < 0) == (fmid < 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _eval_frac(coeffs, x: Fraction) -> Fraction:
@@ -188,72 +215,6 @@ def _eval_interval(coeffs, lo: Fraction, hi: Fraction):
         cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
         vlo, vhi = min(cands) + c, max(cands) + c
     return vlo, vhi
-
-
-def _poly_divmod_frac(a, b):
-    a = list(a)
-    db = len(b) - 1
-    while len(b) > 1 and b[-1] == 0:
-        b = b[:-1]
-        db -= 1
-    q = [Fraction(0)] * max(0, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        c = a[-1] / b[-1]
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for j in range(db + 1):
-            a[shift + j] -= c * b[j]
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _sturm_chain(f):
-    chain = [list(f), [i * c for i, c in enumerate(f)][1:]]
-    while any(chain[-1]):
-        _, r = _poly_divmod_frac(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def _variations(chain, x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = _eval_frac(poly, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def _isolate_real_roots(f):
-    chain = _sturm_chain(f)
-    bound = 1 + max(abs(c) for c in f[:-1])  # Cauchy bound, f monic
-    lo, hi = Fraction(-bound), Fraction(bound)
-    out = []
-    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        count = va - vb
-        if count == 0:
-            continue
-        if count == 1:
-            # an isolated simple real root always flips the sign across the interval
-            assert _eval_frac(f, a) * _eval_frac(f, b) < 0, "isolating interval without a sign change"
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        vm = _variations(chain, mid)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
-    out.sort(key=lambda iv: iv[0])
-    return out
 
 
 _CONFIG_KEYS = {"name", "n", "f", "sigma", "h", "unit", "disc_f"}
@@ -279,7 +240,8 @@ def load_spec(text: str) -> "FieldSpec":
                 parsed = int(val)
             else:
                 parsed = json.loads(val)
-                if not isinstance(parsed, list) or not all(isinstance(c, int) for c in parsed):
+                # type(), not isinstance(): JSON true/false parse to bools, which are ints
+                if not isinstance(parsed, list) or not all(type(c) is int for c in parsed):
                     raise ValueError
         except ValueError:
             raise FieldConfigError(f"line {lineno}: bad value for {key}") from None
@@ -320,12 +282,7 @@ class FieldSpec:
         self.units = tuple(tuple(int(c) for c in u) for u in units)
         self.disc_f = disc_f
         self._validate()
-        self.embeddings = Embeddings(self.f)
-        if len(self.embeddings) != n:
-            raise FieldConfigError("f is not totally real")
-        # trace form on the power basis, exact
-        sums = newton_power_sums(self.f, 2 * n - 1)
-        self.trace_gram = tuple(tuple(sums[i + j] for j in range(n)) for i in range(n))
+        self.embeddings = Embeddings(self.f, self.sigma)
         self.unit_by_signature = self._signature_table()
 
     def _validate(self):
@@ -339,7 +296,10 @@ class FieldSpec:
         fbar = f2poly.from_coeffs(c % 2 for c in self.f)
         if not f2poly.is_irreducible(fbar):
             raise C4Violation("f is reducible mod 2, so 2 is not inert")
-        if discriminant(self.f) != self.disc_f:
+        # trace form on the power basis, exact; its determinant is disc(f)
+        sums = newton_power_sums(self.f, 2 * n - 1)
+        self.trace_gram = tuple(tuple(sums[i + j] for j in range(n)) for i in range(n))
+        if det_bareiss(self.trace_gram) != self.disc_f:
             raise FieldConfigError("disc_f does not match the discriminant of f")
         assert self.disc_f % 2 == 1, "2 inert forces an odd discriminant"
         if self.h < 1 or self.h % 2 == 0:

@@ -285,6 +285,8 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
         hi = min(lo + config.chunk_size, config.limit + 1)
         bounds.append((lo, hi))
         lo = hi
+    # the pool starts all its workers at the first submit, so start no idle ones
+    jobs = min(jobs, len(bounds))
     tally = Tally()
     records: list[PrimeRecord] = []
     skipped: list[int] = []

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,24 @@ def test_verify_kernel_unreadable_field(tmp_path, capsys):
     assert main(["verify-kernel", "--field", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error [config]: field config unreadable: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, good, bad", [
+    ("f", "[-1, -2, 1, 1]", "[-1, -2, true, true]"),
+    ("sigma", "[-2, 0, 1]", "[-2, false, true]"),
+    ("unit", "[0, 1, 0]", "[false, true, 0]"),
+])
+def test_config_rejects_json_booleans(tmp_path, capsys, key, good, bad):
+    # true == 1 and false == 0, so each bad line once loaded as the shipped field
+    text = Path(builtin_path()).read_text(encoding="utf-8")
+    assert f"{key} = {good}" in text
+    cfg = tmp_path / "bools.cfg"
+    cfg.write_text(text.replace(f"{key} = {good}", f"{key} = {bad}"))
+    assert main(["verify-kernel", "--field", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error [config]: line ")
+    assert f"bad value for {key}" in err
     assert "Traceback" not in err
 
 
@@ -166,13 +185,26 @@ def test_sweep_search_failure_is_named(monkeypatch, capsys, condition, inject):
 
 
 def test_undecided_unit_sign_at_load_is_named(monkeypatch, capsys):
-    # the same undecidable intervals as _undecided_signs, but before the field loads
+    # an undecidable sign while the field builds its unit signature table
+    def undecided(self, a):
+        raise numfield.AmbiguousSign("sign undecided (injected)")
+
+    monkeypatch.setattr(numfield.Embeddings, "signs_of", undecided)
+    code = main(["verify-kernel", "--field", "simplest-cubic-7"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("validation error [unit]: ")
+    assert "Traceback" not in err
+
+
+def test_isolation_failure_at_load_is_named(monkeypatch, capsys):
+    # undecidable intervals before the field loads: the orbit images never separate
     monkeypatch.setattr(numfield, "_eval_interval", lambda coeffs, lo, hi: (-1, 1))
     monkeypatch.setattr(numfield, "_MAX_BITS", 2 * numfield._START_BITS)
     code = main(["verify-kernel", "--field", "simplest-cubic-7"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("validation error [unit]: ")
+    assert err.startswith("validation error [config]: real roots of f not isolated")
     assert "Traceback" not in err
 
 

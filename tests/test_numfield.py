@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from spinsweep import numfield, residue
@@ -129,6 +131,69 @@ def test_embeddings_isolate_three_roots(spec7):
     approx = [float((lo + hi) / 2) for lo, hi in ivals]
     for got, want in zip(approx, (-1.8019, -0.4450, 1.2470)):
         assert abs(got - want) < 1e-3
+
+
+QUINTIC11 = """
+name = "real-quintic-11"
+n = 5
+f = [1, 3, -3, -4, 1, 1]
+sigma = [-2, 0, 1]
+h = 1
+unit = [-2, -2, 1, 1, 0]
+unit = [-2, -1, 0, 1, 1]
+unit = [-2, 0, 1, 0, 0]
+unit = [-2, 1, 2, 0, 0]
+disc_f = 14641
+"""
+
+
+def shanks_cubic(m, disc_f):
+    """Shanks' simplest cubic x^3 - m x^2 - (m+3) x - 1, sigma(theta) = -1/(1 + theta)."""
+    return f"""
+name = "shanks-{m}"
+n = 3
+f = [-1, {-(m + 3)}, {-m}, 1]
+sigma = [-2, {-(m + 1)}, 1]
+h = 1  # not checked at load
+unit = [0, 1, 0]
+unit = [1, 1, 0]
+disc_f = {disc_f}
+"""
+
+
+def assert_isolated(spec):
+    """n ascending, disjoint intervals, with a sign change of f across each."""
+    ivals = spec.embeddings.intervals()
+    assert len(ivals) == spec.n
+    for (_, hi1), (lo2, _) in zip(ivals, ivals[1:]):
+        assert hi1 < lo2
+    def f_at(x):
+        return sum(c * x**i for i, c in enumerate(spec.f))
+
+    for lo, hi in ivals:
+        assert f_at(lo) * f_at(hi) < 0
+    return ivals
+
+
+def test_quintic_roots_isolated_along_the_orbit():
+    ivals = assert_isolated(load_spec(QUINTIC11))
+    want = sorted(2 * math.cos(2 * math.pi * k / 11) for k in range(1, 6))
+    for (lo, hi), root in zip(ivals, want):
+        assert abs(float((lo + hi) / 2) - root) < 1e-3
+
+
+def test_quintic_discriminant_from_trace_form():
+    assert load_spec(QUINTIC11).disc_f == 14641
+    with pytest.raises(FieldConfigError, match="disc_f does not match"):
+        load_spec(QUINTIC11.replace("disc_f = 14641", "disc_f = 14643"))
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 10, 12, 30, 1000])
+def test_shanks_cubics_isolate_and_check_disc(m):
+    disc_f = (m * m + 3 * m + 9) ** 2
+    assert_isolated(load_spec(shanks_cubic(m, disc_f)))
+    with pytest.raises(FieldConfigError, match="disc_f does not match"):
+        load_spec(shanks_cubic(m, disc_f + 2))
 
 
 def test_signs_of_theta(spec7):

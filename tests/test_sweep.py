@@ -107,6 +107,35 @@ def test_determinism_with_workers(spec7, result7):
     assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps here, starting no process."""
+
+    def __init__(self, requested, max_workers, initializer, initargs):
+        requested.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_workers_capped_at_chunk_count(monkeypatch, spec7, result7):
+    requested = []
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: _InProcessPool(requested, *args, **kwargs))
+    monkeypatch.setattr(sweep, "_WORKER_CTX", {})
+    res = run_sweep(SweepConfig(spec=spec7, limit=6000, chunk_size=1500), jobs=64)  # 4 chunks
+    assert requested == [4]
+    assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
+    run_sweep(SweepConfig(spec=spec7, limit=1000, chunk_size=1500), jobs=64)  # 1 chunk
+    assert requested == [4]  # the single chunk ran serially
+
+
 def test_csv_format(result7):
     text = emit_csv(result7.records, 3)
     lines = text.strip().split("\n")
