@@ -19,6 +19,17 @@ of the ideal lattice under the trace form and then correcting the sign
 pattern with a unit; `spin` is the quadratic residue symbol of that
 generator at a conjugate prime.
 
+Integral-LLL invariant: `_lll_reduce` carries the Gram-Schmidt data as
+integers (Cohen, GTM 138, Alg. 2.6.7): d[i], the Gram determinant of the
+first i rows, and lam[i][j] = d[j+1] mu[i][j].  Both stay integral
+through size reduction and swaps, so every division is exact and the
+reduction takes the same steps as LLL over the rationals.  Likewise sign
+queries run interval Horner in integers scaled by the dyadic endpoints'
+denominator (`_eval_interval`) and return the rational run's bounds.
+First-hit rule: `_enumerate_short` yields candidates lazily in a fixed
+depth-first order, one per +- pair, and the search stops at the first of
+norm p^h.
+
 Ideal-power invariant: for p not dividing disc_f, P^h meets Z[theta] in
 exactly the kernel of Z[theta] -> Z/p^h, theta -> a_h, where a_h is the
 Hensel lift of a (`_lift_root`).  So the lattice of P^h has the basis
@@ -142,11 +153,7 @@ class Embeddings:
         """Exact sign of a(theta) under each real embedding, ascending root order."""
         if not any(a):
             raise ValueError("sign of zero requested")
-        coeffs = tuple(Fraction(c) for c in a)
-        out = []
-        for i in range(len(self._ivals)):
-            out.append(self._sign_at(i, coeffs))
-        return tuple(out)
+        return tuple(self._sign_at(i, a) for i in range(len(self._ivals)))
 
     def _sign_at(self, i: int, coeffs) -> int:
         bits = _START_BITS
@@ -210,11 +217,24 @@ def _eval_frac(coeffs, x: Fraction) -> Fraction:
 
 
 def _eval_interval(coeffs, lo: Fraction, hi: Fraction):
+    """Interval Horner enclosure of an integer polynomial over dyadic [lo, hi].
+
+    Runs in integers scaled by D, the larger endpoint denominator (a power
+    of two, hence the lcm of both): after k steps the bounds are D^k times
+    those of the same Horner run over the rationals, so the returned
+    interval is exactly that run's.
+    """
+    assert all(d & (d - 1) == 0 for d in (lo.denominator, hi.denominator)), "endpoints must be dyadic"
+    D = max(lo.denominator, hi.denominator)
+    L = lo.numerator * (D // lo.denominator)
+    H = hi.numerator * (D // hi.denominator)
     vlo = vhi = coeffs[-1]
+    scale = 1
     for c in reversed(coeffs[:-1]):
-        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-        vlo, vhi = min(cands) + c, max(cands) + c
-    return vlo, vhi
+        scale *= D
+        cands = (vlo * L, vlo * H, vhi * L, vhi * H)
+        vlo, vhi = min(cands) + c * scale, max(cands) + c * scale
+    return Fraction(vlo, scale), Fraction(vhi, scale)
 
 
 _CONFIG_KEYS = {"name", "n", "f", "sigma", "h", "unit", "disc_f"}
@@ -489,96 +509,100 @@ def _ideal_power_basis(n: int, q: int, root: int) -> list[list[int]]:
     return [[q] + [0] * (n - 1)] + rows
 
 
-def _gso(gram):
-    """Rational Gram-Schmidt data (mu, squared lengths) from an integer Gram matrix."""
-    n = len(gram)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    q = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i):
-            acc = Fraction(gram[i][j])
-            for k in range(j):
-                acc -= mu[i][k] * mu[j][k] * q[k]
-            mu[i][j] = acc / q[j]
-        acc = Fraction(gram[i][i])
-        for k in range(i):
-            acc -= mu[i][k] * mu[i][k] * q[k]
-        q[i] = acc
-    return mu, q
+def _round_div(num: int, den: int) -> int:
+    """round(num / den) for den > 0, ties to even: the integer round(Fraction(num, den))."""
+    r, rem = divmod(num, den)
+    if 2 * rem > den or (2 * rem == den and r % 2):
+        r += 1
+    return r
 
 
 def _lll_reduce(spec: FieldSpec, basis):
-    """LLL on the ideal lattice under the exact trace form (delta = 0.99).
+    """LLL on the ideal lattice under the exact trace form (delta = 99/100).
 
-    Returns (basis, mu, q): the reduced rows and their Gram-Schmidt data,
-    which the size reductions keep exact and each swap recomputes.
+    Integral LLL (Cohen, GTM 138, Alg. 2.6.7): d[i] is the Gram determinant
+    of the first i rows (d[0] = 1) and lam[i][j] = d[j+1] mu[i][j] for
+    j < i; both stay integral, so every division below is exact.  Returns
+    (basis, mu, q): the reduced rows and their Gram-Schmidt data, with
+    mu[i][j] = lam[i][j] / d[j+1] and q[i] = d[i+1] / d[i].
     """
-    delta = Fraction(99, 100)
     n = len(basis)
     basis = [list(r) for r in basis]
-
-    def gram():
-        return [[spec.trace_inner(tuple(u), tuple(v)) for v in basis] for u in basis]
-
-    mu, q = _gso(gram())
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = spec.trace_inner(basis[k], basis[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            r = round(mu[k][j])
+            r = _round_div(lam[k][j], d[j + 1])
             if r:
                 basis[k] = [x - r * y for x, y in zip(basis[k], basis[j])]
-                for jj in range(j):
-                    mu[k][jj] -= r * mu[j][jj]
-                mu[k][j] -= r
-        if q[k] >= (delta - mu[k][k - 1] ** 2) * q[k - 1]:
+                for i in range(j):
+                    lam[k][i] -= r * lam[j][i]
+                lam[k][j] -= r * d[j + 1]
+        t = lam[k][k - 1]
+        if 100 * (d[k + 1] * d[k - 1] + t * t) >= 99 * d[k] * d[k]:
             k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            mu, q = _gso(gram())
-            k = max(k - 1, 1)
+            continue
+        # swap rows k - 1 and k (Cohen's SWAPI); lam[k][k - 1] is unchanged
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        b = (d[k + 1] * d[k - 1] + t * t) // d[k]
+        for i in range(k + 1, n):
+            u = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * u) // d[k]
+            lam[i][k - 1] = (b * u + t * lam[i][k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
+    mu = [[Fraction(lam[i][j], d[j + 1]) if j < i else Fraction(0) for j in range(n)] for i in range(n)]
+    q = [Fraction(d[i + 1], d[i]) for i in range(n)]
     return basis, mu, q
 
 
 def _enumerate_short(mu, q, bound: float):
     """Coordinate vectors with quadratic form value <= bound, one per +- pair.
 
-    mu, q are the Gram-Schmidt data of the lattice basis (see `_gso`).
+    mu, q are the Gram-Schmidt data of the lattice basis (see `_lll_reduce`).
+    A generator: vectors come lazily in depth-first order, each kept only
+    if its highest nonzero coordinate is positive, so a caller can stop at
+    the first hit without listing the rest.
     """
     n = len(q)
     muf = [[float(x) for x in row] for row in mu]
     qf = [float(x) for x in q]
     coords = [0] * n
-    out = []
 
     def descend(i, remaining):
         if i < 0:
-            vec = tuple(coords)
-            if any(vec):
-                out.append(vec)
+            for c in reversed(coords):
+                if c:
+                    if c > 0:
+                        yield tuple(coords)
+                    break
             return
         if qf[i] <= 0:
             return
         center = -sum(coords[j] * muf[j][i] for j in range(i + 1, n))
-        half = math.sqrt(max(remaining, 0.0) / qf[i]) if qf[i] > 0 else 0.0
+        half = math.sqrt(max(remaining, 0.0) / qf[i])
         lo = math.ceil(center - half - 1e-9)
         hi = math.floor(center + half + 1e-9)
         for x in range(lo, hi + 1):
             coords[i] = x
             used = qf[i] * (x - center) ** 2
             if used <= remaining + 1e-9:
-                descend(i - 1, remaining - used)
+                yield from descend(i - 1, remaining - used)
         coords[i] = 0
 
-    descend(n - 1, bound)
-    # keep one representative of each +-v pair: highest nonzero coordinate positive
-    seen = []
-    for v in out:
-        for c in reversed(v):
-            if c:
-                if c > 0:
-                    seen.append(v)
-                break
-    return seen
+    return descend(n - 1, bound)
 
 
 _RADIUS_STAGES = (1.25, 2.0, 4.0)

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -312,20 +315,106 @@ def test_generator_many_primes(spec7, p):
         assert eval_mod(alpha, a, p) == 0
 
 
+def _gso(gram):
+    """Rational Gram-Schmidt data (mu, squared lengths) from an integer Gram matrix."""
+    n = len(gram)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    q = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            acc = Fraction(gram[i][j])
+            for k in range(j):
+                acc -= mu[i][k] * mu[j][k] * q[k]
+            mu[i][j] = acc / q[j]
+        acc = Fraction(gram[i][i])
+        for k in range(i):
+            acc -= mu[i][k] * mu[i][k] * q[k]
+        q[i] = acc
+    return mu, q
+
+
+@pytest.fixture(scope="module")
+def quintic():
+    return load_spec(QUINTIC11)
+
+
 @pytest.mark.parametrize("h", [1, 3])
-def test_lll_returns_its_gram_schmidt_data(spec7, spec9, h):
+def test_lll_returns_its_gram_schmidt_data(spec7, spec9, quintic, h):
     # the (mu, q) the search enumerates with must be the Gram-Schmidt data of
     # the reduced basis, recomputed here from scratch under the trace form
-    for spec, p in ((spec7, 13), (spec7, 97), (spec9, 19), (spec9, 73)):
-        for a in split_completely(spec, p):
+    cases = [(spec7, p) for p in (13, 97, 10009, 10037)] + \
+        [(spec9, p) for p in (19, 73, 10007, 10061)] + \
+        [(quintic, p) for p in (23, 89, 10009, 10099)]
+    for spec, p in cases:
+        roots = split_completely(spec, p)
+        assert len(roots) == spec.n
+        for a in roots:
             root = numfield._lift_root(spec, PrimeDeg1(p, a), h)
             lattice = numfield._ideal_power_basis(spec.n, p**h, root)
             basis, mu, q = numfield._lll_reduce(spec, lattice)
             gram = [[spec.trace_inner(tuple(u), tuple(v)) for v in basis] for u in basis]
-            assert (mu, q) == numfield._gso(gram)
+            assert (mu, q) == _gso(gram)
+            # size-reduced, and the Lovasz condition holds at delta = 99/100
+            for i in range(1, spec.n):
+                assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+                assert q[i] >= (Fraction(99, 100) - mu[i][i - 1] ** 2) * q[i - 1]
             # a unimodular change of basis: the same covolume
             assert abs(det_bareiss([r[:] for r in basis])) == \
                 abs(det_bareiss([r[:] for r in lattice]))
+
+
+def _primes_below(limit):
+    return [p for p in range(3, limit, 2) if all(p % q for q in range(3, int(p**0.5) + 1, 2))]
+
+
+def _generator_digest(spec, limit):
+    digest = hashlib.sha256()
+    for p in _primes_below(limit):
+        if spec.disc_f % p:
+            for a in split_completely(spec, p):
+                digest.update(repr((p, a, generator_of_power(spec, PrimeDeg1(p, a)))).encode())
+    return digest.hexdigest()
+
+
+def test_generator_digests_are_pinned(spec7, spec9, quintic):
+    # SHA-256 over repr((p, a, generator)) for every split (p, a), in
+    # split_completely order; pinned from the Fraction-based search that the
+    # integral LLL replaced.  A search that picks other generators (say, a
+    # floating-point LLL) must change these pins visibly.
+    assert _generator_digest(spec7, 5000) == \
+        "169c9088149491a05f1b164e7db9d99ba5353dacc54254bfe023f22f1b3bdd13"
+    assert _generator_digest(spec9, 5000) == \
+        "d9b3e33b58b68ca6048125bf70026ee922d75e6f3eccd28dbaf747679e22cebc"
+    assert _generator_digest(quintic, 2000) == \
+        "5792096a5ba1466e55ac6d13927cfc86e9151920a0971e3b810b51233e01bf18"
+
+
+def test_round_div_matches_fraction_round():
+    ties = [(2 * k + 1, 2) for k in range(-6, 6)]  # +-1/2, +-3/2, ...
+    grid = [(num, den) for den in range(1, 9) for num in range(-40, 41)]
+    for num, den in ties + grid + [(-(10**40) - 1, 2 * 10**20), (10**40 + 10**20, 2 * 10**20)]:
+        assert numfield._round_div(num, den) == round(Fraction(num, den)), (num, den)
+
+
+def _horner_interval(coeffs, lo, hi):
+    vlo = vhi = Fraction(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        vlo, vhi = min(cands) + c, max(cands) + c
+    return vlo, vhi
+
+
+def test_eval_interval_matches_fraction_horner():
+    rng = random.Random(20201)
+    for _ in range(300):
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 6))]
+        ends = sorted(Fraction(rng.randint(-(1 << 20), 1 << 20) << rng.randint(0, 12), 1 << rng.randint(1, 300))
+                      for _ in range(2))
+        got = numfield._eval_interval(coeffs, *ends)
+        assert got == _horner_interval(coeffs, *ends)
+        assert all(type(v) is Fraction for v in got)
+    with pytest.raises(AssertionError, match="dyadic"):
+        numfield._eval_interval((1, 1), Fraction(1, 3), Fraction(1, 2))
 
 
 def test_generator_rejects_even_h(spec7):
