@@ -52,9 +52,7 @@ def oracle_star_table(family: RingFamily) -> StarTable:
         nrm = norm_mod([c % 4 for c in rep], family.spec.f) % 4
         assert nrm in (1, 3), "norm of a unit lift must be odd"
         norm_sign[bits] = 1 if nrm == 1 else -1
-    ker_plus = sum(1 for c in star if star[c] == 1 and norm_sign[c] == 1)
-    ker_minus = sum(1 for c in star if star[c] == 1 and norm_sign[c] == -1)
-    return StarTable(star, norm_sign, ker_plus, ker_minus)
+    return StarTable(star, norm_sign)
 
 
 def m4_suite(family: RingFamily) -> list[CheckResult]:
@@ -141,6 +139,11 @@ def hilbert_suite(family: RingFamily, pairing: residue.CirculantA) -> list[Check
     return out
 
 
+def kernel_routes(n: int, star: StarTable, pairing: residue.CirculantA):
+    """The (ker_plus, ker_minus) counts three ways: closed form, star table, autocorrelation."""
+    return s_pair(n), (star.ker_plus, star.ker_minus), residue.kernel_counts_via_B(pairing)
+
+
 def kernel_suite(family: RingFamily, star: StarTable,
                  pairing: residue.CirculantA) -> list[CheckResult]:
     """Three independent kernel counts plus the anchor values.
@@ -150,9 +153,7 @@ def kernel_suite(family: RingFamily, star: StarTable,
     """
     n = family.n
     r3 = family.level(3)
-    closed = s_pair(n)
-    brute = (star.ker_plus, star.ker_minus)
-    convol = residue.kernel_counts_via_B(pairing)
+    closed, brute, convol = kernel_routes(n, star, pairing)
     out = [
         _result("kernel/three-way-agreement", closed == brute == convol,
                 f"closed {closed}, star-table {brute}, autocorrelation {convol}"),

@@ -2,6 +2,8 @@
 
 Subcommands: table, density, verify-kernel, sweep, selfcheck.  Results go
 to stdout, diagnostics to stderr, so CSV and table output pipe cleanly.
+`sweep --jobs` is its only scheduling setting: the windows of [3, X] follow
+from it (see the `sweep` module), and no output depends on it.
 
 Exit codes: 0 success/PASS, 1 usage error, 2 validation error (bad config
 or arguments, with the violated condition named), 3 acceptance failure
@@ -20,7 +22,7 @@ from importlib import resources
 
 from . import checks, f2poly, residue
 from .density import N15_ERRATUM_NOTE, density_report, format_table
-from .numfield import FieldConfigError, load_spec_file
+from .numfield import FieldConfigError, load_spec, load_spec_file
 from .sweep import (
     SEARCH_FAILURES,
     SweepConfig,
@@ -54,8 +56,6 @@ def _load_field(arg: str):
     name = arg.removesuffix(".cfg")
     if name in BUILTIN_FIELDS:
         ref = resources.files("spinsweep.data") / f"{name}.cfg"
-        from .numfield import load_spec
-
         return load_spec(ref.read_text(encoding="utf-8"))
     raise FieldConfigError(f"field config not found: {arg}")
 
@@ -107,11 +107,7 @@ def _cmd_verify_kernel(args) -> int:
     family = residue.build_family(spec)
     star = checks.oracle_star_table(family)
     pairing = residue.build_matrix_A(family)
-    from .density import s_pair
-
-    closed = s_pair(spec.n)
-    brute = (star.ker_plus, star.ker_minus)
-    convol = residue.kernel_counts_via_B(pairing)
+    closed, brute, convol = checks.kernel_routes(spec.n, star, pairing)
     agree = closed == brute == convol
     print(f"field = {spec.name}  (n = {spec.n})")
     print(f"normal basis generator y = {family.y}")
@@ -126,7 +122,7 @@ def _cmd_verify_kernel(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = _load_field(args.field)
-    config = SweepConfig(spec=spec, limit=args.limit, chunk_size=args.chunk_size)
+    config = SweepConfig(spec=spec, limit=args.limit)
     if args.csv and args.csv != "-":  # reject an unwritable target before any prime is classified
         folder = os.path.dirname(os.path.abspath(args.csv))
         if os.path.isdir(args.csv) or not os.access(folder, os.W_OK):
@@ -187,7 +183,6 @@ def build_parser() -> _Parser:
     p.add_argument("--field", required=True, help="field config path or builtin name")
     p.add_argument("--limit", type=int, required=True, help="sweep primes up to this bound")
     p.add_argument("--csv", help="write per-prime CSV here ('-' for stdout)")
-    p.add_argument("--chunk-size", type=int, default=100_000)
     p.add_argument("--jobs", type=int, default=1, help="worker processes (0 = auto)")
     p.set_defaults(func=_cmd_sweep)
 

@@ -16,8 +16,9 @@ Degree-one primes are pairs (p, a) with f(a) = 0 mod p, standing for the
 ideal (p, theta - a).  `generator_of_power` produces a totally positive
 generator of the h-th power of such an ideal by enumerating short vectors
 of the ideal lattice under the trace form and then correcting the sign
-pattern with a unit; `spin` is the quadratic residue symbol of that
-generator at a conjugate prime.
+pattern with a unit; `legendre_deg1` of that generator at a conjugate
+prime from `conjugate_chain` is a spin.  The sweep's `classify_prime` is
+the one place that composes these into spins and a mod-4 class.
 
 Integral-LLL invariant: `_lll_reduce` carries the Gram-Schmidt data as
 integers (Cohen, GTM 138, Alg. 2.6.7): d[i], the Gram determinant of the
@@ -25,7 +26,9 @@ first i rows, and lam[i][j] = d[j+1] mu[i][j].  Both stay integral
 through size reduction and swaps, so every division is exact and the
 reduction takes the same steps as LLL over the rationals.  Likewise sign
 queries run interval Horner in integers scaled by the dyadic endpoints'
-denominator (`_eval_interval`) and return the rational run's bounds.
+denominator (`_eval_interval`) and return the rational run's bounds;
+bisection reads the sign of f at a dyadic midpoint from the same
+evaluation, over the one-point interval.
 First-hit rule: `_enumerate_short` yields candidates lazily in a fixed
 depth-first order, one per +- pair, and the search stops at the first of
 norm p^h.
@@ -70,7 +73,6 @@ from .intpoly import (
     pow_mod,
 )
 from . import f2poly
-from . import residue
 
 
 class FieldConfigError(ValueError):
@@ -142,9 +144,9 @@ class Embeddings:
     """
 
     def __init__(self, f, sigma):
-        self.f = tuple(Fraction(c) for c in f)
+        self._f = f
         width = Fraction(1, 1 << _START_BITS)
-        self._ivals = [_bisect(self.f, iv, width) for iv in _isolate_along_orbit(self.f, sigma)]
+        self._ivals = [_bisect(f, iv, width) for iv in _isolate_along_orbit(f, sigma)]
 
     def intervals(self):
         return list(self._ivals)
@@ -167,7 +169,7 @@ class Embeddings:
             if bits >= _MAX_BITS:
                 raise AmbiguousSign(f"sign undecided at {_MAX_BITS} bits")
             bits *= 2
-            self._ivals[i] = _bisect(self.f, self._ivals[i], Fraction(1, 1 << bits))
+            self._ivals[i] = _bisect(self._f, self._ivals[i], Fraction(1, 1 << bits))
 
 
 def _isolate_along_orbit(f, sigma):
@@ -195,25 +197,21 @@ def _isolate_along_orbit(f, sigma):
 
 
 def _bisect(f, iv, width):
-    """Halve a bracket (lo, hi) with f(lo)*f(hi) < 0 until it is at most width wide."""
+    """Halve a dyadic bracket (lo, hi) with f(lo)*f(hi) < 0 until it is at most width wide.
+
+    f(x) at a dyadic x is exact as the one-point interval _eval_interval(f, x, x).
+    """
     lo, hi = iv
-    flo = _eval_frac(f, lo)
+    flo, _ = _eval_interval(f, lo, lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        fmid = _eval_frac(f, mid)
+        fmid, _ = _eval_interval(f, mid, mid)
         assert fmid != 0, "irreducible f has no rational roots"
         if (flo < 0) == (fmid < 0):
             lo, flo = mid, fmid
         else:
             hi = mid
     return lo, hi
-
-
-def _eval_frac(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _eval_interval(coeffs, lo: Fraction, hi: Fraction):
@@ -482,11 +480,6 @@ def conjugate_chain(spec: FieldSpec, P: PrimeDeg1) -> list[PrimeDeg1]:
     return [PrimeDeg1(p, orbit[-k]) for k in range(spec.n)]
 
 
-def conjugate_prime(spec: FieldSpec, P: PrimeDeg1) -> PrimeDeg1:
-    """The Galois image of P: the prime (p, theta - b) with s(b) = a mod p."""
-    return conjugate_chain(spec, P)[1]
-
-
 # -- generator search --------------------------------------------------------
 
 
@@ -651,7 +644,7 @@ def generator_of_power(spec: FieldSpec, P: PrimeDeg1, h: int | None = None) -> A
     raise GeneratorNotFound(f"no generator of norm {target} within the search radius")
 
 
-# -- residue symbols and spin -------------------------------------------------
+# -- residue symbols ---------------------------------------------------------
 
 
 def legendre_deg1(spec: FieldSpec, alpha: AlgInt, Q: PrimeDeg1) -> int:
@@ -664,24 +657,3 @@ def legendre_deg1(spec: FieldSpec, alpha: AlgInt, Q: PrimeDeg1) -> int:
         return 1
     assert e == Q.p - 1, "Euler criterion returned a non-sign"
     return -1
-
-
-def spin(spec: FieldSpec, P: PrimeDeg1, k: int) -> int:
-    """Residue symbol of a totally positive generator of P^h at the k-th conjugate of P.
-
-    Defined for split primes, where P and its conjugates are coprime and
-    the value is +-1.  (For a prime fixed by a conjugation the symbol
-    degenerates to 0; such primes do not satisfy this precondition.)
-    """
-    if not 1 <= k <= spec.n - 1:
-        raise ValueError("k must be in 1..n-1")
-    alpha = generator_of_power(spec, P, spec.h)
-    value = legendre_deg1(spec, alpha, conjugate_chain(spec, P)[k])
-    assert value != 0, "conjugate prime divides the generator"
-    return value
-
-
-def r4_of_prime(spec: FieldSpec, family: residue.RingFamily, P: PrimeDeg1) -> residue.M4Class:
-    """Square class mod 4 of the totally positive generator of P^h."""
-    alpha = generator_of_power(spec, P, spec.h)
-    return residue.m4_class_of(family, tuple(c % 4 for c in alpha))

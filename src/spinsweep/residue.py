@@ -4,7 +4,8 @@ Elements are tuples of ints of length n: power-basis coordinates modulo
 2^k.  A ring knows its reduced minimal polynomial and the matrices of the
 Galois generator and its powers; all values are immutable and shareable.
 Products and powers are `intpoly.mul_mod`/`pow_mod` modulo (f, 2^k); the
-only reduction by f written here is the numpy matrix of the mod-8 oracle.
+only reduction by f written here is the numpy matrix of the mod-8 oracle,
+the one user of numpy, which imports it when it first builds its tables.
 
 Built on top of the rings:
 
@@ -32,8 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-
-import numpy as np
 
 from . import f2poly
 from .intpoly import compose_mod, mul_mod, newton_power_sums, poly_rem_monic, pow_mod
@@ -140,6 +139,8 @@ class _BulkTables:
     """numpy tables over all mod^n elements of a ring: squares and unit masks."""
 
     def __init__(self, ring: ResidueRing):
+        import numpy as np  # in _BulkTables only, so the sweep never loads numpy
+
         n, m = ring.n, ring.mod
         count = m**n
         self.ring = ring
@@ -158,6 +159,8 @@ class _BulkTables:
         self.sq_unit = np.unique(sq[unit])
 
     def _square_all(self, coeffs):
+        import numpy as np
+
         n, m = self.ring.n, self.ring.mod
         prod = np.zeros((coeffs.shape[0], 2 * n - 1), dtype=np.int64)
         for i in range(n):
@@ -170,6 +173,8 @@ class _BulkTables:
         return (idx[..., None] // self.place) % self.ring.mod
 
     def scalar_mul(self, a: Elem, idx):
+        import numpy as np
+
         n, m = self.ring.n, self.ring.mod
         coeffs = self._decomp(idx)
         acc = np.zeros(idx.shape + (2 * n - 1,), dtype=np.int64)
@@ -346,8 +351,6 @@ class StarTable:
 
     star: dict[M4Class, int]
     norm_sign: dict[M4Class, int]
-    ker_plus: int
-    ker_minus: int
 
     def __post_init__(self):
         n = len(next(iter(self.star)))
@@ -358,9 +361,19 @@ class StarTable:
             if self.star[c] != self.star[rot(c, 1)] or self.norm_sign[c] != self.norm_sign[rot(c, 1)]:
                 raise AssertionError("star/norm values must be constant on Galois orbits")
 
+    @property
+    def ker_plus(self) -> int:
+        """Classes with star +1 and norm sign +1."""
+        return sum(1 for c, s in self.star.items() if s == 1 and self.norm_sign[c] == 1)
+
+    @property
+    def ker_minus(self) -> int:
+        """Classes with star +1 and norm sign -1."""
+        return sum(1 for c, s in self.star.items() if s == 1 and self.norm_sign[c] == -1)
+
 
 def star_table(family: RingFamily) -> StarTable:
-    """Star values, norm signs and kernel counts of all 2^n classes, from the trace form."""
+    """Star values and norm signs of all 2^n classes, from the trace form."""
     a = build_matrix_A(family)
     n = family.n
     star: dict[M4Class, int] = {}
@@ -369,9 +382,7 @@ def star_table(family: RingFamily) -> StarTable:
         trivial = not any(a.pairing_bit(bits, rot(bits, k)) for k in range(1, n))
         star[bits] = 1 if trivial else -1
         norm_sign[bits] = -1 if a.c[0] * sum(bits) % 2 else 1
-    ker_plus = sum(1 for c in star if star[c] == 1 and norm_sign[c] == 1)
-    ker_minus = sum(1 for c in star if star[c] == 1 and norm_sign[c] == -1)
-    return StarTable(star, norm_sign, ker_plus, ker_minus)
+    return StarTable(star, norm_sign)
 
 
 @dataclass(frozen=True)

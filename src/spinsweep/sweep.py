@@ -10,9 +10,11 @@ pairing of the generator with its k-th conjugate, and R-membership via spin
 products must agree with R-membership via the star value of the mod-4
 class.  Any violation aborts the run naming the prime.
 
-Work is partitioned into integer chunks processed independently (optionally
-in worker processes); per-prime results are pure functions of p, so tallies
-and CSV output are identical for every chunking and worker count.
+Work is cut into windows of [3, X] of equal width: one when serial, and
+WINDOWS_PER_WORKER per worker process otherwise, so the chunking follows
+from the worker count alone.  Per-prime results are pure functions of p and
+tallies merge by addition, so tallies and CSV output are identical for
+every worker count.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from __future__ import annotations
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 import math
 import os
-
-import numpy as np
 
 from . import numfield, residue
 from .density import density_report
@@ -42,13 +43,10 @@ class WorkerCrashed(RuntimeError):
 class SweepConfig:
     spec: numfield.FieldSpec
     limit: int
-    chunk_size: int = 100_000
 
     def __post_init__(self):
         if self.limit < 100:
             raise ValueError("limit must be at least 100")
-        if self.chunk_size < 1:
-            raise ValueError("chunk size must be positive")
 
 
 @dataclass(frozen=True)
@@ -73,11 +71,9 @@ class Tally:
     f_plus: int = 0
     f_minus: int = 0
     histogram: dict = field(default_factory=dict)
-    class_sign: dict = field(default_factory=dict)  # m4 class -> sign sector seen
 
     def add_record(self, rec: PrimeRecord):
-        plus = rec.p_mod4 == 1
-        if plus:
+        if rec.p_mod4 == 1:
             self.s_plus += 1
             self.r_plus += rec.in_R
             self.f_plus += rec.in_F
@@ -86,11 +82,6 @@ class Tally:
             self.r_minus += rec.in_R
             self.f_minus += rec.in_F
         self.histogram[rec.m4_bits] = self.histogram.get(rec.m4_bits, 0) + 1
-        sign = 1 if plus else -1
-        if self.class_sign.setdefault(rec.m4_bits, sign) != sign:
-            raise SpinRelationViolation(
-                f"p={rec.p}: class {rec.m4_bits} seen in both sign sectors"
-            )
 
     def merge(self, other: "Tally"):
         self.s_plus += other.s_plus
@@ -101,9 +92,6 @@ class Tally:
         self.f_minus += other.f_minus
         for k, v in other.histogram.items():
             self.histogram[k] = self.histogram.get(k, 0) + v
-        for k, v in other.class_sign.items():
-            if self.class_sign.setdefault(k, v) != v:
-                raise SpinRelationViolation(f"class {k} seen in both sign sectors")
 
     def validate(self):
         assert self.f_plus <= self.r_plus <= self.s_plus
@@ -181,29 +169,22 @@ def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
 # -- prime generation ---------------------------------------------------------
 
 
-def _small_primes(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, math.isqrt(limit) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    return np.flatnonzero(sieve)
-
-
 def odd_primes_in(lo: int, hi: int) -> list[int]:
-    """Odd primes in [lo, hi), by a sieve segmented on the requested window."""
-    if hi <= 3:
-        return []
+    """Odd primes in [lo, hi), by a sieve segmented on the requested window.
+
+    Crossing out the multiples of every odd q <= sqrt(hi), from q^2 on,
+    leaves exactly the odd primes: an odd composite's least prime factor is
+    such a q.  Composite q add no marks and cost little, so no base sieve.
+    """
     lo = max(lo, 3)
-    base = _small_primes(math.isqrt(hi - 1))
-    seg = np.ones(hi - lo, dtype=bool)
-    for q in base:
-        q = int(q)
-        start = max(q * q, ((lo + q - 1) // q) * q)
-        if start < hi:
-            seg[start - lo :: q] = False
-    out = np.flatnonzero(seg) + lo
-    return [int(p) for p in out if p % 2 == 1]
+    if hi <= lo:
+        return []
+    seg = bytearray([1]) * (hi - lo)  # seg[i] for lo + i
+    for q in range(3, math.isqrt(hi - 1) + 1, 2):
+        start = max(q * q, -(-lo // q) * q)
+        seg[start - lo :: q] = bytes(len(range(start, hi, q)))
+    first = lo | 1
+    return list(compress(range(first, hi, 2), seg[first - lo :: 2]))
 
 
 # -- sweep driver -------------------------------------------------------------
@@ -274,29 +255,35 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# windows per worker process: enough that a slow window does not leave the others idle
+WINDOWS_PER_WORKER = 4
+
+
+def _windows(limit: int, jobs: int) -> list[tuple[int, int]]:
+    """[3, limit] as [lo, hi) windows of equal width: one serial, WINDOWS_PER_WORKER per worker."""
+    count = 1 if jobs == 1 else WINDOWS_PER_WORKER * jobs
+    cuts = sorted({3 + i * (limit - 2) // count for i in range(count + 1)})  # no empty windows
+    return list(zip(cuts, cuts[1:]))
+
+
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
-    """Run the sweep; deterministic tallies and records for any chunking or jobs."""
+    """Run the sweep; deterministic tallies and records for any jobs."""
     spec = config.spec
     if jobs < 1:
         jobs = min(8, os.cpu_count() or 1)
-    bounds = []
-    lo = 3
-    while lo <= config.limit:
-        hi = min(lo + config.chunk_size, config.limit + 1)
-        bounds.append((lo, hi))
-        lo = hi
+    bounds = _windows(config.limit, jobs)
     # the pool starts all its workers at the first submit, so start no idle ones
     jobs = min(jobs, len(bounds))
+    tables = build_tables(spec)
     tally = Tally()
     records: list[PrimeRecord] = []
     skipped: list[int] = []
     if jobs == 1:
-        tables = build_tables(spec)
         parts = [_classify_range(tables, lo, hi) for lo, hi in bounds]
     else:
         with ProcessPoolExecutor(jobs, initializer=_worker_init, initargs=(spec,)) as pool:
             try:
-                parts = list(pool.map(_worker_chunk, bounds))  # in chunk order
+                parts = list(pool.map(_worker_chunk, bounds))  # in window order
             except BrokenProcessPool as exc:
                 raise WorkerCrashed(str(exc)) from exc
     for part_tally, part_records, part_skipped in parts:
@@ -305,7 +292,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
         skipped.extend(part_skipped)
     records.sort(key=lambda r: r.p)
     tally.validate()
-    rows = build_report_rows(spec, tally)
+    rows = build_report_rows(spec, tally, tables.star.norm_sign)
     return SweepResult(config, tally, records, skipped, rows)
 
 
@@ -318,7 +305,8 @@ def _ratio_row(name, num, den, theoretical, tol):
     return (name, emp, stderr, theoretical, delta, delta < tol)
 
 
-def build_report_rows(spec: numfield.FieldSpec, tally: Tally):
+def build_report_rows(spec: numfield.FieldSpec, tally: Tally, norm_sign: dict):
+    """Report rows; each histogram bin counts against the sign sector norm_sign gives its class."""
     tol = DEFAULT_TOLERANCES
     rep = density_report(spec.n)
     half = Fraction(1, 1 << ((spec.n - 1) // 2))
@@ -333,13 +321,14 @@ def build_report_rows(spec: numfield.FieldSpec, tally: Tally):
         _ratio_row("F+/R+", tally.f_plus, tally.r_plus, half, tol["F+/R+"]),
         _ratio_row("F-/R-", tally.f_minus, tally.r_minus, half, tol["F-/R-"]),
     ]
-    # mod-4 equidistribution: each class bin against its own sign sector
+    # mod-4 equidistribution: each class bin against its own sign sector, which
+    # classify_prime has checked to be p mod 4 for every prime in the bin
     sector = {1: tally.s_plus, -1: tally.s_minus}
     uniform = Fraction(1, 1 << (spec.n - 1))
     for bits in sorted(tally.histogram):
         label = "hist[" + "".join(map(str, bits)) + "]"
-        sign = tally.class_sign[bits]
-        rows.append(_ratio_row(label, tally.histogram[bits], sector[sign], uniform, tol["hist"]))
+        count, den = tally.histogram[bits], sector[norm_sign[bits]]
+        rows.append(_ratio_row(label, count, den, uniform, tol["hist"]))
     return rows
 
 

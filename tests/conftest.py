@@ -58,3 +58,29 @@ def pairing7(family7):
 @pytest.fixture(scope="session")
 def pairing9(family9):
     return residue.build_matrix_A(family9)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Make the sweep's pool map in this process, starting none; returns each max_workers asked."""
+    from spinsweep import sweep
+
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            requested.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(sweep, "_WORKER_CTX", {})
+    return requested

@@ -36,7 +36,7 @@ def _report(num, desc, ok, elapsed=None):
 
 @pytest.fixture(scope="module")
 def sweep_result(spec7):
-    cfg = SweepConfig(spec=spec7, limit=X_SWEEP, chunk_size=100_000)
+    cfg = SweepConfig(spec=spec7, limit=X_SWEEP)
     t0 = time.time()
     result = run_sweep(cfg, jobs=0)
     return result, time.time() - t0

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import spinsweep
-from spinsweep import numfield
+from spinsweep import numfield, sweep
 from spinsweep.cli import _load_field, main
 
 
@@ -107,8 +107,7 @@ def test_selfcheck(capsys):
 
 def test_sweep_csv_to_stdout_is_clean(capsys):
     code = main([
-        "sweep", "--field", builtin_path(), "--limit", "4000",
-        "--csv", "-", "--chunk-size", "1000",
+        "sweep", "--field", builtin_path(), "--limit", "4000", "--csv", "-",
     ])
     captured = capsys.readouterr()
     # stdout carries only CSV; the report goes to stderr
@@ -123,7 +122,7 @@ def test_sweep_csv_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     main([
         "sweep", "--field", builtin_path(), "--limit", "4000",
-        "--csv", str(target), "--chunk-size", "4000",
+        "--csv", str(target),
     ])
     captured = capsys.readouterr()
     body = target.read_text()
@@ -146,8 +145,24 @@ def test_sweep_bad_limit(capsys):
 
 
 def test_sweep_skip_flags_removed(capsys):
-    for flag in ("--no-spin-check", "--no-r4-check"):
+    for flag in ("--no-spin-check", "--no-r4-check", "--chunk-size=1000"):
         assert main(["sweep", "--field", "simplest-cubic-7", "--limit", "100", flag]) == 1
+
+
+def test_sweep_jobs_splits_the_range(monkeypatch, capsys, in_process_pool):
+    # --jobs 2 asks for 2 workers over 8 equal windows covering [3, X]
+    windows = []
+
+    def record(bounds):
+        windows.append(bounds)
+        return sweep.Tally(), [], []
+
+    monkeypatch.setattr(sweep, "_worker_chunk", record)
+    main(["sweep", "--field", "simplest-cubic-7", "--limit", "100000", "--jobs", "2"])
+    assert in_process_pool == [2]
+    assert len(windows) == 8 and windows[0][0] == 3 and windows[-1][1] == 100_001
+    assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
+    assert {hi - lo for lo, hi in windows} == {12_499, 12_500}
 
 
 def _no_radius_stages(monkeypatch):
@@ -219,18 +234,38 @@ def crash(bounds):
 if __name__ == "__main__":
     sweep._worker_chunk = crash
     sys.exit(main(["sweep", "--field", "simplest-cubic-7", "--limit", "1000",
-                   "--jobs", "2", "--chunk-size", "500"]))
+                   "--jobs", "2"]))
 """
+
+
+def _env_with_package():
+    src = os.path.dirname(os.path.dirname(spinsweep.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def test_sweep_worker_crash_is_named(tmp_path):
     # in a subprocess with a timeout, so a pool that waits forever fails the test
     script = tmp_path / "crashing_sweep.py"
     script.write_text(CRASHING_SWEEP)
-    src = os.path.dirname(os.path.dirname(spinsweep.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          timeout=60, env=env)
+                          timeout=60, env=_env_with_package())
     assert proc.returncode == 4
     assert proc.stderr.startswith("sweep failed [WorkerCrashed]: ")
     assert "Traceback" not in proc.stderr
+
+
+NUMPY_FREE_SWEEP = """
+import sys
+from spinsweep.cli import main
+
+main(["sweep", "--field", "simplest-cubic-7", "--limit", "1000"])
+print("numpy loaded:", "numpy" in sys.modules)
+"""
+
+
+def test_sweep_does_not_import_numpy():
+    # numpy serves only the mod-8 oracle of verify-kernel and selfcheck
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_SWEEP], capture_output=True,
+                          text=True, timeout=60, env=_env_with_package())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy loaded: False"

@@ -17,13 +17,10 @@ from spinsweep.numfield import (
     PrimeDeg1,
     RamifiedPrime,
     conjugate_chain,
-    conjugate_prime,
     eval_mod,
     generator_of_power,
     legendre_deg1,
     load_spec,
-    r4_of_prime,
-    spin,
     split_completely,
 )
 
@@ -248,11 +245,9 @@ def test_split_matches_brute_force(spec7, spec9, p):
             for k in range(spec.n):
                 assert eval_mod(spec.sigma, chain[k].a, p) == chain[k - 1].a
             assert sorted(Q.a for Q in chain) == roots
-            Q = P
+            # sigma(sigma^k(P)) is sigma^(k+1)(P): the chain of each conjugate is the rotated chain
             for k in range(spec.n):
-                assert Q == chain[k]
-                Q = conjugate_prime(spec, Q)
-            assert Q == P
+                assert conjugate_chain(spec, chain[k]) == chain[k:] + chain[:k]
 
 
 def test_split_rule_mod_conductor(spec7):
@@ -267,19 +262,20 @@ def test_split_rule_mod_conductor(spec7):
 
 def test_conjugate_orbit(spec7):
     P = PrimeDeg1(13, 7)
-    Q = conjugate_prime(spec7, P)
+    chain = conjugate_chain(spec7, P)
+    Q, R = chain[1], chain[2]
     assert Q == PrimeDeg1(13, 10)  # s(10) = 98 = 7 mod 13
-    R = conjugate_prime(spec7, Q)
     assert R == PrimeDeg1(13, 8)
-    assert conjugate_prime(spec7, R) == P  # n applications = identity
+    assert conjugate_chain(spec7, Q)[1] == R
+    assert conjugate_chain(spec7, R)[1] == P  # n applications = identity
     assert len({P, Q, R}) == 3  # full orbit, no stabilizer
 
 
 def test_conjugate_rejects_foreign_prime(spec7):
     with pytest.raises(ValueError):
-        conjugate_prime(spec7, PrimeDeg1(13, 1))
+        conjugate_chain(spec7, PrimeDeg1(13, 1))
     with pytest.raises(RamifiedPrime):
-        conjugate_prime(spec7, PrimeDeg1(7, 2))
+        conjugate_chain(spec7, PrimeDeg1(7, 2))
 
 
 # -- generators ---------------------------------------------------------------
@@ -498,31 +494,36 @@ def test_legendre_against_square_set(spec7):
     assert legendre_deg1(spec7, (13, 0, 0), PrimeDeg1(q, b)) == 0
 
 
+def _spins(spec, P):
+    """Residue symbols of the totally positive generator of P^h at sigma^k(P), k = 1..n-1."""
+    chain = conjugate_chain(spec, P)
+    alpha = generator_of_power(spec, P, spec.h)
+    return tuple(legendre_deg1(spec, alpha, Q) for Q in chain[1:])
+
+
+def _m4_class(spec, family, P):
+    """Square class mod 4 of the totally positive generator of P^h."""
+    alpha = generator_of_power(spec, P, spec.h)
+    return residue.m4_class_of(family, tuple(c % 4 for c in alpha))
+
+
 def test_spin_values_and_product_identity(spec7, family7):
     P = PrimeDeg1(13, 7)
-    s1 = spin(spec7, P, 1)
-    s2 = spin(spec7, P, 2)
+    s1, s2 = _spins(spec7, P)
     assert s1 in (1, -1) and s2 in (1, -1)
     # the product must be the dyadic Hilbert symbol of the generator and its conjugate
     alpha = generator_of_power(spec7, P, 1)
     r3 = family7.level(3)
     a8 = tuple(c % 8 for c in alpha)
     assert s1 * s2 == residue.hilbert2(r3, a8, r3.apply_tau(a8, 1))
+    # the symbol at P itself (k = 0 or n) degenerates: the generator lies in P
+    assert legendre_deg1(spec7, alpha, P) == 0
 
 
 def test_spin_orbit_is_permutation(spec7):
     P = PrimeDeg1(13, 7)
-    values = sorted((spin(spec7, P, 1), spin(spec7, P, 2)))
-    Q = conjugate_prime(spec7, P)
-    values_q = sorted((spin(spec7, Q, 1), spin(spec7, Q, 2)))
-    assert values == values_q
-
-
-def test_spin_rejects_bad_k(spec7):
-    with pytest.raises(ValueError):
-        spin(spec7, PrimeDeg1(13, 7), 0)
-    with pytest.raises(ValueError):
-        spin(spec7, PrimeDeg1(13, 7), 3)
+    Q = conjugate_chain(spec7, P)[1]
+    assert sorted(_spins(spec7, P)) == sorted(_spins(spec7, Q))
 
 
 # -- r4 map -------------------------------------------------------------------
@@ -532,10 +533,10 @@ def test_r4_equivariance_and_norm_sign(spec7, family7, star7):
     for p in (13, 29, 41, 43):
         roots = split_completely(spec7, p)
         P = PrimeDeg1(p, roots[0])
-        bits = r4_of_prime(spec7, family7, P)
+        bits = _m4_class(spec7, family7, P)
         assert star7.norm_sign[bits] == (1 if p % 4 == 1 else -1)
-        Q = conjugate_prime(spec7, P)
-        assert r4_of_prime(spec7, family7, Q) == residue.rot(bits, 1)
+        Q = conjugate_chain(spec7, P)[1]
+        assert _m4_class(spec7, family7, Q) == residue.rot(bits, 1)
 
 
 def test_r4_plus_classes_for_one_mod_four(spec7, family7, star7):
@@ -543,7 +544,7 @@ def test_r4_plus_classes_for_one_mod_four(spec7, family7, star7):
         roots = split_completely(spec7, p)
         if not roots or p % 4 != 1:
             continue
-        bits = r4_of_prime(spec7, family7, PrimeDeg1(p, roots[0]))
+        bits = _m4_class(spec7, family7, PrimeDeg1(p, roots[0]))
         assert star7.norm_sign[bits] == 1
 
 

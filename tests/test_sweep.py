@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from spinsweep import numfield, sweep
@@ -20,8 +22,7 @@ def tables7(spec7):
 
 @pytest.fixture(scope="module")
 def result7(spec7):
-    cfg = SweepConfig(spec=spec7, limit=6000, chunk_size=1500)
-    return run_sweep(cfg, jobs=1)
+    return run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=1)
 
 
 def test_odd_primes_in():
@@ -29,13 +30,16 @@ def test_odd_primes_in():
     assert odd_primes_in(0, 3) == []
     chunks = odd_primes_in(3, 97) + odd_primes_in(97, 541) + odd_primes_in(541, 1000)
     assert chunks == odd_primes_in(3, 1000)
+    trial = [p for p in range(3, 5000, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
+    for lo, hi in ((0, 5000), (4, 5), (9, 10), (100, 100), (1000, 999), (2400, 2403), (961, 1024)):
+        assert odd_primes_in(lo, hi) == [p for p in trial if lo <= p < hi]
+    primes = odd_primes_in(3, 10**6)
+    assert len(primes) == 78_497 and primes[-1] == 999_983
 
 
 def test_config_validation(spec7):
     with pytest.raises(ValueError):
         SweepConfig(spec=spec7, limit=50)
-    with pytest.raises(ValueError):
-        SweepConfig(spec=spec7, limit=1000, chunk_size=0)
 
 
 def test_classify_non_split_is_none(tables7):
@@ -94,46 +98,34 @@ def test_tally_merge_is_addition(result7):
     assert ta == t3
 
 
-def test_determinism_across_chunk_sizes(spec7, result7):
-    for chunk in (700, 6000):
-        res = run_sweep(SweepConfig(spec=spec7, limit=6000, chunk_size=chunk), jobs=1)
+def test_determinism_across_chunk_sizes(spec7, result7, in_process_pool):
+    # serial is one window; --jobs 2 and 3 cut [3, X] into 8 and 12
+    for jobs in (2, 3):
+        assert len(sweep._windows(6000, jobs)) == sweep.WINDOWS_PER_WORKER * jobs
+        res = run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=jobs)
         assert res.tally == result7.tally
         assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
+    assert in_process_pool == [2, 3]
 
 
 def test_determinism_with_workers(spec7, result7):
-    res = run_sweep(SweepConfig(spec=spec7, limit=6000, chunk_size=1500), jobs=2)
+    res = run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=2)
     assert res.tally == result7.tally
     assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps here, starting no process."""
-
-    def __init__(self, requested, max_workers, initializer, initargs):
-        requested.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_workers_capped_at_chunk_count(monkeypatch, spec7, result7):
-    requested = []
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor",
-                        lambda *args, **kwargs: _InProcessPool(requested, *args, **kwargs))
-    monkeypatch.setattr(sweep, "_WORKER_CTX", {})
-    res = run_sweep(SweepConfig(spec=spec7, limit=6000, chunk_size=1500), jobs=64)  # 4 chunks
-    assert requested == [4]
+def test_workers_capped_at_chunk_count(spec7, result7, in_process_pool):
+    res = run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=2)  # 8 windows
+    assert in_process_pool == [2]
     assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
-    run_sweep(SweepConfig(spec=spec7, limit=1000, chunk_size=1500), jobs=64)  # 1 chunk
-    assert requested == [4]  # the single chunk ran serially
+    run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=1)  # one window, no pool
+    assert in_process_pool == [2]
+    # 800 windows asked of [3, 100], which holds 98 integers: no window is empty
+    bounds = sweep._windows(100, 200)
+    assert bounds[0][0] == 3 and bounds[-1][1] == 101 and len(bounds) == 98
+    assert all(hi == lo + 1 for lo, hi in bounds)
+    run_sweep(SweepConfig(spec=spec7, limit=100), jobs=200)
+    assert in_process_pool == [2, 98]
 
 
 def test_csv_format(result7):
@@ -165,8 +157,16 @@ def test_report_rows_structure(result7):
 
 
 def test_histogram_sign_sectors(result7, star7):
-    for bits, sign in result7.tally.class_sign.items():
-        assert star7.norm_sign[bits] == sign
+    # every prime of a bin lies in the sector that the norm sign gives its class,
+    # and the bin's row counts against that sector
+    for rec in result7.records:
+        assert star7.norm_sign[rec.m4_bits] == (1 if rec.p_mod4 == 1 else -1)
+    t = result7.tally
+    sector = {1: t.s_plus, -1: t.s_minus}
+    rows = {row[0]: row for row in result7.report_rows}
+    for bits, count in t.histogram.items():
+        label = "hist[" + "".join(map(str, bits)) + "]"
+        assert rows[label][1] == count / sector[star7.norm_sign[bits]]
 
 
 def test_format_report_columns(result7):
@@ -190,9 +190,27 @@ def test_violation_on_tampered_star_table(spec7):
     broken = sweep.FieldTables(
         tables.spec,
         tables.family,
-        type(tables.star)(tampered, tables.star.norm_sign,
-                          tables.star.ker_plus, tables.star.ker_minus),
+        type(tables.star)(tampered, tables.star.norm_sign),
         tables.pairing,
     )
     with pytest.raises(sweep.SpinRelationViolation):
         classify_prime(broken, 13)
+
+
+def test_violation_on_flipped_norm_sign(spec7):
+    # the norm-sign check alone keeps each class in one sign sector: flip the
+    # sign of both 3-class orbits (weight 1 to +1, weight 2 to -1); the table
+    # still splits in half and is constant on orbits, so StarTable accepts it
+    tables = build_tables(spec7)
+    flipped = {bits: sign if sum(bits) in (0, 3) else -sign
+               for bits, sign in tables.star.norm_sign.items()}
+    assert [flipped[b] for b in ((1, 0, 0), (1, 1, 0))] == [1, -1]
+    broken = sweep.FieldTables(
+        tables.spec,
+        tables.family,
+        type(tables.star)(tables.star.star, flipped),
+        tables.pairing,
+    )
+    for p in (13, 29, 43):
+        with pytest.raises(sweep.SpinRelationViolation, match=f"p={p}: norm sign"):
+            classify_prime(broken, p)
