@@ -94,8 +94,8 @@ def hilbert_suite(family: RingFamily, pairing: residue.CirculantA) -> list[Check
         (u, v): hilbert2(r3, reps[u], reps[v]) for u in all_bits for v in all_bits
     }
 
-    bk = r3._bulk()
-    unit_squares = [r3.elem_of(int(i)) for i in bk.sq_unit]
+    # squared in Python, not read from the oracle's own numpy tables
+    unit_squares = {r3.mul(u, u) for u in product(range(r3.mod), repeat=n) if r3.is_unit(u)}
     shifts = [tuple((1 if j == 0 else 0) + 4 * t[j] for j in range(n))
               for t in product((0, 1), repeat=n)]
 

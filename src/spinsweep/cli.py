@@ -123,9 +123,12 @@ def _cmd_verify_kernel(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _load_field(args.field)
     config = SweepConfig(spec=spec, limit=args.limit)
-    if args.csv and args.csv != "-":  # reject an unwritable target before any prime is classified
+    # reject bad arguments before any prime is classified
+    if args.jobs < 0:
+        raise ValueError(f"--jobs must be >= 0 (0 = auto), got {args.jobs}")
+    if args.csv and args.csv != "-":
         folder = os.path.dirname(os.path.abspath(args.csv))
-        if os.path.isdir(args.csv) or not os.access(folder, os.W_OK):
+        if os.path.isdir(args.csv) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
             raise ValueError(f"cannot write --csv target {args.csv}")
     try:
         result = run_sweep(config, jobs=args.jobs)
@@ -142,8 +145,11 @@ def _cmd_sweep(args) -> int:
             sys.stdout.write(text)
             report_stream = sys.stderr  # keep piped CSV clean
         else:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.csv, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write --csv target {args.csv}: {exc.strerror}") from None
             print(f"wrote {len(result.records)} rows to {args.csv}", file=sys.stderr)
     print(format_report(result), file=report_stream)
     return 0 if result.passed else ACCEPTANCE_FAIL

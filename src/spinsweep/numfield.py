@@ -24,11 +24,13 @@ Integral-LLL invariant: `_lll_reduce` carries the Gram-Schmidt data as
 integers (Cohen, GTM 138, Alg. 2.6.7): d[i], the Gram determinant of the
 first i rows, and lam[i][j] = d[j+1] mu[i][j].  Both stay integral
 through size reduction and swaps, so every division is exact and the
-reduction takes the same steps as LLL over the rationals.  Likewise sign
-queries run interval Horner in integers scaled by the dyadic endpoints'
-denominator (`_eval_interval`) and return the rational run's bounds;
-bisection reads the sign of f at a dyadic midpoint from the same
-evaluation, over the one-point interval.
+reduction takes the same steps as LLL over the rationals; the search
+reads mu and the squared lengths as correctly rounded int quotients.
+Dyadic-bracket invariant: a root bracket is the integer triple (lo, hi, e)
+for [lo/2^e, hi/2^e], and `_eval_interval` returns 2^(e deg) times the
+rational interval-Horner bounds, so sign queries and bisection (the sign
+of f at a midpoint, as a one-point interval) read exact signs from
+integers alone.
 First-hit rule: `_enumerate_short` yields candidates lazily in a fixed
 depth-first order, one per +- pair, and the search stops at the first of
 norm p^h.
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .intpoly import (
@@ -132,36 +133,30 @@ _MAX_BITS = 4096
 
 
 class Embeddings:
-    """Certified isolating intervals for the real roots of f, ascending.
+    """Certified isolating brackets for the real roots of f, ascending.
 
     Built from the sigma-orbit of one root (see the module docstring), so
-    f must already satisfy f(s(x)) = 0 mod f.  Endpoints are dyadic
-    rationals with f(lo)*f(hi) < 0; refinement is exact bisection, so a
-    sign query either resolves or hits the precision cap and raises
-    AmbiguousSign.  Logically immutable: sign queries may narrow the
-    stored intervals, but only monotonically, so concurrent readers at
-    worst repeat work.
+    f must already satisfy f(s(x)) = 0 mod f.  A bracket is an integer
+    triple (lo, hi, e) standing for [lo/2^e, hi/2^e], with f(lo/2^e) and
+    f(hi/2^e) of opposite signs.  Immutable: a sign query refines a local
+    copy of its bracket by exact bisection, so it either resolves or hits
+    the precision cap and raises AmbiguousSign.
     """
 
     def __init__(self, f, sigma):
         self._f = f
-        width = Fraction(1, 1 << _START_BITS)
-        self._ivals = [_bisect(f, iv, width) for iv in _isolate_along_orbit(f, sigma)]
-
-    def intervals(self):
-        return list(self._ivals)
+        self._brackets = tuple(_bisect(f, b, _START_BITS) for b in _isolate_along_orbit(f, sigma))
 
     def signs_of(self, a: AlgInt) -> tuple[int, ...]:
         """Exact sign of a(theta) under each real embedding, ascending root order."""
         if not any(a):
             raise ValueError("sign of zero requested")
-        return tuple(self._sign_at(i, a) for i in range(len(self._ivals)))
+        return tuple(self._sign_at(b, a) for b in self._brackets)
 
-    def _sign_at(self, i: int, coeffs) -> int:
+    def _sign_at(self, bracket, coeffs) -> int:
         bits = _START_BITS
         while True:
-            lo, hi = self._ivals[i]
-            vlo, vhi = _eval_interval(coeffs, lo, hi)
+            vlo, vhi = _eval_interval(coeffs, *bracket)
             if vlo > 0:
                 return 1
             if vhi < 0:
@@ -169,7 +164,7 @@ class Embeddings:
             if bits >= _MAX_BITS:
                 raise AmbiguousSign(f"sign undecided at {_MAX_BITS} bits")
             bits *= 2
-            self._ivals[i] = _bisect(self._f, self._ivals[i], Fraction(1, 1 << bits))
+            bracket = _bisect(self._f, bracket, bits)
 
 
 def _isolate_along_orbit(f, sigma):
@@ -178,61 +173,62 @@ def _isolate_along_orbit(f, sigma):
     Bisects one root r, then carries its bracket along r, s(r), ...,
     s^(n-1)(r) by interval arithmetic, doubling the bits until the n
     images are pairwise disjoint.  They then hold n distinct roots, and f
-    has only n.  Integer s keeps the endpoints dyadic.
+    has only n.  The image of a bracket at exponent e has exponent
+    e deg(s); all are shifted to the largest exponent before sorting.
     """
     bound = 1 + max(abs(c) for c in f[:-1])  # Cauchy bound; f monic of odd degree
-    seed = (Fraction(-bound), Fraction(bound))  # so f(-bound) < 0 < f(bound)
+    seed = (-bound, bound, 0)  # so f(-bound) < 0 < f(bound)
     bits = 1
     while True:
-        seed = _bisect(f, seed, Fraction(1, 1 << bits))
-        ivals = [seed]
+        seed = _bisect(f, seed, bits)
+        orbit = [seed]
         for _ in range(len(f) - 2):
-            ivals.append(_eval_interval(sigma, *ivals[-1]))
-        ivals.sort()
-        if all(hi < lo for (_, hi), (lo, _) in zip(ivals, ivals[1:])):
-            return ivals
+            lo, hi, e = orbit[-1]
+            orbit.append((*_eval_interval(sigma, lo, hi, e), e * (len(sigma) - 1)))
+        top = max(e for _, _, e in orbit)
+        brackets = sorted((lo << (top - e), hi << (top - e), top) for lo, hi, e in orbit)
+        if all(hi < lo for (_, hi, _), (lo, _, _) in zip(brackets, brackets[1:])):
+            return brackets
         if bits >= _MAX_BITS:
             raise FieldConfigError(f"real roots of f not isolated along the sigma-orbit at {_MAX_BITS} bits")
         bits *= 2
 
 
-def _bisect(f, iv, width):
-    """Halve a dyadic bracket (lo, hi) with f(lo)*f(hi) < 0 until it is at most width wide.
+def _bisect(f, bracket, bits):
+    """Halve a bracket (lo, hi, e) of a root of f until it is at most 2^-bits wide.
 
-    f(x) at a dyadic x is exact as the one-point interval _eval_interval(f, x, x).
+    A halving raises e by one and keeps hi - lo, so the loop runs until
+    hi - lo <= 2^(e - bits).  f at a point x/2^e has the sign of the
+    one-point interval _eval_interval(f, x, x, e).
     """
-    lo, hi = iv
-    flo, _ = _eval_interval(f, lo, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fmid, _ = _eval_interval(f, mid, mid)
+    lo, hi, e = bracket
+    flo, _ = _eval_interval(f, lo, lo, e)
+    while (hi - lo) << bits > 1 << e:
+        mid = lo + hi
+        e += 1
+        fmid, _ = _eval_interval(f, mid, mid, e)
         assert fmid != 0, "irreducible f has no rational roots"
         if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
+            lo, hi, flo = mid, 2 * hi, fmid
         else:
-            hi = mid
-    return lo, hi
+            lo, hi = 2 * lo, mid
+    return lo, hi, e
 
 
-def _eval_interval(coeffs, lo: Fraction, hi: Fraction):
-    """Interval Horner enclosure of an integer polynomial over dyadic [lo, hi].
+def _eval_interval(coeffs, lo: int, hi: int, e: int):
+    """Interval Horner enclosure of an integer polynomial over [lo/2^e, hi/2^e].
 
-    Runs in integers scaled by D, the larger endpoint denominator (a power
-    of two, hence the lcm of both): after k steps the bounds are D^k times
-    those of the same Horner run over the rationals, so the returned
-    interval is exactly that run's.
+    Runs in integers: after k steps the bounds are 2^(e k) times those of
+    the same Horner run over the rationals, so the returned integers are
+    2^(e deg) times that run's bounds and have the same signs.
     """
-    assert all(d & (d - 1) == 0 for d in (lo.denominator, hi.denominator)), "endpoints must be dyadic"
-    D = max(lo.denominator, hi.denominator)
-    L = lo.numerator * (D // lo.denominator)
-    H = hi.numerator * (D // hi.denominator)
     vlo = vhi = coeffs[-1]
-    scale = 1
+    shift = 0
     for c in reversed(coeffs[:-1]):
-        scale *= D
-        cands = (vlo * L, vlo * H, vhi * L, vhi * H)
-        vlo, vhi = min(cands) + c * scale, max(cands) + c * scale
-    return Fraction(vlo, scale), Fraction(vhi, scale)
+        shift += e
+        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        vlo, vhi = min(cands) + (c << shift), max(cands) + (c << shift)
+    return vlo, vhi
 
 
 _CONFIG_KEYS = {"name", "n", "f", "sigma", "h", "unit", "disc_f"}
@@ -503,7 +499,7 @@ def _ideal_power_basis(n: int, q: int, root: int) -> list[list[int]]:
 
 
 def _round_div(num: int, den: int) -> int:
-    """round(num / den) for den > 0, ties to even: the integer round(Fraction(num, den))."""
+    """round(num / den) for den > 0, ties to even, computed exactly in integers."""
     r, rem = divmod(num, den)
     if 2 * rem > den or (2 * rem == den and r % 2):
         r += 1
@@ -516,8 +512,8 @@ def _lll_reduce(spec: FieldSpec, basis):
     Integral LLL (Cohen, GTM 138, Alg. 2.6.7): d[i] is the Gram determinant
     of the first i rows (d[0] = 1) and lam[i][j] = d[j+1] mu[i][j] for
     j < i; both stay integral, so every division below is exact.  Returns
-    (basis, mu, q): the reduced rows and their Gram-Schmidt data, with
-    mu[i][j] = lam[i][j] / d[j+1] and q[i] = d[i+1] / d[i].
+    (basis, lam, d): the reduced rows and their integral Gram-Schmidt data,
+    with mu[i][j] = lam[i][j] / d[j+1] and squared lengths d[i+1] / d[i].
     """
     n = len(basis)
     basis = [list(r) for r in basis]
@@ -556,22 +552,21 @@ def _lll_reduce(spec: FieldSpec, basis):
             lam[i][k - 1] = (b * u + t * lam[i][k]) // d[k + 1]
         d[k] = b
         k = max(k - 1, 1)
-    mu = [[Fraction(lam[i][j], d[j + 1]) if j < i else Fraction(0) for j in range(n)] for i in range(n)]
-    q = [Fraction(d[i + 1], d[i]) for i in range(n)]
-    return basis, mu, q
+    return basis, lam, d
 
 
-def _enumerate_short(mu, q, bound: float):
+def _enumerate_short(lam, d, bound: float):
     """Coordinate vectors with quadratic form value <= bound, one per +- pair.
 
-    mu, q are the Gram-Schmidt data of the lattice basis (see `_lll_reduce`).
+    lam, d are the integral Gram-Schmidt data of the basis (see
+    `_lll_reduce`), read as correctly rounded int quotients.
     A generator: vectors come lazily in depth-first order, each kept only
     if its highest nonzero coordinate is positive, so a caller can stop at
     the first hit without listing the rest.
     """
-    n = len(q)
-    muf = [[float(x) for x in row] for row in mu]
-    qf = [float(x) for x in q]
+    n = len(d) - 1
+    muf = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(n)]
+    qf = [d[i + 1] / d[i] for i in range(n)]
     coords = [0] * n
 
     def descend(i, remaining):
@@ -618,10 +613,10 @@ def generator_of_power(spec: FieldSpec, P: PrimeDeg1, h: int | None = None) -> A
     n = spec.n
     target = P.p**h
     root = _lift_root(spec, P, h)
-    basis, mu, q = _lll_reduce(spec, _ideal_power_basis(n, target, root))
+    basis, lam, d = _lll_reduce(spec, _ideal_power_basis(n, target, root))
     base_t2 = n * (target * math.sqrt(abs(spec.disc_f))) ** (2.0 / n)
     for mult in _RADIUS_STAGES:
-        for coords in _enumerate_short(mu, q, mult * mult * base_t2):
+        for coords in _enumerate_short(lam, d, mult * mult * base_t2):
             vec = [0] * n
             for c, row in zip(coords, basis):
                 if c:

@@ -1,11 +1,13 @@
 """Finite arithmetic in O/2^k (k = 1, 2, 3) for a cyclic field with 2 inert.
 
 Elements are tuples of ints of length n: power-basis coordinates modulo
-2^k.  A ring knows its reduced minimal polynomial and the matrices of the
-Galois generator and its powers; all values are immutable and shareable.
-Products and powers are `intpoly.mul_mod`/`pow_mod` modulo (f, 2^k); the
-only reduction by f written here is the numpy matrix of the mod-8 oracle,
-the one user of numpy, which imports it when it first builds its tables.
+2^k.  A ring knows its reduced minimal polynomial and the image s(theta)
+of theta under the Galois generator; all values are immutable and
+shareable.  Products and powers are `intpoly.mul_mod`/`pow_mod` modulo
+(f, 2^k), and the generator acts by composition, a -> a(s(theta))
+(`intpoly.compose_mod`); the only reduction by f written here is the
+numpy matrix of the mod-8 oracle, the one user of numpy, which imports
+it when it first builds its tables.
 
 Built on top of the rings:
 
@@ -69,8 +71,13 @@ class ResidueRing:
             raise RingBuildError("minimal polynomial is reducible mod 2 (2 not inert)")
         if any(c % m for c in compose_mod(self.f, tuple(sigma_int), self.f)):
             raise RingBuildError("sigma polynomial is not a root of f modulo 2^level")
-        sigma = tuple(c % m for c in poly_rem_monic(tuple(sigma_int), tuple(f_int)))
-        self._sigma_mats = self._build_sigma_mats(sigma)
+        self.sigma = tuple(c % m for c in poly_rem_monic(tuple(sigma_int), tuple(f_int)))
+        # a ring map is fixed by the image of theta, so both order checks test theta alone
+        theta = (0, 1) + (0,) * (n - 2)
+        if self.sigma == theta:
+            raise RingBuildError("sigma polynomial acts trivially modulo 2^level")
+        if self.apply_tau(self.sigma, n - 1) != theta:
+            raise RingBuildError("n-fold composition of sigma is not the identity")
         self._bulk_cache = None
 
     # -- scalar element arithmetic -------------------------------------
@@ -92,33 +99,10 @@ class ResidueRing:
         return any(c & 1 for c in a)
 
     def apply_tau(self, a: Elem, k: int = 1) -> Elem:
-        """Image of a under the k-th power of the Galois generator."""
-        return self._mat_apply(self._sigma_mats[k % self.n], a)
-
-    def _build_sigma_mats(self, sigma: Elem):
-        n = self.n
-        # row i of the generator matrix: coordinates of s(theta)^i
-        base = [self.pow(sigma, i) for i in range(n)]
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        mats = [ident]
-        for _ in range(n - 1):
-            prev = mats[-1]
-            mats.append(tuple(self._mat_apply(base, row) for row in prev))
-        if tuple(base) == ident:
-            raise RingBuildError("sigma polynomial acts trivially modulo 2^level")
-        if any(self._mat_apply(base, mats[-1][i]) != ident[i] for i in range(n)):
-            raise RingBuildError("n-fold composition of sigma is not the identity")
-        return tuple(mats)
-
-    def _mat_apply(self, rows, a: Elem) -> Elem:
-        n, m = self.n, self.mod
-        out = [0] * n
-        for i, ai in enumerate(a):
-            if ai:
-                row = rows[i]
-                for j in range(n):
-                    out[j] += ai * row[j]
-        return tuple(c % m for c in out)
+        """Image of a under the k-th power of the Galois generator: k rounds of a -> a(s(theta))."""
+        for _ in range(k % self.n):
+            a = tuple(c % self.mod for c in compose_mod(a, self.sigma, self.f))
+        return a
 
     # -- vectorized index arithmetic (used by the mod-8 oracle) ---------
 
@@ -126,13 +110,6 @@ class ResidueRing:
         if self._bulk_cache is None:
             self._bulk_cache = _BulkTables(self)
         return self._bulk_cache
-
-    def elem_of(self, idx: int) -> Elem:
-        out = []
-        for _ in range(self.n):
-            idx, c = divmod(idx, self.mod)
-            out.append(c)
-        return tuple(out)
 
 
 class _BulkTables:
@@ -433,20 +410,19 @@ def build_matrix_A(family: RingFamily) -> CirculantA:
     return CirculantA(c)
 
 
-def b_map(u, n: int) -> f2poly.F2Poly:
-    """Cyclic autocorrelation polynomial of a bit vector, in GF(2)[x]/(x^n - 1).
+def b_map(u: int, n: int) -> f2poly.F2Poly:
+    """Cyclic autocorrelation polynomial of a packed bit vector, in GF(2)[x]/(x^n - 1).
 
-    Multiplies F_u(x) by its exponent-negated companion and folds mod
-    x^n - 1; the zero vector maps to 0.
+    Bit i of u is coordinate i.  Multiplies F_u(x) by its exponent-negated
+    companion and folds mod x^n - 1; the zero vector maps to 0.
     """
-    if len(u) != n:
-        raise ValueError("bit vector length must equal n")
-    fwd = _bits_to_int(u)
+    if not 0 <= u < 1 << n:
+        raise ValueError("bit vector must have n bits")
     bwd = 0
-    for i, b in enumerate(u):
-        if b & 1:
+    for i in range(n):
+        if (u >> i) & 1:
             bwd |= 1 << ((n - i) % n)
-    prod = f2poly.mul(fwd, bwd)
+    prod = f2poly.mul(u, bwd)
     return (prod & ((1 << n) - 1)) ^ (prod >> n)
 
 
@@ -463,8 +439,7 @@ def kernel_counts_via_B(a: CirculantA) -> tuple[int, int]:
     n = len(a.c)
     h = h_poly(a)
     count0 = count_h = 0
-    for mask in range(1 << n):
-        u = tuple((mask >> i) & 1 for i in range(n))
+    for u in range(1 << n):
         img = b_map(u, n)
         if img == 0:
             count0 += 1

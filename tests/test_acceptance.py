@@ -5,6 +5,7 @@ PASS/FAIL lines and timings.  Criterion 6 performs the full X = 10^6 sweep
 of the conductor-7 field and is the long pole (a few minutes at most).
 """
 
+import hashlib
 import time
 from fractions import Fraction
 from itertools import product
@@ -14,7 +15,7 @@ import pytest
 from spinsweep import checks, numfield, residue
 from spinsweep.cli import main
 from spinsweep.density import density_report, format_table, s_pair
-from spinsweep.sweep import SweepConfig, build_tables, run_sweep
+from spinsweep.sweep import SweepConfig, build_tables, emit_csv, run_sweep
 
 X_SWEEP = 1_000_000
 
@@ -155,6 +156,14 @@ def test_criterion_6_empirical_sweep(sweep_result, capsys):
               f"F/S = {(t.f_plus + t.f_minus) / (t.s_plus + t.s_minus):.5f}")
         _report(6, f"empirical sweep X = {X_SWEEP} matches all exact densities "
                    "within stated tolerances", ok and elapsed < 300.0, elapsed)
+
+
+def test_criterion_6_csv_is_pinned(sweep_result):
+    # SHA-256 of the per-prime CSV of the X = 10^6 sweep; any change to a
+    # spin, a root, a generator choice or the CSV layout moves it
+    result, _ = sweep_result
+    digest = hashlib.sha256(emit_csv(result.records, 3).encode()).hexdigest()
+    assert digest == "b1f40e2d1ba5d1fe08f43a3d235b77b8fede732df4b8c8f99bc2f94dfc06160a"
 
 
 def test_criterion_7_zero_tolerance_consistency(sweep_result, spec7, capsys):

@@ -130,13 +130,35 @@ def test_sweep_csv_file(tmp_path, capsys):
     assert "quantity" in captured.out  # report on stdout when csv goes to a file
 
 
-@pytest.mark.parametrize("where", ["missing-dir/out.csv", "."])
+@pytest.mark.parametrize("where", ["missing-dir/out.csv", ".", "afile/out.csv"])
 def test_sweep_unwritable_csv_fails_before_the_sweep(tmp_path, monkeypatch, capsys, where):
     monkeypatch.setattr("spinsweep.cli.run_sweep", lambda *a, **k: pytest.fail("sweep ran"))
+    (tmp_path / "afile").write_text("")  # a regular file where a folder is needed
     target = str(tmp_path / where)
     assert main(["sweep", "--field", "simplest-cubic-7", "--limit", "1000", "--csv", target]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"validation error: cannot write --csv target {target}")
+    assert "Traceback" not in err
+
+
+def test_sweep_csv_write_error_is_named(tmp_path, monkeypatch, capsys):
+    # the target passes the pre-check but the final write fails
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr("spinsweep.cli.open", refuse, raising=False)  # shadows the builtin there only
+    target = str(tmp_path / "out.csv")
+    assert main(["sweep", "--field", "simplest-cubic-7", "--limit", "100", "--csv", target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot write --csv target {target}: Permission denied")
+    assert "Traceback" not in err
+
+
+def test_sweep_negative_jobs_fails_before_the_sweep(monkeypatch, capsys):
+    monkeypatch.setattr("spinsweep.cli.run_sweep", lambda *a, **k: pytest.fail("sweep ran"))
+    assert main(["sweep", "--field", "simplest-cubic-7", "--limit", "1000", "--jobs", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: --jobs must be >= 0 (0 = auto), got -3")
     assert "Traceback" not in err
 
 
@@ -173,7 +195,7 @@ def _undecided_signs(monkeypatch):
     # load first, so only the sweep's sign queries see undecidable intervals
     spec = _load_field("simplest-cubic-7")
     monkeypatch.setattr("spinsweep.cli._load_field", lambda arg: spec)
-    monkeypatch.setattr(numfield, "_eval_interval", lambda coeffs, lo, hi: (-1, 1))
+    monkeypatch.setattr(numfield, "_eval_interval", lambda coeffs, lo, hi, e: (-1, 1))
     monkeypatch.setattr(numfield, "_MAX_BITS", 2 * numfield._START_BITS)
 
 
@@ -214,7 +236,7 @@ def test_undecided_unit_sign_at_load_is_named(monkeypatch, capsys):
 
 def test_isolation_failure_at_load_is_named(monkeypatch, capsys):
     # undecidable intervals before the field loads: the orbit images never separate
-    monkeypatch.setattr(numfield, "_eval_interval", lambda coeffs, lo, hi: (-1, 1))
+    monkeypatch.setattr(numfield, "_eval_interval", lambda coeffs, lo, hi, e: (-1, 1))
     monkeypatch.setattr(numfield, "_MAX_BITS", 2 * numfield._START_BITS)
     code = main(["verify-kernel", "--field", "simplest-cubic-7"])
     err = capsys.readouterr().err

@@ -122,8 +122,13 @@ def test_reject_duplicate_key():
 # -- embeddings ---------------------------------------------------------------
 
 
+def _intervals(spec):
+    """The stored root brackets (lo, hi, e) as rational intervals [lo/2^e, hi/2^e]."""
+    return [(Fraction(lo, 1 << e), Fraction(hi, 1 << e)) for lo, hi, e in spec.embeddings._brackets]
+
+
 def test_embeddings_isolate_three_roots(spec7):
-    ivals = spec7.embeddings.intervals()
+    ivals = _intervals(spec7)
     assert len(ivals) == 3
     for (lo1, hi1), (lo2, hi2) in zip(ivals, ivals[1:]):
         assert hi1 < lo2  # disjoint and ascending
@@ -163,7 +168,7 @@ disc_f = {disc_f}
 
 def assert_isolated(spec):
     """n ascending, disjoint intervals, with a sign change of f across each."""
-    ivals = spec.embeddings.intervals()
+    ivals = _intervals(spec)
     assert len(ivals) == spec.n
     for (_, hi1), (lo2, _) in zip(ivals, ivals[1:]):
         assert hi1 < lo2
@@ -347,9 +352,16 @@ def test_lll_returns_its_gram_schmidt_data(spec7, spec9, quintic, h):
         for a in roots:
             root = numfield._lift_root(spec, PrimeDeg1(p, a), h)
             lattice = numfield._ideal_power_basis(spec.n, p**h, root)
-            basis, mu, q = numfield._lll_reduce(spec, lattice)
+            basis, lam, d = numfield._lll_reduce(spec, lattice)
+            n = spec.n
+            mu = [[Fraction(lam[i][j], d[j + 1]) if j < i else Fraction(0) for j in range(n)]
+                  for i in range(n)]
+            q = [Fraction(d[i + 1], d[i]) for i in range(n)]
             gram = [[spec.trace_inner(tuple(u), tuple(v)) for v in basis] for u in basis]
             assert (mu, q) == _gso(gram)
+            # the int quotients the enumeration reads are the rounded rationals
+            assert all(lam[i][j] / d[j + 1] == float(mu[i][j]) for i in range(n) for j in range(i))
+            assert all(d[i + 1] / d[i] == float(q[i]) for i in range(n))
             # size-reduced, and the Lovasz condition holds at delta = 99/100
             for i in range(1, spec.n):
                 assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
@@ -401,16 +413,17 @@ def _horner_interval(coeffs, lo, hi):
 
 
 def test_eval_interval_matches_fraction_horner():
+    # integer bounds are 2^(e deg) times the rational Horner run's over [lo/2^e, hi/2^e]
     rng = random.Random(20201)
     for _ in range(300):
         coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 6))]
-        ends = sorted(Fraction(rng.randint(-(1 << 20), 1 << 20) << rng.randint(0, 12), 1 << rng.randint(1, 300))
-                      for _ in range(2))
-        got = numfield._eval_interval(coeffs, *ends)
-        assert got == _horner_interval(coeffs, *ends)
-        assert all(type(v) is Fraction for v in got)
-    with pytest.raises(AssertionError, match="dyadic"):
-        numfield._eval_interval((1, 1), Fraction(1, 3), Fraction(1, 2))
+        e = rng.randint(0, 300)
+        lo, hi = sorted(rng.randint(-(1 << 20), 1 << 20) << rng.randint(0, 12) for _ in range(2))
+        got = numfield._eval_interval(coeffs, lo, hi, e)
+        scale = 1 << (e * (len(coeffs) - 1))
+        want = _horner_interval(coeffs, Fraction(lo, 1 << e), Fraction(hi, 1 << e))
+        assert got == tuple(v * scale for v in want)
+        assert all(type(v) is int for v in got)
 
 
 def test_generator_rejects_even_h(spec7):
@@ -599,9 +612,10 @@ def test_symbol_flip_for_one_mod_4_generators(spec7):
 
 def test_interval_refinement_decides_tiny_values(spec7):
     # theta - (a close dyadic approximation) has a tiny but nonzero sign
-    lo, hi = spec7.embeddings.intervals()[2]
-    mid = (lo + hi) / 2
-    num, den = mid.numerator, mid.denominator
-    # value (den*theta - num)/den at the third root is within the interval width
-    signs = spec7.embeddings.signs_of((-num, den, 0))
+    before = spec7.embeddings._brackets
+    lo, hi, e = before[2]
+    # 2^(e+1) theta - (lo + hi) at the third root: its midpoint, so the
+    # stored bracket cannot decide the sign and the query must refine
+    signs = spec7.embeddings.signs_of((-(lo + hi), 1 << (e + 1), 0))
     assert signs[2] in (-1, 1)
+    assert spec7.embeddings._brackets == before  # refined a copy, not the stored bracket

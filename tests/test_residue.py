@@ -314,12 +314,13 @@ def test_circulant_rejects_singular():
 
 
 def test_b_map_examples():
-    assert b_map((0, 0, 0), 3) == 0
-    assert b_map((1, 0, 0), 3) == 1
-    ones_img = b_map((1, 1, 1), 3)
+    assert b_map(0b000, 3) == 0
+    assert b_map(0b001, 3) == 1
+    ones_img = b_map(0b111, 3)
     assert ones_img == f2poly.from_coeffs([1, 1, 1])
-    with pytest.raises(ValueError):
-        b_map((1, 0), 3)
+    for wide in (0b1000, -1):
+        with pytest.raises(ValueError):
+            b_map(wide, 3)
 
 
 def test_b_map_against_direct_convolution():
@@ -331,7 +332,7 @@ def test_b_map_against_direct_convolution():
             for d in range(n):
                 bit = sum(u[i] & u[(i + d) % n] for i in range(n)) & 1
                 expected |= bit << d
-            assert b_map(u, n) == expected
+            assert b_map(mask, n) == expected
 
 
 def test_h_poly_identity_matrix():
@@ -351,7 +352,7 @@ def test_h_preimage_count(pairing7):
     count = sum(
         1
         for mask in range(8)
-        if b_map(tuple((mask >> i) & 1 for i in range(3)), 3) == h
+        if b_map(mask, 3) == h
     )
     assert count == 3
 
