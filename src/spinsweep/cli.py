@@ -123,9 +123,7 @@ def _cmd_verify_kernel(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _load_field(args.field)
     config = SweepConfig(spec=spec, limit=args.limit)
-    # reject bad arguments before any prime is classified
-    if args.jobs < 0:
-        raise ValueError(f"--jobs must be >= 0 (0 = auto), got {args.jobs}")
+    # reject a bad --csv target before any prime is classified; run_sweep rejects a bad --jobs
     if args.csv and args.csv != "-":
         folder = os.path.dirname(os.path.abspath(args.csv))
         if os.path.isdir(args.csv) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):

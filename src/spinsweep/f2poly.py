@@ -9,9 +9,11 @@ Inputs are capped at degree 63: the module serves cyclic fields of degree
 n <= 31, where every intermediate product (degree <= 62) stays word-sized.
 
 Beyond ring arithmetic the module knows one structured object: x^n - 1
-over GF(2) for odd n.  `cyclotomic_cosets` gives its factors' degrees and
-reciprocal pairing from the cosets of 2 mod n, and `factor_xn_minus_1`
-produces the factors themselves, as the independent reference.
+over GF(2) for odd n.  `cyclic_mul` multiplies in the quotient ring
+GF(2)[x]/(x^n - 1), the product behind every circulant the residue layer
+uses; `cyclotomic_cosets` gives the factors' degrees and reciprocal
+pairing from the cosets of 2 mod n, and `factor_xn_minus_1` produces the
+factors themselves, as the independent reference.
 """
 
 from __future__ import annotations
@@ -36,11 +38,6 @@ def degree(a: F2Poly):
     return a.bit_length() - 1 if a else NEG_INF
 
 
-def add(a: F2Poly, b: F2Poly) -> F2Poly:
-    """Sum (= difference) of a and b."""
-    return _check(a) ^ _check(b)
-
-
 def mul(a: F2Poly, b: F2Poly) -> F2Poly:
     """Product of a and b."""
     _check(a), _check(b)
@@ -51,6 +48,14 @@ def mul(a: F2Poly, b: F2Poly) -> F2Poly:
         a <<= 1
         b >>= 1
     return c
+
+
+def cyclic_mul(a: F2Poly, b: F2Poly, n: int) -> F2Poly:
+    """Product of a and b in GF(2)[x]/(x^n - 1), for a and b of degree < n."""
+    if a >> n or b >> n:
+        raise ValueError("cyclic factors must have degree < n")
+    prod = mul(a, b)
+    return (prod & ((1 << n) - 1)) ^ (prod >> n)
 
 
 def divmod_(a: F2Poly, b: F2Poly) -> tuple[F2Poly, F2Poly]:

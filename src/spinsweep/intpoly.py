@@ -8,8 +8,10 @@ the discriminant of f (of the trace form built from `newton_power_sums`).
 All arithmetic in Z[x]/(f, m) for monic f lives here: `mul_mod` and
 `pow_mod` reduce by f and then, when m is given, every coefficient into
 [0, m).  The split test and root descent mod p (`numfield`) and the
-residue rings O/2^k (`residue`) use them; apart from the numpy tables of
-the mod-8 oracle, no other module multiplies polynomials modulo f itself.
+residue rings O/2^k (`residue`) use them, and the root descent's gcd mod p
+is Euclid on `poly_rem_monic`, each remainder made monic mod p before it
+divides.  Apart from the numpy tables of the mod-8 oracle, no other module
+multiplies or divides polynomials modulo f itself.
 """
 
 from __future__ import annotations

@@ -40,7 +40,9 @@ exactly the kernel of Z[theta] -> Z/p^h, theta -> a_h, where a_h is the
 Hensel lift of a (`_lift_root`).  So the lattice of P^h has the basis
 p^h, theta^j (theta - a_h) (j < n - 1), and g lies in P^h iff
 g(a_h) = 0 mod p^h; the search's membership self-check is that one
-evaluation.  Every product modulo f, mod p or exact, is `intpoly`'s.
+evaluation.  Every product and remainder modulo a monic polynomial, mod p
+or exact, is `intpoly`'s; the root descent's gcd mod p is Euclid on
+`poly_rem_monic`, with each remainder made monic.
 
 Sigma-orbit invariant: the config guarantees f(s(x)) = 0 mod f and that
 sigma has order n, so for p not dividing disc_f the map b -> s(b) mod p
@@ -384,23 +386,14 @@ class FieldSpec:
 
 
 def _pgcd(a, b, p):
-    a, b = [c % p for c in a], [c % p for c in b]
-    while any(b):
-        while a and a[-1] == 0:
-            a.pop()
-        while b and b[-1] == 0:
+    """Monic gcd mod p of monic a and any b: Euclid on `poly_rem_monic`, each remainder made monic."""
+    while any(c % p for c in b):
+        b = [c % p for c in b]
+        while b[-1] == 0:
             b.pop()
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        inv = pow(b[-1], p - 2, p)
-        shift = len(a) - len(b)
-        c = a[-1] * inv % p
-        for j in range(len(b)):
-            a[shift + j] = (a[shift + j] - c * b[j]) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, poly_rem_monic(a, b)
     return a
 
 
@@ -462,10 +455,9 @@ def _one_root(g, p):
         h[0] = (h[0] - 1) % p
         d = _pgcd(g, h, p)
         if 0 < len(d) - 1 < len(g) - 1:
-            inv = pow(d[-1], p - 2, p)
-            g = [c * inv % p for c in d]
+            g = d
         shift += 1
-    return (-g[0] * pow(g[1], p - 2, p)) % p
+    return -g[0] % p
 
 
 def conjugate_chain(spec: FieldSpec, P: PrimeDeg1) -> list[PrimeDeg1]:

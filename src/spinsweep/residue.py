@@ -29,6 +29,12 @@ Built on top of the rings:
     unramified, so a mod-8 solution with a unit coordinate lifts (Hensel)
     and any solution in the completion scales to a primitive integral one;
     the congruence condition is therefore exactly solvability at the place 2.
+
+The pairing, the star values, b and h are one product, `f2poly.cyclic_mul`
+in GF(2)[x]/(x^n - 1), with classes read as polynomials: A v = c * v,
+b(u) = u(x) u(1/x), h = c^-1, and the pairing of u with rot(u, k) is
+coefficient k of c * b(u).  So u is star-trivial iff c * b(u) is 0 or 1,
+the invariant `density.s_pair` states.
 """
 
 from __future__ import annotations
@@ -185,19 +191,11 @@ def find_normal_basis(ring: ResidueRing) -> Elem:
         for _ in range(n - 1):
             orbit.append(ring.apply_tau(orbit[-1]))
         try:
-            _GF2Solver([_bits_to_int(v) for v in orbit])
+            _GF2Solver([f2poly.from_coeffs(v) for v in orbit])
         except ValueError:
             continue
         return cand
     raise RuntimeError("internal error: no normal basis generator found")
-
-
-def _bits_to_int(bits) -> int:
-    out = 0
-    for j, b in enumerate(bits):
-        if b & 1:
-            out |= 1 << j
-    return out
 
 
 class _GF2Solver:
@@ -260,7 +258,7 @@ def build_family(spec) -> RingFamily:
         lift = [2 * c for c in v]
         lift[0] += 1
         lifts.append(tuple(lift))
-    solver = _GF2Solver([_bits_to_int(v) for v in orbit])
+    solver = _GF2Solver([f2poly.from_coeffs(v) for v in orbit])
     return RingFamily(spec, rings, y, tuple(orbit), tuple(lifts), solver)
 
 
@@ -278,13 +276,8 @@ def m4_class_of(family: RingFamily, u: Elem) -> M4Class:
     if not r2.is_unit(u):
         raise ValueError("m4_class_of expects a unit")
     v = r2.pow(u, (1 << r2.n) - 1)
-    w_bits = 0
-    for j, c in enumerate(v):
-        twice = c - (1 if j == 0 else 0)
-        assert twice % 2 == 0, "power did not land in 1 + 2O"
-        if (twice // 2) & 1:
-            w_bits |= 1 << j
-    return family._solver.solve(w_bits)
+    assert f2poly.from_coeffs(v) == 1, "power did not land in 1 + 2O"
+    return family._solver.solve(f2poly.from_coeffs(c >> 1 for c in v))
 
 
 def class_rep(family: RingFamily, bits: M4Class) -> Elem:
@@ -350,13 +343,14 @@ class StarTable:
 
 
 def star_table(family: RingFamily) -> StarTable:
-    """Star values and norm signs of all 2^n classes, from the trace form."""
+    """Star values and norm signs of all 2^n classes: star(u) = +1 iff c * b(u) is 0 or 1."""
     a = build_matrix_A(family)
     n = family.n
+    c = f2poly.from_coeffs(a.c)
     star: dict[M4Class, int] = {}
     norm_sign: dict[M4Class, int] = {}
     for bits in product((0, 1), repeat=n):
-        trivial = not any(a.pairing_bit(bits, rot(bits, k)) for k in range(1, n))
+        trivial = f2poly.cyclic_mul(c, b_map(f2poly.from_coeffs(bits), n), n) in (0, 1)
         star[bits] = 1 if trivial else -1
         norm_sign[bits] = -1 if a.c[0] * sum(bits) % 2 else 1
     return StarTable(star, norm_sign)
@@ -366,8 +360,9 @@ def star_table(family: RingFamily) -> StarTable:
 class CirculantA:
     """Symmetric invertible circulant GF(2) matrix of the Hilbert pairing.
 
-    Entry (i, j) is c[(i - j) mod n]; the pairing of classes u, v is
-    (-1)^(u^T A v).
+    Entry (i, j) is c[(i - j) mod n], so A v is the cyclic product c * v in
+    GF(2)[x]/(x^n - 1) and the pairing of classes u, v is (-1)^(u^T A v).
+    A is invertible iff c is a unit there: gcd(c, x^n + 1) = 1.
     """
 
     c: tuple[int, ...]
@@ -377,24 +372,13 @@ class CirculantA:
         for i in range(1, n):
             if self.c[i] != self.c[n - i]:
                 raise AssertionError("pairing matrix must be symmetric (upstream bug)")
-        try:
-            _GF2Solver([_bits_to_int(row) for row in self.rows()])
-        except ValueError:
-            raise AssertionError("pairing matrix must be invertible (upstream bug)") from None
-
-    def rows(self):
-        n = len(self.c)
-        return [tuple(self.c[(i - j) % n] for j in range(n)) for i in range(n)]
+        if f2poly.gcd(f2poly.from_coeffs(self.c), (1 << n) | 1) != 1:
+            raise AssertionError("pairing matrix must be invertible (upstream bug)")
 
     def pairing_bit(self, u, v) -> int:
         n = len(self.c)
-        acc = 0
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    if vj:
-                        acc ^= self.c[(i - j) % n]
-        return acc
+        av = f2poly.cyclic_mul(f2poly.from_coeffs(self.c), f2poly.from_coeffs(v), n)
+        return (f2poly.from_coeffs(u) & av).bit_count() & 1
 
     def pairing(self, u, v) -> int:
         return -1 if self.pairing_bit(u, v) else 1
@@ -422,16 +406,16 @@ def b_map(u: int, n: int) -> f2poly.F2Poly:
     for i in range(n):
         if (u >> i) & 1:
             bwd |= 1 << ((n - i) % n)
-    prod = f2poly.mul(u, bwd)
-    return (prod & ((1 << n) - 1)) ^ (prod >> n)
+    return f2poly.cyclic_mul(u, bwd, n)
 
 
 def h_poly(a: CirculantA) -> f2poly.F2Poly:
-    """Solve A h = e_0 over GF(2); the result satisfies h(x) = x^n h(1/x) mod x^n - 1."""
-    solver = _GF2Solver([_bits_to_int(row) for row in a.rows()])
-    # solver solves x . rows = target; A is symmetric so rows = columns
-    bits = solver.solve(1)
-    return _bits_to_int(bits)
+    """Solve A h = e_0, i.e. c * h = 1, over GF(2); h(x) = x^n h(1/x) mod x^n - 1."""
+    n = len(a.c)
+    c = f2poly.from_coeffs(a.c)
+    # solver solves x . rows = target; with rows x^i * c that is h * c = 1
+    solver = _GF2Solver([f2poly.cyclic_mul(1 << i, c, n) for i in range(n)])
+    return f2poly.from_coeffs(solver.solve(1))
 
 
 def kernel_counts_via_B(a: CirculantA) -> tuple[int, int]:

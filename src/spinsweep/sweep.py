@@ -267,9 +267,11 @@ def _windows(limit: int, jobs: int) -> list[tuple[int, int]]:
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
-    """Run the sweep; deterministic tallies and records for any jobs."""
+    """Run the sweep; deterministic tallies and records for any jobs >= 0 (0 = auto)."""
     spec = config.spec
-    if jobs < 1:
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0 (0 = auto), got {jobs}")
+    if jobs == 0:
         jobs = min(8, os.cpu_count() or 1)
     bounds = _windows(config.limit, jobs)
     # the pool starts all its workers at the first submit, so start no idle ones

@@ -155,10 +155,10 @@ def test_sweep_csv_write_error_is_named(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_negative_jobs_fails_before_the_sweep(monkeypatch, capsys):
-    monkeypatch.setattr("spinsweep.cli.run_sweep", lambda *a, **k: pytest.fail("sweep ran"))
+    monkeypatch.setattr("spinsweep.sweep.classify_prime", lambda *a, **k: pytest.fail("prime classified"))
     assert main(["sweep", "--field", "simplest-cubic-7", "--limit", "1000", "--jobs", "-3"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("validation error: --jobs must be >= 0 (0 = auto), got -3")
+    assert err.startswith("validation error: jobs must be >= 0 (0 = auto), got -3")
     assert "Traceback" not in err
 
 

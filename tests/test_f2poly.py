@@ -42,9 +42,15 @@ def test_mul_frobenius():
     assert mul(X_P1, X_P1) == from_coeffs([1, 0, 1])
 
 
-def test_add_characteristic_two():
-    for p in (0, 1, X3_P1, X2_X_1, 0b101101):
-        assert f2poly.add(p, p) == 0
+def test_cyclic_mul_is_mul_mod_xn_minus_1():
+    for n in (1, 3, 5):
+        xn_1 = (1 << n) | 1
+        for a in range(1 << n):
+            for b in range(1 << n):
+                assert f2poly.cyclic_mul(a, b, n) == rem(mul(a, b), xn_1)
+    assert f2poly.cyclic_mul(1 << 30, 1 << 30, 31) == 1 << 29  # x^60 = x^29 mod x^31 - 1
+    with pytest.raises(ValueError):
+        f2poly.cyclic_mul(0b1000, 1, 3)
 
 
 def test_divmod_and_rem():
@@ -63,7 +69,7 @@ def test_degree_sentinel():
 
 def test_degree_cap():
     with pytest.raises(ValueError):
-        f2poly.add(1 << 70, 1)
+        f2poly.mul(1 << 70, 1)
 
 
 def test_reciprocal():

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -216,9 +217,15 @@ def brute_roots(spec, p):
     return [a for a in range(p) if eval_mod(spec.f, a, p) == 0]
 
 
+# theta + 3 in the conductor-7 cubic, given only what split_completely reads: f(0) = -13,
+# so p = 13 splits with root 0, which no shipped field (f(0) = +-1) can show
+SHIFTED7 = SimpleNamespace(n=3, f=(-13, 19, -8, 1), sigma=(10, -6, 1), disc_f=49)
+
+
 def test_split_13(spec7):
     roots = split_completely(spec7, 13)
     assert roots == brute_roots(spec7, 13) == [7, 8, 10]
+    assert split_completely(SHIFTED7, 13) == brute_roots(SHIFTED7, 13) == [0, 10, 11]
 
 
 def test_split_5_empty(spec7):
@@ -234,7 +241,7 @@ def test_split_7_ramified(spec7):
 @pytest.mark.parametrize("p", [p for p in range(3, 2000, 2)
                                if all(p % q for q in range(3, int(p**0.5) + 1, 2))] + [9973])
 def test_split_matches_brute_force(spec7, spec9, p):
-    for spec in (spec7, spec9):
+    for spec in (spec7, spec9, SHIFTED7):
         if spec.disc_f % p == 0:
             with pytest.raises(RamifiedPrime):
                 split_completely(spec, p)

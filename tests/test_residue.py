@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from types import SimpleNamespace
 
@@ -305,9 +306,60 @@ def test_circulant_rejects_asymmetric():
         CirculantA((0, 1, 0))  # c_1 != c_2
 
 
+def _apply(c, v):
+    """A v, with A_ij = c[(i - j) mod n], as the direct sum over j."""
+    n = len(c)
+    return tuple(sum(c[(i - j) % n] * v[j] for j in range(n)) % 2 for i in range(n))
+
+
+def _unit_vectors(n):
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def _off_identity_units(n):
+    """Symmetric c with c_0 = 1, other than the identity, whose circulant is invertible (brute force)."""
+    out = []
+    for half in product((0, 1), repeat=(n - 1) // 2):
+        c = (1,) + half + half[::-1]
+        if any(half) and len({_apply(c, v) for v in product((0, 1), repeat=n)}) == 1 << n:
+            out.append(c)
+    return out
+
+
+OFF_IDENTITY = [c for n in (5, 7, 9) for c in _off_identity_units(n)]
+
+
 def test_circulant_rejects_singular():
     with pytest.raises(AssertionError):
         CirculantA((0, 0, 0))
+    assert len(OFF_IDENTITY) == 14
+    for n in (5, 7, 9):
+        for half in product((0, 1), repeat=(n - 1) // 2):
+            c = (1,) + half + half[::-1]
+            if any(half) and c not in OFF_IDENTITY:
+                with pytest.raises(AssertionError):
+                    CirculantA(c)
+
+
+@pytest.mark.parametrize("c", OFF_IDENTITY, ids=lambda c: "".join(map(str, c)))
+def test_circulant_layer_off_identity(monkeypatch, c):
+    # every shipped field has c = (1, 0, ..., 0), so run the layer on a stand-in family
+    n = len(c)
+    a = CirculantA(c)
+    classes = list(product((0, 1), repeat=n))
+    vs = classes if n == 5 else _unit_vectors(n) + random.Random(n).sample(classes, 24)
+    for v in vs:
+        av = _apply(c, v)
+        for u in classes:
+            assert a.pairing_bit(u, v) == sum(x * y for x, y in zip(u, av)) % 2
+    h = h_poly(a)
+    assert _apply(c, tuple((h >> j) & 1 for j in range(n))) == _unit_vectors(n)[0]
+    monkeypatch.setattr(residue, "build_matrix_A", lambda family: a)
+    star = star_table(SimpleNamespace(n=n)).star
+    for u in classes:
+        au = _apply(c, u)  # A is symmetric, so u^T A w = (A u) . w
+        trivial = all(sum(x * y for x, y in zip(au, rot(u, k))) % 2 == 0 for k in range(1, n))
+        assert star[u] == (1 if trivial else -1)
 
 
 # -- autocorrelation map ------------------------------------------------------

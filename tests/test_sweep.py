@@ -108,6 +108,13 @@ def test_determinism_across_chunk_sizes(spec7, result7, in_process_pool):
     assert in_process_pool == [2, 3]
 
 
+def test_negative_jobs_rejected_before_tables_or_pool(monkeypatch, spec7, in_process_pool):
+    monkeypatch.setattr(sweep, "build_tables", lambda spec: pytest.fail("tables built"))
+    with pytest.raises(ValueError, match=r"^jobs must be >= 0 \(0 = auto\), got -3$"):
+        run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=-3)
+    assert in_process_pool == []
+
+
 def test_determinism_with_workers(spec7, result7):
     res = run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=2)
     assert res.tally == result7.tally
