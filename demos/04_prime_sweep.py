@@ -7,10 +7,11 @@ densities.  Two per-prime identities are enforced with zero tolerance
 along the way -- a single violation would abort the run.
 
 X = 50000 keeps this demo quick; the acceptance suite runs X = 10^6, for
-which the fixed tolerances are calibrated.  At demo scale an individual
-histogram bin sits within about one standard error of its tolerance, so a
-stray FAIL line there is ordinary sampling noise, not a broken identity
-(identity violations do not print FAIL -- they abort the run).
+which the fixed tolerances are calibrated.  At demo scale the tolerance of
+a histogram bin (0.03) is only about two of its standard errors (the "+-"
+column, about 0.015 here), so a stray FAIL line there is ordinary sampling
+noise, not a broken identity (identity violations do not print FAIL --
+they abort the run).
 """
 
 from importlib import resources

@@ -8,9 +8,9 @@ from it (see the `sweep` module), and no output depends on it.
 Exit codes: 0 success/PASS, 1 usage error, 2 validation error (bad config
 or arguments, with the violated condition named), 3 acceptance failure
 (kernel disagreement, spin-relation violation, tolerance breach), 4 sweep
-failed: at a prime (GeneratorNotFound, AmbiguousSign or
-GeneratorSelfCheckFailed, named with the prime), or because a worker
-process of a parallel sweep died (WorkerCrashed).
+failed: at a prime (GeneratorNotFound, AmbiguousSign,
+GeneratorSelfCheckFailed or RootNotSeparated, named with the prime), or
+because a worker process of a parallel sweep died (WorkerCrashed).
 """
 
 from __future__ import annotations

@@ -33,7 +33,11 @@ of f at a midpoint, as a one-point interval) read exact signs from
 integers alone.
 First-hit rule: `_enumerate_short` yields candidates lazily in a fixed
 depth-first order, one per +- pair, and the search stops at the first of
-norm p^h.
+norm p^h.  Each level visits its coordinate centre first (Schnorr and
+Euchner): by increasing |x - center|, ties to the smaller x, so the first
+value tried is the integer nearest the centre and a level ends at the
+first x past the remaining budget.  The set of vectors in a radius stage
+is the one a scan from lo to hi gives; only their order is Schnorr-Euchner.
 
 Ideal-power invariant: for p not dividing disc_f, P^h meets Z[theta] in
 exactly the kernel of Z[theta] -> Z/p^h, theta -> a_h, where a_h is the
@@ -43,6 +47,16 @@ g(a_h) = 0 mod p^h; the search's membership self-check is that one
 evaluation.  Every product and remainder modulo a monic polynomial, mod p
 or exact, is `intpoly`'s; the root descent's gcd mod p is Euclid on
 `poly_rem_monic`, with each remainder made monic.
+
+Split test through the half power: `split_completely` computes
+half = x^((p-1)/2) mod (f, p) once; p splits iff x half^2 = x, which is
+the x^p = x certificate that f mod p is a product of distinct linear
+factors, and the root descent reuses half as its shift-0 power.  Since K
+is abelian, whether p splits depends only on p mod the conductor (Artin
+reciprocity), and `conductor_multiple` gives a multiple M of it from
+disc_f and n.  The sweep memoises, per sweep, the classes p mod M seen
+not to split (`sweep.FieldTables`); the memo only ever says "does not
+split", so every split prime is still certified by the direct test.
 
 Sigma-orbit invariant: the config guarantees f(s(x)) = 0 mod f and that
 sigma has order n, so for p not dividing disc_f the map b -> s(b) mod p
@@ -118,6 +132,10 @@ class AmbiguousSign(RuntimeError):
 
 class GeneratorSelfCheckFailed(RuntimeError):
     """A generator returned by the search failed its independent verification."""
+
+
+class RootNotSeparated(RuntimeError):
+    """The root descent tried every shift mod p without splitting off a factor of f."""
 
 
 AlgInt = tuple[int, ...]
@@ -405,7 +423,8 @@ def eval_mod(a, x: int, p: int) -> int:
     return acc
 
 
-def _check_unramified(spec: FieldSpec, p: int) -> None:
+def check_unramified(spec: FieldSpec, p: int) -> None:
+    """Raise ValueError unless p is an odd prime candidate, RamifiedPrime when p divides disc_f."""
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be an odd prime")
     if spec.disc_f % p == 0:
@@ -415,9 +434,35 @@ def _check_unramified(spec: FieldSpec, p: int) -> None:
 def _check_deg1_prime(spec: FieldSpec, P: PrimeDeg1) -> None:
     """Reject P unless it is (p, theta - a) with p unramified and f(a) = 0 mod p."""
     p, a = P
-    _check_unramified(spec, p)
+    check_unramified(spec, p)
     if not 0 <= a < p or eval_mod(spec.f, a, p):
         raise ValueError("P is not a degree-one prime of this field")
+
+
+def conductor_multiple(spec: FieldSpec) -> int:
+    """M, a multiple of the conductor: for p prime to M, whether p splits depends on p mod M alone.
+
+    M is the product over the primes q | disc_f of q when q does not divide
+    n and of q^(v_q(n) + 1) when it does.  Every ramified prime divides
+    disc_f; a tame one has conductor exponent 1, and at q | n a character
+    of order dividing n has conductor exponent at most v_q(n) + 1.  K is
+    abelian, so by Artin reciprocity p splits completely iff p mod the
+    conductor lies in the kernel of its characters.
+    """
+    modulus, rest, q = 1, abs(spec.disc_f), 3  # disc_f is odd: 2 is inert
+    while rest > 1:
+        if q * q > rest:
+            q = rest  # what is left is prime
+        if rest % q == 0:
+            while rest % q == 0:
+                rest //= q
+            modulus *= q
+            k = spec.n
+            while k % q == 0:
+                k //= q
+                modulus *= q
+        q += 2
+    return modulus
 
 
 def _sigma_orbit(spec: FieldSpec, a: int, p: int) -> list[int]:
@@ -432,26 +477,33 @@ def _sigma_orbit(spec: FieldSpec, a: int, p: int) -> list[int]:
 def split_completely(spec: FieldSpec, p: int) -> list[int]:
     """Roots of f mod p when p splits completely; empty list otherwise.
 
-    Raises RamifiedPrime when p divides disc_f.
+    One powering: half = x^((p-1)/2) mod (f, p), and p splits iff
+    x half^2 = x, which is x^p = x, the exact certificate that f mod p is a
+    product of distinct linear factors.  The root descent reuses half as
+    its shift-0 power.  Raises RamifiedPrime when p divides disc_f.
     """
-    _check_unramified(spec, p)
-    if pow_mod((0, 1), p, spec.f, p) != (0, 1) + (0,) * (spec.n - 2):
+    check_unramified(spec, p)
+    x = (0, 1) + (0,) * (spec.n - 2)
+    half = pow_mod(x, (p - 1) // 2, spec.f, p)
+    if mul_mod(x, mul_mod(half, half, spec.f, p), spec.f, p) != x:
         return []
-    return sorted(_sigma_orbit(spec, _one_root([c % p for c in spec.f], p), p))
+    return sorted(_sigma_orbit(spec, _one_root([c % p for c in spec.f], p, half), p))
 
 
-def _one_root(g, p):
-    """One root of a monic product of distinct linear factors mod p.
+def _one_root(g, p, half):
+    """One root of a monic product g of distinct linear factors mod p.
 
     Deterministic gcd descent: gcd(g, (x + shift)^((p-1)/2) - 1) keeps the
     roots r with r + shift a nonzero square; shifts are tried in order and
-    each proper factor found replaces g until g is linear.
+    each proper factor found replaces g until g is linear.  half is
+    x^((p-1)/2) mod (g, p), the shift-0 power, which the split test has
+    already computed.
     """
     shift = 0
     while len(g) > 2:
         if shift == p:
-            raise RuntimeError("internal error: no shift separated the roots")
-        h = list(pow_mod((shift, 1), (p - 1) // 2, g, p))
+            raise RootNotSeparated(f"no shift mod {p} separated the roots of f")
+        h = list(half if shift == 0 else pow_mod((shift, 1), (p - 1) // 2, g, p))
         h[0] = (h[0] - 1) % p
         d = _pgcd(g, h, p)
         if 0 < len(d) - 1 < len(g) - 1:
@@ -547,6 +599,11 @@ def _lll_reduce(spec: FieldSpec, basis):
     return basis, lam, d
 
 
+def _centre_first(center: float, lo: int, hi: int) -> list[int]:
+    """lo..hi by increasing |x - center|, ties to the smaller x (Schnorr-Euchner order)."""
+    return sorted(range(lo, hi + 1), key=lambda x: (abs(x - center), x))
+
+
 def _enumerate_short(lam, d, bound: float):
     """Coordinate vectors with quadratic form value <= bound, one per +- pair.
 
@@ -554,7 +611,10 @@ def _enumerate_short(lam, d, bound: float):
     `_lll_reduce`), read as correctly rounded int quotients.
     A generator: vectors come lazily in depth-first order, each kept only
     if its highest nonzero coordinate is positive, so a caller can stop at
-    the first hit without listing the rest.
+    the first hit without listing the rest.  Each level visits its
+    coordinates centre first (`_centre_first`); the form's share
+    qf (x - center)^2 grows along that order, so the first x past the
+    remaining budget ends the level.
     """
     n = len(d) - 1
     muf = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(n)]
@@ -575,11 +635,12 @@ def _enumerate_short(lam, d, bound: float):
         half = math.sqrt(max(remaining, 0.0) / qf[i])
         lo = math.ceil(center - half - 1e-9)
         hi = math.floor(center + half + 1e-9)
-        for x in range(lo, hi + 1):
-            coords[i] = x
+        for x in _centre_first(center, lo, hi):
             used = qf[i] * (x - center) ** 2
-            if used <= remaining + 1e-9:
-                yield from descend(i - 1, remaining - used)
+            if used > remaining + 1e-9:
+                break
+            coords[i] = x
+            yield from descend(i - 1, remaining - used)
         coords[i] = 0
 
     return descend(n - 1, bound)

@@ -207,10 +207,16 @@ def _lattice_check_fails(monkeypatch):
                         lambda n, q, root: lattice(n, q, numfield.eval_mod(spec.sigma, root, q)))
 
 
+def _no_shift_separates(monkeypatch):
+    # a gcd that never splits off a proper factor, so the root descent runs out of shifts
+    monkeypatch.setattr(numfield, "_pgcd", lambda a, b, p: a)
+
+
 @pytest.mark.parametrize("condition, inject", [
     ("GeneratorNotFound", _no_radius_stages),
     ("AmbiguousSign", _undecided_signs),
     ("GeneratorSelfCheckFailed", _lattice_check_fails),
+    ("RootNotSeparated", _no_shift_separates),
 ])
 def test_sweep_search_failure_is_named(monkeypatch, capsys, condition, inject):
     inject(monkeypatch)

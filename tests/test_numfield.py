@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from spinsweep import numfield, residue
-from spinsweep.intpoly import det_bareiss
+from spinsweep.intpoly import det_bareiss, pow_mod
 from spinsweep.numfield import (
     BadUnit,
     C4Violation,
@@ -24,6 +24,7 @@ from spinsweep.numfield import (
     load_spec,
     split_completely,
 )
+from spinsweep.sweep import build_tables
 
 GOOD7 = """
 name = "simplest-cubic-7"
@@ -269,6 +270,37 @@ def test_split_rule_mod_conductor(spec7):
         assert bool(split_completely(spec7, p)) == expect
 
 
+@pytest.mark.parametrize("text, modulus", [
+    (GOOD7, 7),
+    ("spec9", 9),
+    (QUINTIC11, 11),
+    (shanks_cubic(2, 19**2), 19),
+    (shanks_cubic(4, 37**2), 37),
+], ids=["c7", "c9", "quintic", "shanks-2", "shanks-4"])
+def test_memo_agrees_with_the_direct_split_test(request, text, modulus):
+    # the sweep's memo of non-split classes p mod M decides every odd prime
+    # below 2 10^4 exactly as the direct x^p = x test does
+    spec = request.getfixturevalue(text) if text == "spec9" else load_spec(text)
+    assert numfield.conductor_multiple(spec) == modulus
+    tables = build_tables(spec)
+    assert tables.modulus == modulus and tables.nonsplit == set()
+    x = (0, 1) + (0,) * (spec.n - 2)
+    nonsplit = set()
+    for p in _primes_below(20_000):
+        if spec.disc_f % p == 0:
+            with pytest.raises(RamifiedPrime):
+                tables.split_roots(p)
+            continue
+        direct = pow_mod((0, 1), p, spec.f, p) == x
+        assert bool(tables.split_roots(p)) == direct, p
+        if not direct:
+            nonsplit.add(p % modulus)
+    # the memo holds exactly the non-split classes: n - 1 of every n classes prime to M
+    units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
+    assert tables.nonsplit == nonsplit
+    assert len(nonsplit) == len(units) - len(units) // spec.n
+
+
 # -- conjugation --------------------------------------------------------------
 
 
@@ -402,6 +434,76 @@ def test_generator_digests_are_pinned(spec7, spec9, quintic):
         "d9b3e33b58b68ca6048125bf70026ee922d75e6f3eccd28dbaf747679e22cebc"
     assert _generator_digest(quintic, 2000) == \
         "5792096a5ba1466e55ac6d13927cfc86e9151920a0971e3b810b51233e01bf18"
+
+
+def _scan_lo_to_hi(lam, d, bound):
+    """The enumeration before centre-first order: each level scanned from lo up to hi."""
+    n = len(d) - 1
+    muf = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(n)]
+    qf = [d[i + 1] / d[i] for i in range(n)]
+    coords = [0] * n
+    out = []
+
+    def descend(i, remaining):
+        if i < 0:
+            top = [c for c in coords if c]
+            if top and top[-1] > 0:
+                out.append(tuple(coords))
+            return
+        center = -sum(coords[j] * muf[j][i] for j in range(i + 1, n))
+        half = math.sqrt(max(remaining, 0.0) / qf[i])
+        for x in range(math.ceil(center - half - 1e-9), math.floor(center + half + 1e-9) + 1):
+            coords[i] = x
+            used = qf[i] * (x - center) ** 2
+            if used <= remaining + 1e-9:
+                descend(i - 1, remaining - used)
+        coords[i] = 0
+
+    descend(n - 1, bound)
+    return out
+
+
+def _search_data(spec, p, a):
+    """LLL data of the lattice of (p, theta - a) and the search's base radius, as generator_of_power has them."""
+    _, lam, d = numfield._lll_reduce(spec, numfield._ideal_power_basis(spec.n, p, a))
+    return lam, d, spec.n * (p * math.sqrt(spec.disc_f)) ** (2.0 / spec.n)
+
+
+def test_centre_first_enumerates_the_same_vectors(spec7, quintic):
+    # every radius stage on c7; the quintic's last stage holds ~1.5 10^5 vectors, so its first two
+    cases = [(spec7, p) for p in (13, 97, 10009)] + [(quintic, p) for p in (23, 89, 10099)]
+    for spec, p in cases:
+        stages = numfield._RADIUS_STAGES if spec.n == 3 else numfield._RADIUS_STAGES[:2]
+        for a in split_completely(spec, p):
+            lam, d, base = _search_data(spec, p, a)
+            for mult in stages:
+                got = list(numfield._enumerate_short(lam, d, mult * mult * base))
+                want = _scan_lo_to_hi(lam, d, mult * mult * base)
+                assert len(set(got)) == len(got) and sorted(got) == sorted(want)
+                assert got  # the search always has candidates to try
+
+
+def test_centre_first_tries_the_nearest_integer_first(monkeypatch, spec7, quintic):
+    tried = []
+    order = numfield._centre_first
+
+    def record(center, lo, hi):
+        xs = order(center, lo, hi)
+        tried.append((center, xs))
+        return xs
+
+    monkeypatch.setattr(numfield, "_centre_first", record)
+    for spec, p in ((spec7, 97), (spec7, 10009), (quintic, 89), (quintic, 10099)):
+        for a in split_completely(spec, p):
+            generator_of_power(spec, PrimeDeg1(p, a))
+    assert len(tried) > 20
+    for center, xs in tried:
+        if xs:
+            assert xs[0] == math.ceil(center - 0.5)  # nearest integer, ties to the smaller
+            dist = [abs(x - center) for x in xs]
+            assert dist == sorted(dist)
+    assert order(2.5, 0, 5) == [2, 3, 1, 4, 0, 5]
+    assert order(-0.25, -2, 2) == [0, -1, 1, -2, 2]
 
 
 def test_round_div_matches_fraction_round():

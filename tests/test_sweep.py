@@ -76,6 +76,42 @@ def test_tally_invariants(result7):
     assert result7.skipped_ramified == [7]
 
 
+def test_ramified_primes_still_skipped(spec9):
+    # the ramified check runs before the memo, so p | disc_f is listed, not classified
+    assert run_sweep(SweepConfig(spec=spec9, limit=1000), jobs=1).skipped_ramified == [3]
+
+
+def test_split_memo_is_per_sweep(monkeypatch, spec7, in_process_pool):
+    # every sweep builds fresh tables with an empty memo, so repeated sweeps in
+    # one process make the same split_completely calls (a traced benchmark
+    # compares its counts across passes)
+    calls, built = [], []
+    direct, build = numfield.split_completely, sweep.build_tables
+
+    def count(spec, p):
+        calls.append(p)
+        return direct(spec, p)
+
+    def fresh(spec):
+        tables = build(spec)
+        assert tables.nonsplit == set()
+        built.append(tables)
+        return tables
+
+    monkeypatch.setattr(numfield, "split_completely", count)
+    monkeypatch.setattr(sweep, "build_tables", fresh)
+    per_sweep = []
+    for jobs in (1, 1, 2, 2):
+        calls.clear()
+        res = run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=jobs)
+        per_sweep.append(list(calls))
+    assert per_sweep[0] == per_sweep[1] == per_sweep[2] == per_sweep[3]
+    # only the first prime of each of the four non-split classes mod 7 is tested besides the split ones
+    assert len(per_sweep[0]) == len(res.records) + 4
+    assert [p for p in per_sweep[0] if p % 7 not in (1, 6)] == [3, 5, 11, 23]
+    assert len(built) == 6  # one per sweep and one per worker start, each found empty
+
+
 def test_tally_merge_is_addition(result7):
     recs = result7.records
     half = len(recs) // 2
@@ -161,6 +197,17 @@ def test_report_rows_structure(result7):
         assert expected in names
     hist_rows = [n for n in names if n.startswith("hist[")]
     assert len(hist_rows) == 8
+
+
+def test_stderr_column_is_the_binomial_standard_error(result7):
+    # the "+-" column is sqrt(theta (1 - theta) / den) at the predicted theta
+    t = result7.tally
+    dens = {"F/S": t.s_plus + t.s_minus, "F+/S+": t.s_plus, "F-/S-": t.s_minus,
+            "R+/S+": t.s_plus, "R-/S-": t.s_minus, "F+/R+": t.r_plus, "F-/R-": t.r_minus}
+    for name, _, stderr, theo, _, _ in result7.report_rows:
+        if name in dens:
+            assert stderr == math.sqrt(float(theo) * (1 - float(theo)) / dens[name])
+    assert {row[0]: row[2] for row in result7.report_rows}["F/S"] == math.sqrt(3 / 16 / dens["F/S"])
 
 
 def test_histogram_sign_sectors(result7, star7):
