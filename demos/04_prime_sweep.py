@@ -17,12 +17,12 @@ they abort the run).
 from importlib import resources
 
 from spinsweep.numfield import load_spec
-from spinsweep.sweep import SweepConfig, emit_csv, format_report, run_sweep
+from spinsweep.sweep import emit_csv, format_report, run_sweep
 
 cfg = (resources.files("spinsweep.data") / "simplest-cubic-7.cfg").read_text()
 spec = load_spec(cfg)
 
-result = run_sweep(SweepConfig(spec=spec, limit=50_000), jobs=0)
+result = run_sweep(spec, 50_000, jobs=0)
 print(format_report(result))
 
 print()

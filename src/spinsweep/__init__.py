@@ -7,13 +7,12 @@ concrete cyclic cubic fields.
 
 from .density import DensityReport, density_report, format_table, s_pair
 from .numfield import FieldSpec, PrimeDeg1, load_spec, load_spec_file
-from .sweep import SweepConfig, Tally, classify_prime, emit_csv, run_sweep
+from .sweep import Tally, classify_prime, emit_csv, run_sweep
 
 __all__ = [
     "DensityReport",
     "FieldSpec",
     "PrimeDeg1",
-    "SweepConfig",
     "Tally",
     "classify_prime",
     "density_report",

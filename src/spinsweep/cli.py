@@ -25,7 +25,6 @@ from .density import N15_ERRATUM_NOTE, density_report, format_table
 from .numfield import FieldConfigError, load_spec, load_spec_file
 from .sweep import (
     SEARCH_FAILURES,
-    SweepConfig,
     SpinRelationViolation,
     WorkerCrashed,
     emit_csv,
@@ -122,14 +121,13 @@ def _cmd_verify_kernel(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = _load_field(args.field)
-    config = SweepConfig(spec=spec, limit=args.limit)
-    # reject a bad --csv target before any prime is classified; run_sweep rejects a bad --jobs
+    # reject a bad --csv target before any prime is classified; run_sweep rejects a bad --limit or --jobs
     if args.csv and args.csv != "-":
         folder = os.path.dirname(os.path.abspath(args.csv))
         if os.path.isdir(args.csv) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
             raise ValueError(f"cannot write --csv target {args.csv}")
     try:
-        result = run_sweep(config, jobs=args.jobs)
+        result = run_sweep(spec, args.limit, jobs=args.jobs)
     except SpinRelationViolation as exc:
         print(f"hard consistency violation: {exc}", file=sys.stderr)
         return ACCEPTANCE_FAIL

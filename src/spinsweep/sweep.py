@@ -2,25 +2,31 @@
 
 For each odd rational prime p <= X that splits completely in the configured
 field, the sweep takes the prime above p with the smallest root, computes a
-totally positive generator, all spins, and the mod-4 square class, and
-classifies p into S+/S- (p mod 4), R (symmetric spin relation holds) and
-F (all spins +1).  Two hard per-prime identities are enforced with zero
-tolerance: the product spin(P,k)*spin(P,n-k) must equal the dyadic Hilbert
-pairing of the generator with its k-th conjugate, and R-membership via spin
-products must agree with R-membership via the star value of the mod-4
-class.  Any violation aborts the run naming the prime.
+totally positive generator, all spins, and the mod-4 square class.  Two hard
+per-prime identities are enforced with zero tolerance: the product
+spin(P,k)*spin(P,n-k) must equal the dyadic Hilbert pairing of the generator
+with its k-th conjugate, and R-membership via spin products must agree with
+R-membership via the star value of the mod-4 class.  Any violation aborts
+the run naming the prime.
+
+The sweep counts split primes once, per joint cell (mod-4 class, spins), in
+a `Tally`.  Every report row is a marginal of these cells: the sign sector
+S+/S- of a cell is the norm sign of its class (checked to be p mod 4), R
+and F are the predicates `in_R` and `in_F` on its spins, and the class
+histogram sums the cells over their spins.
 
 Work is cut into windows of [3, X] of equal width: one when serial, and
 WINDOWS_PER_WORKER per worker process otherwise, so the chunking follows
-from the worker count alone.  Per-prime results are pure functions of p and
-tallies merge by addition, so tallies and CSV output are identical for
-every worker count.  The one state a sweep keeps between primes is the
-split test's memo of non-split classes on its `FieldTables`, which only
-skips tests whose answer is already known.
+from the worker count alone.  Per-prime results are pure functions of p, so
+records, tallies and CSV output are identical for every worker count.  The
+one state a sweep keeps between primes is the split test's memo of
+non-split classes on its `FieldTables`, which only skips tests whose answer
+is already known.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,16 +48,6 @@ class WorkerCrashed(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    spec: numfield.FieldSpec
-    limit: int
-
-    def __post_init__(self):
-        if self.limit < 100:
-            raise ValueError("limit must be at least 100")
-
-
-@dataclass(frozen=True)
 class PrimeRecord:
     p: int
     p_mod4: int
@@ -62,43 +58,23 @@ class PrimeRecord:
     m4_bits: tuple[int, ...]
 
 
-@dataclass
-class Tally:
-    """Additive counters for one sweep; merging is componentwise addition."""
+def in_R(spins: tuple[int, ...]) -> bool:
+    """R: spin(k)*spin(n-k) = 1 for every k, i.e. the spins read the same reversed."""
+    return spins == spins[::-1]
 
-    s_plus: int = 0
-    s_minus: int = 0
-    r_plus: int = 0
-    r_minus: int = 0
-    f_plus: int = 0
-    f_minus: int = 0
-    histogram: dict = field(default_factory=dict)
 
-    def add_record(self, rec: PrimeRecord):
-        if rec.p_mod4 == 1:
-            self.s_plus += 1
-            self.r_plus += rec.in_R
-            self.f_plus += rec.in_F
-        else:
-            self.s_minus += 1
-            self.r_minus += rec.in_R
-            self.f_minus += rec.in_F
-        self.histogram[rec.m4_bits] = self.histogram.get(rec.m4_bits, 0) + 1
+def in_F(spins: tuple[int, ...]) -> bool:
+    """F: every spin is +1."""
+    return all(s == 1 for s in spins)
 
-    def merge(self, other: "Tally"):
-        self.s_plus += other.s_plus
-        self.s_minus += other.s_minus
-        self.r_plus += other.r_plus
-        self.r_minus += other.r_minus
-        self.f_plus += other.f_plus
-        self.f_minus += other.f_minus
-        for k, v in other.histogram.items():
-            self.histogram[k] = self.histogram.get(k, 0) + v
 
-    def validate(self):
-        assert self.f_plus <= self.r_plus <= self.s_plus
-        assert self.f_minus <= self.r_minus <= self.s_minus
-        assert sum(self.histogram.values()) == self.s_plus + self.s_minus
+class Tally(Counter):
+    """Split primes per joint cell (m4_bits, spins); tallies of disjoint ranges add with +.
+
+    Every count of the report is a marginal of the cells: a cell lies in
+    S+ or S- as norm_sign[m4_bits] is +1 or -1 (classify_prime checks that
+    this is p mod 4), in R when in_R(spins) and in F when in_F(spins).
+    """
 
 
 @dataclass
@@ -160,7 +136,7 @@ def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
             raise SpinRelationViolation(
                 f"p={p}: spin({k})*spin({n - k}) = {product} but Hilbert pairing = {pairing}"
             )
-    in_r_spin = all(spins[k - 1] * spins[n - k - 1] == 1 for k in range(1, n))
+    in_r_spin = in_R(spins)
     in_r_star = tables.star.star[bits] == 1
     if in_r_spin != in_r_star:
         raise SpinRelationViolation(
@@ -184,7 +160,7 @@ def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
         root_a=chain[0].a,
         spins=spins,
         in_R=in_r_spin,
-        in_F=all(s == 1 for s in spins),
+        in_F=in_F(spins),
         m4_bits=bits,
     )
 
@@ -223,7 +199,6 @@ SEARCH_FAILURES = (
 
 
 def _classify_range(tables: FieldTables, lo: int, hi: int):
-    tally = Tally()
     records = []
     skipped = []
     for p in odd_primes_in(lo, hi):
@@ -234,11 +209,9 @@ def _classify_range(tables: FieldTables, lo: int, hi: int):
             continue
         except SEARCH_FAILURES as exc:
             raise type(exc)(f"p={p}: {exc}") from exc
-        if rec is None:
-            continue
-        tally.add_record(rec)
-        records.append(rec)
-    return tally, records, skipped
+        if rec is not None:
+            records.append(rec)
+    return records, skipped
 
 
 _WORKER_CTX = {}
@@ -255,8 +228,10 @@ def _worker_chunk(bounds):
 
 @dataclass
 class SweepResult:
-    config: SweepConfig
+    spec: numfield.FieldSpec
+    limit: int
     tally: Tally
+    norm_sign: dict  # sign sector of each mod-4 class: +1 for S+, -1 for S-
     records: list[PrimeRecord]
     skipped_ramified: list[int]
     report_rows: list  # (quantity, empirical, stderr, theoretical Fraction, delta, passed)
@@ -286,25 +261,24 @@ WINDOWS_PER_WORKER = 4
 
 def _windows(limit: int, jobs: int) -> list[tuple[int, int]]:
     """[3, limit] as [lo, hi) windows of equal width: one serial, WINDOWS_PER_WORKER per worker."""
-    count = 1 if jobs == 1 else WINDOWS_PER_WORKER * jobs
-    cuts = sorted({3 + i * (limit - 2) // count for i in range(count + 1)})  # no empty windows
+    # at most one window per integer of [3, limit], so none is empty and the cuts are distinct
+    count = 1 if jobs == 1 else min(WINDOWS_PER_WORKER * jobs, limit - 2)
+    cuts = [3 + i * (limit - 2) // count for i in range(count + 1)]
     return list(zip(cuts, cuts[1:]))
 
 
-def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
-    """Run the sweep; deterministic tallies and records for any jobs >= 0 (0 = auto)."""
-    spec = config.spec
+def run_sweep(spec: numfield.FieldSpec, limit: int, jobs: int = 1) -> SweepResult:
+    """Sweep the odd primes up to limit; deterministic records and tally for any jobs >= 0 (0 = auto)."""
+    if limit < 100:
+        raise ValueError("limit must be at least 100")
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0 (0 = auto), got {jobs}")
     if jobs == 0:
         jobs = min(8, os.cpu_count() or 1)
-    bounds = _windows(config.limit, jobs)
+    bounds = _windows(limit, jobs)
     # the pool starts all its workers at the first submit, so start no idle ones
     jobs = min(jobs, len(bounds))
     tables = build_tables(spec)
-    tally = Tally()
-    records: list[PrimeRecord] = []
-    skipped: list[int] = []
     if jobs == 1:
         parts = [_classify_range(tables, lo, hi) for lo, hi in bounds]
     else:
@@ -313,14 +287,12 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
                 parts = list(pool.map(_worker_chunk, bounds))  # in window order
             except BrokenProcessPool as exc:
                 raise WorkerCrashed(str(exc)) from exc
-    for part_tally, part_records, part_skipped in parts:
-        tally.merge(part_tally)
-        records.extend(part_records)
-        skipped.extend(part_skipped)
-    records.sort(key=lambda r: r.p)
-    tally.validate()
-    rows = build_report_rows(spec, tally, tables.star.norm_sign)
-    return SweepResult(config, tally, records, skipped, rows)
+    records = sorted((rec for part_records, _ in parts for rec in part_records), key=lambda r: r.p)
+    skipped = [p for _, part_skipped in parts for p in part_skipped]
+    tally = Tally((rec.m4_bits, rec.spins) for rec in records)
+    norm_sign = tables.star.norm_sign
+    rows = build_report_rows(spec, tally, norm_sign)
+    return SweepResult(spec, limit, tally, norm_sign, records, skipped, rows)
 
 
 def _ratio_row(name, num, den, theoretical, tol):
@@ -333,39 +305,51 @@ def _ratio_row(name, num, den, theoretical, tol):
     return (name, emp, stderr, theoretical, delta, delta < tol)
 
 
+def marginal(tally: Tally, key, rule=lambda spins: True) -> Counter:
+    """Split primes per key(m4_bits), over the cells of tally whose spins satisfy rule."""
+    counts = Counter()
+    for (bits, spins), count in tally.items():
+        if rule(spins):
+            counts[key(bits)] += count
+    return counts
+
+
 def build_report_rows(spec: numfield.FieldSpec, tally: Tally, norm_sign: dict):
-    """Report rows; each histogram bin counts against the sign sector norm_sign gives its class."""
+    """Report rows, each a ratio of two marginals of the tally's cells.
+
+    S, R and F count per sign sector norm_sign[bits]; each histogram bin
+    counts against the sector of its class.
+    """
     tol = DEFAULT_TOLERANCES
     rep = density_report(spec.n)
     half = Fraction(1, 1 << ((spec.n - 1) // 2))
-    s_all = tally.s_plus + tally.s_minus
-    f_all = tally.f_plus + tally.f_minus
+    sector = norm_sign.__getitem__
+    S, R, F = marginal(tally, sector), marginal(tally, sector, in_R), marginal(tally, sector, in_F)
     rows = [
-        _ratio_row("F/S", f_all, s_all, rep.dF, tol["F/S"]),
-        _ratio_row("F+/S+", tally.f_plus, tally.s_plus, rep.dF_plus, tol["F+/S+"]),
-        _ratio_row("F-/S-", tally.f_minus, tally.s_minus, rep.dF_minus, tol["F-/S-"]),
-        _ratio_row("R+/S+", tally.r_plus, tally.s_plus, rep.dR_plus, tol["R+/S+"]),
-        _ratio_row("R-/S-", tally.r_minus, tally.s_minus, rep.dR_minus, tol["R-/S-"]),
-        _ratio_row("F+/R+", tally.f_plus, tally.r_plus, half, tol["F+/R+"]),
-        _ratio_row("F-/R-", tally.f_minus, tally.r_minus, half, tol["F-/R-"]),
+        _ratio_row("F/S", F.total(), S.total(), rep.dF, tol["F/S"]),
+        _ratio_row("F+/S+", F[1], S[1], rep.dF_plus, tol["F+/S+"]),
+        _ratio_row("F-/S-", F[-1], S[-1], rep.dF_minus, tol["F-/S-"]),
+        _ratio_row("R+/S+", R[1], S[1], rep.dR_plus, tol["R+/S+"]),
+        _ratio_row("R-/S-", R[-1], S[-1], rep.dR_minus, tol["R-/S-"]),
+        _ratio_row("F+/R+", F[1], R[1], half, tol["F+/R+"]),
+        _ratio_row("F-/R-", F[-1], R[-1], half, tol["F-/R-"]),
     ]
     # mod-4 equidistribution: each class bin against its own sign sector, which
     # classify_prime has checked to be p mod 4 for every prime in the bin
-    sector = {1: tally.s_plus, -1: tally.s_minus}
     uniform = Fraction(1, 1 << (spec.n - 1))
-    for bits in sorted(tally.histogram):
+    histogram = marginal(tally, lambda bits: bits)
+    for bits in sorted(histogram):
         label = "hist[" + "".join(map(str, bits)) + "]"
-        count, den = tally.histogram[bits], sector[norm_sign[bits]]
-        rows.append(_ratio_row(label, count, den, uniform, tol["hist"]))
+        rows.append(_ratio_row(label, histogram[bits], S[sector(bits)], uniform, tol["hist"]))
     return rows
 
 
 def format_report(result: SweepResult) -> str:
     """Aligned text table: quantity | empirical | theoretical | |delta| | pass/fail."""
-    t = result.tally
+    S = marginal(result.tally, result.norm_sign.__getitem__)
     head = [
-        f"field = {result.config.spec.name}   X = {result.config.limit}",
-        f"split primes: {t.s_plus + t.s_minus}  (S+ = {t.s_plus}, S- = {t.s_minus};"
+        f"field = {result.spec.name}   X = {result.limit}",
+        f"split primes: {S.total()}  (S+ = {S[1]}, S- = {S[-1]};"
         f" ramified skipped: {len(result.skipped_ramified)})",
         "",
         f"{'quantity':<12} | {'empirical':<19} | {'theoretical':<12} | {'|delta|':<9} | pass/fail",

@@ -15,7 +15,7 @@ import pytest
 from spinsweep import checks, numfield, residue
 from spinsweep.cli import main
 from spinsweep.density import density_report, format_table, s_pair
-from spinsweep.sweep import SweepConfig, build_tables, emit_csv, run_sweep
+from spinsweep.sweep import build_tables, emit_csv, run_sweep
 
 X_SWEEP = 1_000_000
 
@@ -37,9 +37,8 @@ def _report(num, desc, ok, elapsed=None):
 
 @pytest.fixture(scope="module")
 def sweep_result(spec7):
-    cfg = SweepConfig(spec=spec7, limit=X_SWEEP)
     t0 = time.time()
-    result = run_sweep(cfg, jobs=0)
+    result = run_sweep(spec7, X_SWEEP, jobs=0)
     return result, time.time() - t0
 
 
@@ -136,7 +135,7 @@ def test_criterion_5_m4_structure(spec7, spec9, capsys):
 
 def test_criterion_6_empirical_sweep(sweep_result, capsys):
     result, elapsed = sweep_result
-    t = result.tally
+    split = result.tally.total()
     rows = {name: (emp, theo, delta, passed)
             for name, emp, _, theo, delta, passed in result.report_rows}
     checks_list = [
@@ -150,10 +149,9 @@ def test_criterion_6_empirical_sweep(sweep_result, capsys):
         ok &= passed and delta < tol
     hist_rows = [v for k, v in rows.items() if k.startswith("hist[")]
     ok &= len(hist_rows) == 8 and all(delta < 0.03 for _, _, delta, _ in hist_rows)
-    ok &= t.s_plus + t.s_minus > 20_000  # ~26k split primes expected at 10^6
+    ok &= split > 20_000  # ~26k split primes expected at 10^6
     with capsys.disabled():
-        print(f"\n  split primes: {t.s_plus + t.s_minus}; "
-              f"F/S = {(t.f_plus + t.f_minus) / (t.s_plus + t.s_minus):.5f}")
+        print(f"\n  split primes: {split}; F/S = {rows['F/S'][0]:.5f}")
         _report(6, f"empirical sweep X = {X_SWEEP} matches all exact densities "
                    "within stated tolerances", ok and elapsed < 300.0, elapsed)
 
@@ -172,7 +170,7 @@ def test_criterion_7_zero_tolerance_consistency(sweep_result, spec7, capsys):
     # built tables, rather than trusting that the sweep's own checks ran
     tables = build_tables(spec7)
     n = spec7.n
-    ok = len(result.records) == result.tally.s_plus + result.tally.s_minus
+    ok = len(result.records) == result.tally.total()
     products = 0
     for rec in result.records:
         bits = rec.m4_bits

@@ -172,15 +172,17 @@ def test_sweep_skip_flags_removed(capsys):
 
 
 def test_sweep_jobs_splits_the_range(monkeypatch, capsys, in_process_pool):
-    # --jobs 2 asks for 2 workers over 8 equal windows covering [3, X]
+    # --jobs 2 asks for 2 workers over 8 equal windows covering [3, X]; with no
+    # split prime every ratio row has N = 0 and fails, so the sweep exits 3
     windows = []
 
     def record(bounds):
         windows.append(bounds)
-        return sweep.Tally(), [], []
+        return [], []
 
     monkeypatch.setattr(sweep, "_worker_chunk", record)
-    main(["sweep", "--field", "simplest-cubic-7", "--limit", "100000", "--jobs", "2"])
+    code = main(["sweep", "--field", "simplest-cubic-7", "--limit", "100000", "--jobs", "2"])
+    assert code == 3
     assert in_process_pool == [2]
     assert len(windows) == 8 and windows[0][0] == 3 and windows[-1][1] == 100_001
     assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))

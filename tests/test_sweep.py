@@ -1,11 +1,11 @@
 import math
+from collections import Counter
 
 import pytest
 
 from spinsweep import numfield, sweep
 from spinsweep.numfield import PrimeDeg1
 from spinsweep.sweep import (
-    SweepConfig,
     Tally,
     build_tables,
     classify_prime,
@@ -22,7 +22,12 @@ def tables7(spec7):
 
 @pytest.fixture(scope="module")
 def result7(spec7):
-    return run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=1)
+    return run_sweep(spec7, 6000, jobs=1)
+
+
+@pytest.fixture(scope="module")
+def result9(spec9):
+    return run_sweep(spec9, 6000, jobs=1)
 
 
 def test_odd_primes_in():
@@ -37,9 +42,13 @@ def test_odd_primes_in():
     assert len(primes) == 78_497 and primes[-1] == 999_983
 
 
-def test_config_validation(spec7):
-    with pytest.raises(ValueError):
-        SweepConfig(spec=spec7, limit=50)
+def test_config_validation(monkeypatch, spec7, in_process_pool):
+    monkeypatch.setattr(sweep, "build_tables", lambda spec: pytest.fail("tables built"))
+    with pytest.raises(ValueError, match=r"^limit must be at least 100$"):
+        run_sweep(spec7, 50)
+    with pytest.raises(ValueError, match=r"^limit must be at least 100$"):
+        run_sweep(spec7, 99, jobs=-3)  # the limit is checked first
+    assert in_process_pool == []
 
 
 def test_classify_non_split_is_none(tables7):
@@ -63,22 +72,61 @@ def test_classify_respects_split_rule(result7):
 
 def test_spin_not_in_F_when_any_minus(result7):
     for rec in result7.records:
-        assert rec.in_F == all(s == 1 for s in rec.spins)
+        s = rec.spins
+        assert rec.in_F == all(v == 1 for v in s)
+        assert rec.in_R == all(s[k - 1] * s[3 - k - 1] == 1 for k in (1, 2))
         assert rec.in_F <= rec.in_R
 
 
-def test_tally_invariants(result7):
-    t = result7.tally
-    t.validate()
-    assert t.f_plus <= t.r_plus <= t.s_plus
-    assert t.f_minus <= t.r_minus <= t.s_minus
-    assert sum(t.histogram.values()) == t.s_plus + t.s_minus
-    assert result7.skipped_ramified == [7]
+def test_R_and_F_predicates():
+    # R: spin(k) * spin(n - k) = 1 for every k; F: every spin is +1
+    assert sweep.in_R((1, -1, -1, 1)) and not sweep.in_R((1, -1, 1, -1))
+    assert not sweep.in_R((1, 1, -1, 1)) and not sweep.in_R((-1, 1, 1, 1))
+    assert sweep.in_R((-1, -1)) and not sweep.in_F((-1, -1))
+    assert sweep.in_F((1, 1, 1, 1)) and not sweep.in_F((1, 1, -1, 1))
+
+
+def _row_counts(records):
+    """(numerator, denominator) of every report row, straight from the records."""
+    S, R, F, hist, sector = Counter(), Counter(), Counter(), Counter(), {}
+    for rec in records:
+        sign = 1 if rec.p % 4 == 1 else -1
+        S[sign] += 1
+        R[sign] += rec.in_R
+        F[sign] += rec.in_F
+        hist[rec.m4_bits] += 1
+        assert sector.setdefault(rec.m4_bits, sign) == sign  # one sector per class
+    for sign in (1, -1):
+        assert F[sign] <= R[sign] <= S[sign]
+    counts = {
+        "F/S": (F[1] + F[-1], S[1] + S[-1]),
+        "F+/S+": (F[1], S[1]), "F-/S-": (F[-1], S[-1]),
+        "R+/S+": (R[1], S[1]), "R-/S-": (R[-1], S[-1]),
+        "F+/R+": (F[1], R[1]), "F-/R-": (F[-1], R[-1]),
+    }
+    for bits, count in hist.items():
+        counts["hist[" + "".join(map(str, bits)) + "]"] = (count, S[sector[bits]])
+    return counts
+
+
+@pytest.mark.parametrize("field", ["result7", "result9"])
+def test_report_rows_from_records(request, field):
+    # every row's numerator and denominator, recounted from p mod 4, in_R, in_F and the class
+    result = request.getfixturevalue(field)
+    counts = _row_counts(result.records)
+    assert [row[0] for row in result.report_rows] == list(counts)[:7] + sorted(
+        name for name in counts if name.startswith("hist["))
+    for name, emp, stderr, theo, _, _ in result.report_rows:
+        num, den = counts[name]
+        theta = float(theo)
+        assert emp == num / den and stderr == math.sqrt(theta * (1 - theta) / den)
+    assert result.tally.total() == len(result.records)
+    assert result.skipped_ramified == {"result7": [7], "result9": [3]}[field]
 
 
 def test_ramified_primes_still_skipped(spec9):
     # the ramified check runs before the memo, so p | disc_f is listed, not classified
-    assert run_sweep(SweepConfig(spec=spec9, limit=1000), jobs=1).skipped_ramified == [3]
+    assert run_sweep(spec9, 1000, jobs=1).skipped_ramified == [3]
 
 
 def test_split_memo_is_per_sweep(monkeypatch, spec7, in_process_pool):
@@ -103,7 +151,7 @@ def test_split_memo_is_per_sweep(monkeypatch, spec7, in_process_pool):
     per_sweep = []
     for jobs in (1, 1, 2, 2):
         calls.clear()
-        res = run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=jobs)
+        res = run_sweep(spec7, 6000, jobs=jobs)
         per_sweep.append(list(calls))
     assert per_sweep[0] == per_sweep[1] == per_sweep[2] == per_sweep[3]
     # only the first prime of each of the four non-split classes mod 7 is tested besides the split ones
@@ -112,33 +160,20 @@ def test_split_memo_is_per_sweep(monkeypatch, spec7, in_process_pool):
     assert len(built) == 6  # one per sweep and one per worker start, each found empty
 
 
-def test_tally_merge_is_addition(result7):
+def test_tally_halves_add_up(result7):
+    # the joint tallies of two halves of the records add up to the whole, in either order
     recs = result7.records
     half = len(recs) // 2
-    t1, t2, t3 = Tally(), Tally(), Tally()
-    for r in recs[:half]:
-        t1.add_record(r)
-    for r in recs[half:]:
-        t2.add_record(r)
-    for r in recs:
-        t3.add_record(r)
-    t1.merge(t2)
-    assert t1 == t3
-    # commutativity
-    ta, tb = Tally(), Tally()
-    for r in recs[half:]:
-        ta.add_record(r)
-    for r in recs[:half]:
-        tb.add_record(r)
-    ta.merge(tb)
-    assert ta == t3
+    first, second = (Tally((r.m4_bits, r.spins) for r in part) for part in (recs[:half], recs[half:]))
+    assert first + second == second + first == result7.tally
+    assert first and second and first != result7.tally
 
 
 def test_determinism_across_chunk_sizes(spec7, result7, in_process_pool):
     # serial is one window; --jobs 2 and 3 cut [3, X] into 8 and 12
     for jobs in (2, 3):
         assert len(sweep._windows(6000, jobs)) == sweep.WINDOWS_PER_WORKER * jobs
-        res = run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=jobs)
+        res = run_sweep(spec7, 6000, jobs=jobs)
         assert res.tally == result7.tally
         assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
     assert in_process_pool == [2, 3]
@@ -147,35 +182,45 @@ def test_determinism_across_chunk_sizes(spec7, result7, in_process_pool):
 def test_negative_jobs_rejected_before_tables_or_pool(monkeypatch, spec7, in_process_pool):
     monkeypatch.setattr(sweep, "build_tables", lambda spec: pytest.fail("tables built"))
     with pytest.raises(ValueError, match=r"^jobs must be >= 0 \(0 = auto\), got -3$"):
-        run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=-3)
+        run_sweep(spec7, 6000, jobs=-3)
     assert in_process_pool == []
 
 
 def test_determinism_with_workers(spec7, result7):
-    res = run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=2)
+    res = run_sweep(spec7, 6000, jobs=2)
     assert res.tally == result7.tally
     assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
 
 
 def test_workers_capped_at_chunk_count(spec7, result7, in_process_pool):
-    res = run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=2)  # 8 windows
+    res = run_sweep(spec7, 6000, jobs=2)  # 8 windows
     assert in_process_pool == [2]
     assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
-    run_sweep(SweepConfig(spec=spec7, limit=6000), jobs=1)  # one window, no pool
+    run_sweep(spec7, 6000, jobs=1)  # one window, no pool
     assert in_process_pool == [2]
     # 800 windows asked of [3, 100], which holds 98 integers: no window is empty
     bounds = sweep._windows(100, 200)
     assert bounds[0][0] == 3 and bounds[-1][1] == 101 and len(bounds) == 98
     assert all(hi == lo + 1 for lo, hi in bounds)
-    run_sweep(SweepConfig(spec=spec7, limit=100), jobs=200)
+    run_sweep(spec7, 100, jobs=200)
     assert in_process_pool == [2, 98]
+
+
+def test_windows_do_not_grow_with_jobs():
+    # the window count is clamped to the integers of [3, limit] before any cut is
+    # made, so a huge --jobs costs nothing and gives the same windows
+    assert sweep._windows(1000, 10**12) == [(lo, lo + 1) for lo in range(3, 1001)]
+    for limit, jobs in ((100, 24), (100, 25), (1000, 3), (6000, 2), (10**5, 7)):
+        count = sweep.WINDOWS_PER_WORKER * jobs
+        cuts = sorted({3 + i * (limit - 2) // count for i in range(count + 1)})
+        assert sweep._windows(limit, jobs) == list(zip(cuts, cuts[1:]))
 
 
 def test_csv_format(result7):
     text = emit_csv(result7.records, 3)
     lines = text.strip().split("\n")
     assert lines[0] == "p,p_mod4,root_a,spin_1,spin_2,in_R,in_F,m4_class_bits"
-    assert len(lines) - 1 == result7.tally.s_plus + result7.tally.s_minus
+    assert len(lines) - 1 == result7.tally.total()
     ps = [int(line.split(",")[0]) for line in lines[1:]]
     assert ps == sorted(ps)
     assert emit_csv([], 3).strip() == lines[0]
@@ -200,14 +245,10 @@ def test_report_rows_structure(result7):
 
 
 def test_stderr_column_is_the_binomial_standard_error(result7):
-    # the "+-" column is sqrt(theta (1 - theta) / den) at the predicted theta
-    t = result7.tally
-    dens = {"F/S": t.s_plus + t.s_minus, "F+/S+": t.s_plus, "F-/S-": t.s_minus,
-            "R+/S+": t.s_plus, "R-/S-": t.s_minus, "F+/R+": t.r_plus, "F-/R-": t.r_minus}
-    for name, _, stderr, theo, _, _ in result7.report_rows:
-        if name in dens:
-            assert stderr == math.sqrt(float(theo) * (1 - float(theo)) / dens[name])
-    assert {row[0]: row[2] for row in result7.report_rows}["F/S"] == math.sqrt(3 / 16 / dens["F/S"])
+    # the "+-" column is sqrt(theta (1 - theta) / den) at the predicted theta; every
+    # row is checked against its recounted den in test_report_rows_from_records
+    split = len(result7.records)
+    assert {row[0]: row[2] for row in result7.report_rows}["F/S"] == math.sqrt(3 / 16 / split)
 
 
 def test_histogram_sign_sectors(result7, star7):
@@ -215,10 +256,9 @@ def test_histogram_sign_sectors(result7, star7):
     # and the bin's row counts against that sector
     for rec in result7.records:
         assert star7.norm_sign[rec.m4_bits] == (1 if rec.p_mod4 == 1 else -1)
-    t = result7.tally
-    sector = {1: t.s_plus, -1: t.s_minus}
+    sector = Counter(star7.norm_sign[rec.m4_bits] for rec in result7.records)
     rows = {row[0]: row for row in result7.report_rows}
-    for bits, count in t.histogram.items():
+    for bits, count in Counter(rec.m4_bits for rec in result7.records).items():
         label = "hist[" + "".join(map(str, bits)) + "]"
         assert rows[label][1] == count / sector[star7.norm_sign[bits]]
 
