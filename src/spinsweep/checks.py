@@ -19,6 +19,10 @@ from .density import s_pair
 from .intpoly import norm_mod
 from .residue import RingFamily, StarTable, class_rep, hilbert2, m4_class_of, rot
 
+# largest degree the suites are run at: at n = 5 the well-definedness loop of
+# `hilbert_suite` alone is 32 * 32 * (32 + 496) = 540 672 oracle calls, about a quarter of an hour
+MAX_SUITE_DEGREE = 3
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -94,8 +98,7 @@ def hilbert_suite(family: RingFamily, pairing: residue.CirculantA) -> list[Check
         (u, v): hilbert2(r3, reps[u], reps[v]) for u in all_bits for v in all_bits
     }
 
-    # squared in Python, not read from the oracle's own numpy tables
-    unit_squares = {r3.mul(u, u) for u in product(range(r3.mod), repeat=n) if r3.is_unit(u)}
+    unit_squares = [s for s in r3.squares if r3.is_unit(s)]
     shifts = [tuple((1 if j == 0 else 0) + 4 * t[j] for j in range(n))
               for t in product((0, 1), repeat=n)]
 

@@ -152,10 +152,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    fields = [args.field] if args.field else list(BUILTIN_FIELDS)
+    specs = [_load_field(name) for name in ([args.field] if args.field else BUILTIN_FIELDS)]
+    for spec in specs:
+        if spec.n > checks.MAX_SUITE_DEGREE:
+            raise ValueError(f"selfcheck runs its exhaustive suites at n <= {checks.MAX_SUITE_DEGREE}, "
+                             f"{spec.name} has n = {spec.n}")
     all_ok = True
-    for name in fields:
-        spec = _load_field(name)
+    for spec in specs:
         print(f"== {spec.name}")
         for row in checks.run_all(spec):
             print(f"{'PASS' if row.ok else 'FAIL'}  {row.name}"
@@ -185,7 +188,8 @@ def build_parser() -> _Parser:
     p.add_argument("--field", required=True, help="field config path or builtin name")
     p.add_argument("--limit", type=int, required=True, help="sweep primes up to this bound")
     p.add_argument("--csv", help="write per-prime CSV here ('-' for stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (0 = auto)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, cut to the CPU count (0 = auto: CPU count, at most 8)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("selfcheck", help="run the exhaustive property suites")

@@ -10,8 +10,8 @@ All arithmetic in Z[x]/(f, m) for monic f lives here: `mul_mod` and
 [0, m).  The split test and root descent mod p (`numfield`) and the
 residue rings O/2^k (`residue`) use them, and the root descent's gcd mod p
 is Euclid on `poly_rem_monic`, each remainder made monic mod p before it
-divides.  Apart from the numpy tables of the mod-8 oracle, no other module
-multiplies or divides polynomials modulo f itself.
+divides.  No other module multiplies or divides polynomials modulo f
+itself.
 """
 
 from __future__ import annotations

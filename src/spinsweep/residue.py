@@ -5,9 +5,7 @@ Elements are tuples of ints of length n: power-basis coordinates modulo
 of theta under the Galois generator; all values are immutable and
 shareable.  Products and powers are `intpoly.mul_mod`/`pow_mod` modulo
 (f, 2^k), and the generator acts by composition, a -> a(s(theta))
-(`intpoly.compose_mod`); the only reduction by f written here is the
-numpy matrix of the mod-8 oracle, the one user of numpy, which imports
-it when it first builds its tables.
+(`intpoly.compose_mod`); no reduction by f is written here.
 
 Built on top of the rings:
 
@@ -23,12 +21,13 @@ Built on top of the rings:
   * kernel counts from a cyclic-convolution enumeration (`b_map` /
     `h_poly` / `kernel_counts_via_B`);
   * the reference the checks and tests compare against: the symbol as a
-    brute-force solvability oracle mod 8 (`hilbert2`), practical for
-    n <= 5.  It decides solvability of a*x^2 + b*y^2 = z^2 with at least
-    one of x, y, z a unit.  Because 2 is inert the dyadic completion is
-    unramified, so a mod-8 solution with a unit coordinate lifts (Hensel)
-    and any solution in the completion scales to a primitive integral one;
-    the congruence condition is therefore exactly solvability at the place 2.
+    brute-force solvability oracle mod 8 (`hilbert2`), two scans over the
+    ring's squares (`ResidueRing.squares`).  It decides solvability of
+    a*x^2 + b*y^2 = z^2 with at least one of x, y, z a unit.  Because 2
+    is inert the dyadic completion is unramified, so a mod-8 solution with
+    a unit coordinate lifts (Hensel) and any solution in the completion
+    scales to a primitive integral one; the congruence condition is
+    therefore exactly solvability at the place 2.
 
 The pairing, the star values, b and h are one product, `f2poly.cyclic_mul`
 in GF(2)[x]/(x^n - 1), with classes read as polynomials: A v = c * v,
@@ -40,6 +39,7 @@ the invariant `density.s_pair` states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from . import f2poly
@@ -84,7 +84,6 @@ class ResidueRing:
             raise RingBuildError("sigma polynomial acts trivially modulo 2^level")
         if self.apply_tau(self.sigma, n - 1) != theta:
             raise RingBuildError("n-fold composition of sigma is not the identity")
-        self._bulk_cache = None
 
     # -- scalar element arithmetic -------------------------------------
 
@@ -110,68 +109,10 @@ class ResidueRing:
             a = tuple(c % self.mod for c in compose_mod(a, self.sigma, self.f))
         return a
 
-    # -- vectorized index arithmetic (used by the mod-8 oracle) ---------
-
-    def _bulk(self):
-        if self._bulk_cache is None:
-            self._bulk_cache = _BulkTables(self)
-        return self._bulk_cache
-
-
-class _BulkTables:
-    """numpy tables over all mod^n elements of a ring: squares and unit masks."""
-
-    def __init__(self, ring: ResidueRing):
-        import numpy as np  # in _BulkTables only, so the sweep never loads numpy
-
-        n, m = ring.n, ring.mod
-        count = m**n
-        self.ring = ring
-        self.place = m ** np.arange(n, dtype=np.int64)
-        idx = np.arange(count, dtype=np.int64)
-        coeffs = (idx[:, None] // self.place[None, :]) % m
-        # row t: x^(n+t) mod (f, m), which replaces the coefficient of x^(n+t)
-        self.red = np.array([pow_mod((0, 1), n + t, ring.f, m) for t in range(n - 1)], dtype=np.int64)
-        sq = self._square_all(coeffs)
-        unit = (coeffs % 2).any(axis=1)
-        self.is_sq_all = np.zeros(count, dtype=bool)
-        self.is_sq_all[sq] = True
-        self.is_sq_unit = np.zeros(count, dtype=bool)
-        self.is_sq_unit[sq[unit]] = True
-        self.sq_all = np.unique(sq)
-        self.sq_unit = np.unique(sq[unit])
-
-    def _square_all(self, coeffs):
-        import numpy as np
-
-        n, m = self.ring.n, self.ring.mod
-        prod = np.zeros((coeffs.shape[0], 2 * n - 1), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                prod[:, i + j] += coeffs[:, i] * coeffs[:, j]
-        low = prod[:, :n] + prod[:, n:] @ self.red
-        return (low % m) @ self.place
-
-    def _decomp(self, idx):
-        return (idx[..., None] // self.place) % self.ring.mod
-
-    def scalar_mul(self, a: Elem, idx):
-        import numpy as np
-
-        n, m = self.ring.n, self.ring.mod
-        coeffs = self._decomp(idx)
-        acc = np.zeros(idx.shape + (2 * n - 1,), dtype=np.int64)
-        for i, ai in enumerate(a):
-            if ai:
-                acc[..., i : i + n] += ai * coeffs
-        low = acc[..., :n] + acc[..., n:] @ self.red
-        return (low % m) @ self.place
-
-    def pair_add(self, idx_a, idx_b):
-        m = self.ring.mod
-        ca = self._decomp(idx_a)
-        cb = self._decomp(idx_b)
-        return ((ca[:, None, :] + cb[None, :, :]) % m) @ self.place
+    @cached_property
+    def squares(self) -> frozenset[Elem]:
+        """Every square of the ring, from squaring each of its mod^n elements once."""
+        return frozenset(self.mul(a, a) for a in product(range(self.mod), repeat=self.n))
 
 
 def build_ring(spec, level: int) -> ResidueRing:
@@ -294,25 +235,25 @@ def hilbert2(ring: ResidueRing, a: Elem, b: Elem) -> int:
     """Dyadic Hilbert symbol of two units, by brute force mod 8 (reference only).
 
     +1 iff a*x^2 + b*y^2 = z^2 has a solution mod 8 with at least one of
-    x, y, z a unit; -1 otherwise.  Organized as membership tests between
-    shifted square sets, so each call is a few dense numpy passes.
+    x, y, z a unit; -1 otherwise.  A unit z forces a unit x or y, since x
+    and y in the maximal ideal 2O would put z^2 in 4O.  Dividing by x^2
+    (x a unit) leaves a + b*t = square with t = (y/x)^2 any square, and
+    dividing by y^2 leaves b + a*t = square; so the symbol is +1 iff one of
+    the two scans over the ring's squares finds such a t.
     """
     if ring.level != 3:
         raise ValueError("hilbert symbol is evaluated mod 8 (level 3)")
     if not (ring.is_unit(a) and ring.is_unit(b)):
         raise ValueError("hilbert symbol requires unit arguments")
-    bk = ring._bulk()
-    a_unit = bk.scalar_mul(a, bk.sq_unit)
-    a_all = bk.scalar_mul(a, bk.sq_all)
-    b_unit = bk.scalar_mul(b, bk.sq_unit)
-    b_all = bk.scalar_mul(b, bk.sq_all)
-    if bk.is_sq_all[bk.pair_add(a_unit, b_all)].any():
-        return 1
-    if bk.is_sq_all[bk.pair_add(a_all, b_unit)].any():
-        return 1
-    if bk.is_sq_unit[bk.pair_add(a_all, b_all)].any():
-        return 1
-    return -1
+    m, squares = ring.mod, ring.squares
+
+    def scan(u: Elem, v: Elem) -> bool:
+        """Is u + v*t a square for some square t?"""
+        return any(
+            tuple((x + y) % m for x, y in zip(u, ring.mul(v, t))) in squares for t in squares
+        )
+
+    return 1 if scan(a, b) or scan(b, a) else -1
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,11 @@ histogram sums the cells over their spins.
 
 Work is cut into windows of [3, X] of equal width: one when serial, and
 WINDOWS_PER_WORKER per worker process otherwise, so the chunking follows
-from the worker count alone.  Per-prime results are pure functions of p, so
-records, tallies and CSV output are identical for every worker count.  The
-one state a sweep keeps between primes is the split test's memo of
-non-split classes on its `FieldTables`, which only skips tests whose answer
-is already known.
+from the worker count alone, which is at most the CPU count.  Per-prime
+results are pure functions of p, so records, tallies and CSV output are
+identical for every worker count.  The one state a sweep keeps between
+primes is the split test's memo of non-split classes on its `FieldTables`,
+which only skips tests whose answer is already known.
 """
 
 from __future__ import annotations
@@ -268,13 +268,17 @@ def _windows(limit: int, jobs: int) -> list[tuple[int, int]]:
 
 
 def run_sweep(spec: numfield.FieldSpec, limit: int, jobs: int = 1) -> SweepResult:
-    """Sweep the odd primes up to limit; deterministic records and tally for any jobs >= 0 (0 = auto)."""
+    """Sweep the odd primes up to limit; deterministic records and tally for any jobs >= 0 (0 = auto).
+
+    At most one worker runs per CPU: a larger jobs is cut to the CPU count,
+    and 0 takes the CPU count, at most 8.
+    """
     if limit < 100:
         raise ValueError("limit must be at least 100")
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0 (0 = auto), got {jobs}")
-    if jobs == 0:
-        jobs = min(8, os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    jobs = min(jobs, cpus) if jobs else min(8, cpus)
     bounds = _windows(limit, jobs)
     # the pool starts all its workers at the first submit, so start no idle ones
     jobs = min(jobs, len(bounds))

@@ -62,7 +62,11 @@ def pairing9(family9):
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Make the sweep's pool map in this process, starting none; returns each max_workers asked."""
+    """Make the sweep's pool map in this process, starting none; returns each max_workers asked.
+
+    The machine is taken to have 4 CPUs, so worker counts do not depend on
+    the one the tests run on; a test may patch `sweep.os.cpu_count` again.
+    """
     from spinsweep import sweep
 
     requested = []
@@ -83,4 +87,5 @@ def in_process_pool(monkeypatch):
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(sweep, "_WORKER_CTX", {})
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
     return requested

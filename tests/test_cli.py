@@ -9,6 +9,7 @@ import pytest
 import spinsweep
 from spinsweep import numfield, sweep
 from spinsweep.cli import _load_field, main
+from test_numfield import QUINTIC11
 
 
 def builtin_path():
@@ -103,6 +104,30 @@ def test_selfcheck(capsys):
     out = capsys.readouterr().out
     assert "selfcheck: PASS" in out
     assert "FAIL" not in out.replace("PASS/FAIL", "")
+
+
+@pytest.fixture
+def quintic_cfg(tmp_path):
+    cfg = tmp_path / "quintic.cfg"
+    cfg.write_text(QUINTIC11)
+    return str(cfg)
+
+
+def test_selfcheck_rejects_degree_above_three(quintic_cfg):
+    # in a subprocess with a timeout: the suites at n = 5 would run for a quarter of an hour
+    proc = subprocess.run([sys.executable, "-m", "spinsweep.cli", "selfcheck", "--field", quintic_cfg],
+                          capture_output=True, text=True, timeout=60, env=_env_with_package())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("validation error: selfcheck runs its exhaustive suites at n <= 3")
+    assert "real-quintic-11 has n = 5" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_kernel_runs_at_degree_five(quintic_cfg, capsys):
+    assert main(["verify-kernel", "--field", quintic_cfg]) == 0
+    out = capsys.readouterr().out
+    assert "(n = 5)" in out and "verdict: AGREE" in out
 
 
 def test_sweep_csv_to_stdout_is_clean(capsys):
@@ -263,6 +288,7 @@ def crash(bounds):
 
 if __name__ == "__main__":
     sweep._worker_chunk = crash
+    sweep.os.cpu_count = lambda: 2  # a pool of 2 on any machine
     sys.exit(main(["sweep", "--field", "simplest-cubic-7", "--limit", "1000",
                    "--jobs", "2"]))
 """
@@ -284,18 +310,23 @@ def test_sweep_worker_crash_is_named(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-NUMPY_FREE_SWEEP = """
+NUMPY_FREE_COMMAND = """
 import sys
 from spinsweep.cli import main
 
-main(["sweep", "--field", "simplest-cubic-7", "--limit", "1000"])
+main(sys.argv[1:])
 print("numpy loaded:", "numpy" in sys.modules)
 """
 
 
-def test_sweep_does_not_import_numpy():
-    # numpy serves only the mod-8 oracle of verify-kernel and selfcheck
-    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_SWEEP], capture_output=True,
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--field", "simplest-cubic-7", "--limit", "1000"],
+    ["verify-kernel", "--field", "simplest-cubic-7"],
+    ["selfcheck", "--field", "simplest-cubic-7"],
+], ids=lambda argv: argv[0])
+def test_no_command_imports_numpy(argv):
+    # the package needs the standard library alone
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_COMMAND, *argv], capture_output=True,
                           text=True, timeout=60, env=_env_with_package())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "numpy loaded: False"

@@ -219,6 +219,18 @@ def test_invariance_under_4b_shift(family7):
         assert hilbert2(r3, shifted, b) == base
 
 
+def test_oracle_on_sampled_unit_pairs(family7, pairing7, family9, pairing9):
+    # arbitrary units, not class representatives: the symbol is the form on their classes
+    rng = random.Random(13)
+    for fam, pairing in ((family7, pairing7), (family9, pairing9)):
+        r3 = fam.level(3)
+        units = [a for a in product(range(8), repeat=3) if r3.is_unit(a)]
+        cls = {a: m4_class_of(fam, tuple(c % 4 for c in a)) for a in units}
+        for _ in range(2000):
+            a, b = rng.choice(units), rng.choice(units)
+            assert hilbert2(r3, a, b) == pairing.pairing(cls[a], cls[b])
+
+
 def test_hilbert_rejects_bad_inputs(family7):
     r3 = family7.level(3)
     r2 = family7.level(2)

@@ -170,7 +170,7 @@ def test_tally_halves_add_up(result7):
 
 
 def test_determinism_across_chunk_sizes(spec7, result7, in_process_pool):
-    # serial is one window; --jobs 2 and 3 cut [3, X] into 8 and 12
+    # serial is one window; on 4 CPUs --jobs 2 and 3 cut [3, X] into 8 and 12
     for jobs in (2, 3):
         assert len(sweep._windows(6000, jobs)) == sweep.WINDOWS_PER_WORKER * jobs
         res = run_sweep(spec7, 6000, jobs=jobs)
@@ -192,7 +192,7 @@ def test_determinism_with_workers(spec7, result7):
     assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
 
 
-def test_workers_capped_at_chunk_count(spec7, result7, in_process_pool):
+def test_workers_capped_at_chunk_count(monkeypatch, spec7, result7, in_process_pool):
     res = run_sweep(spec7, 6000, jobs=2)  # 8 windows
     assert in_process_pool == [2]
     assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
@@ -202,8 +202,25 @@ def test_workers_capped_at_chunk_count(spec7, result7, in_process_pool):
     bounds = sweep._windows(100, 200)
     assert bounds[0][0] == 3 and bounds[-1][1] == 101 and len(bounds) == 98
     assert all(hi == lo + 1 for lo, hi in bounds)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 256)  # so the window count binds
     run_sweep(spec7, 100, jobs=200)
     assert in_process_pool == [2, 98]
+
+
+def test_workers_capped_at_cpu_count(monkeypatch, spec7, result7, in_process_pool):
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    windows = []
+    chunk = sweep._worker_chunk
+
+    def record(bounds):
+        windows.append(bounds)
+        return chunk(bounds)
+
+    monkeypatch.setattr(sweep, "_worker_chunk", record)
+    res = run_sweep(spec7, 6000, jobs=10**9)  # cut to 2 workers before any window is made
+    assert in_process_pool == [2]
+    assert len(windows) == 2 * sweep.WINDOWS_PER_WORKER == 8
+    assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
 
 
 def test_windows_do_not_grow_with_jobs():
