@@ -11,7 +11,10 @@ All arithmetic in Z[x]/(f, m) for monic f lives here: `mul_mod` and
 residue rings O/2^k (`residue`) use them, and the root descent's gcd mod p
 is Euclid on `poly_rem_monic`, each remainder made monic mod p before it
 divides.  No other module multiplies or divides polynomials modulo f
-itself.
+itself.  `pow_mod` is left-to-right binary, so every multiplication by the
+base has the base as the sparse first factor (one term at the split
+test's x), and `mult_matrix` builds each row from the one before by a
+shift and one subtraction of a multiple of f, with no full product.
 """
 
 from __future__ import annotations
@@ -58,23 +61,43 @@ def mul_mod(a, b, f, m: int = 0) -> tuple[int, ...]:
 
 
 def pow_mod(a, e: int, f, m: int) -> tuple[int, ...]:
-    """a^e in Z[x]/(f, m) by repeated squaring, f monic, e >= 0."""
-    r = poly_rem_monic((1,), f)
+    """a^e in Z[x]/(f, m) for monic f and e >= 0; ValueError for e < 0.
+
+    Left-to-right binary: from a at the top bit of e, square once per lower
+    bit and multiply by a where that bit is set, with a as `mul_mod`'s first
+    argument, whose zero coefficients `poly_mul` skips.  At the split test's
+    base x that product is a shift and one reduction.
+    """
+    if e < 0:
+        raise ValueError(f"pow_mod needs an exponent e >= 0, got {e}")
+    if e == 0:
+        return poly_rem_monic((1,), f)
     a = tuple(c % m for c in poly_rem_monic(a, f))
-    while e:
-        if e & 1:
-            r = mul_mod(r, a, f, m)
-        a = mul_mod(a, a, f, m)
-        e >>= 1
+    r = a
+    for bit in bin(e)[3:]:
+        r = mul_mod(r, r, f, m)
+        if bit == "1":
+            r = mul_mod(a, r, f, m)
     return r
 
 
 def mult_matrix(a, f) -> list[list[int]]:
     """Matrix of multiplication by a on the power basis of Z[x]/(f), rows = images.
 
-    Row j holds the coordinates of a * x^j mod f.
+    Row j holds the coordinates of a * x^j mod f.  Row 0 is a mod f, and
+    row j + 1 is row j times x: its coordinates shifted up one degree, less
+    top * f for the coefficient top that the shift carries to x^n.
     """
-    return [list(mul_mod(a, (0,) * j + (1,), f)) for j in range(len(f) - 1)]
+    n = len(f) - 1
+    row = list(poly_rem_monic(a, f))
+    rows = [row]
+    for _ in range(n - 1):
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [c - top * fc for c, fc in zip(row, f)]
+        rows.append(row)
+    return rows
 
 
 def det_bareiss(m) -> int:

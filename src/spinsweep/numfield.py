@@ -26,6 +26,10 @@ first i rows, and lam[i][j] = d[j+1] mu[i][j].  Both stay integral
 through size reduction and swaps, so every division is exact and the
 reduction takes the same steps as LLL over the rationals; the search
 reads mu and the squared lengths as correctly rounded int quotients.
+The starting Gram matrix is the only inner-product data LLL reads.
+`generator_of_power` passes it in, built by `_ideal_power_gram` in closed
+form from the power sums s_k = Tr(theta^k) that `FieldSpec` keeps, so no
+product of field elements is formed for it.
 Dyadic-bracket invariant: a root bracket is the integer triple (lo, hi, e)
 for [lo/2^e, hi/2^e], and `_eval_interval` returns 2^(e deg) times the
 rational interval-Horner bounds, so sign queries and bisection (the sign
@@ -67,8 +71,9 @@ same holds over R: the field is Galois of odd degree, so its Galois group
 has no complex conjugation and the field is totally real, with real
 roots r, s(r), ..., s^(n-1)(r) for any one root r.  `Embeddings` isolates
 one root and carries its bracket along that orbit.  The discriminant of
-f is the determinant of the trace form Tr(theta^(i+j)) that the field
-keeps for the generator search.
+f is the determinant of the trace form Tr(theta^(i+j)) = s_(i+j), read
+from the same power sums the generator search builds its Gram matrices
+from.
 Conjugation convention: sigma(P) = (p, theta - b) with s(b) = a mod p, so
 sigma^k(P) has root s^(n-k)(a); only `conjugate_chain` encodes this.
 """
@@ -330,10 +335,11 @@ class FieldSpec:
         fbar = f2poly.from_coeffs(c % 2 for c in self.f)
         if not f2poly.is_irreducible(fbar):
             raise C4Violation("f is reducible mod 2, so 2 is not inert")
-        # trace form on the power basis, exact; its determinant is disc(f)
-        sums = newton_power_sums(self.f, 2 * n - 1)
-        self.trace_gram = tuple(tuple(sums[i + j] for j in range(n)) for i in range(n))
-        if det_bareiss(self.trace_gram) != self.disc_f:
+        # power sums s_k = Tr(theta^k), k <= 2n - 2: the trace form on the power
+        # basis is (s_(i+j)), its determinant is disc(f), and the generator
+        # search builds the Gram of every ideal lattice from them
+        self.power_sums = tuple(newton_power_sums(self.f, 2 * n - 1))
+        if det_bareiss([self.power_sums[i : i + n] for i in range(n)]) != self.disc_f:
             raise FieldConfigError("disc_f does not match the discriminant of f")
         assert self.disc_f % 2 == 1, "2 inert forces an odd discriminant"
         if self.h < 1 or self.h % 2 == 0:
@@ -394,10 +400,6 @@ class FieldSpec:
 
     def norm(self, a: AlgInt) -> int:
         return norm_mod(a, self.f)
-
-    def trace_inner(self, a: AlgInt, b: AlgInt) -> int:
-        g = self.trace_gram
-        return sum(ai * sum(gi[j] * b[j] for j in range(self.n)) for ai, gi in zip(a, g) if ai)
 
 
 # -- prime splitting --------------------------------------------------------
@@ -542,6 +544,20 @@ def _ideal_power_basis(n: int, q: int, root: int) -> list[list[int]]:
     return [[q] + [0] * (n - 1)] + rows
 
 
+def _ideal_power_gram(spec: FieldSpec, q: int, root: int) -> list[list[int]]:
+    """Trace-form Gram matrix of the `_ideal_power_basis` rows, from s_k = Tr(theta^k).
+
+    With b_0 = q and b_(j+1) = theta^j (theta - root), Tr(b_0 b_0) = n q^2,
+    Tr(b_0 b_(j+1)) = q (s_(j+1) - root s_j) and Tr(b_(i+1) b_(j+1)) =
+    s_(i+j+2) - 2 root s_(i+j+1) + root^2 s_(i+j).
+    """
+    s, n = spec.power_sums, spec.n
+    first = [n * q * q] + [q * (s[j + 1] - root * s[j]) for j in range(n - 1)]
+    # t[k] = Tr(theta^k (theta - root)^2), so Tr(b_(i+1) b_(j+1)) = t[i + j]
+    t = [s[k + 2] - 2 * root * s[k + 1] + root * root * s[k] for k in range(2 * n - 3)]
+    return [first] + [[first[i + 1]] + t[i : i + n - 1] for i in range(n - 1)]
+
+
 def _round_div(num: int, den: int) -> int:
     """round(num / den) for den > 0, ties to even, computed exactly in integers."""
     r, rem = divmod(num, den)
@@ -550,8 +566,8 @@ def _round_div(num: int, den: int) -> int:
     return r
 
 
-def _lll_reduce(spec: FieldSpec, basis):
-    """LLL on the ideal lattice under the exact trace form (delta = 99/100).
+def _lll_reduce(basis, gram):
+    """LLL (delta = 99/100) of basis under the trace form, whose Gram matrix on its rows is gram.
 
     Integral LLL (Cohen, GTM 138, Alg. 2.6.7): d[i] is the Gram determinant
     of the first i rows (d[0] = 1) and lam[i][j] = d[j+1] mu[i][j] for
@@ -565,7 +581,7 @@ def _lll_reduce(spec: FieldSpec, basis):
     lam = [[0] * n for _ in range(n)]
     for k in range(n):
         for j in range(k + 1):
-            u = spec.trace_inner(basis[k], basis[j])
+            u = gram[k][j]
             for i in range(j):
                 u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
             if j < k:
@@ -666,7 +682,8 @@ def generator_of_power(spec: FieldSpec, P: PrimeDeg1, h: int | None = None) -> A
     n = spec.n
     target = P.p**h
     root = _lift_root(spec, P, h)
-    basis, lam, d = _lll_reduce(spec, _ideal_power_basis(n, target, root))
+    lattice = _ideal_power_basis(n, target, root)
+    basis, lam, d = _lll_reduce(lattice, _ideal_power_gram(spec, target, root))
     base_t2 = n * (target * math.sqrt(abs(spec.disc_f))) ** (2.0 / n)
     for mult in _RADIUS_STAGES:
         for coords in _enumerate_short(lam, d, mult * mult * base_t2):

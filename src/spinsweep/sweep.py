@@ -19,9 +19,11 @@ Work is cut into windows of [3, X] of equal width: one when serial, and
 WINDOWS_PER_WORKER per worker process otherwise, so the chunking follows
 from the worker count alone, which is at most the CPU count.  Per-prime
 results are pure functions of p, so records, tallies and CSV output are
-identical for every worker count.  The one state a sweep keeps between
-primes is the split test's memo of non-split classes on its `FieldTables`,
-which only skips tests whose answer is already known.
+identical for every worker count.  The only state a sweep keeps between
+primes is two memos on its `FieldTables`, both per sweep and exact: the
+split test's classes p mod M seen not to split, and the mod-4 class of each
+generator residue mod 4 already classified.  Each only skips work whose
+answer is already known.
 """
 
 from __future__ import annotations
@@ -81,10 +83,13 @@ class Tally(Counter):
 class FieldTables:
     """Per-field context shared by all per-prime work, built afresh by every sweep and worker.
 
+    It holds two memos, both per sweep and exact, and both start empty.
     nonsplit is the memo of the split test: the classes p mod modulus (a
     multiple of the conductor) at which a prime was seen not to split.  It
     only ever says "does not split", so every split prime still gets the
-    direct test and its certificate.
+    direct test and its certificate.  m4 maps a generator's coordinates
+    mod 4 to `residue.m4_class_of` of them, which depends on nothing else;
+    there are at most |(O/4)^*| = 2^n (2^n - 1) keys.
     """
 
     spec: numfield.FieldSpec
@@ -93,6 +98,7 @@ class FieldTables:
     pairing: residue.CirculantA
     modulus: int = field(init=False)
     nonsplit: set[int] = field(init=False, default_factory=set)
+    m4: dict[tuple[int, ...], tuple[int, ...]] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self.modulus = numfield.conductor_multiple(self.spec)
@@ -106,6 +112,14 @@ class FieldTables:
         if not roots:
             self.nonsplit.add(p % self.modulus)
         return roots
+
+    def m4_class(self, alpha) -> tuple[int, ...]:
+        """`residue.m4_class_of` of alpha mod 4, computed once per residue mod 4."""
+        key = tuple(c % 4 for c in alpha)
+        bits = self.m4.get(key)
+        if bits is None:
+            bits = self.m4[key] = residue.m4_class_of(self.family, key)
+        return bits
 
 
 def build_tables(spec: numfield.FieldSpec) -> FieldTables:
@@ -127,7 +141,7 @@ def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
     spins = tuple(numfield.legendre_deg1(spec, alpha, chain[k]) for k in range(1, n))
     if 0 in spins:
         raise SpinRelationViolation(f"p={p}: residue symbol degenerated to 0")
-    bits = residue.m4_class_of(tables.family, tuple(c % 4 for c in alpha))
+    bits = tables.m4_class(alpha)
 
     for k in range(1, n):
         product = spins[k - 1] * spins[n - k - 1]
@@ -148,7 +162,7 @@ def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
 
     for k in range(1, n):
         alpha_k = numfield.generator_of_power(spec, chain[k], spec.h)
-        bits_k = residue.m4_class_of(tables.family, tuple(c % 4 for c in alpha_k))
+        bits_k = tables.m4_class(alpha_k)
         if bits_k != residue.rot(bits, k):
             raise SpinRelationViolation(
                 f"p={p}: class of conjugate prime is not the rotated class"

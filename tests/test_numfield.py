@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from spinsweep import numfield, residue
-from spinsweep.intpoly import det_bareiss, pow_mod
+from spinsweep.intpoly import det_bareiss, mul_mod, pow_mod
 from spinsweep.numfield import (
     BadUnit,
     C4Violation,
@@ -378,6 +378,46 @@ def quintic():
     return load_spec(QUINTIC11)
 
 
+def trace_inner(spec, a, b):
+    """Tr(a b) for power-basis coordinates a, b: the sum of a_i b_j Tr(theta^(i+j)).
+
+    The reference for every Gram matrix the search starts from.  Tr(theta^k)
+    is the diagonal sum of the matrix of multiplication by theta^k, read
+    from `mul_mod` rather than from the power sums the search uses.
+    """
+    n = spec.n
+
+    def trace(k):
+        theta_k = (0,) * k + (1,)
+        return sum(mul_mod(theta_k, (0,) * j + (1,), spec.f)[j] for j in range(n))
+
+    return sum(ai * bj * trace(i + j) for i, ai in enumerate(a) if ai for j, bj in enumerate(b) if bj)
+
+
+# theta + 3 in the conductor-7 cubic as a full config (units theta - 3 and theta - 2): 13 splits with root 0
+SHIFTED7_CFG = GOOD7.replace("[-1, -2, 1, 1]", "[-13, 19, -8, 1]").replace(
+    "sigma = [-2, 0, 1]", "sigma = [10, -6, 1]").replace(
+    "unit = [0, 1, 0]\nunit = [1, 1, 0]", "unit = [-3, 1, 0]\nunit = [-2, 1, 0]")
+
+
+@pytest.mark.parametrize("h", [1, 3])
+def test_power_sum_gram_is_the_trace_gram_of_the_lattice_rows(spec7, spec9, quintic, h):
+    shifted = load_spec(SHIFTED7_CFG)
+    cases = [(spec7, p) for p in (13, 97, 10009)] + [(spec9, p) for p in (19, 73, 10007)] + \
+        [(quintic, p) for p in (23, 89, 10099)] + [(shifted, 13)]
+    zero_roots = 0
+    for spec, p in cases:
+        roots = split_completely(spec, p)
+        assert len(roots) == spec.n
+        zero_roots += roots[0] == 0
+        for a in roots:
+            root = numfield._lift_root(spec, PrimeDeg1(p, a), h)
+            rows = numfield._ideal_power_basis(spec.n, p**h, root)
+            reference = [[trace_inner(spec, u, v) for v in rows] for u in rows]
+            assert numfield._ideal_power_gram(spec, p**h, root) == reference
+    assert zero_roots == 1
+
+
 @pytest.mark.parametrize("h", [1, 3])
 def test_lll_returns_its_gram_schmidt_data(spec7, spec9, quintic, h):
     # the (mu, q) the search enumerates with must be the Gram-Schmidt data of
@@ -391,12 +431,13 @@ def test_lll_returns_its_gram_schmidt_data(spec7, spec9, quintic, h):
         for a in roots:
             root = numfield._lift_root(spec, PrimeDeg1(p, a), h)
             lattice = numfield._ideal_power_basis(spec.n, p**h, root)
-            basis, lam, d = numfield._lll_reduce(spec, lattice)
+            gram0 = numfield._ideal_power_gram(spec, p**h, root)
+            basis, lam, d = numfield._lll_reduce(lattice, gram0)
             n = spec.n
             mu = [[Fraction(lam[i][j], d[j + 1]) if j < i else Fraction(0) for j in range(n)]
                   for i in range(n)]
             q = [Fraction(d[i + 1], d[i]) for i in range(n)]
-            gram = [[spec.trace_inner(tuple(u), tuple(v)) for v in basis] for u in basis]
+            gram = [[trace_inner(spec, u, v) for v in basis] for u in basis]
             assert (mu, q) == _gso(gram)
             # the int quotients the enumeration reads are the rounded rationals
             assert all(lam[i][j] / d[j + 1] == float(mu[i][j]) for i in range(n) for j in range(i))
@@ -465,7 +506,8 @@ def _scan_lo_to_hi(lam, d, bound):
 
 def _search_data(spec, p, a):
     """LLL data of the lattice of (p, theta - a) and the search's base radius, as generator_of_power has them."""
-    _, lam, d = numfield._lll_reduce(spec, numfield._ideal_power_basis(spec.n, p, a))
+    lattice = numfield._ideal_power_basis(spec.n, p, a)
+    _, lam, d = numfield._lll_reduce(lattice, numfield._ideal_power_gram(spec, p, a))
     return lam, d, spec.n * (p * math.sqrt(spec.disc_f)) ** (2.0 / spec.n)
 
 

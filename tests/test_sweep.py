@@ -1,9 +1,10 @@
 import math
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from spinsweep import numfield, sweep
+from spinsweep import numfield, residue, sweep
 from spinsweep.numfield import PrimeDeg1
 from spinsweep.sweep import (
     Tally,
@@ -142,7 +143,7 @@ def test_split_memo_is_per_sweep(monkeypatch, spec7, in_process_pool):
 
     def fresh(spec):
         tables = build(spec)
-        assert tables.nonsplit == set()
+        assert tables.nonsplit == set() and tables.m4 == {}
         built.append(tables)
         return tables
 
@@ -158,6 +159,54 @@ def test_split_memo_is_per_sweep(monkeypatch, spec7, in_process_pool):
     assert len(per_sweep[0]) == len(res.records) + 4
     assert [p for p in per_sweep[0] if p % 7 not in (1, 6)] == [3, 5, 11, 23]
     assert len(built) == 6  # one per sweep and one per worker start, each found empty
+
+
+@pytest.mark.parametrize("field", ["spec7", "spec9"])
+def test_m4_memo_is_m4_class_of_on_every_unit_mod_4(request, field):
+    tables = build_tables(request.getfixturevalue(field))
+    r2 = tables.family.level(2)
+    units = [u for u in product(range(4), repeat=3) if r2.is_unit(u)]
+    assert len(units) == 56
+    for u in units:
+        assert tables.m4_class(u) == residue.m4_class_of(tables.family, u)
+        # signed coordinates, as a generator has them, reduce to the same key
+        assert tables.m4_class(tuple(c - 4 for c in u)) == tables.m4_class(u)
+    assert set(tables.m4) == set(units)
+
+
+def test_m4_memo_keys_on_the_residue_mod_4(spec7):
+    tables = build_tables(spec7)
+    assert tables.m4 == {}  # fresh tables start with an empty memo
+    alpha = numfield.generator_of_power(spec7, PrimeDeg1(97, 25))
+    bits = tables.m4_class(alpha)
+    assert len(tables.m4) == 1
+    for j in range(3):
+        shifted = tuple(c + 4 * (i == j) for i, c in enumerate(alpha))
+        assert tables.m4_class(shifted) == bits
+    assert len(tables.m4) == 1
+    classify_prime(tables, 13)
+    assert tables.m4
+    assert build_tables(spec7).m4 == {}
+
+
+def test_poisoned_m4_memo_trips_the_conjugate_class_check(spec7):
+    # the memo's entry for a conjugate prime's generator is read only by the
+    # check that the conjugate's class is the rotated class; a wrong entry
+    # there must abort the prime
+    for p in (13, 29, 41, 43, 71, 83, 97):
+        chain = numfield.conjugate_chain(spec7, PrimeDeg1(p, numfield.split_completely(spec7, p)[0]))
+        keys = [tuple(c % 4 for c in numfield.generator_of_power(spec7, P)) for P in chain]
+        if keys[1] != keys[0]:
+            break
+    else:
+        pytest.fail("no prime whose conjugate generator has another residue mod 4")
+    tables = build_tables(spec7)
+    true_bits = tables.m4_class(keys[1])
+    tables.m4[keys[1]] = tuple(1 - b for b in true_bits)
+    with pytest.raises(sweep.SpinRelationViolation, match=f"^p={p}: class of conjugate prime"):
+        classify_prime(tables, p)
+    tables.m4[keys[1]] = true_bits
+    assert classify_prime(tables, p).p == p
 
 
 def test_tally_halves_add_up(result7):
