@@ -11,10 +11,18 @@ All arithmetic in Z[x]/(f, m) for monic f lives here: `mul_mod` and
 residue rings O/2^k (`residue`) use them, and the root descent's gcd mod p
 is Euclid on `poly_rem_monic`, each remainder made monic mod p before it
 divides.  No other module multiplies or divides polynomials modulo f
-itself.  `pow_mod` is left-to-right binary, so every multiplication by the
-base has the base as the sparse first factor (one term at the split
-test's x), and `mult_matrix` builds each row from the one before by a
-shift and one subtraction of a multiple of f, with no full product.
+itself.  `mult_matrix` builds each row from the one before by a shift and
+one subtraction of a multiple of f, with no full product.
+
+Packing invariant of `pow_mod`: a residue mod (f, m) is one int holding its
+n = deg f coefficients, each in [0, m), in slots of B = 2 bits(m) +
+bits(2n) + 1 bits (Kronecker substitution x -> 2^B).  A product of two
+such ints has 2n - 1 slots of at most n (m - 1)^2 each; folding the high
+slots back through the packed rows x^(n+k) mod (f, m), each high slot
+first taken mod m, adds at most (n - 1)(m - 1)^2 to a low slot.  Every
+slot stays below 2n m^2 < 2^B, so no carry crosses a slot, and taking
+each low slot mod m restores the invariant.  `mul_mod` stays the generic
+product for everything else.
 """
 
 from __future__ import annotations
@@ -61,24 +69,54 @@ def mul_mod(a, b, f, m: int = 0) -> tuple[int, ...]:
 
 
 def pow_mod(a, e: int, f, m: int) -> tuple[int, ...]:
-    """a^e in Z[x]/(f, m) for monic f and e >= 0; ValueError for e < 0.
+    """a^e in Z[x]/(f, m), coefficients in [0, m), for monic f, e >= 0 and m >= 1.
 
-    Left-to-right binary: from a at the top bit of e, square once per lower
-    bit and multiply by a where that bit is set, with a as `mul_mod`'s first
-    argument, whose zero coefficients `poly_mul` skips.  At the split test's
-    base x that product is a shift and one reduction.
+    ValueError for e < 0 or m < 1.  Left-to-right binary on Kronecker-packed
+    residues (the packing invariant in the module docstring): each square,
+    and each product by a at a set bit of e, is one int product, folded
+    back to n slots of B = 2 bits(m) + bits(2n) + 1 bits through the packed
+    rows x^(n+k) mod (f, m), k < n - 1, built once per call.  Every slot
+    stays below 2n m^2 < 2^B, so no carry crosses a slot.
     """
     if e < 0:
         raise ValueError(f"pow_mod needs an exponent e >= 0, got {e}")
+    if m < 1:
+        raise ValueError(f"pow_mod needs a modulus m >= 1, got {m}")
     if e == 0:
-        return poly_rem_monic((1,), f)
-    a = tuple(c % m for c in poly_rem_monic(a, f))
-    r = a
+        return tuple(c % m for c in poly_rem_monic((1,), f))
+    n = len(f) - 1
+    width = 2 * m.bit_length() + (2 * n).bit_length() + 1
+    slot = (1 << width) - 1
+    low = (1 << n * width) - 1
+    offsets = range((n - 1) * width, -1, -width)  # of the low slots, top first
+
+    def pack(coeffs):
+        packed = 0
+        for c in reversed(coeffs):
+            packed = packed << width | c % m
+        return packed
+
+    # x^(n+k) mod (f, m), k < n - 1: where the high slots of a product fold to
+    rows = [pack(row) for row in mult_matrix((0,) * n + (1,), f)[:-1]]
+
+    def fold(prod):
+        r = prod & low
+        prod >>= n * width
+        for row in rows:
+            r += (prod & slot) % m * row
+            prod >>= width
+        packed = 0
+        for offset in offsets:
+            packed = packed << width | (r >> offset & slot) % m
+        return packed
+
+    base = pack(poly_rem_monic(a, f))
+    r = base
     for bit in bin(e)[3:]:
-        r = mul_mod(r, r, f, m)
+        r = fold(r * r)
         if bit == "1":
-            r = mul_mod(a, r, f, m)
-    return r
+            r = fold(base * r)
+    return tuple(r >> offset & slot for offset in reversed(offsets))
 
 
 def mult_matrix(a, f) -> list[list[int]]:

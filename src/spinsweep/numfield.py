@@ -55,10 +55,22 @@ or exact, is `intpoly`'s; the root descent's gcd mod p is Euclid on
 Split test through the half power: `split_completely` computes
 half = x^((p-1)/2) mod (f, p) once; p splits iff x half^2 = x, which is
 the x^p = x certificate that f mod p is a product of distinct linear
-factors, and the root descent reuses half as its shift-0 power.  Since K
-is abelian, whether p splits depends only on p mod the conductor (Artin
-reciprocity), and `conductor_multiple` gives a multiple M of it from
-disc_f and n.  The sweep memoises, per sweep, the classes p mod M seen
+factors, and the root descent reuses half as its shift-0 power.  The
+descent (`_one_root`) takes, at each shift s, both gcd(g, h - 1) and
+gcd(g, h + 1) for h = (x + s)^((p-1)/2) mod (g, p), which part the roots
+by the residue symbol of r + s, and keeps the smaller proper factor.
+After shift 0 the shifts run k (2^61 - 1) mod p rather than 1, 2, 3, ...;
+2^61 - 1 is prime, so they still visit every residue once in p steps.
+Small shifts are structured: N(theta + s) for s = 0, 1, 2 is 1, -1, 1 on
+the conductor-7 cubic and 1, -1, 3 on the conductor-9 one, and below
+10^5 the symbols of r + 2 agree at all three roots at every split prime
+of both, and those of r + 1 agree exactly when those of r do.  So when
+shift 0 fails (about a quarter of split primes), shifts 1 and 2 would
+fail too.
+
+Since K is abelian, whether p splits depends only on p mod the conductor
+(Artin reciprocity), and `conductor_multiple` gives a multiple M of it
+from disc_f and n.  The sweep memoises, per sweep, the classes p mod M seen
 not to split (`sweep.FieldTables`); the memo only ever says "does not
 split", so every split prime is still certified by the direct test.
 
@@ -492,25 +504,32 @@ def split_completely(spec: FieldSpec, p: int) -> list[int]:
     return sorted(_sigma_orbit(spec, _one_root([c % p for c in spec.f], p, half), p))
 
 
+_SHIFT_STEP = 2**61 - 1  # prime, so k -> k * step mod p permutes Z/p for every p != step
+
+
 def _one_root(g, p, half):
     """One root of a monic product g of distinct linear factors mod p.
 
-    Deterministic gcd descent: gcd(g, (x + shift)^((p-1)/2) - 1) keeps the
-    roots r with r + shift a nonzero square; shifts are tried in order and
-    each proper factor found replaces g until g is linear.  half is
-    x^((p-1)/2) mod (g, p), the shift-0 power, which the split test has
+    Deterministic gcd descent: with h = (x + s)^((p-1)/2) mod (g, p),
+    gcd(g, h - 1) keeps the roots r with r + s a nonzero square and
+    gcd(g, h + 1) those with r + s a non-square; the smaller proper factor
+    of the two replaces g, until g is linear.  The k-th shift is
+    s = k * _SHIFT_STEP mod p (just k at p = _SHIFT_STEP), k < p, so every
+    residue is tried once before RootNotSeparated.  Shift 0 comes first,
+    and its power is half, x^((p-1)/2) mod (g, p), which the split test has
     already computed.
     """
-    shift = 0
+    step = _SHIFT_STEP % p or 1
+    k = 0
     while len(g) > 2:
-        if shift == p:
+        if k == p:
             raise RootNotSeparated(f"no shift mod {p} separated the roots of f")
-        h = list(half if shift == 0 else pow_mod((shift, 1), (p - 1) // 2, g, p))
-        h[0] = (h[0] - 1) % p
-        d = _pgcd(g, h, p)
-        if 0 < len(d) - 1 < len(g) - 1:
-            g = d
-        shift += 1
+        h = half if k == 0 else pow_mod((k * step % p, 1), (p - 1) // 2, g, p)
+        factors = (_pgcd(g, (h[0] - t, *h[1:]), p) for t in (1, -1))
+        proper = [d for d in factors if 0 < len(d) - 1 < len(g) - 1]
+        if proper:
+            g = min(proper, key=len)
+        k += 1
     return -g[0] % p
 
 
@@ -580,38 +599,49 @@ def _lll_reduce(basis, gram):
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for k in range(n):
+        lk, gk = lam[k], gram[k]
         for j in range(k + 1):
-            u = gram[k][j]
+            lj = lam[j]
+            u = gk[j]
             for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
             if j < k:
-                lam[k][j] = u
+                lk[j] = u
             else:
                 d[k + 1] = u
     k = 1
     while k < n:
+        bk, lk = basis[k], lam[k]
         for j in range(k - 1, -1, -1):
-            r = _round_div(lam[k][j], d[j + 1])
+            dj = d[j + 1]
+            r = _round_div(lk[j], dj)
             if r:
-                basis[k] = [x - r * y for x, y in zip(basis[k], basis[j])]
+                bj = basis[j]
+                for i in range(n):
+                    bk[i] -= r * bj[i]
+                lj = lam[j]
                 for i in range(j):
-                    lam[k][i] -= r * lam[j][i]
-                lam[k][j] -= r * d[j + 1]
-        t = lam[k][k - 1]
-        if 100 * (d[k + 1] * d[k - 1] + t * t) >= 99 * d[k] * d[k]:
+                    lk[i] -= r * lj[i]
+                lk[j] -= r * dj
+        t = lk[k - 1]
+        dk, dk1 = d[k], d[k + 1]
+        lovasz = dk1 * d[k - 1] + t * t
+        if 100 * lovasz >= 99 * dk * dk:
             k += 1
             continue
         # swap rows k - 1 and k (Cohen's SWAPI); lam[k][k - 1] is unchanged
-        basis[k], basis[k - 1] = basis[k - 1], basis[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        b = (d[k + 1] * d[k - 1] + t * t) // d[k]
+        basis[k], basis[k - 1] = basis[k - 1], bk
+        lp = lam[k - 1]
+        lk[: k - 1], lp[: k - 1] = lp[: k - 1], lk[: k - 1]
+        b = lovasz // dk
         for i in range(k + 1, n):
-            u = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * u) // d[k]
-            lam[i][k - 1] = (b * u + t * lam[i][k]) // d[k + 1]
+            li = lam[i]
+            u = li[k]
+            li[k] = v = (dk1 * li[k - 1] - t * u) // dk
+            li[k - 1] = (b * u + t * v) // dk1
         d[k] = b
-        k = max(k - 1, 1)
+        if k > 1:
+            k -= 1
     return basis, lam, d
 
 

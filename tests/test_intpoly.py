@@ -11,14 +11,31 @@ CUBICS = ((-1, -2, 1, 1), (-1, -3, 0, 1))
 QUINTIC = (1, 3, -3, -4, 1, 1)
 
 
-@pytest.mark.parametrize("m", [2, 4, 8, 13, 99991])
+# primes near 10^5 and 10^6, 2^31 - 1 and the 61-bit 2^61 - 1
+BIG_PRIMES = (99991, 100003, 999983, 1000003, 2**31 - 1, 2**61 - 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 13, *BIG_PRIMES])
 def test_pow_mod_is_repeated_mul_mod(m):
+    # the packed powering against the generic product, on the cubics and the
+    # quintic (negative coefficients in f), bases with negative coordinates
+    # and more coordinates than deg f included; at m = 1 every power, e = 0
+    # too, is the zero residue
     for f in CUBICS + (QUINTIC,):
-        for a in product(range(m), repeat=3) if m <= 4 else ((3, 0, 1), (12, 5, 7), (0, 1, 0), (-9, 4, -1, 7)):
+        for a in product(range(m), repeat=3) if m <= 4 else ((3, 0, 1), (12, 5, 7), (0, 1, 0), (-9, 4, -1, 7),
+                                                             (m - 1, m - 2, 1, -m, 3, m + 5)):
             acc = mul_mod((1,), (1,), f, m)
             for e in range(71):
                 assert pow_mod(a, e, f, m) == acc
                 acc = mul_mod(acc, a, f, m)
+
+
+@pytest.mark.parametrize("m", [0, -1, -5])
+def test_pow_mod_rejects_a_modulus_below_one(m):
+    with pytest.raises(ValueError, match="m >= 1"):
+        pow_mod((0, 1), 3, CUBICS[0], m)
+    with pytest.raises(ValueError, match="m >= 1"):
+        pow_mod((0, 1), 0, CUBICS[0], m)
 
 
 def test_mul_mod_reduces_by_f_and_m():
@@ -43,9 +60,12 @@ def _pow_right_to_left(a, e, f, m):
 
 
 def test_pow_mod_at_split_test_exponents():
-    # the split test's x^((p-1)/2) and the descent's (x + shift)^((p-1)/2), p near 10^5
+    # the split test's x^((p-1)/2) and the descent's (x + shift)^((p-1)/2), p near 10^5 and 10^6,
+    # and at 2^31 - 1 and 2^61 - 1
     primes = [p for p in range(99_900, 100_200) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     assert len(primes) > 20
+    primes += [p for p in range(999_900, 1_000_100) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    primes += [2**31 - 1, 2**61 - 1]
     for f in CUBICS + (QUINTIC,):
         for p in primes:
             for a in ((0, 1), (p - 3, 1), (5, 1)):

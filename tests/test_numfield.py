@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from spinsweep import numfield, residue
-from spinsweep.intpoly import det_bareiss, mul_mod, pow_mod
+from spinsweep.intpoly import det_bareiss, mul_mod, poly_mul, pow_mod
 from spinsweep.numfield import (
     BadUnit,
     C4Violation,
@@ -17,6 +17,7 @@ from spinsweep.numfield import (
     NotAutomorphism,
     PrimeDeg1,
     RamifiedPrime,
+    RootNotSeparated,
     conjugate_chain,
     eval_mod,
     generator_of_power,
@@ -270,6 +271,84 @@ def test_split_rule_mod_conductor(spec7):
         assert bool(split_completely(spec7, p)) == expect
 
 
+# -- root descent -------------------------------------------------------------
+
+
+def _poly_from_roots(roots, p):
+    g = (1,)
+    for r in roots:
+        g = tuple(c % p for c in poly_mul(g, (-r, 1)))
+    return list(g)
+
+
+def test_descent_shifts_visit_every_residue_once(monkeypatch, spec7):
+    # with a gcd that never splits, the descent runs its whole shift sequence:
+    # shift 0 (the shared half power), then one powering per shift, p in all
+    shifts = []
+    real_pow = numfield.pow_mod
+
+    def recording_pow(a, e, g, p):
+        shifts.append(a[0])
+        return real_pow(a, e, g, p)
+
+    monkeypatch.setattr(numfield, "pow_mod", recording_pow)
+    monkeypatch.setattr(numfield, "_pgcd", lambda a, b, p: a)
+    for p in _primes_below(200):
+        g = [c % p for c in spec7.f]
+        half = real_pow((0, 1), (p - 1) // 2, g, p)
+        shifts.clear()
+        with pytest.raises(RootNotSeparated):
+            numfield._one_root(g, p, half)
+        assert sorted([0] + shifts) == list(range(p)), p
+
+
+def test_descent_finds_a_root_of_products_of_linear_factors():
+    rng = random.Random(11)
+    for p in [p for p in _primes_below(200) if p > 11]:
+        for n in (3, 5):
+            for trial in range(6):
+                # every other product has root 0
+                roots = [0] * (trial % 2) + rng.sample(range(1, p), n - trial % 2)
+                g = _poly_from_roots(roots, p)
+                half = pow_mod((0, 1), (p - 1) // 2, g, p)
+                assert numfield._one_root(g, p, half) in roots
+    # root 0 with the other two roots squares: at shift 0, gcd(g, h - 1) is
+    # quadratic and gcd(g, h + 1) trivial, so the descent goes on from a quadratic
+    g = _poly_from_roots([0, 1, 4], 13)
+    half = pow_mod((0, 1), 6, g, 13)
+    assert len(numfield._pgcd(g, (half[0] - 1, *half[1:]), 13)) == 3
+    assert len(numfield._pgcd(g, (half[0] + 1, *half[1:]), 13)) == 1
+    assert numfield._one_root(g, 13, half) in (0, 1, 4)
+
+
+def test_descent_powerings_below_1e5(monkeypatch, spec7, spec9):
+    # powerings inside _one_root (the shared half power not counted) over the
+    # split primes below 10^5: 1056 on c7 and 1049 on c9, against 3379 and
+    # 3355 for the shifts 1, 2, 3, ... with one gcd per shift
+    count = [0]
+    inside = [False]
+    real_pow, real_root = numfield.pow_mod, numfield._one_root
+
+    def counting_pow(*args):
+        count[0] += inside[0]
+        return real_pow(*args)
+
+    def flagged_root(*args):
+        inside[0] = True
+        try:
+            return real_root(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(numfield, "pow_mod", counting_pow)
+    monkeypatch.setattr(numfield, "_one_root", flagged_root)
+    for spec in (spec7, spec9):
+        count[0] = 0
+        split = sum(bool(split_completely(spec, p)) for p in _primes_below(10**5) if spec.disc_f % p)
+        assert split > 3000
+        assert count[0] <= 1200, (spec.name, count[0])
+
+
 @pytest.mark.parametrize("text, modulus", [
     (GOOD7, 7),
     ("spec9", 9),
@@ -449,6 +528,67 @@ def test_lll_returns_its_gram_schmidt_data(spec7, spec9, quintic, h):
             # a unimodular change of basis: the same covolume
             assert abs(det_bareiss([r[:] for r in basis])) == \
                 abs(det_bareiss([r[:] for r in lattice]))
+
+
+def _lll_reference(basis, gram):
+    """The integral LLL loop as first written, step for step: the reference for `_lll_reduce`."""
+    n = len(basis)
+    basis = [list(r) for r in basis]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = gram[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            r = numfield._round_div(lam[k][j], d[j + 1])
+            if r:
+                basis[k] = [x - r * y for x, y in zip(basis[k], basis[j])]
+                for i in range(j):
+                    lam[k][i] -= r * lam[j][i]
+                lam[k][j] -= r * d[j + 1]
+        t = lam[k][k - 1]
+        if 100 * (d[k + 1] * d[k - 1] + t * t) >= 99 * d[k] * d[k]:
+            k += 1
+            continue
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        b = (d[k + 1] * d[k - 1] + t * t) // d[k]
+        for i in range(k + 1, n):
+            u = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * u) // d[k]
+            lam[i][k - 1] = (b * u + t * lam[i][k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
+    return basis, lam, d
+
+
+@pytest.mark.parametrize("h", [1, 3])
+def test_lll_takes_the_reference_steps(spec7, spec9, quintic, h):
+    # same (basis, lam, d) as the reference loop at every conjugate prime of
+    # the first 300 split primes of each field, so every generator is unchanged
+    for spec in (spec7, spec9, quintic):
+        split = 0
+        for p in _primes_below(10**5):
+            if split == 300:
+                break
+            if spec.disc_f % p == 0 or not (roots := split_completely(spec, p)):
+                continue
+            split += 1
+            for a in roots:
+                root = numfield._lift_root(spec, PrimeDeg1(p, a), h)
+                lattice = numfield._ideal_power_basis(spec.n, p**h, root)
+                gram = numfield._ideal_power_gram(spec, p**h, root)
+                assert numfield._lll_reduce(lattice, gram) == _lll_reference(lattice, gram)
+        assert split == 300
 
 
 def _primes_below(limit):

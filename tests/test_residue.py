@@ -59,6 +59,18 @@ def test_tau_is_multiplicative(spec7):
             assert r3.apply_tau(r3.mul(a, b)) == r3.mul(r3.apply_tau(a), r3.apply_tau(b))
 
 
+@pytest.mark.parametrize("field", ["spec7", "spec9"])
+def test_ring_pow_is_repeated_mul_on_O_mod_8(request, field):
+    # ResidueRing.pow (the packed powering of intpoly) against its own generic
+    # product, for every element of O/8 including the non-units
+    r3 = build_ring(request.getfixturevalue(field), 3)
+    for a in product(range(8), repeat=3):
+        acc = r3.one()
+        for e in range(10):
+            assert r3.pow(a, e) == acc
+            acc = r3.mul(acc, a)
+
+
 def test_build_ring_rejects_reducible():
     class Bad:
         n = 3

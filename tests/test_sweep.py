@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from itertools import product
@@ -14,6 +15,7 @@ from spinsweep.sweep import (
     odd_primes_in,
     run_sweep,
 )
+from test_numfield import QUINTIC11
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +302,19 @@ def test_csv_row_fields(result7):
     assert parts[-1] == "".join(map(str, rec.m4_bits))
     assert parts[-2] == str(int(rec.in_F))
     assert parts[-3] == str(int(rec.in_R))
+
+
+@pytest.mark.parametrize("field, rows, digest", [
+    ("spec9", 3191, "e2a5840ab74a6da524190cc47f4aa8a70352f9d99355475b036384984fd41630"),
+    ("quintic", 1914, "ede558fc56421e567de88708ea56d00309afd22e0f7dd430fafbb0fd94e0d4b5"),
+], ids=["c9", "quintic"])
+def test_csv_to_1e5_is_pinned(request, field, rows, digest):
+    # SHA-256 of the per-prime CSV to 10^5 for the two fields the criterion-6
+    # pin (c7) does not cover; any change to a root, spin or class moves it
+    spec = request.getfixturevalue(field) if field == "spec9" else numfield.load_spec(QUINTIC11)
+    records = run_sweep(spec, 10**5).records
+    assert len(records) == rows
+    assert hashlib.sha256(emit_csv(records, spec.n).encode()).hexdigest() == digest
 
 
 def test_report_rows_structure(result7):
