@@ -11,9 +11,10 @@ n <= 31, where every intermediate product (degree <= 62) stays word-sized.
 Beyond ring arithmetic the module knows one structured object: x^n - 1
 over GF(2) for odd n.  `cyclic_mul` multiplies in the quotient ring
 GF(2)[x]/(x^n - 1), the product behind every circulant the residue layer
-uses; `cyclotomic_cosets` gives the factors' degrees and reciprocal
-pairing from the cosets of 2 mod n, and `factor_xn_minus_1` produces the
-factors themselves, as the independent reference.
+uses, and `cyclic_inv` inverts there; `cyclotomic_cosets` gives the
+factors' degrees and reciprocal pairing from the cosets of 2 mod n, and
+`factor_xn_minus_1` produces the factors themselves, as the independent
+reference.
 """
 
 from __future__ import annotations
@@ -56,6 +57,24 @@ def cyclic_mul(a: F2Poly, b: F2Poly, n: int) -> F2Poly:
         raise ValueError("cyclic factors must have degree < n")
     prod = mul(a, b)
     return (prod & ((1 << n) - 1)) ^ (prod >> n)
+
+
+def cyclic_inv(a: F2Poly, n: int) -> F2Poly:
+    """Inverse of a in GF(2)[x]/(x^n - 1), for a of degree < n.
+
+    ValueError unless gcd(a, x^n + 1) = 1.  Extended Euclid against x^n + 1
+    with the invariant s * a = r mod x^n + 1 on both rows; the row reaching
+    r = 1 has deg s < n.
+    """
+    if a >> n:
+        raise ValueError("cyclic factors must have degree < n")
+    r0, r1, s0, s1 = (1 << n) | 1, a, 0, 1
+    while r1:
+        q, r = divmod_(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 ^ mul(q, s1)
+    if r0 != 1:
+        raise ValueError("not a unit of GF(2)[x]/(x^n - 1)")
+    return s0
 
 
 def divmod_(a: F2Poly, b: F2Poly) -> tuple[F2Poly, F2Poly]:

@@ -29,16 +29,20 @@ Built on top of the rings:
     scales to a primitive integral one; the congruence condition is
     therefore exactly solvability at the place 2.
 
-The pairing, the star values, b and h are one product, `f2poly.cyclic_mul`
-in GF(2)[x]/(x^n - 1), with classes read as polynomials: A v = c * v,
-b(u) = u(x) u(1/x), h = c^-1, and the pairing of u with rot(u, k) is
-coefficient k of c * b(u).  So u is star-trivial iff c * b(u) is 0 or 1,
-the invariant `density.s_pair` states.
+The normal-basis test, the class coordinates, the pairing, the star
+values, b and h are one product, `f2poly.cyclic_mul` in GF(2)[x]/(x^n - 1),
+with classes read as polynomials and c the trace Gram sequence of y.  The
+orbit of y is a basis iff c is a unit there (the trace form of O/2 is
+non-degenerate); h = c^-1 (`f2poly.cyclic_inv`); if u^(2^n-1) = 1 + 2w and
+t_j = Tr(w tau^j(y)), the class of u is b = h * t.  Further A v = c * v,
+b(u) = u(x) u(1/x), and the pairing of u with rot(u, k) is coefficient k
+of c * b(u).  So u is star-trivial iff c * b(u) is 0 or 1, the invariant
+`density.s_pair` states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -120,52 +124,27 @@ def build_ring(spec, level: int) -> ResidueRing:
     return ResidueRing(spec.n, level, spec.f, spec.sigma)
 
 
+def _traces(ring: ResidueRing, x: Elem, ys) -> tuple[int, ...]:
+    """Tr(x y) mod 2 for each y in ys, read from the power sums Tr(theta^j) of f (level 1)."""
+    trace = newton_power_sums(ring.f, ring.n)
+    return tuple(sum(a * t for a, t in zip(ring.mul(x, y), trace)) % 2 for y in ys)
+
+
 def find_normal_basis(ring: ResidueRing) -> Elem:
-    """Smallest y (lexicographic coefficient order) whose Galois orbit is a basis of O/2."""
+    """Smallest y (lexicographic coefficient order) whose Galois orbit is a basis of O/2.
+
+    The trace Gram matrix of the orbit is the circulant of c_k = Tr(y tau^k(y)),
+    and the trace form of the field O/2 is non-degenerate, so the orbit is a
+    basis iff c is a unit of GF(2)[x]/(x^n - 1): gcd(c, x^n + 1) = 1 (y = 0 gives c = 0).
+    """
     if ring.level != 1:
         raise ValueError("normal basis search runs at modulus level 1")
-    n = ring.n
-    for cand in product((0, 1), repeat=n):
-        if not any(cand):
-            continue
-        orbit = [cand]
-        for _ in range(n - 1):
-            orbit.append(ring.apply_tau(orbit[-1]))
-        try:
-            _GF2Solver([f2poly.from_coeffs(v) for v in orbit])
-        except ValueError:
-            continue
-        return cand
+    for cand in product((0, 1), repeat=ring.n):
+        orbit = [ring.apply_tau(cand, k) for k in range(ring.n)]
+        c = f2poly.from_coeffs(_traces(ring, cand, orbit))
+        if f2poly.gcd(c, (1 << ring.n) | 1) == 1:
+            return cand
     raise RuntimeError("internal error: no normal basis generator found")
-
-
-class _GF2Solver:
-    """Solve x . rows = target over GF(2), rows fixed (bitmask vectors)."""
-
-    def __init__(self, rows):
-        self.n = len(rows)
-        elim = []  # (pivot, row, selector)
-        for i, row in enumerate(rows):
-            sel = 1 << i
-            for pivot, prow, psel in elim:
-                if (row >> pivot) & 1:
-                    row ^= prow
-                    sel ^= psel
-            if row == 0:
-                raise ValueError("rows are linearly dependent")
-            pivot = row.bit_length() - 1
-            elim.append((pivot, row, sel))
-        self._elim = elim
-
-    def solve(self, target: int):
-        sel = 0
-        for pivot, row, psel in self._elim:
-            if (target >> pivot) & 1:
-                target ^= row
-                sel ^= psel
-        if target:
-            raise ValueError("target outside the span")
-        return tuple((sel >> i) & 1 for i in range(self.n))
 
 
 @dataclass
@@ -177,7 +156,8 @@ class RingFamily:
     y: Elem
     y_orbit: tuple[Elem, ...]
     basis_lifts: tuple[Elem, ...]  # 1 + 2*lift(y^(tau^i)) at level 3
-    _solver: _GF2Solver = field(repr=False)
+    c: tuple[int, ...]  # c_k = Tr(y tau^k(y)) mod 2
+    h: f2poly.F2Poly  # c^-1 in GF(2)[x]/(x^n - 1)
 
     @property
     def n(self) -> int:
@@ -191,16 +171,14 @@ def build_family(spec) -> RingFamily:
     rings = {k: build_ring(spec, k) for k in (1, 2, 3)}
     r1 = rings[1]
     y = find_normal_basis(r1)
-    orbit = [y]
-    for _ in range(r1.n - 1):
-        orbit.append(r1.apply_tau(orbit[-1]))
+    orbit = tuple(r1.apply_tau(y, k) for k in range(r1.n))
     lifts = []
     for v in orbit:
         lift = [2 * c for c in v]
         lift[0] += 1
         lifts.append(tuple(lift))
-    solver = _GF2Solver([f2poly.from_coeffs(v) for v in orbit])
-    return RingFamily(spec, rings, y, tuple(orbit), tuple(lifts), solver)
+    c = _traces(r1, y, orbit)
+    return RingFamily(spec, rings, y, orbit, tuple(lifts), c, h_poly(CirculantA(c)))
 
 
 def m4_class_of(family: RingFamily, u: Elem) -> M4Class:
@@ -208,8 +186,9 @@ def m4_class_of(family: RingFamily, u: Elem) -> M4Class:
 
     The (2^n - 1)-th power of u lands in 1 + 2*O/4 (it kills the odd-order
     component), and u^(2^n-1) = 1 + 2w determines the class: the bits are
-    the coordinates of w in the normal basis.  The map is a surjective
-    homomorphism onto (Z/2)^n whose kernel is exactly the squares.
+    the coordinates b of w in the normal basis.  The map is a surjective
+    homomorphism onto (Z/2)^n whose kernel is exactly the squares.  With
+    t_j = Tr(w tau^j(y)) mod 2, t = c * b, so b = h * t.
     """
     r2 = family.level(2)
     if r2.mod != 4 or len(u) != r2.n:
@@ -218,7 +197,9 @@ def m4_class_of(family: RingFamily, u: Elem) -> M4Class:
         raise ValueError("m4_class_of expects a unit")
     v = r2.pow(u, (1 << r2.n) - 1)
     assert f2poly.from_coeffs(v) == 1, "power did not land in 1 + 2O"
-    return family._solver.solve(f2poly.from_coeffs(c >> 1 for c in v))
+    t = _traces(family.level(1), tuple(c >> 1 for c in v), family.y_orbit)
+    b = f2poly.cyclic_mul(family.h, f2poly.from_coeffs(t), r2.n)
+    return tuple((b >> j) & 1 for j in range(r2.n))
 
 
 def class_rep(family: RingFamily, bits: M4Class) -> Elem:
@@ -327,12 +308,7 @@ class CirculantA:
 
 def build_matrix_A(family: RingFamily) -> CirculantA:
     """Pairing matrix as the trace Gram matrix of the normal basis: c_k = Tr(y tau^k(y))."""
-    r1 = family.level(1)
-    trace = newton_power_sums(r1.f, r1.n)  # Tr(theta^j), exact mod 2
-    c = tuple(
-        sum(x * t for x, t in zip(r1.mul(family.y, yk), trace)) % 2 for yk in family.y_orbit
-    )
-    return CirculantA(c)
+    return CirculantA(family.c)
 
 
 def b_map(u: int, n: int) -> f2poly.F2Poly:
@@ -351,12 +327,8 @@ def b_map(u: int, n: int) -> f2poly.F2Poly:
 
 
 def h_poly(a: CirculantA) -> f2poly.F2Poly:
-    """Solve A h = e_0, i.e. c * h = 1, over GF(2); h(x) = x^n h(1/x) mod x^n - 1."""
-    n = len(a.c)
-    c = f2poly.from_coeffs(a.c)
-    # solver solves x . rows = target; with rows x^i * c that is h * c = 1
-    solver = _GF2Solver([f2poly.cyclic_mul(1 << i, c, n) for i in range(n)])
-    return f2poly.from_coeffs(solver.solve(1))
+    """Solve A h = e_0, i.e. h = c^-1 in GF(2)[x]/(x^n - 1); h(x) = x^n h(1/x) mod x^n - 1."""
+    return f2poly.cyclic_inv(f2poly.from_coeffs(a.c), len(a.c))
 
 
 def kernel_counts_via_B(a: CirculantA) -> tuple[int, int]:

@@ -53,6 +53,20 @@ def test_cyclic_mul_is_mul_mod_xn_minus_1():
         f2poly.cyclic_mul(0b1000, 1, 3)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_cyclic_inv_exhaustive(n):
+    # every a of degree < n: an inverse exactly when a is coprime to x^n + 1
+    xn_1 = (1 << n) | 1
+    for a in range(1 << n):
+        if gcd(a, xn_1) == 1:
+            assert f2poly.cyclic_mul(a, f2poly.cyclic_inv(a, n), n) == 1
+        else:
+            with pytest.raises(ValueError):
+                f2poly.cyclic_inv(a, n)
+    with pytest.raises(ValueError):
+        f2poly.cyclic_inv(1 << n, n)
+
+
 def test_divmod_and_rem():
     q, r = divmod_(X3_P1, X2_X_1)
     assert mul(q, X2_X_1) ^ r == X3_P1

@@ -1,6 +1,8 @@
+import dataclasses
 import random
 from itertools import product
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -94,19 +96,48 @@ def test_build_ring_rejects_non_automorphism(spec7):
 # -- normal basis -------------------------------------------------------------
 
 
-def _gf2_det3(rows):
-    # brute-force 3x3 determinant over GF(2)
-    a, b, c = rows
-    return (
-        a[0] * (b[1] * c[2] ^ b[2] * c[1])
-        ^ a[1] * (b[0] * c[2] ^ b[2] * c[0])
-        ^ a[2] * (b[0] * c[1] ^ b[1] * c[0])
-    ) & 1
+def _gf2_rank(rows):
+    """Rank over GF(2) of coefficient rows, by elimination on bitmasks (reference only)."""
+    basis = []  # distinct leading bits, largest first
+    for row in rows:
+        v = f2poly.from_coeffs(row)
+        for b in basis:
+            v = min(v, v ^ b)  # clears b's leading bit, touches no higher one
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    return len(basis)
 
 
-def test_normal_basis_conjugates_independent(family7, family9):
-    for fam in (family7, family9):
-        assert _gf2_det3(fam.y_orbit) == 1
+def _orbit(ring, y):
+    return [ring.apply_tau(y, k) for k in range(ring.n)]
+
+
+def _gram(ring, y):
+    """c_k = Tr(y tau^k(y)) mod 2 as a GF(2) polynomial."""
+    return f2poly.from_coeffs(residue._traces(ring, y, _orbit(ring, y)))
+
+
+def test_normal_basis_conjugates_independent(family7, family9, family11):
+    for fam in (family7, family9, family11):
+        assert _gf2_rank(fam.y_orbit) == fam.n
+
+
+@pytest.mark.parametrize(
+    "fam_name, y",
+    [("family7", (0, 0, 1)), ("family9", (1, 0, 1)), ("family11", (0, 0, 0, 0, 1))],
+)
+def test_unit_gram_is_full_rank_orbit(request, fam_name, y):
+    # the gcd test find_normal_basis uses, against the rank of the orbit itself
+    r1 = request.getfixturevalue(fam_name).level(1)
+    n = r1.n
+    full_rank = []
+    for cand in product((0, 1), repeat=n):
+        if any(cand):
+            full = _gf2_rank(_orbit(r1, cand)) == n
+            assert (f2poly.gcd(_gram(r1, cand), (1 << n) | 1) == 1) == full, cand
+            if full:
+                full_rank.append(cand)
+    assert find_normal_basis(r1) == full_rank[0] == y
 
 
 def test_normal_basis_not_one(family7, family9):
@@ -126,8 +157,7 @@ def test_normal_basis_is_lex_smallest(spec7):
     for cand in product((0, 1), repeat=3):
         if not any(cand) or cand >= y:
             break
-        orbit = [cand, r1.apply_tau(cand), r1.apply_tau(cand, 2)]
-        assert _gf2_det3(orbit) == 0, f"{cand} is a smaller normal-basis generator"
+        assert _gf2_rank(_orbit(r1, cand)) < 3, f"{cand} is a smaller normal-basis generator"
 
 
 def test_find_normal_basis_requires_level_one(spec7):
@@ -184,17 +214,47 @@ def test_m4_rejects_non_units(family7):
         m4_class_of(family7, (2, 0, 2))
 
 
-def test_m4_dictionary_roundtrip(family7, family9):
+def test_m4_dictionary_roundtrip(family7, family9, family11):
     # representatives built as products of basis factors land back on their bits,
     # and stay there under multiplication by every square
-    for fam in (family7, family9):
+    for fam in (family7, family9, family11):
         r2 = fam.level(2)
-        squares = {r2.mul(u, u) for u in product(range(4), repeat=3) if r2.is_unit(u)}
-        for bits in product((0, 1), repeat=3):
+        squares = {r2.mul(u, u) for u in product(range(4), repeat=fam.n) if r2.is_unit(u)}
+        for bits in product((0, 1), repeat=fam.n):
             rep = tuple(c % 4 for c in class_rep(fam, bits))
             assert m4_class_of(fam, rep) == bits
             for s in squares:
                 assert m4_class_of(fam, r2.mul(rep, s)) == bits
+
+
+def _families11_off_self_dual(family11):
+    """Q(zeta_11)^+ presented on every normal basis of O/2 that is not self-dual (c != 1)."""
+    r1 = family11.level(1)
+    fams = []
+    for cand in product((0, 1), repeat=5):
+        c = _gram(r1, cand)
+        if c != 1 and f2poly.gcd(c, 0b100001) == 1:
+            with mock.patch.object(residue, "find_normal_basis", lambda ring: cand):
+                fams.append(residue.build_family(ZETA11_PLUS))
+    return fams
+
+
+def _classes_of_reps(fam):
+    reps = [class_rep(fam, bits) for bits in product((0, 1), repeat=fam.n)]
+    return [m4_class_of(fam, tuple(c % 4 for c in rep)) for rep in reps]
+
+
+def test_m4_classes_off_self_dual_basis(family11):
+    # every shipped y is self-dual (h = 1), where b = h * t and b = t agree;
+    # these presentations tell the two apart
+    fams = _families11_off_self_dual(family11)
+    assert len(fams) == 10
+    assert {fam.c for fam in fams} == {(1, 1, 0, 0, 1), (1, 0, 1, 1, 0)}
+    every_class = list(product((0, 1), repeat=5))
+    for fam in fams:
+        assert f2poly.cyclic_mul(f2poly.from_coeffs(fam.c), fam.h, 5) == 1 != fam.h
+        assert _classes_of_reps(fam) == every_class
+        assert _classes_of_reps(dataclasses.replace(fam, h=1)) != every_class
 
 
 # -- hilbert symbol -----------------------------------------------------------
@@ -421,6 +481,19 @@ def test_h_poly_palindromic(pairing7, pairing9):
         n = len(a.c)
         bits = [(h >> i) & 1 for i in range(n)]
         assert all(bits[i] == bits[(n - i) % n] for i in range(n))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_h_poly_inverts_every_symmetric_unit(n):
+    # c * h = 1 as the direct sum A h = e_0, for every symmetric c with a bijective circulant
+    units = 0
+    for c0, half in product((0, 1), product((0, 1), repeat=(n - 1) // 2)):
+        c = (c0,) + half + half[::-1]
+        if len({_apply(c, v) for v in product((0, 1), repeat=n)}) == 1 << n:
+            h = h_poly(CirculantA(c))
+            assert _apply(c, tuple((h >> j) & 1 for j in range(n))) == _unit_vectors(n)[0]
+            units += 1
+    assert units == 1 + sum(len(c) == n for c in OFF_IDENTITY)
 
 
 def test_h_preimage_count(pairing7):
