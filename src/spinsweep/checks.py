@@ -142,9 +142,9 @@ def hilbert_suite(family: RingFamily, pairing: residue.CirculantA) -> list[Check
     return out
 
 
-def kernel_routes(n: int, star: StarTable, pairing: residue.CirculantA):
+def kernel_routes(star: StarTable, pairing: residue.CirculantA):
     """The (ker_plus, ker_minus) counts three ways: closed form, star table, autocorrelation."""
-    return s_pair(n), (star.ker_plus, star.ker_minus), residue.kernel_counts_via_B(pairing)
+    return s_pair(len(pairing.c)), (star.ker_plus, star.ker_minus), residue.kernel_counts_via_B(pairing)
 
 
 def kernel_suite(family: RingFamily, star: StarTable,
@@ -156,7 +156,7 @@ def kernel_suite(family: RingFamily, star: StarTable,
     """
     n = family.n
     r3 = family.level(3)
-    closed, brute, convol = kernel_routes(n, star, pairing)
+    closed, brute, convol = kernel_routes(star, pairing)
     out = [
         _result("kernel/three-way-agreement", closed == brute == convol,
                 f"closed {closed}, star-table {brute}, autocorrelation {convol}"),

@@ -8,9 +8,9 @@ from it (see the `sweep` module), and no output depends on it.
 Exit codes: 0 success/PASS, 1 usage error, 2 validation error (bad config
 or arguments, with the violated condition named), 3 acceptance failure
 (kernel disagreement, spin-relation violation, tolerance breach), 4 sweep
-failed: at a prime (GeneratorNotFound, AmbiguousSign,
-GeneratorSelfCheckFailed or RootNotSeparated, named with the prime), or
-because a worker process of a parallel sweep died (WorkerCrashed).
+failed: at a prime (a `numfield.PrimeFailure` such as GeneratorNotFound
+or RootNotSeparated, named with the prime), or because a worker process of
+a parallel sweep died (WorkerCrashed).
 """
 
 from __future__ import annotations
@@ -22,15 +22,8 @@ from importlib import resources
 
 from . import checks, f2poly, residue
 from .density import N15_ERRATUM_NOTE, density_report, format_table
-from .numfield import FieldConfigError, load_spec, load_spec_file
-from .sweep import (
-    SEARCH_FAILURES,
-    SpinRelationViolation,
-    WorkerCrashed,
-    emit_csv,
-    format_report,
-    run_sweep,
-)
+from .numfield import FieldConfigError, PrimeFailure, load_spec, load_spec_file
+from .sweep import SpinRelationViolation, WorkerCrashed, emit_csv, format_report, run_sweep
 
 USAGE_ERROR, VALIDATION_ERROR, ACCEPTANCE_FAIL, SWEEP_FAILED = 1, 2, 3, 4
 
@@ -106,7 +99,7 @@ def _cmd_verify_kernel(args) -> int:
     family = residue.build_family(spec)
     star = checks.oracle_star_table(family)
     pairing = residue.build_matrix_A(family)
-    closed, brute, convol = checks.kernel_routes(spec.n, star, pairing)
+    closed, brute, convol = checks.kernel_routes(star, pairing)
     agree = closed == brute == convol
     print(f"field = {spec.name}  (n = {spec.n})")
     print(f"normal basis generator y = {family.y}")
@@ -131,7 +124,7 @@ def _cmd_sweep(args) -> int:
     except SpinRelationViolation as exc:
         print(f"hard consistency violation: {exc}", file=sys.stderr)
         return ACCEPTANCE_FAIL
-    except (*SEARCH_FAILURES, WorkerCrashed) as exc:
+    except (PrimeFailure, WorkerCrashed) as exc:
         print(f"sweep failed [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return SWEEP_FAILED
     report_stream = sys.stdout

@@ -19,6 +19,8 @@ reference.
 
 from __future__ import annotations
 
+from .intpoly import prime_factors
+
 F2Poly = int  # alias used in signatures; see module docstring
 
 MAX_DEGREE = 63
@@ -153,27 +155,13 @@ def is_irreducible(f: F2Poly) -> bool:
         t = mulmod(t, t, f)
     if t != rem(x, f):
         return False
-    for q in _prime_factors(d):
+    for q in prime_factors(d):
         t = x
         for _ in range(d // q):
             t = mulmod(t, t, f)
         if gcd(f, t ^ x) != 1:
             return False
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def cyclotomic_cosets(n: int) -> list[frozenset[int]]:

@@ -23,6 +23,10 @@ first taken mod m, adds at most (n - 1)(m - 1)^2 to a low slot.  Every
 slot stays below 2n m^2 < 2^B, so no carry crosses a slot, and taking
 each low slot mod m restores the invariant.  `mul_mod` stays the generic
 product for everything else.
+
+The module also holds the package's one integer factoriser,
+`prime_factors`: Rabin's irreducibility test (`f2poly`) factors the
+degree with it, and `numfield.conductor_multiple` the discriminant.
 """
 
 from __future__ import annotations
@@ -184,3 +188,22 @@ def newton_power_sums(f, count: int) -> list[int]:
             acc += k * f[n - k]
         p.append(-acc)
     return p
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division (empty for n = 1).
+
+    Each divisor d found is prime, since every smaller prime is already
+    divided out; what is left once d * d exceeds it is 1 or a prime.
+    """
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out

@@ -1,11 +1,12 @@
 """Exact arithmetic in a configured cyclic totally real field.
 
 A field is described by a line-oriented config (see `load_spec`) giving the
-degree, monic minimal polynomial f of a generator theta, a polynomial s
-with sigma(theta) = s(theta) generating the Galois group, the (odd) class
+monic minimal polynomial f of a generator theta, a polynomial s with
+sigma(theta) = s(theta) generating the Galois group, the (odd) class
 number, and a system of units realizing all sign patterns together with
--1.  Loading validates everything and rejects violations with a named
-condition code.
+-1.  The degree n = len(f) - 1 and the discriminant disc_f are read off f,
+not given.  Loading validates everything and rejects violations with a
+named condition code.
 
 Algebraic integers are tuples of ints: power-basis coordinates.  All
 parity-critical computations (norms, residue symbols, embedding signs)
@@ -105,6 +106,7 @@ from .intpoly import (
     poly_derivative,
     poly_rem_monic,
     pow_mod,
+    prime_factors,
 )
 from . import f2poly
 
@@ -139,19 +141,23 @@ class RamifiedPrime(Exception):
     """Rational prime divides disc_f; callers must exclude it."""
 
 
-class GeneratorNotFound(RuntimeError):
+class PrimeFailure(RuntimeError):
+    """Per-prime work gave no answer; a sweep reports it by class name, with the prime."""
+
+
+class GeneratorNotFound(PrimeFailure):
     """Short-vector search exhausted its radius without a generator."""
 
 
-class AmbiguousSign(RuntimeError):
+class AmbiguousSign(PrimeFailure):
     """Embedding sign undecided at the precision cap."""
 
 
-class GeneratorSelfCheckFailed(RuntimeError):
+class GeneratorSelfCheckFailed(PrimeFailure):
     """A generator returned by the search failed its independent verification."""
 
 
-class RootNotSeparated(RuntimeError):
+class RootNotSeparated(PrimeFailure):
     """The root descent tried every shift mod p without splitting off a factor of f."""
 
 
@@ -268,11 +274,17 @@ def _eval_interval(coeffs, lo: int, hi: int, e: int):
     return vlo, vhi
 
 
-_CONFIG_KEYS = {"name", "n", "f", "sigma", "h", "unit", "disc_f"}
+_CONFIG_KEYS = {"name", "f", "sigma", "h", "unit"}
 
 
 def load_spec(text: str) -> "FieldSpec":
-    """Parse and fully validate a field config (line-oriented key = value)."""
+    """Parse and fully validate a field config (line-oriented key = value).
+
+    The keys are `_CONFIG_KEYS`: name, f, sigma and h once each, and one
+    `unit` line per unit (none gives an empty list, which validation
+    rejects).  The degree and the discriminant are not keys: `FieldSpec`
+    derives both from f.
+    """
     values: dict = {"unit": []}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -287,7 +299,7 @@ def load_spec(text: str) -> "FieldSpec":
         try:
             if key == "name":
                 parsed = val.strip('"')
-            elif key in ("n", "h", "disc_f"):
+            elif key == "h":
                 parsed = int(val)
             else:
                 parsed = json.loads(val)
@@ -302,18 +314,10 @@ def load_spec(text: str) -> "FieldSpec":
             raise FieldConfigError(f"line {lineno}: duplicate key {key!r}")
         else:
             values[key] = parsed
-    missing = {"name", "n", "f", "sigma", "h", "disc_f"} - set(values)
+    missing = _CONFIG_KEYS - set(values)
     if missing:
         raise FieldConfigError(f"missing keys: {sorted(missing)}")
-    return FieldSpec(
-        name=values["name"],
-        n=values["n"],
-        f=tuple(values["f"]),
-        sigma=tuple(values["sigma"]),
-        h=values["h"],
-        units=tuple(values["unit"]),
-        disc_f=values["disc_f"],
-    )
+    return FieldSpec(values["name"], values["f"], values["sigma"], values["h"], values["unit"])
 
 
 def load_spec_file(path) -> "FieldSpec":
@@ -322,16 +326,20 @@ def load_spec_file(path) -> "FieldSpec":
 
 
 class FieldSpec:
-    """Validated description of a cyclic field; immutable after construction."""
+    """Validated description of a cyclic field; immutable after construction.
 
-    def __init__(self, name, n, f, sigma, h, units, disc_f):
+    Built from the five config values alone.  Validation derives the rest
+    from f: the degree n = len(f) - 1, the power sums s_k = Tr(theta^k)
+    and disc_f, the determinant of the trace form (s_(i+j)).
+    """
+
+    def __init__(self, name, f, sigma, h, units):
         self.name = name
-        self.n = n
         self.f = tuple(int(c) for c in f)
+        self.n = len(self.f) - 1
         self.sigma = tuple(int(c) for c in sigma)
         self.h = h
         self.units = tuple(tuple(int(c) for c in u) for u in units)
-        self.disc_f = disc_f
         self._validate()
         self.embeddings = Embeddings(self.f, self.sigma)
         self.unit_by_signature = self._signature_table()
@@ -340,8 +348,8 @@ class FieldSpec:
         n = self.n
         if n < 3 or n % 2 == 0:
             raise EvenDegree("degree must be odd and >= 3")
-        if len(self.f) != n + 1 or self.f[-1] != 1:
-            raise FieldConfigError("f must be monic of degree n")
+        if self.f[-1] != 1:
+            raise FieldConfigError("f must be monic")
         # monic and irreducible mod 2 implies irreducible over Q, 2 inert, and
         # (Dedekind) an odd index [O : Z[theta]], so the power basis serves at 2
         fbar = f2poly.from_coeffs(c % 2 for c in self.f)
@@ -351,8 +359,7 @@ class FieldSpec:
         # basis is (s_(i+j)), its determinant is disc(f), and the generator
         # search builds the Gram of every ideal lattice from them
         self.power_sums = tuple(newton_power_sums(self.f, 2 * n - 1))
-        if det_bareiss([self.power_sums[i : i + n] for i in range(n)]) != self.disc_f:
-            raise FieldConfigError("disc_f does not match the discriminant of f")
+        self.disc_f = det_bareiss([self.power_sums[i : i + n] for i in range(n)])
         assert self.disc_f % 2 == 1, "2 inert forces an odd discriminant"
         if self.h < 1 or self.h % 2 == 0:
             raise EvenClassNumber("class number must be odd and positive")
@@ -463,19 +470,13 @@ def conductor_multiple(spec: FieldSpec) -> int:
     abelian, so by Artin reciprocity p splits completely iff p mod the
     conductor lies in the kernel of its characters.
     """
-    modulus, rest, q = 1, abs(spec.disc_f), 3  # disc_f is odd: 2 is inert
-    while rest > 1:
-        if q * q > rest:
-            q = rest  # what is left is prime
-        if rest % q == 0:
-            while rest % q == 0:
-                rest //= q
+    modulus = 1
+    for q in prime_factors(abs(spec.disc_f)):
+        modulus *= q
+        k = spec.n
+        while k % q == 0:
+            k //= q
             modulus *= q
-            k = spec.n
-            while k % q == 0:
-                k //= q
-                modulus *= q
-        q += 2
     return modulus
 
 
@@ -695,8 +696,8 @@ def _enumerate_short(lam, d, bound: float):
 _RADIUS_STAGES = (1.25, 2.0, 4.0)
 
 
-def generator_of_power(spec: FieldSpec, P: PrimeDeg1, h: int | None = None) -> AlgInt:
-    """Totally positive generator of P^h, exact and self-checked.
+def generator_of_power(spec: FieldSpec, P: PrimeDeg1) -> AlgInt:
+    """Totally positive generator of P^h, h = spec.h, exact and self-checked.
 
     Enumerates lattice vectors of P^h under the trace form in growing
     radius stages (up to 4x a Minkowski-style balanced-generator bound),
@@ -704,12 +705,8 @@ def generator_of_power(spec: FieldSpec, P: PrimeDeg1, h: int | None = None) -> A
     sign pattern cancels the candidate's.  Raises RamifiedPrime for p
     dividing disc_f and ValueError when P is not a prime of this field.
     """
-    if h is None:
-        h = spec.h
-    if h < 1 or h % 2 == 0:
-        raise ValueError("h must be odd and positive")
     _check_deg1_prime(spec, P)
-    n = spec.n
+    n, h = spec.n, spec.h
     target = P.p**h
     root = _lift_root(spec, P, h)
     lattice = _ideal_power_basis(n, target, root)

@@ -66,16 +66,16 @@ def rot(bits: M4Class, k: int) -> M4Class:
 class ResidueRing:
     """O/2^level presented on the power basis of the reduced minimal polynomial."""
 
-    def __init__(self, n: int, level: int, f_int, sigma_int):
+    def __init__(self, level: int, f_int, sigma_int):
         if level not in (1, 2, 3):
             raise RingBuildError("level must be 1, 2 or 3")
-        self.n = n
+        self.n = n = len(f_int) - 1
         self.level = level
         self.mod = 1 << level
         m = self.mod
         self.f = tuple(c % m for c in f_int)
-        if len(self.f) != n + 1 or f_int[-1] != 1:
-            raise RingBuildError("minimal polynomial must be monic of degree n")
+        if f_int[-1] != 1:
+            raise RingBuildError("minimal polynomial must be monic")
         fbar = f2poly.from_coeffs(c % 2 for c in f_int)
         if not f2poly.is_irreducible(fbar):
             raise RingBuildError("minimal polynomial is reducible mod 2 (2 not inert)")
@@ -121,7 +121,7 @@ class ResidueRing:
 
 def build_ring(spec, level: int) -> ResidueRing:
     """Residue ring O/2^level from a validated field description."""
-    return ResidueRing(spec.n, level, spec.f, spec.sigma)
+    return ResidueRing(level, spec.f, spec.sigma)
 
 
 def _traces(ring: ResidueRing, x: Elem, ys) -> tuple[int, ...]:

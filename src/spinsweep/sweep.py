@@ -51,12 +51,11 @@ class WorkerCrashed(RuntimeError):
 
 @dataclass(frozen=True)
 class PrimeRecord:
+    """One split prime; its CSV row adds p mod 4, in_R(spins) and in_F(spins)."""
+
     p: int
-    p_mod4: int
     root_a: int
     spins: tuple[int, ...]
-    in_R: bool
-    in_F: bool
     m4_bits: tuple[int, ...]
 
 
@@ -137,7 +136,7 @@ def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
     if not roots:
         return None
     chain = numfield.conjugate_chain(spec, PrimeDeg1(p, roots[0]))
-    alpha = numfield.generator_of_power(spec, chain[0], spec.h)
+    alpha = numfield.generator_of_power(spec, chain[0])
     spins = tuple(numfield.legendre_deg1(spec, alpha, chain[k]) for k in range(1, n))
     if 0 in spins:
         raise SpinRelationViolation(f"p={p}: residue symbol degenerated to 0")
@@ -161,22 +160,14 @@ def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
         raise SpinRelationViolation(f"p={p}: norm sign of the mod-4 class is not p mod 4")
 
     for k in range(1, n):
-        alpha_k = numfield.generator_of_power(spec, chain[k], spec.h)
+        alpha_k = numfield.generator_of_power(spec, chain[k])
         bits_k = tables.m4_class(alpha_k)
         if bits_k != residue.rot(bits, k):
             raise SpinRelationViolation(
                 f"p={p}: class of conjugate prime is not the rotated class"
             )
 
-    return PrimeRecord(
-        p=p,
-        p_mod4=p % 4,
-        root_a=chain[0].a,
-        spins=spins,
-        in_R=in_r_spin,
-        in_F=in_F(spins),
-        m4_bits=bits,
-    )
+    return PrimeRecord(p, chain[0].a, spins, bits)
 
 
 # -- prime generation ---------------------------------------------------------
@@ -203,15 +194,6 @@ def odd_primes_in(lo: int, hi: int) -> list[int]:
 # -- sweep driver -------------------------------------------------------------
 
 
-# per-prime failures (generator search, root descent) a sweep reports by condition name, with the prime
-SEARCH_FAILURES = (
-    numfield.GeneratorNotFound,
-    numfield.AmbiguousSign,
-    numfield.GeneratorSelfCheckFailed,
-    numfield.RootNotSeparated,
-)
-
-
 def _classify_range(tables: FieldTables, lo: int, hi: int):
     records = []
     skipped = []
@@ -221,7 +203,7 @@ def _classify_range(tables: FieldTables, lo: int, hi: int):
         except numfield.RamifiedPrime:
             skipped.append(p)
             continue
-        except SEARCH_FAILURES as exc:
+        except numfield.PrimeFailure as exc:
             raise type(exc)(f"p={p}: {exc}") from exc
         if rec is not None:
             records.append(rec)
@@ -393,8 +375,8 @@ def emit_csv(records, n: int) -> str:
     ]
     lines = [",".join(cols)]
     for rec in sorted(records, key=lambda r: r.p):
-        row = [str(rec.p), str(rec.p_mod4), str(rec.root_a)]
+        row = [str(rec.p), str(rec.p % 4), str(rec.root_a)]
         row += [str(s) for s in rec.spins]
-        row += [str(int(rec.in_R)), str(int(rec.in_F)), "".join(map(str, rec.m4_bits))]
+        row += [str(int(in_R(rec.spins))), str(int(in_F(rec.spins))), "".join(map(str, rec.m4_bits))]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -179,8 +179,8 @@ def test_criterion_7_zero_tolerance_consistency(sweep_result, spec7, capsys):
             ok &= rec.spins[k - 1] * rec.spins[n - k - 1] == pairing
             products += 1
         in_r_spin = all(rec.spins[k - 1] * rec.spins[n - k - 1] == 1 for k in range(1, n))
-        ok &= in_r_spin == rec.in_R == (tables.star.star[bits] == 1)
-        ok &= tables.star.norm_sign[bits] == (1 if rec.p_mod4 == 1 else -1)
+        ok &= in_r_spin == (tables.star.star[bits] == 1)
+        ok &= tables.star.norm_sign[bits] == (1 if rec.p % 4 == 1 else -1)
     ok &= products == (n - 1) * len(result.records)
     with capsys.disabled():
         _report(7, f"per-prime spin/Hilbert identity ({products} products), two-route "

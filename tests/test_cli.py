@@ -8,7 +8,7 @@ import pytest
 
 import spinsweep
 from spinsweep import numfield, sweep
-from spinsweep.cli import _load_field, main
+from spinsweep.cli import BUILTIN_FIELDS, _load_field, main
 from test_numfield import QUINTIC11
 
 
@@ -252,6 +252,41 @@ def test_sweep_search_failure_is_named(monkeypatch, capsys, condition, inject):
     assert code == 4
     assert err.startswith(f"sweep failed [{condition}]: p=13: ")  # first split prime
     assert "Traceback" not in err
+
+
+def test_any_prime_failure_is_named(monkeypatch, capsys):
+    # a new per-prime condition needs only to subclass PrimeFailure to exit 4, not a list entry
+    class Injected(numfield.PrimeFailure):
+        pass
+
+    def search(spec, P):
+        raise Injected("no generator (injected)")
+
+    monkeypatch.setattr(numfield, "generator_of_power", search)
+    code = main(["sweep", "--field", "simplest-cubic-7", "--limit", "200"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("sweep failed [Injected]: p=13: ")
+    assert "Traceback" not in err
+
+
+def test_shipped_configs_load_and_are_the_builtin_fields():
+    configs = [ref for ref in resources.files("spinsweep.data").iterdir() if ref.name.endswith(".cfg")]
+    assert {ref.name.removesuffix(".cfg") for ref in configs} == set(BUILTIN_FIELDS)
+    for ref in configs:
+        spec = numfield.load_spec(ref.read_text(encoding="utf-8"))
+        assert spec.name == ref.name.removesuffix(".cfg") and spec.n == 3
+
+
+@pytest.mark.parametrize("line", ["n = 3", "disc_f = 49"])
+def test_config_with_a_derived_key_is_rejected(tmp_path, capsys, line):
+    # the degree and the discriminant are read off f, so neither is a config key
+    cfg = tmp_path / "c7.cfg"
+    cfg.write_text(Path(builtin_path()).read_text(encoding="utf-8") + line + "\n")
+    assert main(["verify-kernel", "--field", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error [config]: ")
+    assert f"unknown key '{line.split()[0]}'" in err
 
 
 def test_undecided_unit_sign_at_load_is_named(monkeypatch, capsys):

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from spinsweep.intpoly import mul_mod, mult_matrix, norm_mod, pow_mod
+from spinsweep.intpoly import mul_mod, mult_matrix, norm_mod, pow_mod, prime_factors
 
 CUBICS = ((-1, -2, 1, 1), (-1, -3, 0, 1))
 QUINTIC = (1, 3, -3, -4, 1, 1)
@@ -144,3 +144,9 @@ def test_norm_mod_pinned_and_against_rational_elimination(spec7, spec9):
         for _ in range(40):
             a = tuple(rng.randrange(-99, 100) for _ in range(n))
             assert norm_mod(a, f) == _norm_by_fractions(a, f)
+
+
+def test_prime_factors_against_brute_force():
+    for n in range(1, 3001):
+        primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))]
+        assert prime_factors(n) == primes, n

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import random
@@ -29,14 +30,19 @@ from spinsweep.sweep import build_tables
 
 GOOD7 = """
 name = "simplest-cubic-7"
-n = 3
 f = [-1, -2, 1, 1]
 sigma = [-2, 0, 1]
 h = 1
 unit = [0, 1, 0]
 unit = [1, 1, 0]
-disc_f = 49
 """
+
+
+def with_h(spec, h):
+    """A copy of spec with class number h: P^h at h = 3 or 5 on a field with h = 1."""
+    other = copy.copy(spec)
+    other.h = h
+    return other
 
 
 # -- config loading -----------------------------------------------------------
@@ -55,7 +61,7 @@ def test_load_from_text():
 
 
 def test_reject_reducible_mod_2():
-    bad = GOOD7.replace("[-1, -2, 1, 1]", "[0, -1, 0, 1]").replace("disc_f = 49", "disc_f = 4")
+    bad = GOOD7.replace("[-1, -2, 1, 1]", "[0, -1, 0, 1]")
     with pytest.raises(C4Violation):
         load_spec(bad)  # x^3 - x
 
@@ -63,12 +69,10 @@ def test_reject_reducible_mod_2():
 def test_reject_even_degree():
     text = """
 name = "bad"
-n = 2
 f = [-1, 0, 1]
 sigma = [0, 1]
 h = 1
 unit = [0, 1]
-disc_f = 4
 """
     with pytest.raises(EvenDegree):
         load_spec(text)
@@ -81,7 +85,7 @@ def test_reject_even_class_number():
 
 def test_reject_non_automorphism():
     # x^2 - 2 generates the action of x^3 - 3x + 1, not of x^3 - 3x - 1
-    text = GOOD7.replace("[-1, -2, 1, 1]", "[-1, -3, 0, 1]").replace("disc_f = 49", "disc_f = 81")
+    text = GOOD7.replace("[-1, -2, 1, 1]", "[-1, -3, 0, 1]")
     with pytest.raises(NotAutomorphism):
         load_spec(text)
 
@@ -108,8 +112,9 @@ def test_reject_unknown_key():
 
 
 def test_reject_wrong_disc():
-    with pytest.raises(FieldConfigError):
-        load_spec(GOOD7.replace("disc_f = 49", "disc_f = 47"))
+    # the discriminant is derived from f, so a config cannot state one
+    with pytest.raises(FieldConfigError, match="unknown key 'disc_f'"):
+        load_spec(GOOD7 + "disc_f = 47")
 
 
 def test_reject_missing_key():
@@ -119,7 +124,7 @@ def test_reject_missing_key():
 
 def test_reject_duplicate_key():
     with pytest.raises(FieldConfigError):
-        load_spec(GOOD7 + "\nn = 3")
+        load_spec(GOOD7 + "\nh = 1")
 
 
 # -- embeddings ---------------------------------------------------------------
@@ -143,7 +148,6 @@ def test_embeddings_isolate_three_roots(spec7):
 
 QUINTIC11 = """
 name = "real-quintic-11"
-n = 5
 f = [1, 3, -3, -4, 1, 1]
 sigma = [-2, 0, 1]
 h = 1
@@ -151,21 +155,18 @@ unit = [-2, -2, 1, 1, 0]
 unit = [-2, -1, 0, 1, 1]
 unit = [-2, 0, 1, 0, 0]
 unit = [-2, 1, 2, 0, 0]
-disc_f = 14641
 """
 
 
-def shanks_cubic(m, disc_f):
+def shanks_cubic(m):
     """Shanks' simplest cubic x^3 - m x^2 - (m+3) x - 1, sigma(theta) = -1/(1 + theta)."""
     return f"""
 name = "shanks-{m}"
-n = 3
 f = [-1, {-(m + 3)}, {-m}, 1]
 sigma = [-2, {-(m + 1)}, 1]
 h = 1  # not checked at load
 unit = [0, 1, 0]
 unit = [1, 1, 0]
-disc_f = {disc_f}
 """
 
 
@@ -191,17 +192,16 @@ def test_quintic_roots_isolated_along_the_orbit():
 
 
 def test_quintic_discriminant_from_trace_form():
-    assert load_spec(QUINTIC11).disc_f == 14641
-    with pytest.raises(FieldConfigError, match="disc_f does not match"):
-        load_spec(QUINTIC11.replace("disc_f = 14641", "disc_f = 14643"))
+    spec = load_spec(QUINTIC11)
+    assert spec.n == 5 and spec.disc_f == 11**4
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 10, 12, 30, 1000])
 def test_shanks_cubics_isolate_and_check_disc(m):
-    disc_f = (m * m + 3 * m + 9) ** 2
-    assert_isolated(load_spec(shanks_cubic(m, disc_f)))
-    with pytest.raises(FieldConfigError, match="disc_f does not match"):
-        load_spec(shanks_cubic(m, disc_f + 2))
+    # the derived discriminant against the closed form of the Shanks family
+    spec = load_spec(shanks_cubic(m))
+    assert_isolated(spec)
+    assert spec.disc_f == (m * m + 3 * m + 9) ** 2
 
 
 def test_signs_of_theta(spec7):
@@ -353,8 +353,8 @@ def test_descent_powerings_below_1e5(monkeypatch, spec7, spec9):
     (GOOD7, 7),
     ("spec9", 9),
     (QUINTIC11, 11),
-    (shanks_cubic(2, 19**2), 19),
-    (shanks_cubic(4, 37**2), 37),
+    (shanks_cubic(2), 19),
+    (shanks_cubic(4), 37),
 ], ids=["c7", "c9", "quintic", "shanks-2", "shanks-4"])
 def test_memo_agrees_with_the_direct_split_test(request, text, modulus):
     # the sweep's memo of non-split classes p mod M decides every odd prime
@@ -406,7 +406,7 @@ def test_conjugate_rejects_foreign_prime(spec7):
 
 def test_generator_verification_identity(spec7):
     P = PrimeDeg1(13, 7)
-    alpha = generator_of_power(spec7, P, 1)
+    alpha = generator_of_power(spec7, P)
     assert spec7.norm(alpha) == 13
     assert eval_mod(alpha, 7, 13) == 0
     assert all(s > 0 for s in spec7.embeddings.signs_of(alpha))
@@ -414,7 +414,7 @@ def test_generator_verification_identity(spec7):
 
 def test_generator_unit_square_invariance(spec7):
     P = PrimeDeg1(13, 7)
-    alpha = generator_of_power(spec7, P, 1)
+    alpha = generator_of_power(spec7, P)
     u = spec7.pad(spec7.units[0])
     adjusted = spec7.mul(spec7.mul(u, u), alpha)
     # still a totally positive generator of the same ideal
@@ -429,7 +429,7 @@ def test_generator_many_primes(spec7, p):
     if not roots:
         pytest.skip("not split")
     for a in roots:
-        alpha = generator_of_power(spec7, PrimeDeg1(p, a), 1)
+        alpha = generator_of_power(spec7, PrimeDeg1(p, a))
         assert spec7.norm(alpha) == p
         assert eval_mod(alpha, a, p) == 0
 
@@ -717,15 +717,10 @@ def test_eval_interval_matches_fraction_horner():
         assert all(type(v) is int for v in got)
 
 
-def test_generator_rejects_even_h(spec7):
-    with pytest.raises(ValueError):
-        generator_of_power(spec7, PrimeDeg1(13, 7), 2)
-
-
 def test_generator_cube_power(spec7):
     # h = 3 exercises the ideal-power path: norm 13^3, contained in P^3
     P = PrimeDeg1(13, 7)
-    alpha = generator_of_power(spec7, P, 3)
+    alpha = generator_of_power(with_h(spec7, 3), P)
     assert spec7.norm(alpha) == 13**3
     assert all(s > 0 for s in spec7.embeddings.signs_of(alpha))
     # the generator of P^3 reduces to 0 under theta -> 7 (it lies in P)
@@ -736,7 +731,7 @@ def test_generator_rejects_foreign_prime(spec7):
     # 2 and 1 are not roots of f mod 13, and 5 is inert: none is a prime of the field
     for P in (PrimeDeg1(13, 2), PrimeDeg1(13, 1), PrimeDeg1(5, 1)):
         with pytest.raises(ValueError, match="not a degree-one prime"):
-            generator_of_power(spec7, P, 1)
+            generator_of_power(spec7, P)
 
 
 def test_generator_rejects_ramified_prime(spec7, spec9):
@@ -745,7 +740,7 @@ def test_generator_rejects_ramified_prime(spec7, spec9):
         assert eval_mod(spec.f, P.a, P.p) == 0
         for h in (1, 3):
             with pytest.raises(RamifiedPrime):
-                generator_of_power(spec, P, h)
+                generator_of_power(with_h(spec, h), P)
 
 
 LIFT_PRIMES = (13, 19, 97, 1009, 10009)
@@ -771,7 +766,7 @@ def test_power_generator_lies_in_the_kernel(spec7, spec9, h):
     for spec, p in ((spec7, 13), (spec7, 29), (spec9, 19), (spec9, 37)):
         for a in split_completely(spec, p):
             P = PrimeDeg1(p, a)
-            alpha = generator_of_power(spec, P, h)
+            alpha = generator_of_power(with_h(spec, h), P)
             assert spec.norm(alpha) == p**h
             assert all(s > 0 for s in spec.embeddings.signs_of(alpha))
             assert eval_mod(alpha, numfield._lift_root(spec, P, h), p**h) == 0
@@ -801,13 +796,13 @@ def test_legendre_against_square_set(spec7):
 def _spins(spec, P):
     """Residue symbols of the totally positive generator of P^h at sigma^k(P), k = 1..n-1."""
     chain = conjugate_chain(spec, P)
-    alpha = generator_of_power(spec, P, spec.h)
+    alpha = generator_of_power(spec, P)
     return tuple(legendre_deg1(spec, alpha, Q) for Q in chain[1:])
 
 
 def _m4_class(spec, family, P):
     """Square class mod 4 of the totally positive generator of P^h."""
-    alpha = generator_of_power(spec, P, spec.h)
+    alpha = generator_of_power(spec, P)
     return residue.m4_class_of(family, tuple(c % 4 for c in alpha))
 
 
@@ -816,7 +811,7 @@ def test_spin_values_and_product_identity(spec7, family7):
     s1, s2 = _spins(spec7, P)
     assert s1 in (1, -1) and s2 in (1, -1)
     # the product must be the dyadic Hilbert symbol of the generator and its conjugate
-    alpha = generator_of_power(spec7, P, 1)
+    alpha = generator_of_power(spec7, P)
     r3 = family7.level(3)
     a8 = tuple(c % 8 for c in alpha)
     assert s1 * s2 == residue.hilbert2(r3, a8, r3.apply_tau(a8, 1))
@@ -880,7 +875,7 @@ def test_symbol_flip_for_one_mod_4_generators(spec7):
             unit_sq.append(spec7.mul(u, u))
     flips = 0
     for Q in split:
-        beta = generator_of_power(spec7, Q, 1)
+        beta = generator_of_power(spec7, Q)
         adjusted = None
         for usq in unit_sq:
             cand = spec7.mul(beta, usq)
@@ -892,7 +887,7 @@ def test_symbol_flip_for_one_mod_4_generators(spec7):
         for P in split[:6]:
             if P.p == Q.p:
                 continue
-            alpha = generator_of_power(spec7, P, 1)
+            alpha = generator_of_power(spec7, P)
             assert legendre_deg1(spec7, alpha, Q) == legendre_deg1(spec7, adjusted, P)
             flips += 1
     assert flips >= 3, "expected some generators congruent to 1 mod 4O below 700"

@@ -34,9 +34,9 @@ WORKLOADS = _load("workloads")
 
 @pytest.fixture(scope="module")
 def exact_specs(spec7, spec9):
-    # Q(zeta_11)^+ with nothing but what build_family reads, as the benchmark builds it
+    # Q(zeta_11)^+ with nothing but f and sigma, the two values build_family reads
     n5 = WORKLOADS.N5_SPEC
-    bare = SimpleNamespace(n=n5["n"], f=n5["f"], sigma=n5["sigma"])
+    bare = SimpleNamespace(f=n5["f"], sigma=n5["sigma"])
     return {"simplest-cubic-7": spec7, "cyclic-cubic-9": spec9, n5["name"]: bare}
 
 

@@ -75,7 +75,6 @@ def test_ring_pow_is_repeated_mul_on_O_mod_8(request, field):
 
 def test_build_ring_rejects_reducible():
     class Bad:
-        n = 3
         f = (0, 0, 0, 1)  # x^3, reducible mod 2
         sigma = (0, 1)
 
@@ -85,7 +84,6 @@ def test_build_ring_rejects_reducible():
 
 def test_build_ring_rejects_non_automorphism(spec7):
     class Bad:
-        n = 3
         f = spec7.f
         sigma = (1, 1)  # x + 1 is not a root of f
 

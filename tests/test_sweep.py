@@ -61,10 +61,10 @@ def test_classify_non_split_is_none(tables7):
 
 def test_classify_13_and_29(tables7):
     r13 = classify_prime(tables7, 13)
-    assert r13.p == 13 and r13.root_a == 7 and r13.p_mod4 == 1
-    assert r13.spins == (-1, 1) and not r13.in_R and not r13.in_F
+    assert r13.p == 13 and r13.root_a == 7 and r13.spins == (-1, 1)
+    assert emit_csv([r13], 3).splitlines()[1] == "13,1,7,-1,1,0,0," + "".join(map(str, r13.m4_bits))
     r29 = classify_prime(tables7, 29)
-    assert r29.p == 29 and r29.p_mod4 == 1
+    assert r29.p == 29
     assert all(s in (1, -1) for s in r29.spins)
 
 
@@ -74,11 +74,14 @@ def test_classify_respects_split_rule(result7):
 
 
 def test_spin_not_in_F_when_any_minus(result7):
-    for rec in result7.records:
-        s = rec.spins
-        assert rec.in_F == all(v == 1 for v in s)
-        assert rec.in_R == all(s[k - 1] * s[3 - k - 1] == 1 for k in (1, 2))
-        assert rec.in_F <= rec.in_R
+    # the derived CSV columns p_mod4, in_R and in_F against their definitions
+    for line in emit_csv(result7.records, 3).splitlines()[1:]:
+        p, p_mod4, _, s1, s2, in_r, in_f, _ = line.split(",")
+        s = (int(s1), int(s2))
+        assert int(p_mod4) == int(p) % 4
+        assert in_f == str(int(all(v == 1 for v in s)))
+        assert in_r == str(int(all(s[k - 1] * s[3 - k - 1] == 1 for k in (1, 2))))
+        assert in_f <= in_r
 
 
 def test_R_and_F_predicates():
@@ -95,8 +98,8 @@ def _row_counts(records):
     for rec in records:
         sign = 1 if rec.p % 4 == 1 else -1
         S[sign] += 1
-        R[sign] += rec.in_R
-        F[sign] += rec.in_F
+        R[sign] += sweep.in_R(rec.spins)
+        F[sign] += sweep.in_F(rec.spins)
         hist[rec.m4_bits] += 1
         assert sector.setdefault(rec.m4_bits, sign) == sign  # one sector per class
     for sign in (1, -1):
@@ -300,8 +303,9 @@ def test_csv_row_fields(result7):
     parts = line.split(",")
     assert parts[0] == str(rec.p)
     assert parts[-1] == "".join(map(str, rec.m4_bits))
-    assert parts[-2] == str(int(rec.in_F))
-    assert parts[-3] == str(int(rec.in_R))
+    assert parts[1] == str(rec.p % 4)
+    assert parts[-2] == str(int(sweep.in_F(rec.spins)))
+    assert parts[-3] == str(int(sweep.in_R(rec.spins)))
 
 
 @pytest.mark.parametrize("field, rows, digest", [
@@ -336,7 +340,7 @@ def test_histogram_sign_sectors(result7, star7):
     # every prime of a bin lies in the sector that the norm sign gives its class,
     # and the bin's row counts against that sector
     for rec in result7.records:
-        assert star7.norm_sign[rec.m4_bits] == (1 if rec.p_mod4 == 1 else -1)
+        assert star7.norm_sign[rec.m4_bits] == (1 if rec.p % 4 == 1 else -1)
     sector = Counter(star7.norm_sign[rec.m4_bits] for rec in result7.records)
     rows = {row[0]: row for row in result7.report_rows}
     for bits, count in Counter(rec.m4_bits for rec in result7.records).items():
