@@ -33,7 +33,7 @@ for name in ("simplest-cubic-7", "cyclic-cubic-9"):
     print(f"== {spec.name}: f has constant-first coefficients {spec.f}")
     print(f"   normal basis generator of O/2: y = {family.y}")
     print(f"   orbit under the Galois generator: {family.y_orbit}")
-    print(f"   pairing circulant c = {pairing.c}, h(x) = {f2poly.poly_str(residue.h_poly(pairing))}")
+    print(f"   pairing circulant c = {pairing.c}, h(x) = {f2poly.poly_str(pairing.h)}")
     print(f"   closed form        : {s_pair(spec.n)}")
     print(f"   star-table count   : {(star.ker_plus, star.ker_minus)}")
     print(f"   autocorrelation    : {residue.kernel_counts_via_B(pairing)}")

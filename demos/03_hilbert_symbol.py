@@ -10,7 +10,7 @@ to print in full.
 from importlib import resources
 from itertools import product
 
-from spinsweep import residue
+from spinsweep import checks, residue
 from spinsweep.numfield import load_spec
 
 cfg = (resources.files("spinsweep.data") / "simplest-cubic-7.cfg").read_text()
@@ -27,7 +27,7 @@ print("(1, b)_2 = +1 for every unit b: ", all(
 print()
 print("Full 8 x 8 symbol table on square classes (rows/cols in binary order):")
 bits_list = list(product((0, 1), repeat=3))
-reps = {c: residue.class_rep(family, c) for c in bits_list}
+reps = {c: checks.class_rep(family, c) for c in bits_list}
 for u in bits_list:
     row = [residue.hilbert2(r3, reps[u], reps[v]) for v in bits_list]
     print("  ", "".join(map(str, u)), " ".join(f"{v:+d}" for v in row))

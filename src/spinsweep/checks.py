@@ -17,7 +17,7 @@ from itertools import product
 from . import residue
 from .density import s_pair
 from .intpoly import norm_mod
-from .residue import RingFamily, StarTable, class_rep, hilbert2, m4_class_of, rot
+from .residue import Elem, M4Class, RingFamily, StarTable, hilbert2, m4_class_of, rot
 
 # largest degree the suites are run at: at n = 5 the well-definedness loop of
 # `hilbert_suite` alone is 32 * 32 * (32 + 496) = 540 672 oracle calls, about a quarter of an hour
@@ -33,6 +33,16 @@ class CheckResult:
 
 def _result(name, ok, detail=""):
     return CheckResult(name, bool(ok), detail if not ok else "")
+
+
+def class_rep(family: RingFamily, bits: M4Class) -> Elem:
+    """Distinguished mod-8 representative: the product of the factors 1 + 2 tau^i(y) picked by bits."""
+    r3 = family.level(3)
+    out = r3.one()
+    for b, v in zip(bits, family.y_orbit):
+        if b:
+            out = r3.mul(out, (1 + 2 * v[0],) + tuple(2 * c for c in v[1:]))
+    return out
 
 
 def oracle_star_table(family: RingFamily) -> StarTable:
@@ -166,15 +176,15 @@ def kernel_suite(family: RingFamily, star: StarTable,
                 hilbert2(r3, r3.neg_one(), r3.neg_one()) == -1),
     ]
     # c_0 reflects the norm sign of the basis element's class
-    alpha_class = m4_class_of(family, tuple(c % 4 for c in family.basis_lifts[0]))
+    alpha = class_rep(family, (1,) + (0,) * (n - 1))  # 1 + 2y
+    alpha_class = m4_class_of(family, tuple(c % 4 for c in alpha))
     out.append(_result("kernel/c0-vs-norm-sign",
                        (pairing.c[0] == 0) == (star.norm_sign[alpha_class] == 1)))
     # pairing of the all-ones class with itself vs star(-1): (-1,-1) = -1
     ones = tuple([1] * n)
     out.append(_result("kernel/all-ones-parity", pairing.pairing(ones, ones) == -1))
     # h is palindromic and the identity matrix case is sanity-covered by h = 1
-    h = residue.h_poly(pairing)
-    hbits = [(h >> i) & 1 for i in range(n)]
+    hbits = [(pairing.h >> i) & 1 for i in range(n)]
     out.append(_result("kernel/h-palindromic",
                        all(hbits[i] == hbits[(n - i) % n] for i in range(n))))
     return out

@@ -56,12 +56,12 @@ def _parse_n_list(text: str):
     try:
         values = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise FieldConfigError(f"bad degree list: {text!r}") from None
+        raise ValueError(f"bad degree list: {text!r}") from None
     if not values:
-        raise FieldConfigError("empty degree list")
+        raise ValueError("empty degree list")
     for n in values:
         if n < 3 or n % 2 == 0:
-            raise FieldConfigError(f"degree must be odd and >= 3, got {n}")
+            raise ValueError(f"degree must be odd and >= 3, got {n}")
     return values
 
 
@@ -104,7 +104,7 @@ def _cmd_verify_kernel(args) -> int:
     print(f"field = {spec.name}  (n = {spec.n})")
     print(f"normal basis generator y = {family.y}")
     print(f"pairing c-sequence = {pairing.c}")
-    print(f"h(x) = {f2poly.poly_str(residue.h_poly(pairing))}")
+    print(f"h(x) = {f2poly.poly_str(pairing.h)}")
     print(f"kernel counts  closed-form      = {closed}")
     print(f"kernel counts  star-table       = {brute}")
     print(f"kernel counts  autocorrelation  = {convol}")

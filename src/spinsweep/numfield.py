@@ -71,9 +71,10 @@ fail too.
 
 Since K is abelian, whether p splits depends only on p mod the conductor
 (Artin reciprocity), and `conductor_multiple` gives a multiple M of it
-from disc_f and n.  The sweep memoises, per sweep, the classes p mod M seen
-not to split (`sweep.FieldTables`); the memo only ever says "does not
-split", so every split prime is still certified by the direct test.
+from disc_f and n.  The sweep memoises, per sweep or per pool window, the
+classes p mod M seen not to split (`sweep.FieldTables`); the memo only ever
+says "does not split", so every split prime is still certified by the
+direct test.
 
 Sigma-orbit invariant: the config guarantees f(s(x)) = 0 mod f and that
 sigma has order n, so for p not dividing disc_f the map b -> s(b) mod p

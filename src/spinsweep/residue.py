@@ -11,15 +11,16 @@ Built on top of the rings:
 
   * the group of invertible classes mod 4 taken up to squares, a GF(2)
     vector space of dimension n presented in a normal basis y, tau(y), ...
-    of O/2 (`m4_class_of`, `class_rep`);
+    of O/2 (`m4_class_of`; `checks.class_rep` lifts a class back to O/8);
   * the dyadic Hilbert symbol on those classes as a circulant GF(2) form
-    (`build_matrix_A`) and the star values and norm signs it gives
-    (`star_table`), by linear algebra alone.  For a class 1 + 2x the
-    symbol is (1 + 2x, 1 + 2z)_2 = (-1)^Tr(xz), so A is the trace Gram
-    matrix of the normal basis, c_k = Tr(y tau^k(y)) mod 2, and since
-    N(1 + 2x) = 1 + 2 Tr(x) mod 4, norm_sign(u) = (-1)^(c_0 |u|);
-  * kernel counts from a cyclic-convolution enumeration (`b_map` /
-    `h_poly` / `kernel_counts_via_B`);
+    (`CirculantA`, built once per family as its `pairing`) and the star
+    values and norm signs it gives (`star_table`), by linear algebra
+    alone.  For a class 1 + 2x the symbol is (1 + 2x, 1 + 2z)_2 =
+    (-1)^Tr(xz), so A is the trace Gram matrix of the normal basis,
+    c_k = Tr(y tau^k(y)) mod 2, and since N(1 + 2x) = 1 + 2 Tr(x) mod 4,
+    norm_sign(u) = (-1)^(c_0 |u|);
+  * kernel counts from a cyclic-convolution enumeration (`b_map`,
+    `kernel_counts_via_B` against `CirculantA.h`);
   * the reference the checks and tests compare against: the symbol as a
     brute-force solvability oracle mod 8 (`hilbert2`), two scans over the
     ring's squares (`ResidueRing.squares`).  It decides solvability of
@@ -33,16 +34,16 @@ The normal-basis test, the class coordinates, the pairing, the star
 values, b and h are one product, `f2poly.cyclic_mul` in GF(2)[x]/(x^n - 1),
 with classes read as polynomials and c the trace Gram sequence of y.  The
 orbit of y is a basis iff c is a unit there (the trace form of O/2 is
-non-degenerate); h = c^-1 (`f2poly.cyclic_inv`); if u^(2^n-1) = 1 + 2w and
-t_j = Tr(w tau^j(y)), the class of u is b = h * t.  Further A v = c * v,
-b(u) = u(x) u(1/x), and the pairing of u with rot(u, k) is coefficient k
-of c * b(u).  So u is star-trivial iff c * b(u) is 0 or 1, the invariant
-`density.s_pair` states.
+non-degenerate); h = c^-1 (`f2poly.cyclic_inv`, once, when the `CirculantA`
+is built); if u^(2^n-1) = 1 + 2w and t_j = Tr(w tau^j(y)), the class of u
+is b = h * t.  Further A v = c * v, b(u) = u(x) u(1/x), and the pairing of
+u with rot(u, k) is coefficient k of c * b(u).  So u is star-trivial iff
+c * b(u) is 0 or 1, the invariant `density.s_pair` states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -114,6 +115,11 @@ class ResidueRing:
         return a
 
     @cached_property
+    def trace(self) -> tuple[int, ...]:
+        """Tr(theta^j) mod 2 for j < n, the power sums of f."""
+        return tuple(t % 2 for t in newton_power_sums(self.f, self.n))
+
+    @cached_property
     def squares(self) -> frozenset[Elem]:
         """Every square of the ring, from squaring each of its mod^n elements once."""
         return frozenset(self.mul(a, a) for a in product(range(self.mod), repeat=self.n))
@@ -126,8 +132,7 @@ def build_ring(spec, level: int) -> ResidueRing:
 
 def _traces(ring: ResidueRing, x: Elem, ys) -> tuple[int, ...]:
     """Tr(x y) mod 2 for each y in ys, read from the power sums Tr(theta^j) of f (level 1)."""
-    trace = newton_power_sums(ring.f, ring.n)
-    return tuple(sum(a * t for a, t in zip(ring.mul(x, y), trace)) % 2 for y in ys)
+    return tuple(sum(a * t for a, t in zip(ring.mul(x, y), ring.trace)) % 2 for y in ys)
 
 
 def find_normal_basis(ring: ResidueRing) -> Elem:
@@ -155,9 +160,7 @@ class RingFamily:
     rings: dict[int, ResidueRing]
     y: Elem
     y_orbit: tuple[Elem, ...]
-    basis_lifts: tuple[Elem, ...]  # 1 + 2*lift(y^(tau^i)) at level 3
-    c: tuple[int, ...]  # c_k = Tr(y tau^k(y)) mod 2
-    h: f2poly.F2Poly  # c^-1 in GF(2)[x]/(x^n - 1)
+    pairing: CirculantA  # the trace Gram c_k = Tr(y tau^k(y)) mod 2 and its inverse h
 
     @property
     def n(self) -> int:
@@ -172,13 +175,7 @@ def build_family(spec) -> RingFamily:
     r1 = rings[1]
     y = find_normal_basis(r1)
     orbit = tuple(r1.apply_tau(y, k) for k in range(r1.n))
-    lifts = []
-    for v in orbit:
-        lift = [2 * c for c in v]
-        lift[0] += 1
-        lifts.append(tuple(lift))
-    c = _traces(r1, y, orbit)
-    return RingFamily(spec, rings, y, orbit, tuple(lifts), c, h_poly(CirculantA(c)))
+    return RingFamily(spec, rings, y, orbit, CirculantA(_traces(r1, y, orbit)))
 
 
 def m4_class_of(family: RingFamily, u: Elem) -> M4Class:
@@ -198,18 +195,8 @@ def m4_class_of(family: RingFamily, u: Elem) -> M4Class:
     v = r2.pow(u, (1 << r2.n) - 1)
     assert f2poly.from_coeffs(v) == 1, "power did not land in 1 + 2O"
     t = _traces(family.level(1), tuple(c >> 1 for c in v), family.y_orbit)
-    b = f2poly.cyclic_mul(family.h, f2poly.from_coeffs(t), r2.n)
+    b = f2poly.cyclic_mul(family.pairing.h, f2poly.from_coeffs(t), r2.n)
     return tuple((b >> j) & 1 for j in range(r2.n))
-
-
-def class_rep(family: RingFamily, bits: M4Class) -> Elem:
-    """Distinguished mod-8 representative: product of basis factors picked by bits."""
-    r3 = family.level(3)
-    out = r3.one()
-    for b, lift in zip(bits, family.basis_lifts):
-        if b:
-            out = r3.mul(out, lift)
-    return out
 
 
 def hilbert2(ring: ResidueRing, a: Elem, b: Elem) -> int:
@@ -266,7 +253,7 @@ class StarTable:
 
 def star_table(family: RingFamily) -> StarTable:
     """Star values and norm signs of all 2^n classes: star(u) = +1 iff c * b(u) is 0 or 1."""
-    a = build_matrix_A(family)
+    a = family.pairing
     n = family.n
     c = f2poly.from_coeffs(a.c)
     star: dict[M4Class, int] = {}
@@ -284,18 +271,23 @@ class CirculantA:
 
     Entry (i, j) is c[(i - j) mod n], so A v is the cyclic product c * v in
     GF(2)[x]/(x^n - 1) and the pairing of classes u, v is (-1)^(u^T A v).
-    A is invertible iff c is a unit there: gcd(c, x^n + 1) = 1.
+    A is invertible iff c is a unit there; h = c^-1 solves A h = e_0, and
+    h(x) = x^n h(1/x) mod x^n - 1 since c is.
     """
 
     c: tuple[int, ...]
+    h: f2poly.F2Poly = field(init=False)
 
     def __post_init__(self):
         n = len(self.c)
         for i in range(1, n):
             if self.c[i] != self.c[n - i]:
                 raise AssertionError("pairing matrix must be symmetric (upstream bug)")
-        if f2poly.gcd(f2poly.from_coeffs(self.c), (1 << n) | 1) != 1:
-            raise AssertionError("pairing matrix must be invertible (upstream bug)")
+        try:
+            h = f2poly.cyclic_inv(f2poly.from_coeffs(self.c), n)
+        except ValueError:
+            raise AssertionError("pairing matrix must be invertible (upstream bug)") from None
+        object.__setattr__(self, "h", h)
 
     def pairing_bit(self, u, v) -> int:
         n = len(self.c)
@@ -308,7 +300,7 @@ class CirculantA:
 
 def build_matrix_A(family: RingFamily) -> CirculantA:
     """Pairing matrix as the trace Gram matrix of the normal basis: c_k = Tr(y tau^k(y))."""
-    return CirculantA(family.c)
+    return family.pairing
 
 
 def b_map(u: int, n: int) -> f2poly.F2Poly:
@@ -326,15 +318,9 @@ def b_map(u: int, n: int) -> f2poly.F2Poly:
     return f2poly.cyclic_mul(u, bwd, n)
 
 
-def h_poly(a: CirculantA) -> f2poly.F2Poly:
-    """Solve A h = e_0, i.e. h = c^-1 in GF(2)[x]/(x^n - 1); h(x) = x^n h(1/x) mod x^n - 1."""
-    return f2poly.cyclic_inv(f2poly.from_coeffs(a.c), len(a.c))
-
-
 def kernel_counts_via_B(a: CirculantA) -> tuple[int, int]:
     """Count bit vectors whose autocorrelation is 0 resp. the distinguished h."""
-    n = len(a.c)
-    h = h_poly(a)
+    n, h = len(a.c), a.h
     count0 = count_h = 0
     for u in range(1 << n):
         img = b_map(u, n)

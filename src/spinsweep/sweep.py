@@ -17,13 +17,15 @@ histogram sums the cells over their spins.
 
 Work is cut into windows of [3, X] of equal width: one when serial, and
 WINDOWS_PER_WORKER per worker process otherwise, so the chunking follows
-from the worker count alone, which is at most the CPU count.  Per-prime
-results are pure functions of p, so records, tallies and CSV output are
-identical for every worker count.  The only state a sweep keeps between
-primes is two memos on its `FieldTables`, both per sweep and exact: the
-split test's classes p mod M seen not to split, and the mod-4 class of each
-generator residue mod 4 already classified.  Each only skips work whose
-answer is already known.
+from the worker count alone, which is at most the CPU count.  Every window
+is `_classify_range` on the sweep's `FieldTables`: in process when serial,
+and on a pickled copy of the tables per window in a worker otherwise.
+Per-prime results are pure functions of p, so records, tallies and CSV
+output are identical for every worker count.  The only state kept between
+primes is two exact memos on the tables: the split test's classes p mod M
+seen not to split, and the mod-4 class of each generator residue mod 4
+already classified.  They last one sweep when serial and one window under
+a pool, and only skip work whose answer is already known.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from collections import Counter
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 import math
 import os
 
@@ -80,9 +82,10 @@ class Tally(Counter):
 
 @dataclass
 class FieldTables:
-    """Per-field context shared by all per-prime work, built afresh by every sweep and worker.
+    """Per-field context shared by all per-prime work, built afresh by every sweep.
 
-    It holds two memos, both per sweep and exact, and both start empty.
+    It holds two exact memos, both empty when built; a serial sweep fills
+    one copy, and under a pool every window fills its own pickled copy.
     nonsplit is the memo of the split test: the classes p mod modulus (a
     multiple of the conductor) at which a prime was seen not to split.  It
     only ever says "does not split", so every split prime still gets the
@@ -94,7 +97,6 @@ class FieldTables:
     spec: numfield.FieldSpec
     family: residue.RingFamily
     star: residue.StarTable
-    pairing: residue.CirculantA
     modulus: int = field(init=False)
     nonsplit: set[int] = field(init=False, default_factory=set)
     m4: dict[tuple[int, ...], tuple[int, ...]] = field(init=False, default_factory=dict)
@@ -123,9 +125,7 @@ class FieldTables:
 
 def build_tables(spec: numfield.FieldSpec) -> FieldTables:
     family = residue.build_family(spec)
-    star = residue.star_table(family)
-    pairing = residue.build_matrix_A(family)
-    return FieldTables(spec, family, star, pairing)
+    return FieldTables(spec, family, residue.star_table(family))
 
 
 def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
@@ -144,7 +144,7 @@ def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
 
     for k in range(1, n):
         product = spins[k - 1] * spins[n - k - 1]
-        pairing = tables.pairing.pairing(bits, residue.rot(bits, k))
+        pairing = tables.family.pairing.pairing(bits, residue.rot(bits, k))
         if product != pairing:
             raise SpinRelationViolation(
                 f"p={p}: spin({k})*spin({n - k}) = {product} but Hilbert pairing = {pairing}"
@@ -195,6 +195,7 @@ def odd_primes_in(lo: int, hi: int) -> list[int]:
 
 
 def _classify_range(tables: FieldTables, lo: int, hi: int):
+    """Records of the split primes and the ramified primes skipped in the window [lo, hi)."""
     records = []
     skipped = []
     for p in odd_primes_in(lo, hi):
@@ -208,18 +209,6 @@ def _classify_range(tables: FieldTables, lo: int, hi: int):
         if rec is not None:
             records.append(rec)
     return records, skipped
-
-
-_WORKER_CTX = {}
-
-
-def _worker_init(spec: numfield.FieldSpec):
-    _WORKER_CTX["tables"] = build_tables(spec)
-
-
-def _worker_chunk(bounds):
-    lo, hi = bounds
-    return _classify_range(_WORKER_CTX["tables"], lo, hi)
 
 
 @dataclass
@@ -279,15 +268,16 @@ def run_sweep(spec: numfield.FieldSpec, limit: int, jobs: int = 1) -> SweepResul
     # the pool starts all its workers at the first submit, so start no idle ones
     jobs = min(jobs, len(bounds))
     tables = build_tables(spec)
+    windows = (repeat(tables), *zip(*bounds))  # (tables, lo, hi) per window
     if jobs == 1:
-        parts = [_classify_range(tables, lo, hi) for lo, hi in bounds]
+        parts = list(map(_classify_range, *windows))
     else:
-        with ProcessPoolExecutor(jobs, initializer=_worker_init, initargs=(spec,)) as pool:
+        with ProcessPoolExecutor(jobs) as pool:
             try:
-                parts = list(pool.map(_worker_chunk, bounds))  # in window order
+                parts = list(pool.map(_classify_range, *windows))  # in window order
             except BrokenProcessPool as exc:
                 raise WorkerCrashed(str(exc)) from exc
-    records = sorted((rec for part_records, _ in parts for rec in part_records), key=lambda r: r.p)
+    records = [rec for part_records, _ in parts for rec in part_records]  # ascending p
     skipped = [p for _, part_skipped in parts for p in part_skipped]
     tally = Tally((rec.m4_bits, rec.spins) for rec in records)
     norm_sign = tables.star.norm_sign

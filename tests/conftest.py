@@ -1,3 +1,4 @@
+import pickle
 from importlib import resources
 
 import pytest
@@ -64,17 +65,18 @@ def pairing9(family9):
 def in_process_pool(monkeypatch):
     """Make the sweep's pool map in this process, starting none; returns each max_workers asked.
 
-    The machine is taken to have 4 CPUs, so worker counts do not depend on
-    the one the tests run on; a test may patch `sweep.os.cpu_count` again.
+    Each call gets a pickle round trip of its arguments, as a real pool's
+    worker does.  The machine is taken to have 4 CPUs, so worker counts do
+    not depend on the one the tests run on; a test may patch
+    `sweep.os.cpu_count` again.
     """
     from spinsweep import sweep
 
     requested = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             requested.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -82,10 +84,9 @@ def in_process_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return (fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables))
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(sweep, "_WORKER_CTX", {})
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
     return requested

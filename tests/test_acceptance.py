@@ -175,7 +175,7 @@ def test_criterion_7_zero_tolerance_consistency(sweep_result, spec7, capsys):
     for rec in result.records:
         bits = rec.m4_bits
         for k in range(1, n):
-            pairing = tables.pairing.pairing(bits, residue.rot(bits, k))
+            pairing = tables.family.pairing.pairing(bits, residue.rot(bits, k))
             ok &= rec.spins[k - 1] * rec.spins[n - k - 1] == pairing
             products += 1
         in_r_spin = all(rec.spins[k - 1] * rec.spins[n - k - 1] == 1 for k in range(1, n))

@@ -45,6 +45,17 @@ def test_table_rejects_even_degree(capsys):
     assert "validation error" in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["table", "--n", "4"], "validation error: degree must be odd and >= 3, got 4"),
+    (["table", "--n", "x"], "validation error: bad degree list: 'x'"),
+    (["density", "--n", ","], "validation error: empty degree list"),
+])
+def test_degree_list_error_names_no_config(capsys, argv, line):
+    # a bad --n is an argument error, printed like --limit and --jobs, with no [config] code
+    assert main(argv) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_usage_error_unknown_command(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -201,11 +212,11 @@ def test_sweep_jobs_splits_the_range(monkeypatch, capsys, in_process_pool):
     # split prime every ratio row has N = 0 and fails, so the sweep exits 3
     windows = []
 
-    def record(bounds):
-        windows.append(bounds)
+    def record(tables, lo, hi):
+        windows.append((lo, hi))
         return [], []
 
-    monkeypatch.setattr(sweep, "_worker_chunk", record)
+    monkeypatch.setattr(sweep, "_classify_range", record)
     code = main(["sweep", "--field", "simplest-cubic-7", "--limit", "100000", "--jobs", "2"])
     assert code == 3
     assert in_process_pool == [2]
@@ -318,11 +329,11 @@ import os, sys
 from spinsweep import sweep
 from spinsweep.cli import main
 
-def crash(bounds):
+def crash(tables, lo, hi):
     os._exit(1)
 
 if __name__ == "__main__":
-    sweep._worker_chunk = crash
+    sweep._classify_range = crash
     sweep.os.cpu_count = lambda: 2  # a pool of 2 on any machine
     sys.exit(main(["sweep", "--field", "simplest-cubic-7", "--limit", "1000",
                    "--jobs", "2"]))

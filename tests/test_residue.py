@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 
 from spinsweep import checks, f2poly, residue
+from spinsweep.checks import class_rep
 from spinsweep.density import s_pair
 from spinsweep.residue import (
     CirculantA,
@@ -14,9 +15,7 @@ from spinsweep.residue import (
     b_map,
     build_matrix_A,
     build_ring,
-    class_rep,
     find_normal_basis,
-    h_poly,
     hilbert2,
     kernel_counts_via_B,
     m4_class_of,
@@ -247,12 +246,14 @@ def test_m4_classes_off_self_dual_basis(family11):
     # these presentations tell the two apart
     fams = _families11_off_self_dual(family11)
     assert len(fams) == 10
-    assert {fam.c for fam in fams} == {(1, 1, 0, 0, 1), (1, 0, 1, 1, 0)}
+    assert {fam.pairing.c for fam in fams} == {(1, 1, 0, 0, 1), (1, 0, 1, 1, 0)}
     every_class = list(product((0, 1), repeat=5))
     for fam in fams:
-        assert f2poly.cyclic_mul(f2poly.from_coeffs(fam.c), fam.h, 5) == 1 != fam.h
+        c, h = f2poly.from_coeffs(fam.pairing.c), fam.pairing.h
+        assert f2poly.cyclic_mul(c, h, 5) == 1 != h
         assert _classes_of_reps(fam) == every_class
-        assert _classes_of_reps(dataclasses.replace(fam, h=1)) != every_class
+        self_dual = dataclasses.replace(fam, pairing=SimpleNamespace(h=1))
+        assert _classes_of_reps(self_dual) != every_class
 
 
 # -- hilbert symbol -----------------------------------------------------------
@@ -368,19 +369,34 @@ def test_pairing_matrix_matches_brute_force(family7, pairing7):
 
 def test_pairing_matrix_matches_oracle_at_n5(family11):
     r3 = family11.level(3)
-    lifts = family11.basis_lifts
+    lifts = [class_rep(family11, e) for e in _unit_vectors(5)]  # 1 + 2 tau^i(y)
     oracle_c = tuple(0 if hilbert2(r3, lifts[0], b) == 1 else 1 for b in lifts)
     assert build_matrix_A(family11).c == oracle_c == (1, 0, 0, 0, 0)
 
 
 def test_pairing_c0_vs_norm_sign(family7, oracle_star7, pairing7):
-    alpha_class = m4_class_of(family7, tuple(c % 4 for c in family7.basis_lifts[0]))
+    alpha_class = m4_class_of(family7, tuple(c % 4 for c in class_rep(family7, (1, 0, 0))))
     assert (pairing7.c[0] == 0) == (oracle_star7.norm_sign[alpha_class] == 1)
 
 
 def test_pairing_all_ones_parity(pairing7, star7):
     # the self-pairing of the class of -1 is star-negative: (-1,-1) = -1
     assert pairing7.pairing(ONES, ONES) == -1 == star7.star[ONES]
+
+
+def test_matrix_a_is_the_family_pairing(family7, family9, family11):
+    for fam in (family7, family9, family11):
+        assert build_matrix_A(fam) is fam.pairing
+
+
+def test_selfcheck_reads_each_ring_trace_once(monkeypatch, spec7):
+    # the power sums of f are read once per ring, not once per trace taken
+    calls = []
+    direct = residue.newton_power_sums
+    monkeypatch.setattr(residue, "newton_power_sums", lambda f, count: calls.append(f) or direct(f, count))
+    rows = checks.run_all(spec7)
+    assert len(rows) == 19 and all(row.ok for row in rows)
+    assert 1 <= len(calls) <= 3  # the one family of the run has three rings
 
 
 def test_circulant_rejects_asymmetric():
@@ -424,7 +440,7 @@ def test_circulant_rejects_singular():
 
 
 @pytest.mark.parametrize("c", OFF_IDENTITY, ids=lambda c: "".join(map(str, c)))
-def test_circulant_layer_off_identity(monkeypatch, c):
+def test_circulant_layer_off_identity(c):
     # every shipped field has c = (1, 0, ..., 0), so run the layer on a stand-in family
     n = len(c)
     a = CirculantA(c)
@@ -434,10 +450,8 @@ def test_circulant_layer_off_identity(monkeypatch, c):
         av = _apply(c, v)
         for u in classes:
             assert a.pairing_bit(u, v) == sum(x * y for x, y in zip(u, av)) % 2
-    h = h_poly(a)
-    assert _apply(c, tuple((h >> j) & 1 for j in range(n))) == _unit_vectors(n)[0]
-    monkeypatch.setattr(residue, "build_matrix_A", lambda family: a)
-    star = star_table(SimpleNamespace(n=n)).star
+    assert _apply(c, tuple((a.h >> j) & 1 for j in range(n))) == _unit_vectors(n)[0]
+    star = star_table(SimpleNamespace(n=n, pairing=a)).star
     for u in classes:
         au = _apply(c, u)  # A is symmetric, so u^T A w = (A u) . w
         trivial = all(sum(x * y for x, y in zip(au, rot(u, k))) % 2 == 0 for k in range(1, n))
@@ -470,13 +484,12 @@ def test_b_map_against_direct_convolution():
 
 
 def test_h_poly_identity_matrix():
-    assert h_poly(CirculantA((1, 0, 0))) == 1
+    assert CirculantA((1, 0, 0)).h == 1
 
 
 def test_h_poly_palindromic(pairing7, pairing9):
     for a in (pairing7, pairing9):
-        h = h_poly(a)
-        n = len(a.c)
+        h, n = a.h, len(a.c)
         bits = [(h >> i) & 1 for i in range(n)]
         assert all(bits[i] == bits[(n - i) % n] for i in range(n))
 
@@ -488,14 +501,14 @@ def test_h_poly_inverts_every_symmetric_unit(n):
     for c0, half in product((0, 1), product((0, 1), repeat=(n - 1) // 2)):
         c = (c0,) + half + half[::-1]
         if len({_apply(c, v) for v in product((0, 1), repeat=n)}) == 1 << n:
-            h = h_poly(CirculantA(c))
+            h = CirculantA(c).h
             assert _apply(c, tuple((h >> j) & 1 for j in range(n))) == _unit_vectors(n)[0]
             units += 1
     assert units == 1 + sum(len(c) == n for c in OFF_IDENTITY)
 
 
 def test_h_preimage_count(pairing7):
-    h = h_poly(pairing7)
+    h = pairing7.h
     count = sum(
         1
         for mask in range(8)

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from spinsweep import numfield, residue, sweep
+from spinsweep import f2poly, numfield, residue, sweep
 from spinsweep.numfield import PrimeDeg1
 from spinsweep.sweep import (
     Tally,
@@ -136,8 +136,9 @@ def test_ramified_primes_still_skipped(spec9):
 
 
 def test_split_memo_is_per_sweep(monkeypatch, spec7, in_process_pool):
-    # every sweep builds fresh tables with an empty memo, so repeated sweeps in
-    # one process make the same split_completely calls (a traced benchmark
+    # every sweep builds fresh tables with an empty memo, which a serial sweep
+    # fills and each pool window fills a pickled copy of, so repeated sweeps at
+    # one --jobs make the same split_completely calls (a traced benchmark
     # compares its counts across passes)
     calls, built = [], []
     direct, build = numfield.split_completely, sweep.build_tables
@@ -159,11 +160,45 @@ def test_split_memo_is_per_sweep(monkeypatch, spec7, in_process_pool):
         calls.clear()
         res = run_sweep(spec7, 6000, jobs=jobs)
         per_sweep.append(list(calls))
-    assert per_sweep[0] == per_sweep[1] == per_sweep[2] == per_sweep[3]
-    # only the first prime of each of the four non-split classes mod 7 is tested besides the split ones
+    assert per_sweep[0] == per_sweep[1] and per_sweep[2] == per_sweep[3]
+    assert len(built) == 4  # one per sweep, each found empty; pool windows get copies
+    # serial: only the first prime of each of the four non-split classes mod 7 is tested besides the split ones
     assert len(per_sweep[0]) == len(res.records) + 4
     assert [p for p in per_sweep[0] if p % 7 not in (1, 6)] == [3, 5, 11, 23]
-    assert len(built) == 6  # one per sweep and one per worker start, each found empty
+    # --jobs 2: each of the 8 windows tests the first prime of each non-split class in it
+    firsts = []
+    for lo, hi in sweep._windows(6000, 2):
+        seen = set()
+        for p in odd_primes_in(lo, hi):
+            if p % 7 in (2, 3, 4, 5) and p % 7 not in seen:
+                seen.add(p % 7)
+                firsts.append(p)
+    assert len(firsts) == 8 * 4
+    assert [p for p in per_sweep[2] if p % 7 not in (1, 6)] == firsts
+    assert len(per_sweep[2]) == len(res.records) + len(firsts)
+
+
+def test_pool_windows_fill_copies_of_the_tables(monkeypatch, spec7, result7, in_process_pool):
+    # the sweep builds its tables once; under a pool every window works on its
+    # own pickled copy, so the sweep's memos stay empty
+    built, build = [], sweep.build_tables
+    monkeypatch.setattr(sweep, "build_tables", lambda spec: built.append(build(spec)) or built[-1])
+    res = run_sweep(spec7, 6000, jobs=2)
+    assert in_process_pool == [2]
+    assert len(built) == 1
+    assert built[0].nonsplit == set() and built[0].m4 == {}
+    assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
+
+
+def test_build_tables_builds_one_pairing(monkeypatch, spec7):
+    # the family's CirculantA is the only one, and it inverts c once
+    built, inverted = [], []
+    post_init, inverse = residue.CirculantA.__post_init__, f2poly.cyclic_inv
+    monkeypatch.setattr(residue.CirculantA, "__post_init__", lambda a: built.append(a) or post_init(a))
+    monkeypatch.setattr(f2poly, "cyclic_inv", lambda a, n: inverted.append(a) or inverse(a, n))
+    tables = build_tables(spec7)
+    assert len(built) == len(inverted) == 1
+    assert built[0] is tables.family.pairing is residue.build_matrix_A(tables.family)
 
 
 @pytest.mark.parametrize("field", ["spec7", "spec9"])
@@ -264,13 +299,13 @@ def test_workers_capped_at_chunk_count(monkeypatch, spec7, result7, in_process_p
 def test_workers_capped_at_cpu_count(monkeypatch, spec7, result7, in_process_pool):
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
     windows = []
-    chunk = sweep._worker_chunk
+    chunk = sweep._classify_range
 
-    def record(bounds):
-        windows.append(bounds)
-        return chunk(bounds)
+    def record(tables, lo, hi):
+        windows.append((lo, hi))
+        return chunk(tables, lo, hi)
 
-    monkeypatch.setattr(sweep, "_worker_chunk", record)
+    monkeypatch.setattr(sweep, "_classify_range", record)
     res = run_sweep(spec7, 6000, jobs=10**9)  # cut to 2 workers before any window is made
     assert in_process_pool == [2]
     assert len(windows) == 2 * sweep.WINDOWS_PER_WORKER == 8
@@ -370,7 +405,6 @@ def test_violation_on_tampered_star_table(spec7):
         tables.spec,
         tables.family,
         type(tables.star)(tampered, tables.star.norm_sign),
-        tables.pairing,
     )
     with pytest.raises(sweep.SpinRelationViolation):
         classify_prime(broken, 13)
@@ -388,7 +422,6 @@ def test_violation_on_flipped_norm_sign(spec7):
         tables.spec,
         tables.family,
         type(tables.star)(tables.star.star, flipped),
-        tables.pairing,
     )
     for p in (13, 29, 43):
         with pytest.raises(sweep.SpinRelationViolation, match=f"p={p}: norm sign"):
