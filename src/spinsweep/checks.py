@@ -20,7 +20,10 @@ from .intpoly import norm_mod
 from .residue import Elem, M4Class, RingFamily, StarTable, hilbert2, m4_class_of, rot
 
 # largest degree the suites are run at: at n = 5 the well-definedness loop of
-# `hilbert_suite` alone is 32 * 32 * (32 + 496) = 540 672 oracle calls, about a quarter of an hour
+# `hilbert_suite` alone is 32 * 32 * (32 + 496) = 540 672 oracle calls.  On a
+# 2-vCPU sandbox they average about 0.3 ms with the ring's product memo (6 ms
+# without), so about three minutes, while the memo grows to some 17 000 lists
+# of 528 products, about 300 MB
 MAX_SUITE_DEGREE = 3
 
 

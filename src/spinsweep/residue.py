@@ -20,7 +20,10 @@ Built on top of the rings:
     c_k = Tr(y tau^k(y)) mod 2, and since N(1 + 2x) = 1 + 2 Tr(x) mod 4,
     norm_sign(u) = (-1)^(c_0 |u|);
   * kernel counts from a cyclic-convolution enumeration (`b_map`,
-    `kernel_counts_via_B` against `CirculantA.h`);
+    `kernel_counts_via_B` against `CirculantA.h`).  The scan visits all
+    2^n vectors in Gray-code order and updates b instead of recomputing it:
+    if u = u' + x^k, then b(u) = b(u') + 1 + x^-k u'(x) + x^k u'(1/x), one
+    rotation of u' and one of its reversal, which is kept alongside u;
   * the reference the checks and tests compare against: the symbol as a
     brute-force solvability oracle mod 8 (`hilbert2`), two scans over the
     ring's squares (`ResidueRing.squares`).  It decides solvability of
@@ -28,7 +31,11 @@ Built on top of the rings:
     is inert the dyadic completion is unramified, so a mod-8 solution with
     a unit coordinate lifts (Hensel) and any solution in the completion
     scales to a primitive integral one; the congruence condition is
-    therefore exactly solvability at the place 2.
+    therefore exactly solvability at the place 2.  Each ring remembers the
+    products v*t (t a square) for every v its oracle has scanned with
+    (`ResidueRing.square_multiples`, packed in lanes of 4 bits, created on
+    the first call): the memo belongs to the ring object, so every
+    `build_family` starts with an empty one, and nothing else caches them.
 
 The normal-basis test, the class coordinates, the pairing, the star
 values, b and h are one product, `f2poly.cyclic_mul` in GF(2)[x]/(x^n - 1),
@@ -124,6 +131,25 @@ class ResidueRing:
         """Every square of the ring, from squaring each of its mod^n elements once."""
         return frozenset(self.mul(a, a) for a in product(range(self.mod), repeat=self.n))
 
+    # -- the oracle's packed scans (filled by `hilbert2`, never by __init__) --
+
+    def pack(self, a: Elem) -> int:
+        """a as one int: coefficient j, reduced mod 2^level, in lane j of level + 1 bits."""
+        packed = 0
+        for c in reversed(a):
+            packed = packed << self.level + 1 | c % self.mod
+        return packed
+
+    @cached_property
+    def packed_squares(self) -> frozenset[int]:
+        """`squares`, each packed."""
+        return frozenset(map(self.pack, self.squares))
+
+    @cached_property
+    def square_multiples(self) -> dict[Elem, tuple[int, ...]]:
+        """v -> the packed products v*t, t in `squares`, for each v this ring's oracle has scanned with."""
+        return {}
+
 
 def build_ring(spec, level: int) -> ResidueRing:
     """Residue ring O/2^level from a validated field description."""
@@ -135,20 +161,21 @@ def _traces(ring: ResidueRing, x: Elem, ys) -> tuple[int, ...]:
     return tuple(sum(a * t for a, t in zip(ring.mul(x, y), ring.trace)) % 2 for y in ys)
 
 
-def find_normal_basis(ring: ResidueRing) -> Elem:
+def find_normal_basis(ring: ResidueRing) -> tuple[Elem, tuple[Elem, ...], tuple[int, ...]]:
     """Smallest y (lexicographic coefficient order) whose Galois orbit is a basis of O/2.
 
-    The trace Gram matrix of the orbit is the circulant of c_k = Tr(y tau^k(y)),
-    and the trace form of the field O/2 is non-degenerate, so the orbit is a
-    basis iff c is a unit of GF(2)[x]/(x^n - 1): gcd(c, x^n + 1) = 1 (y = 0 gives c = 0).
+    Returns y, its orbit tau^k(y) and its trace Gram sequence c_k = Tr(y tau^k(y)),
+    each computed once.  The trace form of the field O/2 is non-degenerate, so
+    the orbit is a basis iff c is a unit of GF(2)[x]/(x^n - 1):
+    gcd(c, x^n + 1) = 1 (y = 0 gives c = 0).
     """
     if ring.level != 1:
         raise ValueError("normal basis search runs at modulus level 1")
     for cand in product((0, 1), repeat=ring.n):
-        orbit = [ring.apply_tau(cand, k) for k in range(ring.n)]
-        c = f2poly.from_coeffs(_traces(ring, cand, orbit))
-        if f2poly.gcd(c, (1 << ring.n) | 1) == 1:
-            return cand
+        orbit = tuple(ring.apply_tau(cand, k) for k in range(ring.n))
+        c = _traces(ring, cand, orbit)
+        if f2poly.gcd(f2poly.from_coeffs(c), (1 << ring.n) | 1) == 1:
+            return cand, orbit, c
     raise RuntimeError("internal error: no normal basis generator found")
 
 
@@ -172,10 +199,8 @@ class RingFamily:
 
 def build_family(spec) -> RingFamily:
     rings = {k: build_ring(spec, k) for k in (1, 2, 3)}
-    r1 = rings[1]
-    y = find_normal_basis(r1)
-    orbit = tuple(r1.apply_tau(y, k) for k in range(r1.n))
-    return RingFamily(spec, rings, y, orbit, CirculantA(_traces(r1, y, orbit)))
+    y, orbit, c = find_normal_basis(rings[1])
+    return RingFamily(spec, rings, y, orbit, CirculantA(c))
 
 
 def m4_class_of(family: RingFamily, u: Elem) -> M4Class:
@@ -213,13 +238,15 @@ def hilbert2(ring: ResidueRing, a: Elem, b: Elem) -> int:
         raise ValueError("hilbert symbol is evaluated mod 8 (level 3)")
     if not (ring.is_unit(a) and ring.is_unit(b)):
         raise ValueError("hilbert symbol requires unit arguments")
-    m, squares = ring.mod, ring.squares
+    squares, memo = ring.packed_squares, ring.square_multiples
+    mask = ring.pack((ring.mod - 1,) * ring.n)
 
     def scan(u: Elem, v: Elem) -> bool:
-        """Is u + v*t a square for some square t?"""
-        return any(
-            tuple((x + y) % m for x, y in zip(u, ring.mul(v, t))) in squares for t in squares
-        )
+        """Is u + v*t a square for some square t?  Lanes add without carry; the mask reduces mod 8."""
+        if v not in memo:
+            memo[v] = tuple(ring.pack(ring.mul(v, t)) for t in ring.squares)
+        pu = ring.pack(u)
+        return any((pu + w) & mask in squares for w in memo[v])
 
     return 1 if scan(a, b) or scan(b, a) else -1
 
@@ -319,13 +346,31 @@ def b_map(u: int, n: int) -> f2poly.F2Poly:
 
 
 def kernel_counts_via_B(a: CirculantA) -> tuple[int, int]:
-    """Count bit vectors whose autocorrelation is 0 resp. the distinguished h."""
+    """Count bit vectors whose autocorrelation is 0 resp. the distinguished h.
+
+    Every u is visited once, in Gray-code order: step i flips bit k = ctz(i).
+    Flipping bit k adds x^k, so b(u + x^k) = b(u) + 1 + x^-k u(x) + x^k u(1/x),
+    one rotation of u and one of its reversal u(1/x).  Both are kept doubled
+    (bit j and bit j + n) so that each rotation is a shift.  The steps run in
+    blocks of 2^low, the flips of the low bits precomputed once.
+    """
     n, h = len(a.c), a.h
-    count0 = count_h = 0
-    for u in range(1 << n):
-        img = b_map(u, n)
-        if img == 0:
-            count0 += 1
-        elif img == h:
-            count_h += 1
+    full = (1 << n) - 1
+    # (right shift of u, right shift of its reversal, bits flipped in each) when bit k flips
+    steps = [(k, n - k, 1 << k | 1 << k + n, 1 << (n - k) % n | 1 << (n - k) % n + n)
+             for k in range(n)]
+    low = min(n, 10)
+    ruler = [steps[(i & -i).bit_length() - 1] for i in range(1, 1 << low)]
+    count0, count_h = 1, 0  # u = 0 has b = 0
+    b = u2 = rev2 = 0
+    for block in range(1 << (n - low)):
+        head = [steps[low + (block & -block).bit_length() - 1]] if block else []
+        for k, r, flip, flip_rev in head + ruler:
+            b ^= ((u2 >> k) ^ (rev2 >> r)) & full ^ 1
+            u2 ^= flip
+            rev2 ^= flip_rev
+            if b == 0:
+                count0 += 1
+            elif b == h:
+                count_h += 1
     return count0, count_h

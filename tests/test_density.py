@@ -26,11 +26,12 @@ TABLE_CELLS = {
 @pytest.mark.parametrize(
     "n,expected",
     [(3, (1, 3)), (5, (1, 5)), (7, (15, 7)), (9, (1, 27)), (11, (1, 33)), (13, (1, 65)),
-     (15, (31, 225)), (17, (1, 289)), (21, (1905, 1323)), (31, (250047, 29791))],
+     (15, (31, 225)), (17, (1, 289)), (21, (1905, 1323)), (31, (250047, 29791)),
+     (19, (1, 513))],
 )
 def test_s_pair_values(n, expected):
     assert s_pair(n) == expected
-    if n <= 17:
+    if n <= 21:
         # field-free route: count b(u) = 0 and b(u) = 1 over all 2^n bit vectors
         assert kernel_counts_via_B(CirculantA((1,) + (0,) * (n - 1))) == expected
 

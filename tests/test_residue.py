@@ -134,7 +134,9 @@ def test_unit_gram_is_full_rank_orbit(request, fam_name, y):
             assert (f2poly.gcd(_gram(r1, cand), (1 << n) | 1) == 1) == full, cand
             if full:
                 full_rank.append(cand)
-    assert find_normal_basis(r1) == full_rank[0] == y
+    found, orbit, c = find_normal_basis(r1)
+    assert found == full_rank[0] == y
+    assert list(orbit) == _orbit(r1, y) and f2poly.from_coeffs(c) == _gram(r1, y)
 
 
 def test_normal_basis_not_one(family7, family9):
@@ -150,7 +152,7 @@ def test_normal_basis_orbit_sums_to_one(family7, family9):
 
 def test_normal_basis_is_lex_smallest(spec7):
     r1 = build_ring(spec7, 1)
-    y = find_normal_basis(r1)
+    y = find_normal_basis(r1)[0]
     for cand in product((0, 1), repeat=3):
         if not any(cand) or cand >= y:
             break
@@ -231,7 +233,8 @@ def _families11_off_self_dual(family11):
     for cand in product((0, 1), repeat=5):
         c = _gram(r1, cand)
         if c != 1 and f2poly.gcd(c, 0b100001) == 1:
-            with mock.patch.object(residue, "find_normal_basis", lambda ring: cand):
+            basis = (cand, tuple(_orbit(r1, cand)), residue._traces(r1, cand, _orbit(r1, cand)))
+            with mock.patch.object(residue, "find_normal_basis", lambda ring: basis):
                 fams.append(residue.build_family(ZETA11_PLUS))
     return fams
 
@@ -300,6 +303,33 @@ def test_oracle_on_sampled_unit_pairs(family7, pairing7, family9, pairing9):
         for _ in range(2000):
             a, b = rng.choice(units), rng.choice(units)
             assert hilbert2(r3, a, b) == pairing.pairing(cls[a], cls[b])
+
+
+def test_oracle_memo_is_per_ring(spec7, spec9, family7, family9):
+    # the same raw tuples are different elements of O/8 on c7 and on c9; a memo
+    # of products keyed on the tuple alone would hand one ring the other's
+    elems = [class_rep(family7, bits) for bits in product((0, 1), repeat=3)]
+
+    def form_table(fam):  # the symbol read off the pairing, no oracle involved
+        cls = [m4_class_of(fam, tuple(c % 4 for c in a)) for a in elems]
+        return [[fam.pairing.pairing(u, v) for v in cls] for u in cls]
+
+    def table(ring):
+        return [[hilbert2(ring, a, b) for b in elems] for a in elems]
+
+    want7, want9 = form_table(family7), form_table(family9)
+    assert want7 != want9
+    r7, r9 = build_ring(spec7, 3), build_ring(spec9, 3)
+    got7, got9 = [], []
+    for a in elems:
+        got7.append([])
+        got9.append([])
+        for b in elems:
+            got9[-1].append(hilbert2(r9, a, b))
+            got7[-1].append(hilbert2(r7, a, b))
+    assert got7 == want7 == table(build_ring(spec7, 3))
+    assert got9 == want9 == table(build_ring(spec9, 3))
+    assert r7.square_multiples and r9.square_multiples  # each ring keeps its own products
 
 
 def test_hilbert_rejects_bad_inputs(family7):
@@ -481,6 +511,50 @@ def test_b_map_against_direct_convolution():
                 bit = sum(u[i] & u[(i + d) % n] for i in range(n)) & 1
                 expected |= bit << d
             assert b_map(mask, n) == expected
+
+
+def _direct_counts(n, h):
+    """(count of b(u) = 0, count of b(u) = h) with b_map on every u, the definition."""
+    images = [b_map(u, n) for u in range(1 << n)]
+    return images.count(0), images.count(h)
+
+
+def _symmetric_units(n):
+    """Every symmetric c != 1 whose circulant is invertible, so h = c^-1 != 1 (none at n = 3)."""
+    out = []
+    for c0, half in product((0, 1), product((0, 1), repeat=(n - 1) // 2)):
+        c = (c0,) + half + half[::-1]
+        if c != (1,) + (0,) * (n - 1) and f2poly.gcd(f2poly.from_coeffs(c), (1 << n) | 1) == 1:
+            out.append(CirculantA(c))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+def test_gray_scan_matches_direct_scan(n):
+    units = _symmetric_units(n)
+    assert (n == 3) == (not units)
+    pairings = [CirculantA((1,) + (0,) * (n - 1))] + random.Random(n).sample(units, min(2, len(units)))
+    assert pairings[0].h == 1 and all(a.h != 1 for a in pairings[1:])
+    for a in pairings:
+        assert kernel_counts_via_B(a) == _direct_counts(n, a.h), a.c
+
+
+def test_gray_step_by_hand_at_n5():
+    # u' = 1 + x + x^2, flip k = 3 (not in u'): u = 1 + x + x^2 + x^3
+    n, u_old, k = 5, 0b00111, 3
+    u_new = u_old | 1 << k
+    # b(u') = (1 + x + x^2)(1 + x^4 + x^3) = 1 + x^2 + x^3 mod 2, x^5 - 1
+    assert b_map(u_old, n) == 0b01101
+    # x^-3 u'(x) = x^2 + x^3 + x^4 and x^3 u'(1/x) = x + x^2 + x^3
+    down, up = 0b11100, 0b01110
+    assert b_map(u_old, n) ^ 1 ^ down ^ up == 0b11110 == b_map(u_new, n)
+    # the scan's shifts of u' and of its reversal u'(1/x) = 1 + x^3 + x^4, each doubled
+    rev = 0b11001
+    assert (u_old | u_old << n) >> k & 0b11111 == down
+    assert (rev | rev << n) >> n - k & 0b11111 == up
+    # the same flip undone: the identity holds with k in u as well
+    # x^-3 u(x) = x^2 + x^3 + x^4 + 1 and x^3 u(1/x) = x^3 + x^2 + x + 1
+    assert b_map(u_new, n) ^ 1 ^ 0b11101 ^ 0b01111 == b_map(u_old, n)
 
 
 def test_h_poly_identity_matrix():
