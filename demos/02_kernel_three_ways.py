@@ -28,7 +28,7 @@ for name in ("simplest-cubic-7", "cyclic-cubic-9"):
     spec = load_spec(cfg)
     family = residue.build_family(spec)
     star = checks.oracle_star_table(family)
-    pairing = residue.build_matrix_A(family)
+    pairing = family.pairing
 
     print(f"== {spec.name}: f has constant-first coefficients {spec.f}")
     print(f"   normal basis generator of O/2: y = {family.y}")

@@ -16,7 +16,7 @@ from spinsweep.numfield import load_spec
 cfg = (resources.files("spinsweep.data") / "simplest-cubic-7.cfg").read_text()
 spec = load_spec(cfg)
 family = residue.build_family(spec)
-r3 = family.level(3)
+r3 = family.rings[3]
 
 print("(-1, -1)_2 =", residue.hilbert2(r3, r3.neg_one(), r3.neg_one()), " (always -1 here)")
 print("(1, b)_2 = +1 for every unit b: ", all(
@@ -32,9 +32,8 @@ for u in bits_list:
     row = [residue.hilbert2(r3, reps[u], reps[v]) for v in bits_list]
     print("  ", "".join(map(str, u)), " ".join(f"{v:+d}" for v in row))
 
-pairing = residue.build_matrix_A(family)
 print()
 print("Same table from the circulant bilinear form (must match):", all(
-    residue.hilbert2(r3, reps[u], reps[v]) == pairing.pairing(u, v)
+    residue.hilbert2(r3, reps[u], reps[v]) == family.pairing.pairing(u, v)
     for u in bits_list for v in bits_list
 ))

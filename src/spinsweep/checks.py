@@ -40,7 +40,7 @@ def _result(name, ok, detail=""):
 
 def class_rep(family: RingFamily, bits: M4Class) -> Elem:
     """Distinguished mod-8 representative: the product of the factors 1 + 2 tau^i(y) picked by bits."""
-    r3 = family.level(3)
+    r3 = family.rings[3]
     out = r3.one()
     for b, v in zip(bits, family.y_orbit):
         if b:
@@ -54,7 +54,7 @@ def oracle_star_table(family: RingFamily) -> StarTable:
     The norm sign is the exact field norm of the class representative mod 4,
     so neither column reads the trace form.
     """
-    r3 = family.level(3)
+    r3 = family.rings[3]
     n = family.n
     star: dict = {}
     norm_sign: dict = {}
@@ -74,7 +74,7 @@ def oracle_star_table(family: RingFamily) -> StarTable:
 
 def m4_suite(family: RingFamily) -> list[CheckResult]:
     """Structure of the square-class group mod 4: size, kernel, fixed classes."""
-    r2 = family.level(2)
+    r2 = family.rings[2]
     n = family.n
     units = [u for u in product(range(4), repeat=n) if r2.is_unit(u)]
     classes = {}
@@ -101,9 +101,9 @@ def m4_suite(family: RingFamily) -> list[CheckResult]:
     return out
 
 
-def hilbert_suite(family: RingFamily, pairing: residue.CirculantA) -> list[CheckResult]:
-    """Exhaustive symbol properties over all class pairs at small n."""
-    r3 = family.level(3)
+def hilbert_suite(family: RingFamily) -> list[CheckResult]:
+    """Exhaustive symbol properties over all class pairs at small n, against the family's pairing."""
+    r3 = family.rings[3]
     n = family.n
     all_bits = list(product((0, 1), repeat=n))
     reps = {c: class_rep(family, c) for c in all_bits}
@@ -150,7 +150,7 @@ def hilbert_suite(family: RingFamily, pairing: residue.CirculantA) -> list[Check
                        all(table[u, u] == hilbert2(r3, reps[u], neg) for u in all_bits)))
 
     out.append(_result("hilbert/bilinear-form-identity",
-                       all(table[u, v] == pairing.pairing(u, v)
+                       all(table[u, v] == family.pairing.pairing(u, v)
                            for u in all_bits for v in all_bits)))
     return out
 
@@ -160,15 +160,16 @@ def kernel_routes(star: StarTable, pairing: residue.CirculantA):
     return s_pair(len(pairing.c)), (star.ker_plus, star.ker_minus), residue.kernel_counts_via_B(pairing)
 
 
-def kernel_suite(family: RingFamily, star: StarTable,
-                 pairing: residue.CirculantA) -> list[CheckResult]:
+def kernel_suite(family: RingFamily, star: StarTable) -> list[CheckResult]:
     """Three independent kernel counts plus the anchor values.
 
-    `star` is route 2, the oracle's table (`oracle_star_table`); `pairing`
-    is the trace form, whose autocorrelation count is route 3.
+    `star` is route 2, the oracle's table (`oracle_star_table`); the
+    family's `pairing` is the trace form, whose autocorrelation count is
+    route 3.
     """
     n = family.n
-    r3 = family.level(3)
+    pairing = family.pairing
+    r3 = family.rings[3]
     closed, brute, convol = kernel_routes(star, pairing)
     out = [
         _result("kernel/three-way-agreement", closed == brute == convol,
@@ -196,9 +197,8 @@ def kernel_suite(family: RingFamily, star: StarTable,
 def run_all(spec) -> list[CheckResult]:
     family = residue.build_family(spec)
     star = oracle_star_table(family)
-    pairing = residue.build_matrix_A(family)
     rows = []
     rows += m4_suite(family)
-    rows += hilbert_suite(family, pairing)
-    rows += kernel_suite(family, star, pairing)
+    rows += hilbert_suite(family)
+    rows += kernel_suite(family, star)
     return rows

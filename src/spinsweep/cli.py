@@ -45,6 +45,8 @@ def _load_field(arg: str):
         pass
     except OSError as exc:
         raise FieldConfigError(f"field config unreadable: {arg}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise FieldConfigError(f"field config unreadable: {arg}: not UTF-8 text") from None
     name = arg.removesuffix(".cfg")
     if name in BUILTIN_FIELDS:
         ref = resources.files("spinsweep.data") / f"{name}.cfg"
@@ -98,7 +100,7 @@ def _cmd_verify_kernel(args) -> int:
     spec = _load_field(args.field)
     family = residue.build_family(spec)
     star = checks.oracle_star_table(family)
-    pairing = residue.build_matrix_A(family)
+    pairing = family.pairing
     closed, brute, convol = checks.kernel_routes(star, pairing)
     agree = closed == brute == convol
     print(f"field = {spec.name}  (n = {spec.n})")

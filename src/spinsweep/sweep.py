@@ -31,7 +31,6 @@ a pool, and only skip work whose answer is already known.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
@@ -272,6 +271,8 @@ def run_sweep(spec: numfield.FieldSpec, limit: int, jobs: int = 1) -> SweepResul
     if jobs == 1:
         parts = list(map(_classify_range, *windows))
     else:
+        # imported here, so that a serial sweep never loads multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
         with ProcessPoolExecutor(jobs) as pool:
             try:
                 parts = list(pool.map(_classify_range, *windows))  # in window order

@@ -70,6 +70,8 @@ def in_process_pool(monkeypatch):
     not depend on the one the tests run on; a test may patch
     `sweep.os.cpu_count` again.
     """
+    import concurrent.futures.process
+
     from spinsweep import sweep
 
     requested = []
@@ -87,6 +89,7 @@ def in_process_pool(monkeypatch):
         def map(self, fn, *iterables):
             return (fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables))
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    # run_sweep imports the pool class when it needs one, so patch it at its source
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
     return requested

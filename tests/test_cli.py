@@ -92,6 +92,13 @@ def test_verify_kernel_unreadable_field(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_sweep_non_utf8_field_is_named(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"name = \"x\"\n\xff\n")
+    assert main(["sweep", "--field", str(cfg), "--limit", "1000"]) == 2
+    assert capsys.readouterr().err == f"validation error [config]: field config unreadable: {cfg}: not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("key, good, bad", [
     ("f", "[-1, -2, 1, 1]", "[-1, -2, true, true]"),
     ("sigma", "[-2, 0, 1]", "[-2, false, true]"),
@@ -376,3 +383,31 @@ def test_no_command_imports_numpy(argv):
                           text=True, timeout=60, env=_env_with_package())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
+
+
+LOADED_MODULES = """
+import sys
+import {module}
+
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def _modules_after_import(module):
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES.format(module=module)], capture_output=True,
+                          text=True, timeout=60, env=_env_with_package())
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a sweep with --jobs > 1 starts a pool, so only it imports one
+    loaded = _modules_after_import("spinsweep.cli")
+    assert "multiprocessing" not in loaded and "concurrent.futures.process" not in loaded
+
+
+def test_submodule_import_loads_only_its_dependencies():
+    # the package root imports nothing, so f2poly brings in intpoly alone
+    loaded = _modules_after_import("spinsweep.f2poly")
+    assert {m for m in loaded if m.split(".")[0] == "spinsweep"} == {"spinsweep", "spinsweep.intpoly",
+                                                                     "spinsweep.f2poly"}

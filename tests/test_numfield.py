@@ -7,8 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from spinsweep import numfield, residue
-from spinsweep.intpoly import det_bareiss, mul_mod, poly_mul, pow_mod
+from spinsweep import f2poly, numfield, residue
+from spinsweep.intpoly import compose_mod, det_bareiss, mul_mod, poly_mul, pow_mod
 from spinsweep.numfield import (
     BadUnit,
     C4Violation,
@@ -61,9 +61,9 @@ def test_load_from_text():
 
 
 def test_reject_reducible_mod_2():
-    bad = GOOD7.replace("[-1, -2, 1, 1]", "[0, -1, 0, 1]")
-    with pytest.raises(C4Violation):
-        load_spec(bad)  # x^3 - x
+    for f in ("[0, -1, 0, 1]", "[0, 0, 0, 1]"):  # x^3 - x, x^3
+        with pytest.raises(C4Violation):
+            load_spec(GOOD7.replace("[-1, -2, 1, 1]", f))
 
 
 def test_reject_even_degree():
@@ -84,10 +84,12 @@ def test_reject_even_class_number():
 
 
 def test_reject_non_automorphism():
-    # x^2 - 2 generates the action of x^3 - 3x + 1, not of x^3 - 3x - 1
-    text = GOOD7.replace("[-1, -2, 1, 1]", "[-1, -3, 0, 1]")
-    with pytest.raises(NotAutomorphism):
-        load_spec(text)
+    for old, new in [
+        ("f = [-1, -2, 1, 1]", "f = [-1, -3, 0, 1]"),  # x^2 - 2 acts on x^3 - 3x + 1, not on x^3 - 3x - 1
+        ("sigma = [-2, 0, 1]", "sigma = [1, 1]"),  # x + 1 is not a root of f
+    ]:
+        with pytest.raises(NotAutomorphism):
+            load_spec(GOOD7.replace(old, new))
 
 
 def test_reject_identity_sigma():
@@ -170,6 +172,9 @@ unit = [1, 1, 0]
 """
 
 
+SHANKS_M = [2, 4, 8, 10, 12, 30, 1000]
+
+
 def assert_isolated(spec):
     """n ascending, disjoint intervals, with a sign change of f across each."""
     ivals = _intervals(spec)
@@ -196,12 +201,31 @@ def test_quintic_discriminant_from_trace_form():
     assert spec.n == 5 and spec.disc_f == 11**4
 
 
-@pytest.mark.parametrize("m", [2, 4, 8, 10, 12, 30, 1000])
+@pytest.mark.parametrize("m", SHANKS_M)
 def test_shanks_cubics_isolate_and_check_disc(m):
     # the derived discriminant against the closed form of the Shanks family
     spec = load_spec(shanks_cubic(m))
     assert_isolated(spec)
     assert spec.disc_f == (m * m + 3 * m + 9) ** 2
+
+
+LOADED_CONFIGS = {"real-quintic-11": QUINTIC11, **{f"shanks-{m}": shanks_cubic(m) for m in SHANKS_M}}
+
+
+@pytest.mark.parametrize("field", ["spec7", "spec9", *LOADED_CONFIGS])
+def test_loaded_spec_gives_valid_residue_rings(request, field):
+    # the residue rings check only their level: what FieldSpec checked must hold in each
+    spec = load_spec(LOADED_CONFIGS[field]) if field in LOADED_CONFIGS else request.getfixturevalue(field)
+    assert f2poly.is_irreducible(f2poly.from_coeffs(c % 2 for c in spec.f))
+    theta = (0, 1) + (0,) * (spec.n - 2)
+    for k in (1, 2, 3):
+        ring = residue.ResidueRing(k, spec.f, spec.sigma)
+        assert not any(c % ring.mod for c in compose_mod(ring.f, ring.sigma, ring.f))
+        assert ring.apply_tau(theta) != theta
+        image = theta
+        for _ in range(spec.n):  # one step at a time: apply_tau reads its power mod n
+            image = ring.apply_tau(image)
+        assert image == theta
 
 
 def test_signs_of_theta(spec7):
@@ -812,7 +836,7 @@ def test_spin_values_and_product_identity(spec7, family7):
     assert s1 in (1, -1) and s2 in (1, -1)
     # the product must be the dyadic Hilbert symbol of the generator and its conjugate
     alpha = generator_of_power(spec7, P)
-    r3 = family7.level(3)
+    r3 = family7.rings[3]
     a8 = tuple(c % 8 for c in alpha)
     assert s1 * s2 == residue.hilbert2(r3, a8, r3.apply_tau(a8, 1))
     # the symbol at P itself (k = 0 or n) degenerates: the generator lies in P

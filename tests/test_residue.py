@@ -11,10 +11,9 @@ from spinsweep.checks import class_rep
 from spinsweep.density import s_pair
 from spinsweep.residue import (
     CirculantA,
-    RingBuildError,
+    ResidueRing,
     b_map,
     build_matrix_A,
-    build_ring,
     find_normal_basis,
     hilbert2,
     kernel_counts_via_B,
@@ -40,20 +39,20 @@ def family11():
 
 
 def test_ring_reductions_mod_2(spec7, spec9):
-    r7 = build_ring(spec7, 1)
+    r7 = ResidueRing(1, spec7.f, spec7.sigma)
     assert r7.f == (1, 0, 1, 1)  # x^3 + x^2 + 1
-    r9 = build_ring(spec9, 1)
+    r9 = ResidueRing(1, spec9.f, spec9.sigma)
     assert r9.f == (1, 1, 0, 1)  # x^3 + x + 1
 
 
 def test_sigma_has_order_three_on_all_elements(spec7):
-    r3 = build_ring(spec7, 3)
+    r3 = ResidueRing(3, spec7.f, spec7.sigma)
     for a in product(range(8), repeat=3):
         assert r3.apply_tau(r3.apply_tau(r3.apply_tau(a))) == a
 
 
 def test_tau_is_multiplicative(spec7):
-    r3 = build_ring(spec7, 3)
+    r3 = ResidueRing(3, spec7.f, spec7.sigma)
     elems = [(1, 2, 3), (5, 0, 7), (2, 2, 1), (1, 1, 1)]
     for a in elems:
         for b in elems:
@@ -64,30 +63,13 @@ def test_tau_is_multiplicative(spec7):
 def test_ring_pow_is_repeated_mul_on_O_mod_8(request, field):
     # ResidueRing.pow (the packed powering of intpoly) against its own generic
     # product, for every element of O/8 including the non-units
-    r3 = build_ring(request.getfixturevalue(field), 3)
+    spec = request.getfixturevalue(field)
+    r3 = ResidueRing(3, spec.f, spec.sigma)
     for a in product(range(8), repeat=3):
         acc = r3.one()
         for e in range(10):
             assert r3.pow(a, e) == acc
             acc = r3.mul(acc, a)
-
-
-def test_build_ring_rejects_reducible():
-    class Bad:
-        f = (0, 0, 0, 1)  # x^3, reducible mod 2
-        sigma = (0, 1)
-
-    with pytest.raises(RingBuildError):
-        build_ring(Bad, 1)
-
-
-def test_build_ring_rejects_non_automorphism(spec7):
-    class Bad:
-        f = spec7.f
-        sigma = (1, 1)  # x + 1 is not a root of f
-
-    with pytest.raises(RingBuildError):
-        build_ring(Bad, 2)
 
 
 # -- normal basis -------------------------------------------------------------
@@ -125,7 +107,7 @@ def test_normal_basis_conjugates_independent(family7, family9, family11):
 )
 def test_unit_gram_is_full_rank_orbit(request, fam_name, y):
     # the gcd test find_normal_basis uses, against the rank of the orbit itself
-    r1 = request.getfixturevalue(fam_name).level(1)
+    r1 = request.getfixturevalue(fam_name).rings[1]
     n = r1.n
     full_rank = []
     for cand in product((0, 1), repeat=n):
@@ -151,7 +133,7 @@ def test_normal_basis_orbit_sums_to_one(family7, family9):
 
 
 def test_normal_basis_is_lex_smallest(spec7):
-    r1 = build_ring(spec7, 1)
+    r1 = ResidueRing(1, spec7.f, spec7.sigma)
     y = find_normal_basis(r1)[0]
     for cand in product((0, 1), repeat=3):
         if not any(cand) or cand >= y:
@@ -161,27 +143,27 @@ def test_normal_basis_is_lex_smallest(spec7):
 
 def test_find_normal_basis_requires_level_one(spec7):
     with pytest.raises(ValueError):
-        find_normal_basis(build_ring(spec7, 2))
+        find_normal_basis(ResidueRing(2, spec7.f, spec7.sigma))
 
 
 # -- m4 classes ---------------------------------------------------------------
 
 
 def test_m4_identity_and_minus_one(family7):
-    r2 = family7.level(2)
+    r2 = family7.rings[2]
     assert m4_class_of(family7, r2.one()) == ZERO
     assert m4_class_of(family7, r2.neg_one()) == ONES
 
 
 def test_m4_kills_squares_exhaustively(family7):
-    r2 = family7.level(2)
+    r2 = family7.rings[2]
     for u in product(range(4), repeat=3):
         if r2.is_unit(u):
             assert m4_class_of(family7, r2.mul(u, u)) == ZERO
 
 
 def test_m4_structure_exhaustive(family7):
-    r2 = family7.level(2)
+    r2 = family7.rings[2]
     units = [u for u in product(range(4), repeat=3) if r2.is_unit(u)]
     assert len(units) == 56
     classes = {}
@@ -196,7 +178,7 @@ def test_m4_structure_exhaustive(family7):
 
 
 def test_m4_is_homomorphism(family7):
-    r2 = family7.level(2)
+    r2 = family7.rings[2]
     units = [u for u in product(range(4), repeat=3) if r2.is_unit(u)][:20]
     for a in units:
         for b in units:
@@ -217,7 +199,7 @@ def test_m4_dictionary_roundtrip(family7, family9, family11):
     # representatives built as products of basis factors land back on their bits,
     # and stay there under multiplication by every square
     for fam in (family7, family9, family11):
-        r2 = fam.level(2)
+        r2 = fam.rings[2]
         squares = {r2.mul(u, u) for u in product(range(4), repeat=fam.n) if r2.is_unit(u)}
         for bits in product((0, 1), repeat=fam.n):
             rep = tuple(c % 4 for c in class_rep(fam, bits))
@@ -228,7 +210,7 @@ def test_m4_dictionary_roundtrip(family7, family9, family11):
 
 def _families11_off_self_dual(family11):
     """Q(zeta_11)^+ presented on every normal basis of O/2 that is not self-dual (c != 1)."""
-    r1 = family11.level(1)
+    r1 = family11.rings[1]
     fams = []
     for cand in product((0, 1), repeat=5):
         c = _gram(r1, cand)
@@ -264,19 +246,19 @@ def test_m4_classes_off_self_dual_basis(family11):
 
 def test_minus_one_minus_one(family7, family9):
     for fam in (family7, family9):
-        r3 = fam.level(3)
+        r3 = fam.rings[3]
         assert hilbert2(r3, r3.neg_one(), r3.neg_one()) == -1
 
 
 def test_one_pairs_trivially(family7):
-    r3 = family7.level(3)
+    r3 = family7.rings[3]
     for b in product(range(8), repeat=3):
         if r3.is_unit(b):
             assert hilbert2(r3, r3.one(), b) == 1
 
 
 def test_a_with_minus_a(family7):
-    r3 = family7.level(3)
+    r3 = family7.rings[3]
     units = [a for a in product(range(8), repeat=3) if r3.is_unit(a)]
     for a in units[::7]:  # sampled; x = y = 1, z = 0 solves a x^2 - a y^2 = z^2
         neg = tuple((-c) % 8 for c in a)
@@ -284,7 +266,7 @@ def test_a_with_minus_a(family7):
 
 
 def test_invariance_under_4b_shift(family7):
-    r3 = family7.level(3)
+    r3 = family7.rings[3]
     a = (3, 2, 5)
     b = (1, 6, 1)
     base = hilbert2(r3, a, b)
@@ -297,7 +279,7 @@ def test_oracle_on_sampled_unit_pairs(family7, pairing7, family9, pairing9):
     # arbitrary units, not class representatives: the symbol is the form on their classes
     rng = random.Random(13)
     for fam, pairing in ((family7, pairing7), (family9, pairing9)):
-        r3 = fam.level(3)
+        r3 = fam.rings[3]
         units = [a for a in product(range(8), repeat=3) if r3.is_unit(a)]
         cls = {a: m4_class_of(fam, tuple(c % 4 for c in a)) for a in units}
         for _ in range(2000):
@@ -319,7 +301,7 @@ def test_oracle_memo_is_per_ring(spec7, spec9, family7, family9):
 
     want7, want9 = form_table(family7), form_table(family9)
     assert want7 != want9
-    r7, r9 = build_ring(spec7, 3), build_ring(spec9, 3)
+    r7, r9 = ResidueRing(3, spec7.f, spec7.sigma), ResidueRing(3, spec9.f, spec9.sigma)
     got7, got9 = [], []
     for a in elems:
         got7.append([])
@@ -327,14 +309,14 @@ def test_oracle_memo_is_per_ring(spec7, spec9, family7, family9):
         for b in elems:
             got9[-1].append(hilbert2(r9, a, b))
             got7[-1].append(hilbert2(r7, a, b))
-    assert got7 == want7 == table(build_ring(spec7, 3))
-    assert got9 == want9 == table(build_ring(spec9, 3))
+    assert got7 == want7 == table(ResidueRing(3, spec7.f, spec7.sigma))
+    assert got9 == want9 == table(ResidueRing(3, spec9.f, spec9.sigma))
     assert r7.square_multiples and r9.square_multiples  # each ring keeps its own products
 
 
 def test_hilbert_rejects_bad_inputs(family7):
-    r3 = family7.level(3)
-    r2 = family7.level(2)
+    r3 = family7.rings[3]
+    r2 = family7.rings[2]
     with pytest.raises(ValueError):
         hilbert2(r3, (0, 0, 0), r3.one())
     with pytest.raises(ValueError):
@@ -390,7 +372,7 @@ def test_tables_never_call_the_oracle(monkeypatch, spec7, spec9, family11):
 
 
 def test_pairing_matrix_matches_brute_force(family7, pairing7):
-    r3 = family7.level(3)
+    r3 = family7.rings[3]
     for u in product((0, 1), repeat=3):
         for v in product((0, 1), repeat=3):
             direct = hilbert2(r3, class_rep(family7, u), class_rep(family7, v))
@@ -398,7 +380,7 @@ def test_pairing_matrix_matches_brute_force(family7, pairing7):
 
 
 def test_pairing_matrix_matches_oracle_at_n5(family11):
-    r3 = family11.level(3)
+    r3 = family11.rings[3]
     lifts = [class_rep(family11, e) for e in _unit_vectors(5)]  # 1 + 2 tau^i(y)
     oracle_c = tuple(0 if hilbert2(r3, lifts[0], b) == 1 else 1 for b in lifts)
     assert build_matrix_A(family11).c == oracle_c == (1, 0, 0, 0, 0)
@@ -479,7 +461,7 @@ def test_circulant_layer_off_identity(c):
     for v in vs:
         av = _apply(c, v)
         for u in classes:
-            assert a.pairing_bit(u, v) == sum(x * y for x, y in zip(u, av)) % 2
+            assert a.pairing(u, v) == (-1) ** (sum(x * y for x, y in zip(u, av)) % 2)
     assert _apply(c, tuple((a.h >> j) & 1 for j in range(n))) == _unit_vectors(n)[0]
     star = star_table(SimpleNamespace(n=n, pairing=a)).star
     for u in classes:
@@ -607,7 +589,7 @@ def test_three_way_agreement(oracle_star7, pairing7, oracle_star9, pairing9):
 
 
 def test_class_rotation_matches_tau(family7):
-    r2 = family7.level(2)
+    r2 = family7.rings[2]
     for u in product(range(4), repeat=3):
         if r2.is_unit(u):
             assert m4_class_of(family7, r2.apply_tau(u)) == rot(m4_class_of(family7, u), 1)

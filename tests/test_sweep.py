@@ -204,7 +204,7 @@ def test_build_tables_builds_one_pairing(monkeypatch, spec7):
 @pytest.mark.parametrize("field", ["spec7", "spec9"])
 def test_m4_memo_is_m4_class_of_on_every_unit_mod_4(request, field):
     tables = build_tables(request.getfixturevalue(field))
-    r2 = tables.family.level(2)
+    r2 = tables.family.rings[2]
     units = [u for u in product(range(4), repeat=3) if r2.is_unit(u)]
     assert len(units) == 56
     for u in units:
