@@ -71,10 +71,11 @@ fail too.
 
 Since K is abelian, whether p splits depends only on p mod the conductor
 (Artin reciprocity), and `conductor_multiple` gives a multiple M of it
-from disc_f and n.  The sweep memoises, per sweep or per pool window, the
-classes p mod M seen not to split (`sweep.FieldTables`); the memo only ever
-says "does not split", so every split prime is still certified by the
-direct test.
+from disc_f and n: p splits iff p mod M lies in H, a subgroup of index n
+of (Z/M)^*.  The sweep holds H as a table built once from one prime per
+class and checked to be such a subgroup (`sweep.FieldTables`); it runs
+the direct test only at primes of H, where a failure is a violation, so
+every split prime is still certified by it.
 
 Sigma-orbit invariant: the config guarantees f(s(x)) = 0 mod f and that
 sigma has order n, so for p not dividing disc_f the map b -> s(b) mod p

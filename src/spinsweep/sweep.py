@@ -21,11 +21,18 @@ from the worker count alone, which is at most the CPU count.  Every window
 is `_classify_range` on the sweep's `FieldTables`: in process when serial,
 and on a pickled copy of the tables per window in a worker otherwise.
 Per-prime results are pure functions of p, so records, tallies and CSV
-output are identical for every worker count.  The only state kept between
-primes is two exact memos on the tables: the split test's classes p mod M
-seen not to split, and the mod-4 class of each generator residue mod 4
-already classified.  They last one sweep when serial and one window under
-a pool, and only skip work whose answer is already known.
+output are identical for every worker count.
+
+Split-class invariant: K is abelian, so by Artin reciprocity p splits
+completely iff p mod M lies in H, a subgroup of index n of (Z/M)^*, for
+M = `numfield.conductor_multiple`.  `build_tables` finds H once, by the
+direct split test at the least unramified prime of each unit class, and
+checks that it is a subgroup of index n; the sweep then runs the split
+test only at primes of H, where it must split.  So the split test runs at
+the same primes for every worker count.  The only state kept between
+primes is one exact memo on the tables: the mod-4 class of each generator
+residue mod 4 already classified.  It lasts one sweep when serial and one
+window under a pool, and only skips work whose answer is already known.
 """
 
 from __future__ import annotations
@@ -83,34 +90,32 @@ class Tally(Counter):
 class FieldTables:
     """Per-field context shared by all per-prime work, built afresh by every sweep.
 
-    It holds two exact memos, both empty when built; a serial sweep fills
-    one copy, and under a pool every window fills its own pickled copy.
-    nonsplit is the memo of the split test: the classes p mod modulus (a
-    multiple of the conductor) at which a prime was seen not to split.  It
-    only ever says "does not split", so every split prime still gets the
-    direct test and its certificate.  m4 maps a generator's coordinates
-    mod 4 to `residue.m4_class_of` of them, which depends on nothing else;
-    there are at most |(O/4)^*| = 2^n (2^n - 1) keys.
+    split_classes is H, the classes p mod modulus (a multiple of the
+    conductor) of the primes that split completely; `build_tables` has
+    checked that it is a subgroup of index n of (Z/modulus)^*.  m4 is an
+    exact memo, empty when built: it maps a generator's coordinates mod 4
+    to `residue.m4_class_of` of them, which depends on nothing else, and
+    has at most |(O/4)^*| = 2^n (2^n - 1) keys.  A serial sweep fills one
+    copy, and under a pool every window fills its own pickled copy.
     """
 
     spec: numfield.FieldSpec
     family: residue.RingFamily
     star: residue.StarTable
-    modulus: int = field(init=False)
-    nonsplit: set[int] = field(init=False, default_factory=set)
+    modulus: int
+    split_classes: frozenset[int]
     m4: dict[tuple[int, ...], tuple[int, ...]] = field(init=False, default_factory=dict)
 
-    def __post_init__(self):
-        self.modulus = numfield.conductor_multiple(self.spec)
-
     def split_roots(self, p: int) -> list[int]:
-        """`numfield.split_completely(spec, p)`, with no test at a class already seen not to split."""
+        """`numfield.split_completely(spec, p)`, tested only when p mod modulus is a split class."""
         numfield.check_unramified(self.spec, p)
-        if p % self.modulus in self.nonsplit:
+        if p % self.modulus not in self.split_classes:
             return []
         roots = numfield.split_completely(self.spec, p)
         if not roots:
-            self.nonsplit.add(p % self.modulus)
+            raise SpinRelationViolation(
+                f"p={p}: p mod {self.modulus} is a split class but p does not split"
+            )
         return roots
 
     def m4_class(self, alpha) -> tuple[int, ...]:
@@ -122,9 +127,38 @@ class FieldTables:
         return bits
 
 
+def _split_classes(spec: numfield.FieldSpec, modulus: int) -> frozenset[int]:
+    """H, the unit classes mod modulus whose least unramified prime splits completely.
+
+    Primes are tried in ascending order, skipping those dividing disc_f or
+    modulus, and each unit class is decided by its first prime.  H must be
+    a subgroup of index n, or modulus is not a multiple of the conductor.
+    """
+    units = sum(math.gcd(r, modulus) == 1 for r in range(modulus))
+    decided = {}
+    lo, hi = 3, 4 * modulus
+    while len(decided) < units:
+        for p in odd_primes_in(lo, hi):
+            if spec.disc_f % p and modulus % p and p % modulus not in decided:
+                try:
+                    decided[p % modulus] = bool(numfield.split_completely(spec, p))
+                except numfield.PrimeFailure as exc:
+                    raise type(exc)(f"p={p}: {exc}") from exc
+        lo, hi = hi, 2 * hi
+    split = frozenset(r for r, splits in decided.items() if splits)
+    closed = all(a * b % modulus in split for a in split for b in split)
+    if len(split) * spec.n != units or not closed:
+        raise SpinRelationViolation(
+            f"split classes mod {modulus} are not a subgroup of index {spec.n}"
+        )
+    return split
+
+
 def build_tables(spec: numfield.FieldSpec) -> FieldTables:
     family = residue.build_family(spec)
-    return FieldTables(spec, family, residue.star_table(family))
+    modulus = numfield.conductor_multiple(spec)
+    split = _split_classes(spec, modulus)
+    return FieldTables(spec, family, residue.star_table(family), modulus, split)
 
 
 def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:

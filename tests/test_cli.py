@@ -272,6 +272,34 @@ def test_sweep_search_failure_is_named(monkeypatch, capsys, condition, inject):
     assert "Traceback" not in err
 
 
+def test_sweep_rejects_a_modulus_that_is_not_a_multiple_of_the_conductor(monkeypatch, capsys):
+    # mod 13 the least prime of each class does not split in a subgroup of index 3
+    monkeypatch.setattr(numfield, "conductor_multiple", lambda spec: 13)
+    code = main(["sweep", "--field", "simplest-cubic-7", "--limit", "20000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("hard consistency violation: split classes mod 13 ")
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_sweep_rejects_a_split_class_prime_that_does_not_split(monkeypatch, capsys):
+    # 43 = 1 mod 7 must split; the table is built before the patch takes effect
+    build, split = sweep.build_tables, numfield.split_completely
+
+    def build_then_patch(spec):
+        tables = build(spec)
+        monkeypatch.setattr(numfield, "split_completely",
+                            lambda spec, p: [] if p == 43 else split(spec, p))
+        return tables
+
+    monkeypatch.setattr(sweep, "build_tables", build_then_patch)
+    code = main(["sweep", "--field", "simplest-cubic-7", "--limit", "1000"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("hard consistency violation: p=43: p mod 7 is a split class")
+    assert "Traceback" not in err
+
+
 def test_any_prime_failure_is_named(monkeypatch, capsys):
     # a new per-prime condition needs only to subclass PrimeFailure to exit 4, not a list entry
     class Injected(numfield.PrimeFailure):

@@ -380,15 +380,22 @@ def test_descent_powerings_below_1e5(monkeypatch, spec7, spec9):
     (shanks_cubic(2), 19),
     (shanks_cubic(4), 37),
 ], ids=["c7", "c9", "quintic", "shanks-2", "shanks-4"])
-def test_memo_agrees_with_the_direct_split_test(request, text, modulus):
-    # the sweep's memo of non-split classes p mod M decides every odd prime
-    # below 2 10^4 exactly as the direct x^p = x test does
+def test_split_classes_agree_with_the_direct_split_test(request, text, modulus):
+    # the sweep's table H of split classes p mod M is a subgroup of index n,
+    # and it decides every odd prime below 2 10^4 exactly as the direct
+    # x^p = x test does
     spec = request.getfixturevalue(text) if text == "spec9" else load_spec(text)
     assert numfield.conductor_multiple(spec) == modulus
     tables = build_tables(spec)
-    assert tables.modulus == modulus and tables.nonsplit == set()
+    split = tables.split_classes
+    units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
+    assert tables.modulus == modulus and split <= set(units)
+    assert len(split) * spec.n == len(units)
+    assert {a * b % modulus for a in split for b in split} == split
+    if text in (GOOD7, "spec9", QUINTIC11):
+        # the real subfield of Q(zeta_M): p splits iff p = +-1 mod M
+        assert split == {1, modulus - 1}
     x = (0, 1) + (0,) * (spec.n - 2)
-    nonsplit = set()
     for p in _primes_below(20_000):
         if spec.disc_f % p == 0:
             with pytest.raises(RamifiedPrime):
@@ -396,12 +403,6 @@ def test_memo_agrees_with_the_direct_split_test(request, text, modulus):
             continue
         direct = pow_mod((0, 1), p, spec.f, p) == x
         assert bool(tables.split_roots(p)) == direct, p
-        if not direct:
-            nonsplit.add(p % modulus)
-    # the memo holds exactly the non-split classes: n - 1 of every n classes prime to M
-    units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
-    assert tables.nonsplit == nonsplit
-    assert len(nonsplit) == len(units) - len(units) // spec.n
 
 
 # -- conjugation --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from collections import Counter
@@ -131,15 +132,15 @@ def test_report_rows_from_records(request, field):
 
 
 def test_ramified_primes_still_skipped(spec9):
-    # the ramified check runs before the memo, so p | disc_f is listed, not classified
+    # the ramified check runs before the table lookup, so p | disc_f is listed, not classified
     assert run_sweep(spec9, 1000, jobs=1).skipped_ramified == [3]
 
 
 def test_split_memo_is_per_sweep(monkeypatch, spec7, in_process_pool):
-    # every sweep builds fresh tables with an empty memo, which a serial sweep
-    # fills and each pool window fills a pickled copy of, so repeated sweeps at
-    # one --jobs make the same split_completely calls (a traced benchmark
-    # compares its counts across passes)
+    # every sweep builds fresh tables with an empty mod-4 memo, and the split
+    # test runs at the table's primes, one per class mod 7, then exactly at
+    # the split primes, for every --jobs (a traced benchmark compares its
+    # counts across passes)
     calls, built = [], []
     direct, build = numfield.split_completely, sweep.build_tables
 
@@ -149,7 +150,7 @@ def test_split_memo_is_per_sweep(monkeypatch, spec7, in_process_pool):
 
     def fresh(spec):
         tables = build(spec)
-        assert tables.nonsplit == set() and tables.m4 == {}
+        assert tables.m4 == {}
         built.append(tables)
         return tables
 
@@ -160,33 +161,22 @@ def test_split_memo_is_per_sweep(monkeypatch, spec7, in_process_pool):
         calls.clear()
         res = run_sweep(spec7, 6000, jobs=jobs)
         per_sweep.append(list(calls))
-    assert per_sweep[0] == per_sweep[1] and per_sweep[2] == per_sweep[3]
     assert len(built) == 4  # one per sweep, each found empty; pool windows get copies
-    # serial: only the first prime of each of the four non-split classes mod 7 is tested besides the split ones
-    assert len(per_sweep[0]) == len(res.records) + 4
-    assert [p for p in per_sweep[0] if p % 7 not in (1, 6)] == [3, 5, 11, 23]
-    # --jobs 2: each of the 8 windows tests the first prime of each non-split class in it
-    firsts = []
-    for lo, hi in sweep._windows(6000, 2):
-        seen = set()
-        for p in odd_primes_in(lo, hi):
-            if p % 7 in (2, 3, 4, 5) and p % 7 not in seen:
-                seen.add(p % 7)
-                firsts.append(p)
-    assert len(firsts) == 8 * 4
-    assert [p for p in per_sweep[2] if p % 7 not in (1, 6)] == firsts
-    assert len(per_sweep[2]) == len(res.records) + len(firsts)
+    assert in_process_pool == [2, 2]
+    # the least prime of each class mod 7 (3, 5, 4, 6, 2, 1), then the split primes
+    split = [rec.p for rec in res.records]
+    assert per_sweep == [[3, 5, 11, 13, 23, 29] + split] * 4
 
 
 def test_pool_windows_fill_copies_of_the_tables(monkeypatch, spec7, result7, in_process_pool):
     # the sweep builds its tables once; under a pool every window works on its
-    # own pickled copy, so the sweep's memos stay empty
+    # own pickled copy, so the sweep's mod-4 memo stays empty
     built, build = [], sweep.build_tables
     monkeypatch.setattr(sweep, "build_tables", lambda spec: built.append(build(spec)) or built[-1])
     res = run_sweep(spec7, 6000, jobs=2)
     assert in_process_pool == [2]
     assert len(built) == 1
-    assert built[0].nonsplit == set() and built[0].m4 == {}
+    assert built[0].m4 == {}
     assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
 
 
@@ -401,11 +391,7 @@ def test_violation_on_tampered_star_table(spec7):
     tampered = dict(tables.star.star)
     for k in range(3):
         tampered[rot(bits, k)] = -tampered[rot(bits, k)]
-    broken = sweep.FieldTables(
-        tables.spec,
-        tables.family,
-        type(tables.star)(tampered, tables.star.norm_sign),
-    )
+    broken = dataclasses.replace(tables, star=type(tables.star)(tampered, tables.star.norm_sign))
     with pytest.raises(sweep.SpinRelationViolation):
         classify_prime(broken, 13)
 
@@ -418,11 +404,7 @@ def test_violation_on_flipped_norm_sign(spec7):
     flipped = {bits: sign if sum(bits) in (0, 3) else -sign
                for bits, sign in tables.star.norm_sign.items()}
     assert [flipped[b] for b in ((1, 0, 0), (1, 1, 0))] == [1, -1]
-    broken = sweep.FieldTables(
-        tables.spec,
-        tables.family,
-        type(tables.star)(tables.star.star, flipped),
-    )
+    broken = dataclasses.replace(tables, star=type(tables.star)(tables.star.star, flipped))
     for p in (13, 29, 43):
         with pytest.raises(sweep.SpinRelationViolation, match=f"p={p}: norm sign"):
             classify_prime(broken, p)
