@@ -31,18 +31,24 @@ The starting Gram matrix is the only inner-product data LLL reads.
 `generator_of_power` passes it in, built by `_ideal_power_gram` in closed
 form from the power sums s_k = Tr(theta^k) that `FieldSpec` keeps, so no
 product of field elements is formed for it.
-Dyadic-bracket invariant: a root bracket is the integer triple (lo, hi, e)
-for [lo/2^e, hi/2^e], and `_eval_interval` returns 2^(e deg) times the
-rational interval-Horner bounds, so sign queries and bisection (the sign
-of f at a midpoint, as a one-point interval) read exact signs from
-integers alone.
+Power-box invariant: a root bracket is the integer triple (lo, hi, e)
+for [lo/2^e, hi/2^e], and `Embeddings` keeps beside it the box of integer
+bounds L_j <= 2^(e(n-1)) r^j <= U_j, j < n, that `_power_box` builds from
+the exact range of x^j over the bracket.  The sign of a(r) = sum c_j r^j
+is certified when the interval dot product sum c_j [L_j, U_j]
+(`_eval_box`) excludes 0; otherwise the query bisects a copy of the
+bracket to twice the bits and rebuilds its box, up to `_MAX_BITS`.
+Bisection itself reads the sign of f at a midpoint from `_eval_interval`,
+2^(e deg) times the rational interval-Horner bounds, so every sign comes
+from integers alone.
 First-hit rule: `_enumerate_short` yields candidates lazily in a fixed
 depth-first order, one per +- pair, and the search stops at the first of
 norm p^h.  Each level visits its coordinate centre first (Schnorr and
-Euchner): by increasing |x - center|, ties to the smaller x, so the first
-value tried is the integer nearest the centre and a level ends at the
-first x past the remaining budget.  The set of vectors in a radius stage
-is the one a scan from lo to hi gives; only their order is Schnorr-Euchner.
+Euchner): by increasing |x - center|, ties to the smaller x, taken by two
+pointers that leave the integer nearest the centre, so the first value
+tried is that integer and a level ends at the first x past the remaining
+budget.  The set of vectors in a radius stage is the one a scan from lo
+to hi gives; only their order is Schnorr-Euchner.
 
 Ideal-power invariant: for p not dividing disc_f, P^h meets Z[theta] in
 exactly the kernel of Z[theta] -> Z/p^h, theta -> a_h, where a_h is the
@@ -183,25 +189,30 @@ class Embeddings:
     Built from the sigma-orbit of one root (see the module docstring), so
     f must already satisfy f(s(x)) = 0 mod f.  A bracket is an integer
     triple (lo, hi, e) standing for [lo/2^e, hi/2^e], with f(lo/2^e) and
-    f(hi/2^e) of opposite signs.  Immutable: a sign query refines a local
-    copy of its bracket by exact bisection, so it either resolves or hits
-    the precision cap and raises AmbiguousSign.
+    f(hi/2^e) of opposite signs; beside each one the class keeps its power
+    box (`_power_box`).  Immutable: a sign query refines a local copy of its
+    bracket by exact bisection and rebuilds that copy's box, so it either
+    resolves or hits the precision cap and raises AmbiguousSign.
     """
 
     def __init__(self, f, sigma):
         self._f = f
+        self._n = len(f) - 1
         self._brackets = tuple(_bisect(f, b, _START_BITS) for b in _isolate_along_orbit(f, sigma))
+        self._boxes = tuple(_power_box(b, self._n) for b in self._brackets)
 
     def signs_of(self, a: AlgInt) -> tuple[int, ...]:
         """Exact sign of a(theta) under each real embedding, ascending root order."""
+        if len(a) != self._n:
+            raise ValueError(f"expected {self._n} power-basis coordinates, got {len(a)}")
         if not any(a):
             raise ValueError("sign of zero requested")
-        return tuple(self._sign_at(b, a) for b in self._brackets)
+        return tuple([self._sign_at(b, box, a) for b, box in zip(self._brackets, self._boxes)])
 
-    def _sign_at(self, bracket, coeffs) -> int:
+    def _sign_at(self, bracket, box, coeffs) -> int:
         bits = _START_BITS
         while True:
-            vlo, vhi = _eval_interval(coeffs, *bracket)
+            vlo, vhi = _eval_box(coeffs, box)
             if vlo > 0:
                 return 1
             if vhi < 0:
@@ -210,6 +221,36 @@ class Embeddings:
                 raise AmbiguousSign(f"sign undecided at {_MAX_BITS} bits")
             bits *= 2
             bracket = _bisect(self._f, bracket, bits)
+            box = _power_box(bracket, self._n)
+
+
+def _power_box(bracket, n: int):
+    """Integer bounds (L_j, U_j) with L_j <= 2^(e(n-1)) r^j <= U_j for every r in the bracket, j < n.
+
+    Exact ranges of x^j over [lo/2^e, hi/2^e], all at the one scale
+    2^(e(n-1)): x^j is monotone for odd j and on a bracket of one sign,
+    and a positive even power over a bracket that straddles 0 runs from 0
+    to the larger endpoint power.
+    """
+    lo, hi, e = bracket
+    box = []
+    for j in range(n):
+        a, b = lo**j, hi**j
+        low = 0 if j and j % 2 == 0 and lo < 0 < hi else min(a, b)
+        shift = e * (n - 1 - j)
+        box.append((low << shift, max(a, b) << shift))
+    return tuple(box)
+
+
+def _eval_box(coeffs, box):
+    """Bounds on 2^(e(n-1)) times sum c_j r^j over a bracket, from its power box: an interval dot product."""
+    vlo = vhi = 0
+    for c, (low, high) in zip(coeffs, box):
+        if c < 0:
+            low, high = high, low
+        vlo += c * low
+        vhi += c * high
+    return vlo, vhi
 
 
 def _isolate_along_orbit(f, sigma):
@@ -582,14 +623,6 @@ def _ideal_power_gram(spec: FieldSpec, q: int, root: int) -> list[list[int]]:
     return [first] + [[first[i + 1]] + t[i : i + n - 1] for i in range(n - 1)]
 
 
-def _round_div(num: int, den: int) -> int:
-    """round(num / den) for den > 0, ties to even, computed exactly in integers."""
-    r, rem = divmod(num, den)
-    if 2 * rem > den or (2 * rem == den and r % 2):
-        r += 1
-    return r
-
-
 def _lll_reduce(basis, gram):
     """LLL (delta = 99/100) of basis under the trace form, whose Gram matrix on its rows is gram.
 
@@ -619,7 +652,11 @@ def _lll_reduce(basis, gram):
         bk, lk = basis[k], lam[k]
         for j in range(k - 1, -1, -1):
             dj = d[j + 1]
-            r = _round_div(lk[j], dj)
+            # r = round(lam[k][j] / d[j+1]), ties to even, in integers
+            r, rem = divmod(lk[j], dj)
+            rem += rem
+            if rem > dj or (rem == dj and r & 1):
+                r += 1
             if r:
                 bj = basis[j]
                 for i in range(n):
@@ -637,7 +674,8 @@ def _lll_reduce(basis, gram):
         # swap rows k - 1 and k (Cohen's SWAPI); lam[k][k - 1] is unchanged
         basis[k], basis[k - 1] = basis[k - 1], bk
         lp = lam[k - 1]
-        lk[: k - 1], lp[: k - 1] = lp[: k - 1], lk[: k - 1]
+        for j in range(k - 1):
+            lk[j], lp[j] = lp[j], lk[j]
         b = lovasz // dk
         for i in range(k + 1, n):
             li = lam[i]
@@ -650,11 +688,6 @@ def _lll_reduce(basis, gram):
     return basis, lam, d
 
 
-def _centre_first(center: float, lo: int, hi: int) -> list[int]:
-    """lo..hi by increasing |x - center|, ties to the smaller x (Schnorr-Euchner order)."""
-    return sorted(range(lo, hi + 1), key=lambda x: (abs(x - center), x))
-
-
 def _enumerate_short(lam, d, bound: float):
     """Coordinate vectors with quadratic form value <= bound, one per +- pair.
 
@@ -662,10 +695,11 @@ def _enumerate_short(lam, d, bound: float):
     `_lll_reduce`), read as correctly rounded int quotients.
     A generator: vectors come lazily in depth-first order, each kept only
     if its highest nonzero coordinate is positive, so a caller can stop at
-    the first hit without listing the rest.  Each level visits its
-    coordinates centre first (`_centre_first`); the form's share
-    qf (x - center)^2 grows along that order, so the first x past the
-    remaining budget ends the level.
+    the first hit without listing the rest.  Each level visits lo..hi
+    centre first: two pointers leave the integer nearest the centre (ties
+    to the smaller x), and each step takes the nearer of the two, the one
+    below on a tie.  The form's share qf (x - center)^2 grows along that
+    order, so the first x past the remaining budget ends the level.
     """
     n = len(d) - 1
     muf = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(n)]
@@ -673,25 +707,37 @@ def _enumerate_short(lam, d, bound: float):
     coords = [0] * n
 
     def descend(i, remaining):
-        if i < 0:
-            for c in reversed(coords):
-                if c:
-                    if c > 0:
-                        yield tuple(coords)
-                    break
+        q = qf[i]
+        if q <= 0:
             return
-        if qf[i] <= 0:
-            return
-        center = -sum(coords[j] * muf[j][i] for j in range(i + 1, n))
-        half = math.sqrt(max(remaining, 0.0) / qf[i])
+        center = 0.0
+        for j in range(i + 1, n):
+            center -= coords[j] * muf[j][i]
+        half = math.sqrt(max(remaining, 0.0) / q)
         lo = math.ceil(center - half - 1e-9)
         hi = math.floor(center + half + 1e-9)
-        for x in _centre_first(center, lo, hi):
-            used = qf[i] * (x - center) ** 2
-            if used > remaining + 1e-9:
-                break
-            coords[i] = x
-            yield from descend(i - 1, remaining - used)
+        if lo <= hi:
+            x = min(max(math.ceil(center - 0.5), lo), hi)
+            down, up = x - 1, x + 1
+            while True:
+                used = q * (x - center) ** 2
+                if used > remaining + 1e-9:
+                    break
+                coords[i] = x
+                if i:
+                    yield from descend(i - 1, remaining - used)
+                else:
+                    for c in reversed(coords):
+                        if c:
+                            if c > 0:
+                                yield tuple(coords)
+                            break
+                if down >= lo and (up > hi or abs(down - center) <= abs(up - center)):
+                    x, down = down, down - 1
+                elif up <= hi:
+                    x, up = up, up + 1
+                else:
+                    break
         coords[i] = 0
 
     return descend(n - 1, bound)

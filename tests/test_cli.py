@@ -240,7 +240,7 @@ def _undecided_signs(monkeypatch):
     # load first, so only the sweep's sign queries see undecidable intervals
     spec = _load_field("simplest-cubic-7")
     monkeypatch.setattr("spinsweep.cli._load_field", lambda arg: spec)
-    monkeypatch.setattr(numfield, "_eval_interval", lambda coeffs, lo, hi, e: (-1, 1))
+    monkeypatch.setattr(numfield, "_eval_box", lambda coeffs, box: (-1, 1))
     monkeypatch.setattr(numfield, "_MAX_BITS", 2 * numfield._START_BITS)
 
 

@@ -556,7 +556,7 @@ def test_lll_returns_its_gram_schmidt_data(spec7, spec9, quintic, h):
 
 
 def _lll_reference(basis, gram):
-    """The integral LLL loop as first written, step for step: the reference for `_lll_reduce`."""
+    """The integral LLL loop as first written, step for step, rounding by Fraction: the reference for `_lll_reduce`."""
     n = len(basis)
     basis = [list(r) for r in basis]
     d = [1] * (n + 1)
@@ -573,7 +573,7 @@ def _lll_reference(basis, gram):
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            r = numfield._round_div(lam[k][j], d[j + 1])
+            r = round(Fraction(lam[k][j], d[j + 1]))
             if r:
                 basis[k] = [x - r * y for x, y in zip(basis[k], basis[j])]
                 for i in range(j):
@@ -690,34 +690,84 @@ def test_centre_first_enumerates_the_same_vectors(spec7, quintic):
                 assert got  # the search always has candidates to try
 
 
-def test_centre_first_tries_the_nearest_integer_first(monkeypatch, spec7, quintic):
-    tried = []
-    order = numfield._centre_first
+def _sorted_centre_first(lam, d, bound):
+    """The enumeration as a sort per level: lo..hi by (|x - center|, x), stopping at the first x past the budget."""
+    n = len(d) - 1
+    muf = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(n)]
+    qf = [d[i + 1] / d[i] for i in range(n)]
+    coords = [0] * n
+    out = []
 
-    def record(center, lo, hi):
-        xs = order(center, lo, hi)
-        tried.append((center, xs))
-        return xs
+    def descend(i, remaining):
+        if i < 0:
+            top = [c for c in coords if c]
+            if top and top[-1] > 0:
+                out.append(tuple(coords))
+            return
+        if qf[i] <= 0:
+            return
+        center = -sum(coords[j] * muf[j][i] for j in range(i + 1, n))
+        half = math.sqrt(max(remaining, 0.0) / qf[i])
+        lo = math.ceil(center - half - 1e-9)
+        hi = math.floor(center + half + 1e-9)
+        for x in sorted(range(lo, hi + 1), key=lambda x: (abs(x - center), x)):
+            used = qf[i] * (x - center) ** 2
+            if used > remaining + 1e-9:
+                break
+            coords[i] = x
+            descend(i - 1, remaining - used)
+        coords[i] = 0
 
-    monkeypatch.setattr(numfield, "_centre_first", record)
-    for spec, p in ((spec7, 97), (spec7, 10009), (quintic, 89), (quintic, 10099)):
+    descend(n - 1, bound)
+    return out
+
+
+def test_two_pointers_enumerate_in_the_sorted_centre_first_order(spec7, quintic):
+    # the same vectors in the same order as a sort of each level, so the
+    # first hit, and with it every generator, is unchanged
+    cases = [(spec7, p) for p in (13, 97, 10009)] + [(quintic, p) for p in (23, 89, 10099)]
+    for spec, p in cases:
+        stages = numfield._RADIUS_STAGES if spec.n == 3 else numfield._RADIUS_STAGES[:2]
         for a in split_completely(spec, p):
-            generator_of_power(spec, PrimeDeg1(p, a))
-    assert len(tried) > 20
-    for center, xs in tried:
-        if xs:
-            assert xs[0] == math.ceil(center - 0.5)  # nearest integer, ties to the smaller
-            dist = [abs(x - center) for x in xs]
-            assert dist == sorted(dist)
-    assert order(2.5, 0, 5) == [2, 3, 1, 4, 0, 5]
-    assert order(-0.25, -2, 2) == [0, -1, 1, -2, 2]
+            lam, d, base = _search_data(spec, p, a)
+            for mult in stages:
+                bound = mult * mult * base
+                assert list(numfield._enumerate_short(lam, d, bound)) == _sorted_centre_first(lam, d, bound)
 
 
-def test_round_div_matches_fraction_round():
-    ties = [(2 * k + 1, 2) for k in range(-6, 6)]  # +-1/2, +-3/2, ...
-    grid = [(num, den) for den in range(1, 9) for num in range(-40, 41)]
-    for num, den in ties + grid + [(-(10**40) - 1, 2 * 10**20), (10**40 + 10**20, 2 * 10**20)]:
-        assert numfield._round_div(num, den) == round(Fraction(num, den)), (num, den)
+def test_two_pointers_break_ties_to_the_smaller_x():
+    # hand-built Gram-Schmidt data with mu = +-1/2 and +-3/2, so that many
+    # levels have a half-integer centre and two nearest integers
+    cases = [
+        ([[0, 0], [1, 0]], [1, 2, 4]),  # mu10 = 1/2
+        ([[0, 0], [-3, 0]], [1, 2, 2]),  # mu10 = -3/2
+        ([[0, 0, 0], [1, 0, 0], [-1, 3, 0]], [1, 2, 6, 12]),  # mu10 = 1/2, mu20 = -1/2, mu21 = 1/2
+        ([[0, 0, 0], [3, 0, 0], [1, -9, 0]], [1, 2, 6, 6]),  # mu10 = 3/2, mu20 = 1/2, mu21 = -3/2
+    ]
+    for lam, d in cases:
+        for bound in (0.5, 2.0, 4.5, 9.0, 30.0):
+            got = list(numfield._enumerate_short(lam, d, bound))
+            assert got == _sorted_centre_first(lam, d, bound)
+        assert len(got) > 10
+    # under x1 = 1 the centre of level 0 is -1/2: it tries -1 before 0, and -2 before 1
+    lam, d = [[0, 0], [1, 0]], [1, 2, 4]
+    level0 = [c[0] for c in numfield._enumerate_short(lam, d, 30.0) if c[1] == 1]
+    assert level0[:4] == [-1, 0, -2, 1]
+
+
+def test_lll_rounds_ties_to_even():
+    # hand-built Gram matrices whose size reduction meets mu = k + 1/2: the
+    # integral LLL rounds each tie to the even integer, as the reference's
+    # round(Fraction) does (2 x 2: mu = 1/2 -> 0, 3/2 -> 2, -5/2 -> -2, ...)
+    cases = [[[4, 2 * m], [2 * m, m * m + 5]] for m in (1, 3, -5, 7, -9)]
+    cases.append([[4, 2, 6], [2, 9, 5], [6, 5, 40]])  # mu10 = 1/2, mu20 = 3/2
+    for gram in cases:
+        identity = [[int(i == j) for j in range(len(gram))] for i in range(len(gram))]
+        got = numfield._lll_reduce(identity, gram)
+        assert got == _lll_reference(identity, gram)
+    identity = [[1, 0], [0, 1]]
+    assert numfield._lll_reduce(identity, [[4, 2], [2, 6]])[0] == identity  # round(1/2) = 0
+    assert numfield._lll_reduce(identity, [[4, 6], [6, 14]])[0][1] == [-2, 1]  # round(3/2) = 2
 
 
 def _horner_interval(coeffs, lo, hi):
@@ -924,9 +974,72 @@ def test_symbol_flip_for_one_mod_4_generators(spec7):
 def test_interval_refinement_decides_tiny_values(spec7):
     # theta - (a close dyadic approximation) has a tiny but nonzero sign
     before = spec7.embeddings._brackets
+    boxes = spec7.embeddings._boxes
     lo, hi, e = before[2]
     # 2^(e+1) theta - (lo + hi) at the third root: its midpoint, so the
-    # stored bracket cannot decide the sign and the query must refine
-    signs = spec7.embeddings.signs_of((-(lo + hi), 1 << (e + 1), 0))
-    assert signs[2] in (-1, 1)
-    assert spec7.embeddings._brackets == before  # refined a copy, not the stored bracket
+    # stored box cannot decide the sign and the query must refine
+    tiny = (-(lo + hi), 1 << (e + 1), 0)
+    vlo, vhi = numfield._eval_box(tiny, boxes[2])
+    assert vlo < 0 < vhi
+    signs = spec7.embeddings.signs_of(tiny)
+    assert signs[2] == _fraction_sign(spec7.f, before[2], tiny)
+    # refined a copy, not the stored bracket or its box
+    assert spec7.embeddings._brackets == before and spec7.embeddings._boxes == boxes
+
+
+def _fraction_sign(f, bracket, a):
+    """Sign of a(r) at the root r of f in the bracket, by Fraction interval Horner and Fraction bisection."""
+    lo, hi, e = bracket
+    lo, hi = Fraction(lo, 1 << e), Fraction(hi, 1 << e)
+    flo = _horner_interval(f, lo, lo)[0]
+    while True:
+        vlo, vhi = _horner_interval(a, lo, hi)
+        if vlo > 0 or vhi < 0:
+            return 1 if vlo > 0 else -1
+        mid = (lo + hi) / 2
+        fmid = _horner_interval(f, mid, mid)[0]
+        if (fmid < 0) == (flo < 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+
+
+def test_signs_of_matches_the_fraction_sign(spec7, spec9, quintic):
+    # seeded elements, from small to far past the 128-bit brackets, plus one
+    # vanishing to high order at a root: the box route gives the exact sign
+    rng = random.Random(20231)
+    for spec in (spec7, spec9, quintic):
+        emb = spec.embeddings
+        before = (emb._brackets, emb._boxes)
+        elements = [tuple(rng.randint(-(1 << k), 1 << k) for _ in range(spec.n))
+                    for k in (3, 20, 64, 200) for _ in range(25)]
+        lo, hi, e = emb._brackets[0]
+        elements.append(spec.pad((-(lo + hi), 1 << (e + 1))))
+        for a in elements:
+            if any(a):
+                want = tuple(_fraction_sign(spec.f, b, a) for b in emb._brackets)
+                assert emb.signs_of(a) == want, (spec.name, a)
+        assert (emb._brackets, emb._boxes) == before
+
+
+def test_power_box_bounds_each_power_exactly():
+    # brackets [lo/2^e, hi/2^e] of both signs and across 0; bounds are the
+    # exact range of x^j at the common scale 2^(e(n-1))
+    n = 5
+    for lo, hi, e in [(-3, 5, 2), (-5, 3, 2), (3, 5, 2), (-5, -3, 2), (-7, 1, 3), (0, 3, 1), (-2, 0, 1)]:
+        box = numfield._power_box((lo, hi, e), n)
+        scale = 1 << (e * (n - 1))
+        a, b = Fraction(lo, 1 << e), Fraction(hi, 1 << e)
+        for j, (low, high) in enumerate(box):
+            values = [a**j, b**j] + ([Fraction(0)] if j and a < 0 < b else [])
+            assert (Fraction(low, scale), Fraction(high, scale)) == (min(values), max(values))
+    # across 0 the even powers start at 0: 1 + x^2 + x^4 is certified positive
+    box = numfield._power_box((-3, 5, 2), n)
+    assert box[2][0] == box[4][0] == 0
+    assert numfield._eval_box((1, 0, 1, 0, 1), box)[0] > 0
+    assert numfield._eval_box((0, 1, 0, 0, 0), box) == (-3 << 6, 5 << 6)
+
+
+def test_signs_of_rejects_a_wrong_length(spec7):
+    with pytest.raises(ValueError, match="expected 3"):
+        spec7.embeddings.signs_of((1, 0))
