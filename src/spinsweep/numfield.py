@@ -33,22 +33,35 @@ form from the power sums s_k = Tr(theta^k) that `FieldSpec` keeps, so no
 product of field elements is formed for it.
 Power-box invariant: a root bracket is the integer triple (lo, hi, e)
 for [lo/2^e, hi/2^e], and `Embeddings` keeps beside it the box of integer
-bounds L_j <= 2^(e(n-1)) r^j <= U_j, j < n, that `_power_box` builds from
-the exact range of x^j over the bracket.  The sign of a(r) = sum c_j r^j
-is certified when the interval dot product sum c_j [L_j, U_j]
-(`_eval_box`) excludes 0; otherwise the query bisects a copy of the
-bracket to twice the bits and rebuilds its box, up to `_MAX_BITS`.
+bounds L_j <= 2^e r^j <= U_j, j < n, that `_power_box` builds from the
+exact range of x^j over the bracket, rounded outward to the scale 2^e.
+The sign of a(r) = sum c_j r^j is certified when the interval dot product
+sum c_j [L_j, U_j] (`_eval_box`) excludes 0; otherwise the query bisects
+a copy of the bracket to twice the bits and rebuilds its box, up to
+`_MAX_BITS`.
 Bisection itself reads the sign of f at a midpoint from `_eval_interval`,
 2^(e deg) times the rational interval-Horner bounds, so every sign comes
 from integers alone.
+Box-norm invariant: a box that excludes 0 at a root r_i gives the sign of
+a(r_i) and integers L_i <= 2^(e_i) |a(r_i)| <= U_i, so the product of
+the n intervals encloses 2^S |N(a)|, S = sum e_i.  N(a) is a nonzero
+integer, so when ceil(prod L_i / 2^S) = floor(prod U_i / 2^S) that
+integer is |N(a)|, and N(a) has the sign of the product of the signs.
+Otherwise the enclosure holds more than one integer (a very large
+element) and the norm is `norm_mod`'s Bareiss determinant.  The boxes sit
+at each bracket's own scale 2^e, not a common one, so the product has
+about n e bits rather than n (n - 1) e.
+`Embeddings.signs_and_norm` is that one pass, over the same per-root loop
+as `signs_of`; a sign that needed bisection brings its refined box.
 First-hit rule: `_enumerate_short` yields candidates lazily in a fixed
 depth-first order, one per +- pair, and the search stops at the first of
-norm p^h.  Each level visits its coordinate centre first (Schnorr and
-Euchner): by increasing |x - center|, ties to the smaller x, taken by two
-pointers that leave the integer nearest the centre, so the first value
-tried is that integer and a level ends at the first x past the remaining
-budget.  The set of vectors in a radius stage is the one a scan from lo
-to hi gives; only their order is Schnorr-Euchner.
+norm +-p^h, read from the box pass.  Each level visits its coordinate
+centre first (Schnorr and Euchner): by increasing |x - center|, ties to
+the smaller x, taken by two pointers that leave the integer nearest the
+centre, so the first value tried is that integer and a level ends at the
+first x past the remaining budget.  The set of vectors in a radius stage
+is the one a scan from lo to hi gives; only their order is
+Schnorr-Euchner.
 
 Ideal-power invariant: for p not dividing disc_f, P^h meets Z[theta] in
 exactly the kernel of Z[theta] -> Z/p^h, theta -> a_h, where a_h is the
@@ -63,9 +76,10 @@ Split test through the half power: `split_completely` computes
 half = x^((p-1)/2) mod (f, p) once; p splits iff x half^2 = x, which is
 the x^p = x certificate that f mod p is a product of distinct linear
 factors, and the root descent reuses half as its shift-0 power.  The
-descent (`_one_root`) takes, at each shift s, both gcd(g, h - 1) and
-gcd(g, h + 1) for h = (x + s)^((p-1)/2) mod (g, p), which part the roots
-by the residue symbol of r + s, and keeps the smaller proper factor.
+descent (`_one_root`) takes, at each shift s, gcd(g, h - 1) for
+h = (x + s)^((p-1)/2) mod (g, p), and gcd(g, h + 1) only when the first
+is not linear; the two part the roots by the residue symbol of r + s, and
+the descent keeps the smaller proper factor.
 After shift 0 the shifts run k (2^61 - 1) mod p rather than 1, 2, 3, ...;
 2^61 - 1 is prime, so they still visit every residue once in p steps.
 Small shifts are structured: N(theta + s) for s = 0, 1, 2 is 1, -1, 1 on
@@ -203,20 +217,40 @@ class Embeddings:
 
     def signs_of(self, a: AlgInt) -> tuple[int, ...]:
         """Exact sign of a(theta) under each real embedding, ascending root order."""
+        return tuple([sign for sign, _, _, _ in self._certify(a)])
+
+    def signs_and_norm(self, a: AlgInt) -> tuple[tuple[int, ...], int]:
+        """(signs_of(a), N(a)) from one interval pass over the power boxes (the box-norm invariant)."""
+        signs = []
+        lo = hi = 1
+        scale = 0
+        for sign, low, high, e in self._certify(a):
+            signs.append(sign)
+            lo *= low
+            hi *= high
+            scale += e
+        norm = hi >> scale
+        if -(-lo >> scale) != norm:  # more than one integer in [lo, hi] / 2^scale
+            return tuple(signs), norm_mod(a, self._f)
+        return tuple(signs), -norm if signs.count(-1) % 2 else norm
+
+    def _certify(self, a):
+        """Per root, ascending: `_sign_at` of a."""
         if len(a) != self._n:
             raise ValueError(f"expected {self._n} power-basis coordinates, got {len(a)}")
         if not any(a):
             raise ValueError("sign of zero requested")
-        return tuple([self._sign_at(b, box, a) for b, box in zip(self._brackets, self._boxes)])
+        return [self._sign_at(b, box, a) for b, box in zip(self._brackets, self._boxes)]
 
-    def _sign_at(self, bracket, box, coeffs) -> int:
+    def _sign_at(self, bracket, box, coeffs):
+        """(sign of a(r), L, U, e) with L <= 2^e |a(r)| <= U, from the first box of the bracket that excludes 0."""
         bits = _START_BITS
         while True:
             vlo, vhi = _eval_box(coeffs, box)
             if vlo > 0:
-                return 1
+                return 1, vlo, vhi, bracket[2]
             if vhi < 0:
-                return -1
+                return -1, -vhi, -vlo, bracket[2]
             if bits >= _MAX_BITS:
                 raise AmbiguousSign(f"sign undecided at {_MAX_BITS} bits")
             bits *= 2
@@ -225,25 +259,28 @@ class Embeddings:
 
 
 def _power_box(bracket, n: int):
-    """Integer bounds (L_j, U_j) with L_j <= 2^(e(n-1)) r^j <= U_j for every r in the bracket, j < n.
+    """Integer bounds (L_j, U_j) with L_j <= 2^e r^j <= U_j for every r in the bracket, j < n.
 
-    Exact ranges of x^j over [lo/2^e, hi/2^e], all at the one scale
-    2^(e(n-1)): x^j is monotone for odd j and on a bracket of one sign,
-    and a positive even power over a bracket that straddles 0 runs from 0
-    to the larger endpoint power.
+    The exact range of x^j over [lo/2^e, hi/2^e] is [a, b] / 2^(ej): x^j
+    is monotone for odd j and on a bracket of one sign, and a positive even
+    power over a bracket that straddles 0 runs from 0 to the larger
+    endpoint power.  The bounds are that range at the bracket's own scale
+    2^e, rounded outward: floor(a / 2^(e(j-1))) and ceil(b / 2^(e(j-1))).
+    The rounding moves a bound by less than 2^-e, no more than the width
+    (hi - lo) / 2^e of the bracket, so the box keeps its precision.
     """
     lo, hi, e = bracket
-    box = []
-    for j in range(n):
+    box = [(1 << e, 1 << e)]
+    for j in range(1, n):
         a, b = lo**j, hi**j
-        low = 0 if j and j % 2 == 0 and lo < 0 < hi else min(a, b)
-        shift = e * (n - 1 - j)
-        box.append((low << shift, max(a, b) << shift))
+        low = 0 if j % 2 == 0 and lo < 0 < hi else min(a, b)
+        shift = e * (j - 1)
+        box.append((low >> shift, -(-max(a, b) >> shift)))
     return tuple(box)
 
 
 def _eval_box(coeffs, box):
-    """Bounds on 2^(e(n-1)) times sum c_j r^j over a bracket, from its power box: an interval dot product."""
+    """Bounds on 2^e times sum c_j r^j over a bracket, from its power box: an interval dot product."""
     vlo = vhi = 0
     for c, (low, high) in zip(coeffs, box):
         if c < 0:
@@ -559,11 +596,12 @@ def _one_root(g, p, half):
     Deterministic gcd descent: with h = (x + s)^((p-1)/2) mod (g, p),
     gcd(g, h - 1) keeps the roots r with r + s a nonzero square and
     gcd(g, h + 1) those with r + s a non-square; the smaller proper factor
-    of the two replaces g, until g is linear.  The k-th shift is
-    s = k * _SHIFT_STEP mod p (just k at p = _SHIFT_STEP), k < p, so every
-    residue is tried once before RootNotSeparated.  Shift 0 comes first,
-    and its power is half, x^((p-1)/2) mod (g, p), which the split test has
-    already computed.
+    of the two replaces g, until g is linear.  A linear gcd(g, h - 1) is
+    already the smallest proper factor, and then gcd(g, h + 1) is not
+    taken.  The k-th shift is s = k * _SHIFT_STEP mod p (just k at
+    p = _SHIFT_STEP), k < p, so every residue is tried once before
+    RootNotSeparated.  Shift 0 comes first, and its power is half,
+    x^((p-1)/2) mod (g, p), which the split test has already computed.
     """
     step = _SHIFT_STEP % p or 1
     k = 0
@@ -571,7 +609,8 @@ def _one_root(g, p, half):
         if k == p:
             raise RootNotSeparated(f"no shift mod {p} separated the roots of f")
         h = half if k == 0 else pow_mod((k * step % p, 1), (p - 1) // 2, g, p)
-        factors = (_pgcd(g, (h[0] - t, *h[1:]), p) for t in (1, -1))
+        low = _pgcd(g, (h[0] - 1, *h[1:]), p)
+        factors = [low] if len(low) == 2 else [low, _pgcd(g, (h[0] + 1, *h[1:]), p)]
         proper = [d for d in factors if 0 < len(d) - 1 < len(g) - 1]
         if proper:
             g = min(proper, key=len)
@@ -594,9 +633,8 @@ def _lift_root(spec: FieldSpec, P: PrimeDeg1, h: int) -> int:
     """The root a_h of f mod p^h with a_h = a mod p (Hensel), by Newton's iteration."""
     p, a = P
     q = p**h
-    df = poly_derivative(spec.f)
     while r := eval_mod(spec.f, a, q):
-        a = (a - r * pow(eval_mod(df, a, q), -1, q)) % q
+        a = (a - r * pow(eval_mod(poly_derivative(spec.f), a, q), -1, q)) % q
     return a
 
 
@@ -752,7 +790,9 @@ def generator_of_power(spec: FieldSpec, P: PrimeDeg1) -> AlgInt:
     Enumerates lattice vectors of P^h under the trace form in growing
     radius stages (up to 4x a Minkowski-style balanced-generator bound),
     takes the first with |norm| = p^h, and multiplies by the unit whose
-    sign pattern cancels the candidate's.  Raises RamifiedPrime for p
+    sign pattern cancels the candidate's.  Each element tested, the
+    returned one included, gets its signs and norm from one box pass
+    (`Embeddings.signs_and_norm`).  Raises RamifiedPrime for p
     dividing disc_f and ValueError when P is not a prime of this field.
     """
     _check_deg1_prime(spec, P)
@@ -762,6 +802,7 @@ def generator_of_power(spec: FieldSpec, P: PrimeDeg1) -> AlgInt:
     lattice = _ideal_power_basis(n, target, root)
     basis, lam, d = _lll_reduce(lattice, _ideal_power_gram(spec, target, root))
     base_t2 = n * (target * math.sqrt(abs(spec.disc_f))) ** (2.0 / n)
+    boxes = spec.embeddings
     for mult in _RADIUS_STAGES:
         for coords in _enumerate_short(lam, d, mult * mult * base_t2):
             vec = [0] * n
@@ -770,15 +811,16 @@ def generator_of_power(spec: FieldSpec, P: PrimeDeg1) -> AlgInt:
                     for j in range(n):
                         vec[j] += c * row[j]
             cand = tuple(vec)
-            if abs(spec.norm(cand)) != target:
+            signs, norm = boxes.signs_and_norm(cand)
+            if abs(norm) != target:
                 continue
-            signs = spec.embeddings.signs_of(cand)
             if any(s < 0 for s in signs):
                 cand = spec.mul(spec.unit_by_signature[signs], cand)
-            # independent verification of the search result
-            if spec.norm(cand) != target:
+            # independent verification of the search result, on the returned element itself
+            signs, norm = boxes.signs_and_norm(cand)
+            if norm != target:
                 raise GeneratorSelfCheckFailed("norm")
-            if any(s < 0 for s in spec.embeddings.signs_of(cand)):
+            if any(s < 0 for s in signs):
                 raise GeneratorSelfCheckFailed("not totally positive")
             if eval_mod(cand, root, target):
                 raise GeneratorSelfCheckFailed("left the ideal lattice")

@@ -252,6 +252,22 @@ def _lattice_check_fails(monkeypatch):
                         lambda n, q, root: lattice(n, q, numfield.eval_mod(spec.sigma, root, q)))
 
 
+def _self_check_norm_misreported(monkeypatch):
+    # the box pass that follows a hit (|N| = 13 at p = 13) is the self-check on
+    # the unit-adjusted element; it misreports that element's norm
+    fused = numfield.Embeddings.signs_and_norm
+    after_hit = [False]
+
+    def misreport(self, a):
+        signs, norm = fused(self, a)
+        if after_hit[0]:
+            return signs, norm + 1
+        after_hit[0] = abs(norm) == 13
+        return signs, norm
+
+    monkeypatch.setattr(numfield.Embeddings, "signs_and_norm", misreport)
+
+
 def _no_shift_separates(monkeypatch):
     # a gcd that never splits off a proper factor, so the root descent runs out of shifts
     monkeypatch.setattr(numfield, "_pgcd", lambda a, b, p: a)
@@ -261,6 +277,7 @@ def _no_shift_separates(monkeypatch):
     ("GeneratorNotFound", _no_radius_stages),
     ("AmbiguousSign", _undecided_signs),
     ("GeneratorSelfCheckFailed", _lattice_check_fails),
+    ("GeneratorSelfCheckFailed", _self_check_norm_misreported),
     ("RootNotSeparated", _no_shift_separates),
 ])
 def test_sweep_search_failure_is_named(monkeypatch, capsys, condition, inject):

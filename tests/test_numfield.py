@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from spinsweep import f2poly, numfield, residue
-from spinsweep.intpoly import compose_mod, det_bareiss, mul_mod, poly_mul, pow_mod
+from spinsweep.intpoly import compose_mod, det_bareiss, mul_mod, norm_mod, poly_mul, pow_mod
 from spinsweep.numfield import (
     BadUnit,
     C4Violation,
@@ -27,6 +27,7 @@ from spinsweep.numfield import (
     split_completely,
 )
 from spinsweep.sweep import build_tables
+from test_intpoly import PINNED_NORMS, _norm_by_fractions
 
 GOOD7 = """
 name = "simplest-cubic-7"
@@ -1022,22 +1023,85 @@ def test_signs_of_matches_the_fraction_sign(spec7, spec9, quintic):
         assert (emb._brackets, emb._boxes) == before
 
 
+def _count_bareiss(monkeypatch):
+    """Record each element whose norm the box pass hands to `norm_mod`."""
+    fallbacks = []
+
+    def bareiss(a, f):
+        fallbacks.append(a)
+        return norm_mod(a, f)
+
+    monkeypatch.setattr(numfield, "norm_mod", bareiss)
+    return fallbacks
+
+
+def test_signs_and_norm_is_the_signs_and_the_bareiss_norm(monkeypatch, spec7, spec9, quintic):
+    # the one box pass against signs_of, Bareiss and rational elimination
+    fallbacks = _count_bareiss(monkeypatch)
+    specs = {spec.f: spec for spec in (spec7, spec9, quintic)}
+
+    def check(spec, a):
+        got = spec.embeddings.signs_and_norm(a)
+        assert got == (spec.embeddings.signs_of(a), norm_mod(a, spec.f)), (spec.name, a)
+        assert got[1] == _norm_by_fractions(a, spec.f)
+        return got
+
+    for f, a, norm in PINNED_NORMS:
+        assert check(specs[f], a)[1] == norm
+    for spec in specs.values():
+        for signs, u in spec.unit_by_signature.items():
+            assert check(spec, u) == (signs, math.prod(signs))
+    rng = random.Random(20240)
+    for spec in specs.values():
+        for k in (3, 20):
+            for _ in range(25):
+                a = tuple(rng.randint(-(1 << k), 1 << k) for _ in range(spec.n))
+                if any(a):
+                    check(spec, a)
+    assert fallbacks == [], "small elements take their norm from the boxes"
+    for spec in specs.values():
+        for k in (64, 200):
+            for _ in range(10):
+                check(spec, tuple(rng.randint(-(1 << k), 1 << k) for _ in range(spec.n)))
+    # at 2^64 and beyond the enclosure of |N| is wider than one integer, at 128-bit brackets
+    assert len(fallbacks) == 3 * 2 * 10
+    # the near-root element: the stored box cannot decide its sign at the third root
+    emb = spec7.embeddings
+    lo, hi, e = emb._brackets[2]
+    tiny = (-(lo + hi), 1 << (e + 1), 0)
+    vlo, vhi = numfield._eval_box(tiny, emb._boxes[2])
+    assert vlo < 0 < vhi
+    assert check(spec7, tiny)[0][2] == _fraction_sign(spec7.f, emb._brackets[2], tiny)
+
+
+def test_generator_search_takes_no_bareiss_norm(monkeypatch, spec7, quintic):
+    # every candidate and every self-check reads its norm from the box pass
+    fallbacks = _count_bareiss(monkeypatch)
+    monkeypatch.setattr(numfield.FieldSpec, "norm", lambda spec, a: pytest.fail("FieldSpec.norm called"))
+    for spec, limit in ((spec7, 2000), (quintic, 500)):
+        for p in _primes_below(limit):
+            if spec.disc_f % p:
+                for a in split_completely(spec, p):
+                    generator_of_power(spec, PrimeDeg1(p, a))
+    assert fallbacks == []
+
+
 def test_power_box_bounds_each_power_exactly():
     # brackets [lo/2^e, hi/2^e] of both signs and across 0; bounds are the
-    # exact range of x^j at the common scale 2^(e(n-1))
+    # exact range of x^j at the bracket's scale 2^e, rounded outward
     n = 5
-    for lo, hi, e in [(-3, 5, 2), (-5, 3, 2), (3, 5, 2), (-5, -3, 2), (-7, 1, 3), (0, 3, 1), (-2, 0, 1)]:
+    for lo, hi, e in [(-3, 5, 2), (-5, 3, 2), (3, 5, 2), (-5, -3, 2), (-7, 1, 3), (0, 3, 1), (-2, 0, 1),
+                      (-1001, -999, 9), (12345, 12346, 13)]:
         box = numfield._power_box((lo, hi, e), n)
-        scale = 1 << (e * (n - 1))
         a, b = Fraction(lo, 1 << e), Fraction(hi, 1 << e)
         for j, (low, high) in enumerate(box):
             values = [a**j, b**j] + ([Fraction(0)] if j and a < 0 < b else [])
-            assert (Fraction(low, scale), Fraction(high, scale)) == (min(values), max(values))
+            assert (low, high) == (math.floor(min(values) * (1 << e)), math.ceil(max(values) * (1 << e)))
     # across 0 the even powers start at 0: 1 + x^2 + x^4 is certified positive
     box = numfield._power_box((-3, 5, 2), n)
     assert box[2][0] == box[4][0] == 0
     assert numfield._eval_box((1, 0, 1, 0, 1), box)[0] > 0
-    assert numfield._eval_box((0, 1, 0, 0, 0), box) == (-3 << 6, 5 << 6)
+    assert numfield._eval_box((0, 1, 0, 0, 0), box) == (-3, 5)
 
 
 def test_signs_of_rejects_a_wrong_length(spec7):
