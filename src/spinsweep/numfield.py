@@ -35,13 +35,12 @@ Power-box invariant: a root bracket is the integer triple (lo, hi, e)
 for [lo/2^e, hi/2^e], and `Embeddings` keeps beside it the box of integer
 bounds L_j <= 2^e r^j <= U_j, j < n, that `_power_box` builds from the
 exact range of x^j over the bracket, rounded outward to the scale 2^e.
-The sign of a(r) = sum c_j r^j is certified when the interval dot product
-sum c_j [L_j, U_j] (`_eval_box`) excludes 0; otherwise the query bisects
-a copy of the bracket to twice the bits and rebuilds its box, up to
-`_MAX_BITS`.
-Bisection itself reads the sign of f at a midpoint from `_eval_interval`,
-2^(e deg) times the rational interval-Horner bounds, so every sign comes
-from integers alone.
+For a = sum c_j theta^j, 2^e a(r) lies in the interval dot product
+sum c_j [L_j, U_j] (`_eval_box`): one enclosure for root isolation, signs
+and norms.  A sign is certified when it excludes 0; otherwise the query
+bisects a copy of the bracket to twice the bits and rebuilds its box, up
+to `_MAX_BITS`.  Bisection reads the sign of f at x/2^e from the integer
+2^(e deg) f(x/2^e) (`_eval_point`), so every sign comes from integers.
 Box-norm invariant: a box that excludes 0 at a root r_i gives the sign of
 a(r_i) and integers L_i <= 2^(e_i) |a(r_i)| <= U_i, so the product of
 the n intervals encloses 2^S |N(a)|, S = sum e_i.  N(a) is a nonzero
@@ -104,11 +103,12 @@ A split p therefore has roots a, s(a), ..., s^(n-1)(a), all distinct, and
 `split_completely` finds one root and reads the rest off its orbit.  The
 same holds over R: the field is Galois of odd degree, so its Galois group
 has no complex conjugation and the field is totally real, with real
-roots r, s(r), ..., s^(n-1)(r) for any one root r.  `Embeddings` isolates
-one root and carries its bracket along that orbit.  The discriminant of
-f is the determinant of the trace form Tr(theta^(i+j)) = s_(i+j), read
-from the same power sums the generator search builds its Gram matrices
-from.
+roots r, s(r), ..., s^(n-1)(r) for any one root r.  `Embeddings` bisects
+one root r and encloses each s^k(r) by `_eval_box` of s^k mod f over r's
+power box; once disjoint, the n images isolate the roots.  The
+discriminant of f is the determinant of the trace form Tr(theta^(i+j)) =
+s_(i+j), read from the same power sums the generator search builds its
+Gram matrices from.
 Conjugation convention: sigma(P) = (p, theta - b) with s(b) = a mod p, so
 sigma^k(P) has root s^(n-k)(a); only `conjugate_chain` encodes this.
 """
@@ -209,10 +209,10 @@ class Embeddings:
     resolves or hits the precision cap and raises AmbiguousSign.
     """
 
-    def __init__(self, f, sigma):
+    def __init__(self, f, sigma_powers):
         self._f = f
         self._n = len(f) - 1
-        self._brackets = tuple(_bisect(f, b, _START_BITS) for b in _isolate_along_orbit(f, sigma))
+        self._brackets = tuple(_bisect(f, b, _START_BITS) for b in _isolate_along_orbit(f, sigma_powers))
         self._boxes = tuple(_power_box(b, self._n) for b in self._brackets)
 
     def signs_of(self, a: AlgInt) -> tuple[int, ...]:
@@ -290,26 +290,21 @@ def _eval_box(coeffs, box):
     return vlo, vhi
 
 
-def _isolate_along_orbit(f, sigma):
+def _isolate_along_orbit(f, sigma_powers):
     """Disjoint brackets, ascending, each holding exactly one root of f.
 
-    Bisects one root r, then carries its bracket along r, s(r), ...,
-    s^(n-1)(r) by interval arithmetic, doubling the bits until the n
-    images are pairwise disjoint.  They then hold n distinct roots, and f
-    has only n.  The image of a bracket at exponent e has exponent
-    e deg(s); all are shifted to the largest exponent before sorting.
+    Bisects one root r and encloses each s^k(r), k < n, by `_eval_box` of
+    sigma_powers[k] = s^k mod f over r's power box, at r's exponent,
+    doubling the bits until the n images are pairwise disjoint.  They then
+    hold n distinct roots, and f has only n.
     """
-    bound = 1 + max(abs(c) for c in f[:-1])  # Cauchy bound; f monic of odd degree
+    bound = 1 << max(abs(c) for c in f[:-1]).bit_length()  # >= Cauchy's 1 + max |c|; f monic of odd degree
     seed = (-bound, bound, 0)  # so f(-bound) < 0 < f(bound)
     bits = 1
     while True:
         seed = _bisect(f, seed, bits)
-        orbit = [seed]
-        for _ in range(len(f) - 2):
-            lo, hi, e = orbit[-1]
-            orbit.append((*_eval_interval(sigma, lo, hi, e), e * (len(sigma) - 1)))
-        top = max(e for _, _, e in orbit)
-        brackets = sorted((lo << (top - e), hi << (top - e), top) for lo, hi, e in orbit)
+        box = _power_box(seed, len(sigma_powers))
+        brackets = sorted((*_eval_box(s, box), seed[2]) for s in sigma_powers)
         if all(hi < lo for (_, hi, _), (lo, _, _) in zip(brackets, brackets[1:])):
             return brackets
         if bits >= _MAX_BITS:
@@ -320,38 +315,33 @@ def _isolate_along_orbit(f, sigma):
 def _bisect(f, bracket, bits):
     """Halve a bracket (lo, hi, e) of a root of f until it is at most 2^-bits wide.
 
-    A halving raises e by one and keeps hi - lo, so the loop runs until
-    hi - lo <= 2^(e - bits).  f at a point x/2^e has the sign of the
-    one-point interval _eval_interval(f, x, x, e).
+    An even hi - lo is halved at the same e, an odd one after doubling it
+    and e, until hi - lo <= 2^(e - bits).  f at a point x/2^e has the sign
+    of the integer `_eval_point(f, x, e)`.
     """
     lo, hi, e = bracket
-    flo, _ = _eval_interval(f, lo, lo, e)
+    flo = _eval_point(f, lo, e)
     while (hi - lo) << bits > 1 << e:
-        mid = lo + hi
-        e += 1
-        fmid, _ = _eval_interval(f, mid, mid, e)
+        if (hi - lo) % 2:
+            lo, hi, e = 2 * lo, 2 * hi, e + 1
+        mid = (lo + hi) >> 1
+        fmid = _eval_point(f, mid, e)
         assert fmid != 0, "irreducible f has no rational roots"
         if (flo < 0) == (fmid < 0):
-            lo, hi, flo = mid, 2 * hi, fmid
+            lo, flo = mid, fmid
         else:
-            lo, hi = 2 * lo, mid
+            hi = mid
     return lo, hi, e
 
 
-def _eval_interval(coeffs, lo: int, hi: int, e: int):
-    """Interval Horner enclosure of an integer polynomial over [lo/2^e, hi/2^e].
-
-    Runs in integers: after k steps the bounds are 2^(e k) times those of
-    the same Horner run over the rationals, so the returned integers are
-    2^(e deg) times that run's bounds and have the same signs.
-    """
-    vlo = vhi = coeffs[-1]
+def _eval_point(coeffs, x: int, e: int) -> int:
+    """2^(e deg) f(x/2^e) for an integer polynomial f: Horner in integers, one product per step."""
+    v = coeffs[-1]
     shift = 0
     for c in reversed(coeffs[:-1]):
         shift += e
-        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-        vlo, vhi = min(cands) + (c << shift), max(cands) + (c << shift)
-    return vlo, vhi
+        v = v * x + (c << shift)
+    return v
 
 
 _CONFIG_KEYS = {"name", "f", "sigma", "h", "unit"}
@@ -422,11 +412,12 @@ class FieldSpec:
         self.sigma = tuple(int(c) for c in sigma)
         self.h = h
         self.units = tuple(tuple(int(c) for c in u) for u in units)
-        self._validate()
-        self.embeddings = Embeddings(self.f, self.sigma)
+        sigma_powers = self._validate()
+        self.embeddings = Embeddings(self.f, sigma_powers)
         self.unit_by_signature = self._signature_table()
 
     def _validate(self):
+        """Check the config; return s^k mod f for k < n (s^0 = x), composed once for the order check."""
         n = self.n
         if n < 3 or n % 2 == 0:
             raise EvenDegree("degree must be odd and >= 3")
@@ -451,12 +442,12 @@ class FieldSpec:
         if any(compose_mod(self.f, self.sigma, self.f)):
             raise NotAutomorphism("f(s(x)) is not divisible by f")
         identity = (0, 1) + (0,) * (n - 2)
-        power = poly_rem_monic(self.sigma, self.f)
+        powers = [identity, poly_rem_monic(self.sigma, self.f)]
         for k in range(1, n):
-            if power == identity:
+            if powers[-1] == identity:
                 raise NotAutomorphism(f"sigma has order {k} < n")
-            power = compose_mod(power, self.sigma, self.f)
-        if power != identity:
+            powers.append(compose_mod(powers[-1], self.sigma, self.f))
+        if powers.pop() != identity:
             raise NotAutomorphism("sigma does not have order n")
         if len(self.units) != n - 1:
             raise BadUnit(f"expected {n - 1} units, got {len(self.units)}")
@@ -465,6 +456,7 @@ class FieldSpec:
                 raise BadUnit("unit coordinates exceed the power basis")
             if norm_mod(u, self.f) not in (1, -1):
                 raise BadUnit(f"listed element {u} has norm != +-1")
+        return powers
 
     def _signature_table(self):
         """Map each of the 2^n sign patterns to a unit realizing it."""

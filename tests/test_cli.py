@@ -367,7 +367,7 @@ def test_undecided_unit_sign_at_load_is_named(monkeypatch, capsys):
 
 def test_isolation_failure_at_load_is_named(monkeypatch, capsys):
     # undecidable intervals before the field loads: the orbit images never separate
-    monkeypatch.setattr(numfield, "_eval_interval", lambda coeffs, lo, hi, e: (-1, 1))
+    monkeypatch.setattr(numfield, "_eval_box", lambda coeffs, box: (-1, 1))
     monkeypatch.setattr(numfield, "_MAX_BITS", 2 * numfield._START_BITS)
     code = main(["verify-kernel", "--field", "simplest-cubic-7"])
     err = capsys.readouterr().err

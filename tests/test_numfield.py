@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from spinsweep import f2poly, numfield, residue
-from spinsweep.intpoly import compose_mod, det_bareiss, mul_mod, norm_mod, poly_mul, pow_mod
+from spinsweep.intpoly import compose_mod, det_bareiss, mul_mod, norm_mod, poly_mul, poly_rem_monic, pow_mod
 from spinsweep.numfield import (
     BadUnit,
     C4Violation,
@@ -173,6 +173,23 @@ unit = [1, 1, 0]
 """
 
 
+def translate(spec, t):
+    """spec presented by theta - t: f(x + t), s(x + t) - t and each unit u(x + t), the last two mod f(x + t)."""
+
+    def shifted(g):  # g(x + t), by Horner
+        out = []
+        for c in reversed(g):
+            out = [a + t * b for a, b in zip([0, *out], [*out, 0])]
+            out[0] += c
+        return out
+
+    f = shifted(spec.f)
+    sigma = shifted(spec.sigma)
+    sigma[0] -= t
+    units = [poly_rem_monic(shifted(u), f) for u in spec.units]
+    return numfield.FieldSpec(spec.name, f, poly_rem_monic(sigma, f), spec.h, units)
+
+
 SHANKS_M = [2, 4, 8, 10, 12, 30, 1000]
 
 
@@ -211,6 +228,29 @@ def test_shanks_cubics_isolate_and_check_disc(m):
 
 
 LOADED_CONFIGS = {"real-quintic-11": QUINTIC11, **{f"shanks-{m}": shanks_cubic(m) for m in SHANKS_M}}
+
+
+@pytest.mark.parametrize("field", ["spec7", "spec9", "real-quintic-11", "shanks-2", "shanks-4", "shanks-8",
+                                   "shanks-10", "shanks-12"])
+def test_brackets_carry_no_excess_bits(request, field):
+    # every image of the seed root is enclosed at the seed's own exponent from
+    # its power box, and the seed bisects from a power-of-two bound down to
+    # width 1, so a 2^-128 bracket keeps only a few bits in hi - lo
+    spec = load_spec(LOADED_CONFIGS[field]) if field in LOADED_CONFIGS else request.getfixturevalue(field)
+    assert_isolated(spec)
+    for lo, hi, e in spec.embeddings._brackets:
+        assert hi - lo < 1 << 8 and e <= numfield._START_BITS + 8, (lo, hi, e)
+        assert (hi - lo) << numfield._START_BITS <= 1 << e
+
+
+def test_translate_moves_every_root_by_t(spec7, spec9):
+    # the roots of f(x + t) are r - t: each bracket of the translate meets its root's bracket moved by t
+    for spec in (spec7, spec9):
+        for t in (1, -2, 5):
+            moved = translate(spec, t)
+            assert moved.disc_f == spec.disc_f
+            for (lo, hi), (lo_t, hi_t) in zip(_intervals(spec), _intervals(moved)):
+                assert max(lo - t, lo_t) <= min(hi - t, hi_t)
 
 
 @pytest.mark.parametrize("field", ["spec7", "spec9", *LOADED_CONFIGS])
@@ -779,18 +819,18 @@ def _horner_interval(coeffs, lo, hi):
     return vlo, vhi
 
 
-def test_eval_interval_matches_fraction_horner():
-    # integer bounds are 2^(e deg) times the rational Horner run's over [lo/2^e, hi/2^e]
+def test_eval_point_matches_fraction_horner():
+    # the integer is 2^(e deg) times the rational Horner value at x/2^e
     rng = random.Random(20201)
     for _ in range(300):
         coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 6))]
         e = rng.randint(0, 300)
-        lo, hi = sorted(rng.randint(-(1 << 20), 1 << 20) << rng.randint(0, 12) for _ in range(2))
-        got = numfield._eval_interval(coeffs, lo, hi, e)
+        x = rng.randint(-(1 << 20), 1 << 20) << rng.randint(0, 12)
+        got = numfield._eval_point(coeffs, x, e)
         scale = 1 << (e * (len(coeffs) - 1))
-        want = _horner_interval(coeffs, Fraction(lo, 1 << e), Fraction(hi, 1 << e))
-        assert got == tuple(v * scale for v in want)
-        assert all(type(v) is int for v in got)
+        want = _horner_interval(coeffs, Fraction(x, 1 << e), Fraction(x, 1 << e))
+        assert want[0] == want[1] and got == want[0] * scale
+        assert type(got) is int
 
 
 def test_generator_cube_power(spec7):

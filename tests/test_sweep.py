@@ -16,7 +16,7 @@ from spinsweep.sweep import (
     odd_primes_in,
     run_sweep,
 )
-from test_numfield import QUINTIC11
+from test_numfield import QUINTIC11, translate
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +134,45 @@ def test_report_rows_from_records(request, field):
 def test_ramified_primes_still_skipped(spec9):
     # the ramified check runs before the table lookup, so p | disc_f is listed, not classified
     assert run_sweep(spec9, 1000, jobs=1).skipped_ramified == [3]
+
+
+def _gf2_rank(vectors):
+    basis = []  # reduced rows, each with a distinct leading bit
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
+def _class_int(bits):
+    return sum(bit << j for j, bit in enumerate(bits))
+
+
+@pytest.mark.parametrize("field, shifts", [("spec7", (1, -2)), ("spec9", (1, -2)), ("quintic", (1, -3))])
+def test_translated_presentation_sweeps_the_same(request, field, shifts):
+    # theta - t generates the same field: the same split primes, spins and
+    # S/R/F rows, and where the chosen prime is the same ideal (its root moved
+    # by t) the classes differ only by the change of normal basis
+    spec = numfield.load_spec(QUINTIC11) if field == "quintic" else request.getfixturevalue(field)
+    base = run_sweep(spec, 10_000, jobs=1)
+    n = spec.n
+    for t in shifts:
+        moved = translate(spec, t)
+        if field == "quintic":  # a non-self-dual normal basis: classes go through b = h t with h != 1
+            assert residue.build_family(moved).pairing.c != (1,) + (0,) * (n - 1)
+        result = run_sweep(moved, 10_000, jobs=1)
+        assert [r.p for r in result.records] == [r.p for r in base.records]
+        assert [r.spins for r in result.records] == [r.spins for r in base.records]
+        assert result.report_rows[:7] == base.report_rows[:7]
+        pairs = [(_class_int(a.m4_bits), _class_int(b.m4_bits)) for a, b in zip(base.records, result.records)
+                 if (a.root_a - t - b.root_a) % a.p == 0]
+        assert len(pairs) > 0.9 * len(base.records)
+        # the pairs span the graph of one linear bijection of GF(2)^n exactly when
+        # the graph and both of its projections have rank n
+        assert _gf2_rank(x | y << n for x, y in pairs) == n
+        assert _gf2_rank(x for x, _ in pairs) == _gf2_rank(y for _, y in pairs) == n
 
 
 def test_split_memo_is_per_sweep(monkeypatch, spec7, in_process_pool):
