@@ -2,8 +2,7 @@
 
 The polynomial c_d x^d + ... + c_1 x + c_0 is stored as the integer with
 bit i equal to c_i.  There are no leading zeros by construction, so the
-stored form is always normalized; the zero polynomial is the int 0 and its
-degree is the sentinel -inf (every nonzero degree compares above it).
+stored form is always normalized; the zero polynomial is the int 0.
 
 Inputs are capped at degree 63: the module serves cyclic fields of degree
 n <= 31, where every intermediate product (degree <= 62) stays word-sized.
@@ -12,9 +11,9 @@ Beyond ring arithmetic the module knows one structured object: x^n - 1
 over GF(2) for odd n.  `cyclic_mul` multiplies in the quotient ring
 GF(2)[x]/(x^n - 1), the product behind every circulant the residue layer
 uses, and `cyclic_inv` inverts there; `cyclotomic_cosets` gives the
-factors' degrees and reciprocal pairing from the cosets of 2 mod n, and
-`factor_xn_minus_1` produces the factors themselves, as the independent
-reference.
+factors' degrees and reciprocal pairing from the cosets of 2 mod n.  The
+factors themselves are not built here: the tests factor x^n - 1 as the
+independent reference for the cosets.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ F2Poly = int  # alias used in signatures; see module docstring
 
 MAX_DEGREE = 63
 
-NEG_INF = float("-inf")
-
 
 def _check(a: int) -> int:
     if a < 0:
@@ -34,11 +31,6 @@ def _check(a: int) -> int:
     if a.bit_length() - 1 > MAX_DEGREE:
         raise ValueError(f"degree {a.bit_length() - 1} exceeds supported maximum {MAX_DEGREE}")
     return a
-
-
-def degree(a: F2Poly):
-    """Degree of a, or -inf for the zero polynomial."""
-    return a.bit_length() - 1 if a else NEG_INF
 
 
 def mul(a: F2Poly, b: F2Poly) -> F2Poly:
@@ -131,17 +123,6 @@ def poly_str(a: F2Poly) -> str:
     return " + ".join(terms)
 
 
-def reciprocal(f: F2Poly) -> F2Poly:
-    """Reverse the coefficients of f: x^deg(f) * f(1/x).
-
-    Requires a nonzero constant term, which makes the map an involution.
-    """
-    _check(f)
-    if f == 0 or not f & 1:
-        raise ValueError("reciprocal requires a nonzero constant term")
-    return int(bin(f)[2:][::-1], 2)
-
-
 def is_irreducible(f: F2Poly) -> bool:
     """Deterministic irreducibility test (Rabin): f of degree >= 1."""
     _check(f)
@@ -182,50 +163,3 @@ def cyclotomic_cosets(n: int) -> list[frozenset[int]]:
             seen.update(coset)
             cosets.append(frozenset(coset))
     return cosets
-
-
-def factor_xn_minus_1(n: int) -> list[tuple[F2Poly, bool]]:
-    """Distinct irreducible factors of x^n - 1 over GF(2), for odd n >= 3.
-
-    Returns (factor, is_self_reciprocal) pairs sorted by (degree, bits).
-    Distinct-degree splitting by gcd with x^(2^d) - x, then equal-degree
-    splitting with trace maps of deterministically enumerated elements.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
-    remaining = (1 << n) | 1  # x^n + 1; squarefree since n is odd
-    factors: list[int] = []
-    h = 2  # x^(2^d) mod remaining
-    d = 0
-    while degree(remaining) > 0:
-        d += 1
-        if 2 * d > degree(remaining):
-            factors.append(remaining)  # what is left is irreducible
-            break
-        h = mulmod(h, h, remaining)
-        g = gcd(remaining, h ^ 2)
-        if g != 1:
-            factors.extend(_equal_degree_split(g, d))
-            remaining = divmod_(remaining, g)[0]
-            h = rem(h, remaining) if degree(remaining) > 0 else 0
-    factors.sort(key=lambda f: (f.bit_length(), f))
-    return [(f, reciprocal(f) == f) for f in factors]
-
-
-def _equal_degree_split(g: F2Poly, d: int) -> list[F2Poly]:
-    """Split a squarefree product of degree-d irreducibles into its factors."""
-    if degree(g) == d:
-        return [g]
-    seed = 2
-    while True:
-        # trace map r + r^2 + ... + r^(2^(d-1)) mod g is a zero divisor for
-        # roughly half the elements r, which is what gcd detects
-        r = rem(seed, g)
-        t, y = 0, r
-        for _ in range(d):
-            t ^= y
-            y = mulmod(y, y, g)
-        s = gcd(g, t)
-        if 0 < degree(s) < degree(g):
-            return _equal_degree_split(s, d) + _equal_degree_split(divmod_(g, s)[0], d)
-        seed += 1

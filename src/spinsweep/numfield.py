@@ -51,7 +51,11 @@ element) and the norm is `norm_mod`'s Bareiss determinant.  The boxes sit
 at each bracket's own scale 2^e, not a common one, so the product has
 about n e bits rather than n (n - 1) e.
 `Embeddings.signs_and_norm` is that one pass, over the same per-root loop
-as `signs_of`; a sign that needed bisection brings its refined box.
+as `signs_of`; a sign that needed bisection brings its refined box.  The
+same pass certifies each listed unit at load: its norm is +-1 and its
+signs are decided.  Signs multiply, so the 2^n patterns of the unit
+products and their negatives (`FieldSpec.unit_by_signature`) cost n - 1
+passes and no Bareiss determinant.
 First-hit rule: `_enumerate_short` yields candidates lazily in a fixed
 depth-first order, one per +- pair, and the search stops at the first of
 norm +-p^h, read from the box pass.  Each level visits its coordinate
@@ -454,27 +458,30 @@ class FieldSpec:
         for u in self.units:
             if len(u) > n:
                 raise BadUnit("unit coordinates exceed the power basis")
-            if norm_mod(u, self.f) not in (1, -1):
-                raise BadUnit(f"listed element {u} has norm != +-1")
+            if not any(u):
+                raise BadUnit(f"listed element {u} is zero")
         return powers
 
     def _signature_table(self):
-        """Map each of the 2^n sign patterns to a unit realizing it."""
-        n = self.n
+        """Map each of the 2^n sign patterns to a unit realizing it: each subset product, then its negative.
+
+        Product i + 2^k (bit k is unit k) is product i times unit k; its pattern is theirs multiplied.
+        """
+        products = [(self.one(), (1,) * self.n)]
+        for u in map(self.pad, self.units):
+            try:
+                signs, norm = self.embeddings.signs_and_norm(u)
+            except AmbiguousSign as exc:
+                raise BadUnit(f"sign pattern of unit {u} undecided: {exc}") from exc
+            if norm not in (1, -1):
+                raise BadUnit(f"listed element {u} has norm != +-1")
+            products += [(self.mul(v, u), tuple(a * b for a, b in zip(sig, signs))) for v, sig in products]
         table = {}
-        for mask in range(1 << (n - 1)):
-            u = self.one()
-            for i in range(n - 1):
-                if (mask >> i) & 1:
-                    u = self.mul(u, self.pad(self.units[i]))
-            for v in (u, self.neg(u)):
-                try:
-                    sig = self.embeddings.signs_of(v)
-                except AmbiguousSign as exc:
-                    raise BadUnit(f"sign pattern of unit {v} undecided: {exc}") from exc
-                if sig in table:
+        for v, sig in products:
+            for w, s in ((v, sig), (self.neg(v), tuple(-c for c in sig))):
+                if s in table:
                     raise BadUnit("listed units do not realize all sign patterns")
-                table[sig] = v
+                table[s] = w
         return table
 
     # -- element helpers -------------------------------------------------

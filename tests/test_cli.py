@@ -353,15 +353,31 @@ def test_config_with_a_derived_key_is_rejected(tmp_path, capsys, line):
 
 
 def test_undecided_unit_sign_at_load_is_named(monkeypatch, capsys):
-    # an undecidable sign while the field builds its unit signature table
+    # an undecidable sign in the box pass that certifies each listed unit
     def undecided(self, a):
         raise numfield.AmbiguousSign("sign undecided (injected)")
 
-    monkeypatch.setattr(numfield.Embeddings, "signs_of", undecided)
+    monkeypatch.setattr(numfield.Embeddings, "signs_and_norm", undecided)
     code = main(["verify-kernel", "--field", "simplest-cubic-7"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("validation error [unit]: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad, reason", [
+    ("unit = [2, 0, 0]", "has norm != +-1"),
+    ("unit = [0, 0, 0]", "is zero"),
+    ("unit = [0, 1, 0]", "do not realize all sign patterns"),  # theta twice
+])
+def test_bad_unit_config_is_named(tmp_path, capsys, bad, reason):
+    text = Path(builtin_path()).read_text(encoding="utf-8")
+    assert "unit = [1, 1, 0]" in text
+    cfg = tmp_path / "bad-unit.cfg"
+    cfg.write_text(text.replace("unit = [1, 1, 0]", bad))
+    assert main(["verify-kernel", "--field", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error [unit]: ") and reason in err
     assert "Traceback" not in err
 
 

@@ -1,21 +1,76 @@
 import pytest
 
 from spinsweep import f2poly
-from spinsweep.f2poly import (
-    cyclotomic_cosets,
-    degree,
-    divmod_,
-    factor_xn_minus_1,
-    from_coeffs,
-    gcd,
-    mul,
-    reciprocal,
-    rem,
-)
+from spinsweep.f2poly import F2Poly, cyclotomic_cosets, divmod_, from_coeffs, gcd, mul, mulmod, rem
 
 X3_P1 = from_coeffs([1, 0, 0, 1])       # x^3 + 1
 X2_X_1 = from_coeffs([1, 1, 1])         # x^2 + x + 1
 X_P1 = from_coeffs([1, 1])              # x + 1
+
+
+# -- the reference factorization of x^n - 1 that `cyclotomic_cosets` is checked against
+
+
+def degree(a: F2Poly):
+    """Degree of a, or -inf for the zero polynomial (every nonzero degree compares above it)."""
+    return a.bit_length() - 1 if a else float("-inf")
+
+
+def reciprocal(f: F2Poly) -> F2Poly:
+    """Reverse the coefficients of f: x^deg(f) * f(1/x).
+
+    Requires a nonzero constant term, which makes the map an involution.
+    """
+    if f == 0 or not f & 1:
+        raise ValueError("reciprocal requires a nonzero constant term")
+    return int(bin(f)[2:][::-1], 2)
+
+
+def factor_xn_minus_1(n: int) -> list[tuple[F2Poly, bool]]:
+    """Distinct irreducible factors of x^n - 1 over GF(2), for odd n >= 3.
+
+    Returns (factor, is_self_reciprocal) pairs sorted by (degree, bits).
+    Distinct-degree splitting by gcd with x^(2^d) - x, then equal-degree
+    splitting with trace maps of deterministically enumerated elements.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError("n must be odd and >= 3")
+    remaining = (1 << n) | 1  # x^n + 1; squarefree since n is odd
+    factors: list[int] = []
+    h = 2  # x^(2^d) mod remaining
+    d = 0
+    while degree(remaining) > 0:
+        d += 1
+        if 2 * d > degree(remaining):
+            factors.append(remaining)  # what is left is irreducible
+            break
+        h = mulmod(h, h, remaining)
+        g = gcd(remaining, h ^ 2)
+        if g != 1:
+            factors.extend(_equal_degree_split(g, d))
+            remaining = divmod_(remaining, g)[0]
+            h = rem(h, remaining) if degree(remaining) > 0 else 0
+    factors.sort(key=lambda f: (f.bit_length(), f))
+    return [(f, reciprocal(f) == f) for f in factors]
+
+
+def _equal_degree_split(g: F2Poly, d: int) -> list[F2Poly]:
+    """Split a squarefree product of degree-d irreducibles into its factors."""
+    if degree(g) == d:
+        return [g]
+    seed = 2
+    while True:
+        # trace map r + r^2 + ... + r^(2^(d-1)) mod g is a zero divisor for
+        # roughly half the elements r, which is what gcd detects
+        r = rem(seed, g)
+        t, y = 0, r
+        for _ in range(d):
+            t ^= y
+            y = mulmod(y, y, g)
+        s = gcd(g, t)
+        if 0 < degree(s) < degree(g):
+            return _equal_degree_split(s, d) + _equal_degree_split(divmod_(g, s)[0], d)
+        seed += 1
 
 
 def trial_division_irreducible(f):

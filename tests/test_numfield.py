@@ -99,8 +99,11 @@ def test_reject_identity_sigma():
 
 
 def test_reject_bad_unit():
-    with pytest.raises(BadUnit):
+    with pytest.raises(BadUnit, match="has norm != \\+-1"):
         load_spec(GOOD7.replace("unit = [0, 1, 0]", "unit = [2, 0, 0]"))
+    # zero has no sign, so it is named before the box pass
+    with pytest.raises(BadUnit, match="is zero"):
+        load_spec(GOOD7.replace("unit = [0, 1, 0]", "unit = [0, 0, 0]"))
 
 
 def test_reject_signature_deficient_units():
@@ -170,6 +173,24 @@ sigma = [-2, {-(m + 1)}, 1]
 h = 1  # not checked at load
 unit = [0, 1, 0]
 unit = [1, 1, 0]
+"""
+
+
+# Q(zeta19)^+: theta = 2cos(2 pi/19), sigma(theta) = theta^2 - 2, n = 9, and
+# the cyclotomic units sin(2ak pi/19)/sin(2k pi/19), a = 3, 5, ..., 17
+REAL_CYCLOTOMIC19 = """
+name = "real-cyclotomic-19"
+f = [1, 5, -10, -20, 15, 21, -7, -8, 1, 1]
+sigma = [-2, 0, 1]
+h = 1
+unit = [-1, 0, 1]
+unit = [1, 0, -3, 0, 1]
+unit = [-1, 0, 6, 0, -5, 0, 1]
+unit = [1, 0, -10, 0, 15, 0, -7, 0, 1]
+unit = [0, 4, 0, -10, 0, 6, 0, -1]
+unit = [0, -3, 0, 4, 0, -1]
+unit = [0, 2, 0, -1]
+unit = [0, -1]
 """
 
 
@@ -1123,6 +1144,57 @@ def test_generator_search_takes_no_bareiss_norm(monkeypatch, spec7, quintic):
             if spec.disc_f % p:
                 for a in split_completely(spec, p):
                     generator_of_power(spec, PrimeDeg1(p, a))
+    assert fallbacks == []
+
+
+SIGNATURE_FIELDS = {
+    "real-quintic-11": QUINTIC11,
+    **{f"shanks-{m}": shanks_cubic(m) for m in (2, 4, 8, 10)},
+    "shanks-12-h3": shanks_cubic(12).replace("h = 1", "h = 3"),
+    "real-cyclotomic-19": REAL_CYCLOTOMIC19,
+}
+
+
+def _signature_table_by_signs_of(spec):
+    """The table from 2^n sign passes: every product of units in mask order, then signs_of of it and its negative."""
+    table = {}
+    for mask in range(1 << (spec.n - 1)):
+        u = spec.one()
+        for i, unit in enumerate(spec.units):
+            if mask >> i & 1:
+                u = spec.mul(u, spec.pad(unit))
+        for v in (u, spec.neg(u)):
+            sig = spec.embeddings.signs_of(v)
+            assert sig not in table
+            table[sig] = v
+    return table
+
+
+@pytest.mark.parametrize("field", ["spec7", "spec9", *SIGNATURE_FIELDS])
+def test_signature_table_is_the_table_of_every_product(request, field):
+    # keys, values and insertion order against a sign pass on each of the 2^n units
+    spec = load_spec(SIGNATURE_FIELDS[field]) if field in SIGNATURE_FIELDS else request.getfixturevalue(field)
+    want = _signature_table_by_signs_of(spec)
+    assert len(want) == 1 << spec.n
+    assert list(spec.unit_by_signature.items()) == list(want.items())
+
+
+def test_load_makes_one_box_pass_per_unit_and_no_bareiss(monkeypatch):
+    # signs multiply, so the 2^n patterns cost n - 1 passes and the norms come from the boxes
+    fallbacks = _count_bareiss(monkeypatch)
+    passes = []
+    box_pass = numfield.Embeddings.signs_and_norm
+
+    def counted(self, a):
+        passes.append(a)
+        return box_pass(self, a)
+
+    monkeypatch.setattr(numfield.Embeddings, "signs_and_norm", counted)
+    monkeypatch.setattr(numfield.Embeddings, "signs_of", lambda self, a: pytest.fail("signs_of called"))
+    for text in (GOOD7, QUINTIC11, REAL_CYCLOTOMIC19):
+        passes.clear()
+        spec = load_spec(text)
+        assert passes == [spec.pad(u) for u in spec.units]
     assert fallbacks == []
 
 
