@@ -22,10 +22,21 @@ from spinsweep.sweep import emit_csv, format_report, run_sweep
 cfg = (resources.files("spinsweep.data") / "simplest-cubic-7.cfg").read_text()
 spec = load_spec(cfg)
 
-result = run_sweep(spec, 50_000, jobs=0)
+# the sweep hands each window's records to a sink and keeps none of them;
+# this one keeps the CSV header and the first seven rows
+first_rows = []
+
+
+def keep_first_rows(records):
+    if len(first_rows) < 8:
+        first_rows.extend(emit_csv(records, spec.n, header=not first_rows).splitlines())
+        del first_rows[8:]
+
+
+result = run_sweep(spec, 50_000, jobs=0, sink=keep_first_rows)
 print(format_report(result))
 
 print()
 print("First rows of the per-prime record stream:")
-for line in emit_csv(result.records, spec.n).splitlines()[:8]:
+for line in first_rows:
     print("  " + line)

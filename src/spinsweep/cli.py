@@ -16,6 +16,7 @@ a parallel sweep died (WorkerCrashed).
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from importlib import resources
@@ -114,34 +115,58 @@ def _cmd_verify_kernel(args) -> int:
     return 0 if agree else ACCEPTANCE_FAIL
 
 
+def _csv_write_error(name, exc: OSError) -> ValueError:
+    return ValueError(f"cannot write --csv target {name}: {exc.strerror}")
+
+
 def _cmd_sweep(args) -> int:
     spec = _load_field(args.field)
-    # reject a bad --csv target before any prime is classified; run_sweep rejects a bad --limit or --jobs
-    if args.csv and args.csv != "-":
-        folder = os.path.dirname(os.path.abspath(args.csv))
-        if os.path.isdir(args.csv) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
-            raise ValueError(f"cannot write --csv target {args.csv}")
+    # open the --csv target before any prime is classified; run_sweep rejects a bad --limit or --jobs
+    if args.csv in (None, "-"):
+        out, partial = (sys.stdout if args.csv else None), None
+    else:
+        target = os.path.realpath(args.csv)
+        partial = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+        try:
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            out = open(partial, "x", encoding="utf-8")
+        except OSError as exc:
+            raise _csv_write_error(args.csv, exc) from None
+    header = True
+
+    def write_rows(records):
+        nonlocal header
+        try:
+            out.write(emit_csv(records, spec.n, header=header))
+        except OSError as exc:
+            raise _csv_write_error(args.csv, exc) from None
+        header = False
+
     try:
-        result = run_sweep(spec, args.limit, jobs=args.jobs)
+        result = run_sweep(spec, args.limit, jobs=args.jobs, sink=None if out is None else write_rows)
+        if partial is not None:
+            try:
+                out.close()
+                os.replace(partial, target)
+            except OSError as exc:
+                raise _csv_write_error(args.csv, exc) from None
+            partial = None
     except SpinRelationViolation as exc:
         print(f"hard consistency violation: {exc}", file=sys.stderr)
         return ACCEPTANCE_FAIL
     except (PrimeFailure, WorkerCrashed) as exc:
         print(f"sweep failed [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return SWEEP_FAILED
+    finally:
+        if partial is not None:  # the sweep stopped before its report: the target stays as it was
+            out.close()
+            os.remove(partial)
     report_stream = sys.stdout
-    if args.csv:
-        text = emit_csv(result.records, spec.n)
-        if args.csv == "-":
-            sys.stdout.write(text)
-            report_stream = sys.stderr  # keep piped CSV clean
-        else:
-            try:
-                with open(args.csv, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise ValueError(f"cannot write --csv target {args.csv}: {exc.strerror}") from None
-            print(f"wrote {len(result.records)} rows to {args.csv}", file=sys.stderr)
+    if args.csv == "-":
+        report_stream = sys.stderr  # keep piped CSV clean
+    elif args.csv:
+        print(f"wrote {result.tally.total()} rows to {args.csv}", file=sys.stderr)
     print(format_report(result), file=report_stream)
     return 0 if result.passed else ACCEPTANCE_FAIL
 

@@ -15,13 +15,18 @@ S+/S- of a cell is the norm sign of its class (checked to be p mod 4), R
 and F are the predicates `in_R` and `in_F` on its spins, and the class
 histogram sums the cells over their spins.
 
-Work is cut into windows of [3, X] of equal width: one when serial, and
+The sweep streams.  [3, X] is cut into windows of equal width, at most
+WINDOW_WIDTH integers each: at least one window when serial, and at least
 WINDOWS_PER_WORKER per worker process otherwise, so the chunking follows
-from the worker count alone, which is at most the CPU count.  Every window
-is `_classify_range` on the sweep's `FieldTables`: in process when serial,
-and on a pickled copy of the tables per window in a worker otherwise.
-Per-prime results are pure functions of p, so records, tallies and CSV
-output are identical for every worker count.
+from X and the worker count alone, which is at most the CPU count.  Every
+window is `_classify_range` on the sweep's `FieldTables`: in process when
+serial, and on a pickled copy of the tables per window in a worker
+otherwise, with at most two windows per worker submitted ahead.  Each
+window's records go, in window order, into the one `Tally` and then to a
+sink the caller supplies, and are dropped; so a serial sweep holds one
+window's records at a time, the parent of a pool at most 2 jobs windows,
+and memory does not grow with X.  Per-prime results are pure functions of
+p, so records, tallies and CSV output are identical for every worker count.
 
 Split-class invariant: K is abelian, so by Artin reciprocity p splits
 completely iff p mod M lies in H, a subgroup of index n of (Z/M)^*, for
@@ -37,10 +42,10 @@ window under a pool, and only skips work whose answer is already known.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 import math
 import os
 
@@ -250,7 +255,6 @@ class SweepResult:
     limit: int
     tally: Tally
     norm_sign: dict  # sign sector of each mod-4 class: +1 for S+, -1 for S-
-    records: list[PrimeRecord]
     skipped_ramified: list[int]
     report_rows: list  # (quantity, empirical, stderr, theoretical Fraction, delta, passed)
 
@@ -275,21 +279,31 @@ DEFAULT_TOLERANCES = {
 
 # windows per worker process: enough that a slow window does not leave the others idle
 WINDOWS_PER_WORKER = 4
+# integers per window at most: its records are all a sweep holds at a time
+WINDOW_WIDTH = 2**15
 
 
 def _windows(limit: int, jobs: int) -> list[tuple[int, int]]:
-    """[3, limit] as [lo, hi) windows of equal width: one serial, WINDOWS_PER_WORKER per worker."""
-    # at most one window per integer of [3, limit], so none is empty and the cuts are distinct
-    count = 1 if jobs == 1 else min(WINDOWS_PER_WORKER * jobs, limit - 2)
-    cuts = [3 + i * (limit - 2) // count for i in range(count + 1)]
+    """[3, limit] as [lo, hi) windows of equal width, at most WINDOW_WIDTH.
+
+    At least one window when serial and WINDOWS_PER_WORKER per worker
+    otherwise, but at most one per integer of [3, limit], so none is empty
+    and the cuts are distinct.
+    """
+    span = limit - 2
+    least = 1 if jobs == 1 else WINDOWS_PER_WORKER * jobs
+    count = min(max(-(-span // WINDOW_WIDTH), least), span)
+    cuts = [3 + i * span // count for i in range(count + 1)]
     return list(zip(cuts, cuts[1:]))
 
 
-def run_sweep(spec: numfield.FieldSpec, limit: int, jobs: int = 1) -> SweepResult:
+def run_sweep(spec: numfield.FieldSpec, limit: int, jobs: int = 1, sink=None) -> SweepResult:
     """Sweep the odd primes up to limit; deterministic records and tally for any jobs >= 0 (0 = auto).
 
-    At most one worker runs per CPU: a larger jobs is cut to the CPU count,
-    and 0 takes the CPU count, at most 8.
+    sink, when given, is called once per window, in window order, with the
+    list of that window's `PrimeRecord`s in ascending p; the sweep keeps
+    none of them.  At most one worker runs per CPU: a larger jobs is cut to
+    the CPU count, and 0 takes the CPU count, at most 8.
     """
     if limit < 100:
         raise ValueError("limit must be at least 100")
@@ -301,28 +315,39 @@ def run_sweep(spec: numfield.FieldSpec, limit: int, jobs: int = 1) -> SweepResul
     # the pool starts all its workers at the first submit, so start no idle ones
     jobs = min(jobs, len(bounds))
     tables = build_tables(spec)
-    windows = (repeat(tables), *zip(*bounds))  # (tables, lo, hi) per window
+    tally, skipped = Tally(), []
+
+    def take(records, window_skipped):
+        tally.update((rec.m4_bits, rec.spins) for rec in records)
+        skipped.extend(window_skipped)
+        if sink is not None:
+            sink(records)
+
     if jobs == 1:
-        parts = list(map(_classify_range, *windows))
+        for lo, hi in bounds:
+            take(*_classify_range(tables, lo, hi))
     else:
         # imported here, so that a serial sweep never loads multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
         with ProcessPoolExecutor(jobs) as pool:
             try:
-                parts = list(pool.map(_classify_range, *windows))  # in window order
+                ahead = deque()  # submitted windows, in window order, at most 2 jobs
+                for lo, hi in bounds:
+                    ahead.append(pool.submit(_classify_range, tables, lo, hi))
+                    if len(ahead) == 2 * jobs:
+                        take(*ahead.popleft().result())
+                while ahead:
+                    take(*ahead.popleft().result())
             except BrokenProcessPool as exc:
                 raise WorkerCrashed(str(exc)) from exc
-    records = [rec for part_records, _ in parts for rec in part_records]  # ascending p
-    skipped = [p for _, part_skipped in parts for p in part_skipped]
-    tally = Tally((rec.m4_bits, rec.spins) for rec in records)
     norm_sign = tables.star.norm_sign
     rows = build_report_rows(spec, tally, norm_sign)
-    return SweepResult(spec, limit, tally, norm_sign, records, skipped, rows)
+    return SweepResult(spec, limit, tally, norm_sign, skipped, rows)
 
 
 def _ratio_row(name, num, den, theoretical, tol):
-    if den == 0:
-        return (name, float("nan"), float("nan"), theoretical, float("nan"), False)
+    if den == 0:  # no primes to take a ratio over: no empirical value, and the row fails
+        return (name, None, None, theoretical, None, False)
     emp = num / den
     theta = float(theoretical)
     stderr = math.sqrt(theta * (1 - theta) / den)  # binomial standard error at the predicted value
@@ -382,26 +407,30 @@ def format_report(result: SweepResult) -> str:
     lines = head
     for name, emp, stderr, theo, delta, ok in result.report_rows:
         theo_s = f"{theo.numerator}/{theo.denominator}"
+        emp_s, delta_s = ("no primes", "-") if emp is None else (f"{emp:.5f} +- {stderr:.5f}", f"{delta:.5f}")
         lines.append(
-            f"{name:<12} | {emp:.5f} +- {stderr:.5f} | {theo_s:<12} | {delta:<9.5f} | "
-            + ("PASS" if ok else "FAIL")
+            f"{name:<12} | {emp_s:<18} | {theo_s:<12} | {delta_s:<9} | " + ("PASS" if ok else "FAIL")
         )
     lines.append("")
     lines.append(f"overall: {'PASS' if result.passed else 'FAIL'}")
     return "\n".join(lines)
 
 
-def emit_csv(records, n: int) -> str:
-    """CSV text: one row per split prime, sorted by p."""
+def emit_csv(records, n: int, header: bool = True) -> str:
+    """CSV text: the header line unless header is false, then one row per split prime, sorted by p.
+
+    A sweep's CSV is emit_csv of its first window's records followed by
+    emit_csv(..., header=False) of each later window's.
+    """
     cols = ["p", "p_mod4", "root_a"] + [f"spin_{k}" for k in range(1, n)] + [
         "in_R",
         "in_F",
         "m4_class_bits",
     ]
-    lines = [",".join(cols)]
+    lines = [",".join(cols)] if header else []
     for rec in sorted(records, key=lambda r: r.p):
         row = [str(rec.p), str(rec.p % 4), str(rec.root_a)]
         row += [str(s) for s in rec.spins]
         row += [str(int(in_R(rec.spins))), str(int(in_F(rec.spins))), "".join(map(str, rec.m4_bits))]
         lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)

@@ -63,11 +63,13 @@ def pairing9(family9):
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Make the sweep's pool map in this process, starting none; returns each max_workers asked.
+    """Make the sweep's pool run in this process, starting none; returns each max_workers asked.
 
-    Each call gets a pickle round trip of its arguments, as a real pool's
-    worker does.  The machine is taken to have 4 CPUs, so worker counts do
-    not depend on the one the tests run on; a test may patch
+    `submit` runs the call at once and returns a finished future, so a
+    submitted window's result is held from its submit until the sweep takes
+    it.  Each call gets a pickle round trip of its arguments, as a real
+    pool's worker does.  The machine is taken to have 4 CPUs, so worker
+    counts do not depend on the one the tests run on; a test may patch
     `sweep.os.cpu_count` again.
     """
     import concurrent.futures.process
@@ -86,8 +88,13 @@ def in_process_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return (fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables))
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*pickle.loads(pickle.dumps(args))))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
     # run_sweep imports the pool class when it needs one, so patch it at its source
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InProcessPool)

@@ -37,9 +37,16 @@ def _report(num, desc, ok, elapsed=None):
 
 @pytest.fixture(scope="module")
 def sweep_result(spec7):
+    """(result, records, CSV, seconds): the sink keeps each window's records and its CSV rows, as the CLI writes them."""
+    records, parts = [], []
+
+    def keep(window):
+        records.extend(window)
+        parts.append(emit_csv(window, spec7.n, header=not parts))
+
     t0 = time.time()
-    result = run_sweep(spec7, X_SWEEP, jobs=0)
-    return result, time.time() - t0
+    result = run_sweep(spec7, X_SWEEP, jobs=0, sink=keep)
+    return result, records, "".join(parts), time.time() - t0
 
 
 def test_criterion_1_table_reproduction(capsys):
@@ -133,7 +140,7 @@ def test_criterion_5_m4_structure(spec7, spec9, capsys):
 
 
 def test_criterion_6_empirical_sweep(sweep_result, capsys):
-    result, elapsed = sweep_result
+    result, _, _, elapsed = sweep_result
     split = result.tally.total()
     rows = {name: (emp, theo, delta, passed)
             for name, emp, _, theo, delta, passed in result.report_rows}
@@ -158,20 +165,20 @@ def test_criterion_6_empirical_sweep(sweep_result, capsys):
 def test_criterion_6_csv_is_pinned(sweep_result):
     # SHA-256 of the per-prime CSV of the X = 10^6 sweep; any change to a
     # spin, a root, a generator choice or the CSV layout moves it
-    result, _ = sweep_result
-    digest = hashlib.sha256(emit_csv(result.records, 3).encode()).hexdigest()
+    _, _, text, _ = sweep_result
+    digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "b1f40e2d1ba5d1fe08f43a3d235b77b8fede732df4b8c8f99bc2f94dfc06160a"
 
 
 def test_criterion_7_zero_tolerance_consistency(sweep_result, spec7, capsys):
-    result, _ = sweep_result
+    result, records, _, _ = sweep_result
     # recompute the zero-tolerance identities from every record against freshly
     # built tables, rather than trusting that the sweep's own checks ran
     tables = build_tables(spec7)
     n = spec7.n
-    ok = len(result.records) == result.tally.total()
+    ok = len(records) == result.tally.total()
     products = 0
-    for rec in result.records:
+    for rec in records:
         bits = rec.m4_bits
         for k in range(1, n):
             pairing = tables.family.pairing.pairing(bits, residue.rot(bits, k))
@@ -180,10 +187,10 @@ def test_criterion_7_zero_tolerance_consistency(sweep_result, spec7, capsys):
         in_r_spin = all(rec.spins[k - 1] * rec.spins[n - k - 1] == 1 for k in range(1, n))
         ok &= in_r_spin == (tables.star.star[bits] == 1)
         ok &= tables.star.norm_sign[bits] == (1 if rec.p % 4 == 1 else -1)
-    ok &= products == (n - 1) * len(result.records)
+    ok &= products == (n - 1) * len(records)
     with capsys.disabled():
         _report(7, f"per-prime spin/Hilbert identity ({products} products), two-route "
-                   f"R-membership and norm sign recomputed for all {len(result.records)} "
+                   f"R-membership and norm sign recomputed for all {len(records)} "
                    "split primes", ok)
 
 

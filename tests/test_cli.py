@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -185,16 +186,115 @@ def test_sweep_unwritable_csv_fails_before_the_sweep(tmp_path, monkeypatch, caps
 
 
 def test_sweep_csv_write_error_is_named(tmp_path, monkeypatch, capsys):
-    # the target passes the pre-check but the final write fails
+    # the target's folder exists, but opening the file beside it fails, before any prime is classified
     def refuse(*args, **kwargs):
         raise PermissionError(13, "Permission denied")
 
     monkeypatch.setattr("spinsweep.cli.open", refuse, raising=False)  # shadows the builtin there only
+    monkeypatch.setattr("spinsweep.sweep.classify_prime", lambda *a, **k: pytest.fail("prime classified"))
     target = str(tmp_path / "out.csv")
     assert main(["sweep", "--field", "simplest-cubic-7", "--limit", "100", "--csv", target]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"validation error: cannot write --csv target {target}: Permission denied")
     assert "Traceback" not in err
+
+
+def test_sweep_csv_full_disk_is_named(tmp_path, monkeypatch, capsys):
+    # a write that fails during the sweep is a validation error too, and leaves no file
+    class DiskFull:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def close(self):
+            self.fh.close()
+
+    monkeypatch.setattr("spinsweep.cli.open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
+    target = str(tmp_path / "out.csv")
+    assert main(["sweep", "--field", "simplest-cubic-7", "--limit", "100", "--csv", target]) == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: cannot write --csv target {target}: No space left on device\n"
+    assert os.listdir(tmp_path) == []
+
+
+def _fail_at(monkeypatch, p, exc):
+    """Windows of 2^10, and classify_prime raises exc at p; returns the folder listings seen there."""
+    classify, seen = sweep.classify_prime, []
+
+    def failing(tables, q):
+        if q == p:
+            seen.append(sorted(os.listdir()))
+            raise exc
+        return classify(tables, q)
+
+    monkeypatch.setattr(sweep, "WINDOW_WIDTH", 2**10)
+    monkeypatch.setattr(sweep, "classify_prime", failing)
+    return seen
+
+
+def _csv_to(limit, target):
+    assert main(["sweep", "--field", "simplest-cubic-7", "--limit", str(limit), "--csv", target]) in (0, 3)
+
+
+@pytest.mark.parametrize("exc, code, line", [
+    (sweep.SpinRelationViolation, 3, "hard consistency violation: p=4001: injected\n"),
+    (numfield.GeneratorNotFound, 4, "sweep failed [GeneratorNotFound]: p=4001: injected\n"),
+], ids=["violation", "prime-failure"])
+@pytest.mark.parametrize("before", [None, "p,from,an,earlier,run\n"], ids=["new", "existing"])
+def test_stopped_sweep_leaves_the_csv_target_as_it_was(tmp_path, monkeypatch, capsys, exc, code, line, before):
+    # the sweep to 6000 runs 6 windows and stops at 4001, the first prime of the fifth;
+    # the four finished windows went to a file beside the target, which is left as it was
+    monkeypatch.chdir(tmp_path)
+    message = "p=4001: injected" if exc is sweep.SpinRelationViolation else "injected"
+    seen = _fail_at(monkeypatch, 4001, exc(message))
+    if before is not None:
+        (tmp_path / "out.csv").write_text(before)
+    assert main(["sweep", "--field", "simplest-cubic-7", "--limit", "6000", "--csv", "out.csv"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == line and captured.out == ""
+    partial = f".out.csv.{os.getpid()}.tmp"
+    assert seen == [sorted([partial] + ["out.csv"] * (before is not None))]
+    assert os.listdir(tmp_path) == ([] if before is None else ["out.csv"])
+    if before is not None:
+        assert (tmp_path / "out.csv").read_text() == before
+
+
+def test_stopped_sweep_cuts_the_streamed_csv_short(monkeypatch, capsys):
+    # --csv - writes each window as it finishes: a stop leaves the rows of the finished windows
+    _csv_to(4000, "-")
+    reference = capsys.readouterr().out
+    _fail_at(monkeypatch, 4001, sweep.SpinRelationViolation("p=4001: injected"))
+    assert main(["sweep", "--field", "simplest-cubic-7", "--limit", "6000", "--csv", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == reference
+    assert captured.err == "hard consistency violation: p=4001: injected\n"
+
+
+def test_tolerance_failure_still_writes_the_csv(tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    target.write_text("p,from,an,earlier,run\n")
+    assert main(["sweep", "--field", "simplest-cubic-7", "--limit", "100", "--csv", str(target)]) == 3
+    captured = capsys.readouterr()
+    assert "overall: FAIL" in captured.out
+    assert captured.err == f"wrote 7 rows to {target}\n"
+    assert target.read_text().splitlines()[1:] == [
+        "13,1,7,-1,1,0,0,011", "29,1,3,-1,1,0,0,110", "41,1,14,-1,1,0,0,011", "43,3,8,1,1,1,1,100",
+        "71,3,4,-1,-1,1,0,010", "83,3,10,-1,-1,1,0,010", "97,1,25,1,-1,0,0,101",
+    ]
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_csv_file_and_stream_match_over_many_windows(tmp_path, monkeypatch, capsys):
+    # 30 windows of at most 2^10: the file and stdout carry the CSV of the collected records
+    monkeypatch.setattr(sweep, "WINDOW_WIDTH", 2**10)
+    spec, records = _load_field("simplest-cubic-7"), []
+    sweep.run_sweep(spec, 30_000, sink=records.extend)
+    _csv_to(30_000, "-")
+    streamed = capsys.readouterr().out
+    _csv_to(30_000, str(tmp_path / "out.csv"))
+    assert (tmp_path / "out.csv").read_text() == streamed == sweep.emit_csv(records, 3)
 
 
 def test_sweep_negative_jobs_fails_before_the_sweep(monkeypatch, capsys):

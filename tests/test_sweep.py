@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -24,14 +26,41 @@ def tables7(spec7):
     return build_tables(spec7)
 
 
-@pytest.fixture(scope="module")
-def result7(spec7):
-    return run_sweep(spec7, 6000, jobs=1)
+def collect(spec, limit, jobs=1):
+    """run_sweep with a sink that keeps every record: (result, records in ascending p)."""
+    records = []
+    result = run_sweep(spec, limit, jobs=jobs, sink=records.extend)
+    return result, records
+
+
+def streamed_csv(spec, limit, jobs=1):
+    """(result, CSV) with the CSV built as the CLI writes it: one emit_csv per window, the header first."""
+    parts = []
+
+    def write(records):
+        parts.append(emit_csv(records, spec.n, header=not parts))
+
+    return run_sweep(spec, limit, jobs=jobs, sink=write), "".join(parts)
 
 
 @pytest.fixture(scope="module")
-def result9(spec9):
-    return run_sweep(spec9, 6000, jobs=1)
+def swept7(spec7):
+    return collect(spec7, 6000)
+
+
+@pytest.fixture(scope="module")
+def swept9(spec9):
+    return collect(spec9, 6000)
+
+
+@pytest.fixture(scope="module")
+def result7(swept7):
+    return swept7[0]
+
+
+@pytest.fixture(scope="module")
+def records7(swept7):
+    return swept7[1]
 
 
 def test_odd_primes_in():
@@ -69,14 +98,14 @@ def test_classify_13_and_29(tables7):
     assert all(s in (1, -1) for s in r29.spins)
 
 
-def test_classify_respects_split_rule(result7):
-    for rec in result7.records:
+def test_classify_respects_split_rule(records7):
+    for rec in records7:
         assert rec.p % 7 in (1, 6)
 
 
-def test_spin_not_in_F_when_any_minus(result7):
+def test_spin_not_in_F_when_any_minus(records7):
     # the derived CSV columns p_mod4, in_R and in_F against their definitions
-    for line in emit_csv(result7.records, 3).splitlines()[1:]:
+    for line in emit_csv(records7, 3).splitlines()[1:]:
         p, p_mod4, _, s1, s2, in_r, in_f, _ = line.split(",")
         s = (int(s1), int(s2))
         assert int(p_mod4) == int(p) % 4
@@ -116,19 +145,19 @@ def _row_counts(records):
     return counts
 
 
-@pytest.mark.parametrize("field", ["result7", "result9"])
+@pytest.mark.parametrize("field", ["swept7", "swept9"], ids=["result7", "result9"])
 def test_report_rows_from_records(request, field):
     # every row's numerator and denominator, recounted from p mod 4, in_R, in_F and the class
-    result = request.getfixturevalue(field)
-    counts = _row_counts(result.records)
+    result, records = request.getfixturevalue(field)
+    counts = _row_counts(records)
     assert [row[0] for row in result.report_rows] == list(counts)[:7] + sorted(
         name for name in counts if name.startswith("hist["))
     for name, emp, stderr, theo, _, _ in result.report_rows:
         num, den = counts[name]
         theta = float(theo)
         assert emp == num / den and stderr == math.sqrt(theta * (1 - theta) / den)
-    assert result.tally.total() == len(result.records)
-    assert result.skipped_ramified == {"result7": [7], "result9": [3]}[field]
+    assert result.tally.total() == len(records)
+    assert result.skipped_ramified == {"swept7": [7], "swept9": [3]}[field]
 
 
 def test_ramified_primes_still_skipped(spec9):
@@ -156,19 +185,19 @@ def test_translated_presentation_sweeps_the_same(request, field, shifts):
     # S/R/F rows, and where the chosen prime is the same ideal (its root moved
     # by t) the classes differ only by the change of normal basis
     spec = numfield.load_spec(QUINTIC11) if field == "quintic" else request.getfixturevalue(field)
-    base = run_sweep(spec, 10_000, jobs=1)
+    base, base_records = collect(spec, 10_000)
     n = spec.n
     for t in shifts:
         moved = translate(spec, t)
         if field == "quintic":  # a non-self-dual normal basis: classes go through b = h t with h != 1
             assert residue.build_family(moved).pairing.c != (1,) + (0,) * (n - 1)
-        result = run_sweep(moved, 10_000, jobs=1)
-        assert [r.p for r in result.records] == [r.p for r in base.records]
-        assert [r.spins for r in result.records] == [r.spins for r in base.records]
+        result, records = collect(moved, 10_000)
+        assert [r.p for r in records] == [r.p for r in base_records]
+        assert [r.spins for r in records] == [r.spins for r in base_records]
         assert result.report_rows[:7] == base.report_rows[:7]
-        pairs = [(_class_int(a.m4_bits), _class_int(b.m4_bits)) for a, b in zip(base.records, result.records)
+        pairs = [(_class_int(a.m4_bits), _class_int(b.m4_bits)) for a, b in zip(base_records, records)
                  if (a.root_a - t - b.root_a) % a.p == 0]
-        assert len(pairs) > 0.9 * len(base.records)
+        assert len(pairs) > 0.9 * len(base_records)
         # the pairs span the graph of one linear bijection of GF(2)^n exactly when
         # the graph and both of its projections have rank n
         assert _gf2_rank(x | y << n for x, y in pairs) == n
@@ -198,25 +227,25 @@ def test_split_memo_is_per_sweep(monkeypatch, spec7, in_process_pool):
     per_sweep = []
     for jobs in (1, 1, 2, 2):
         calls.clear()
-        res = run_sweep(spec7, 6000, jobs=jobs)
+        _, records = collect(spec7, 6000, jobs)
         per_sweep.append(list(calls))
     assert len(built) == 4  # one per sweep, each found empty; pool windows get copies
     assert in_process_pool == [2, 2]
     # the least prime of each class mod 7 (3, 5, 4, 6, 2, 1), then the split primes
-    split = [rec.p for rec in res.records]
+    split = [rec.p for rec in records]
     assert per_sweep == [[3, 5, 11, 13, 23, 29] + split] * 4
 
 
-def test_pool_windows_fill_copies_of_the_tables(monkeypatch, spec7, result7, in_process_pool):
+def test_pool_windows_fill_copies_of_the_tables(monkeypatch, spec7, records7, in_process_pool):
     # the sweep builds its tables once; under a pool every window works on its
     # own pickled copy, so the sweep's mod-4 memo stays empty
     built, build = [], sweep.build_tables
     monkeypatch.setattr(sweep, "build_tables", lambda spec: built.append(build(spec)) or built[-1])
-    res = run_sweep(spec7, 6000, jobs=2)
+    _, records = collect(spec7, 6000, 2)
     assert in_process_pool == [2]
     assert len(built) == 1
     assert built[0].m4 == {}
-    assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
+    assert records == records7
 
 
 def test_build_tables_builds_one_pairing(monkeypatch, spec7):
@@ -278,22 +307,22 @@ def test_poisoned_m4_memo_trips_the_conjugate_class_check(spec7):
     assert classify_prime(tables, p).p == p
 
 
-def test_tally_halves_add_up(result7):
+def test_tally_halves_add_up(result7, records7):
     # the joint tallies of two halves of the records add up to the whole, in either order
-    recs = result7.records
+    recs = records7
     half = len(recs) // 2
     first, second = (Tally((r.m4_bits, r.spins) for r in part) for part in (recs[:half], recs[half:]))
     assert first + second == second + first == result7.tally
     assert first and second and first != result7.tally
 
 
-def test_determinism_across_chunk_sizes(spec7, result7, in_process_pool):
+def test_determinism_across_chunk_sizes(spec7, swept7, in_process_pool):
     # serial is one window; on 4 CPUs --jobs 2 and 3 cut [3, X] into 8 and 12
     for jobs in (2, 3):
         assert len(sweep._windows(6000, jobs)) == sweep.WINDOWS_PER_WORKER * jobs
-        res = run_sweep(spec7, 6000, jobs=jobs)
-        assert res.tally == result7.tally
-        assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
+        res, records = collect(spec7, 6000, jobs)
+        assert res.tally == swept7[0].tally
+        assert emit_csv(records, 3) == emit_csv(swept7[1], 3)
     assert in_process_pool == [2, 3]
 
 
@@ -304,16 +333,16 @@ def test_negative_jobs_rejected_before_tables_or_pool(monkeypatch, spec7, in_pro
     assert in_process_pool == []
 
 
-def test_determinism_with_workers(spec7, result7):
-    res = run_sweep(spec7, 6000, jobs=2)
-    assert res.tally == result7.tally
-    assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
+def test_determinism_with_workers(spec7, swept7):
+    res, records = collect(spec7, 6000, 2)
+    assert res.tally == swept7[0].tally
+    assert emit_csv(records, 3) == emit_csv(swept7[1], 3)
 
 
-def test_workers_capped_at_chunk_count(monkeypatch, spec7, result7, in_process_pool):
-    res = run_sweep(spec7, 6000, jobs=2)  # 8 windows
+def test_workers_capped_at_chunk_count(monkeypatch, spec7, records7, in_process_pool):
+    _, records = collect(spec7, 6000, 2)  # 8 windows
     assert in_process_pool == [2]
-    assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
+    assert emit_csv(records, 3) == emit_csv(records7, 3)
     run_sweep(spec7, 6000, jobs=1)  # one window, no pool
     assert in_process_pool == [2]
     # 800 windows asked of [3, 100], which holds 98 integers: no window is empty
@@ -325,7 +354,7 @@ def test_workers_capped_at_chunk_count(monkeypatch, spec7, result7, in_process_p
     assert in_process_pool == [2, 98]
 
 
-def test_workers_capped_at_cpu_count(monkeypatch, spec7, result7, in_process_pool):
+def test_workers_capped_at_cpu_count(monkeypatch, spec7, records7, in_process_pool):
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
     windows = []
     chunk = sweep._classify_range
@@ -335,10 +364,10 @@ def test_workers_capped_at_cpu_count(monkeypatch, spec7, result7, in_process_poo
         return chunk(tables, lo, hi)
 
     monkeypatch.setattr(sweep, "_classify_range", record)
-    res = run_sweep(spec7, 6000, jobs=10**9)  # cut to 2 workers before any window is made
+    _, records = collect(spec7, 6000, 10**9)  # cut to 2 workers before any window is made
     assert in_process_pool == [2]
     assert len(windows) == 2 * sweep.WINDOWS_PER_WORKER == 8
-    assert emit_csv(res.records, 3) == emit_csv(result7.records, 3)
+    assert emit_csv(records, 3) == emit_csv(records7, 3)
 
 
 def test_windows_do_not_grow_with_jobs():
@@ -351,8 +380,95 @@ def test_windows_do_not_grow_with_jobs():
         assert sweep._windows(limit, jobs) == list(zip(cuts, cuts[1:]))
 
 
-def test_csv_format(result7):
-    text = emit_csv(result7.records, 3)
+def test_windows_have_equal_width_of_at_most_window_width():
+    # ceil((X - 2) / WINDOW_WIDTH) windows, and at least WINDOWS_PER_WORKER per worker under a pool
+    for limit, jobs, count in ((6000, 1, 1), (2**15 + 2, 1, 1), (2**15 + 3, 1, 2), (10**5, 1, 4),
+                               (10**6, 1, 31), (10**6, 2, 31), (10**6, 8, 32), (10**7, 1, 306)):
+        bounds = sweep._windows(limit, jobs)
+        assert len(bounds) == count
+        assert bounds[0][0] == 3 and bounds[-1][1] == limit + 1
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        widths = {hi - lo for lo, hi in bounds}
+        assert max(widths) <= sweep.WINDOW_WIDTH and max(widths) - min(widths) <= 1
+
+
+@pytest.mark.parametrize("jobs, windows", [(1, 6), (2, 8)])
+def test_sink_gets_each_window_in_order(monkeypatch, spec7, swept7, in_process_pool, jobs, windows):
+    monkeypatch.setattr(sweep, "WINDOW_WIDTH", 2**10)
+    parts = []
+    result = run_sweep(spec7, 6000, jobs=jobs, sink=parts.append)
+    assert len(parts) == windows
+    assert [rec for part in parts for rec in part] == swept7[1]
+    assert result.tally == swept7[0].tally and result.report_rows == swept7[0].report_rows
+
+
+def _traced_peak(spec, limit, sink):
+    """tracemalloc peak of run_sweep(spec, limit, sink=sink), from a collected heap."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_sweep(spec, limit, sink=sink)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_serial_sweep_memory_does_not_grow_with_the_window_count(monkeypatch, spec7):
+    # a sink that drops each window (collecting the cyclic garbage of its
+    # generator searches, so the peak does not depend on when the collector
+    # last ran): 16 windows peak within one window's records of 4 windows
+    width = 2**9
+    monkeypatch.setattr(sweep, "WINDOW_WIDTH", width)
+    records = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_sweep(spec7, width + 2, sink=records.extend)  # one window, kept
+        gc.collect()
+        one_window = tracemalloc.get_traced_memory()[0]  # all that outlives the sweep: its records
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 31
+
+    def drop(records):
+        gc.collect()
+
+    four, sixteen = (_traced_peak(spec7, count * width + 2, drop) for count in (4, 16))
+    assert abs(sixteen - four) < one_window
+
+
+def test_pool_parent_holds_at_most_two_windows_per_worker(monkeypatch, spec7, in_process_pool):
+    # the in-process pool runs a window when it is submitted, so a window is
+    # held from its submit until its records reach the sink
+    monkeypatch.setattr(sweep, "WINDOW_WIDTH", 2**10)
+    done, taken, held = [], [], []
+
+    def window(tables, lo, hi):
+        done.append((lo, hi))
+        held.append(len(done) - len(taken))
+        return [], []
+
+    monkeypatch.setattr(sweep, "_classify_range", window)
+    run_sweep(spec7, 50_000, jobs=3, sink=taken.append)
+    assert in_process_pool == [3]
+    assert done == sweep._windows(50_000, 3) and len(done) == len(taken) == 49
+    assert max(held) == 2 * 3
+
+
+def test_rows_without_primes_read_no_primes(spec7, star7, result7):
+    # a ratio over no primes has no value: the row prints "no primes" and a dash, and fails
+    rows = sweep.build_report_rows(spec7, Tally(), star7.norm_sign)
+    assert [row[0] for row in rows] == ["F/S", "F+/S+", "F-/S-", "R+/S+", "R-/S-", "F+/R+", "F-/R-"]
+    assert all(row[1] is row[2] is row[4] is None and row[5] is False for row in rows)
+    text = sweep.format_report(dataclasses.replace(result7, tally=Tally(), report_rows=rows))
+    lines = text.splitlines()
+    assert lines[4] == "F/S          | no primes          | 1/4          | -         | FAIL"
+    assert lines[10] == "F-/R-        | no primes          | 1/2          | -         | FAIL"
+    assert lines[-1] == "overall: FAIL" and "nan" not in text
+
+
+def test_csv_format(result7, records7):
+    text = emit_csv(records7, 3)
     lines = text.strip().split("\n")
     assert lines[0] == "p,p_mod4,root_a,spin_1,spin_2,in_R,in_F,m4_class_bits"
     assert len(lines) - 1 == result7.tally.total()
@@ -361,8 +477,8 @@ def test_csv_format(result7):
     assert emit_csv([], 3).strip() == lines[0]
 
 
-def test_csv_row_fields(result7):
-    rec = result7.records[0]
+def test_csv_row_fields(records7):
+    rec = records7[0]
     line = emit_csv([rec], 3).strip().split("\n")[1]
     parts = line.split(",")
     assert parts[0] == str(rec.p)
@@ -380,9 +496,9 @@ def test_csv_to_1e5_is_pinned(request, field, rows, digest):
     # SHA-256 of the per-prime CSV to 10^5 for the two fields the criterion-6
     # pin (c7) does not cover; any change to a root, spin or class moves it
     spec = request.getfixturevalue(field) if field == "spec9" else numfield.load_spec(QUINTIC11)
-    records = run_sweep(spec, 10**5).records
-    assert len(records) == rows
-    assert hashlib.sha256(emit_csv(records, spec.n).encode()).hexdigest() == digest
+    result, text = streamed_csv(spec, 10**5)
+    assert result.tally.total() == text.count("\n") - 1 == rows
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_report_rows_structure(result7):
@@ -393,21 +509,21 @@ def test_report_rows_structure(result7):
     assert len(hist_rows) == 8
 
 
-def test_stderr_column_is_the_binomial_standard_error(result7):
+def test_stderr_column_is_the_binomial_standard_error(result7, records7):
     # the "+-" column is sqrt(theta (1 - theta) / den) at the predicted theta; every
     # row is checked against its recounted den in test_report_rows_from_records
-    split = len(result7.records)
+    split = len(records7)
     assert {row[0]: row[2] for row in result7.report_rows}["F/S"] == math.sqrt(3 / 16 / split)
 
 
-def test_histogram_sign_sectors(result7, star7):
+def test_histogram_sign_sectors(result7, records7, star7):
     # every prime of a bin lies in the sector that the norm sign gives its class,
     # and the bin's row counts against that sector
-    for rec in result7.records:
+    for rec in records7:
         assert star7.norm_sign[rec.m4_bits] == (1 if rec.p % 4 == 1 else -1)
-    sector = Counter(star7.norm_sign[rec.m4_bits] for rec in result7.records)
+    sector = Counter(star7.norm_sign[rec.m4_bits] for rec in records7)
     rows = {row[0]: row for row in result7.report_rows}
-    for bits, count in Counter(rec.m4_bits for rec in result7.records).items():
+    for bits, count in Counter(rec.m4_bits for rec in records7).items():
         label = "hist[" + "".join(map(str, bits)) + "]"
         assert rows[label][1] == count / sector[star7.norm_sign[bits]]
 
