@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import math
 import random
@@ -797,24 +798,134 @@ def test_two_pointers_enumerate_in_the_sorted_centre_first_order(spec7, quintic)
                 assert list(numfield._enumerate_short(lam, d, bound)) == _sorted_centre_first(lam, d, bound)
 
 
-def test_two_pointers_break_ties_to_the_smaller_x():
+def test_two_pointers_break_ties_to_the_smaller_x(monkeypatch):
     # hand-built Gram-Schmidt data with mu = +-1/2 and +-3/2, so that many
     # levels have a half-integer centre and two nearest integers
-    cases = [
+    ties = [
         ([[0, 0], [1, 0]], [1, 2, 4]),  # mu10 = 1/2
         ([[0, 0], [-3, 0]], [1, 2, 2]),  # mu10 = -3/2
         ([[0, 0, 0], [1, 0, 0], [-1, 3, 0]], [1, 2, 6, 12]),  # mu10 = 1/2, mu20 = -1/2, mu21 = 1/2
         ([[0, 0, 0], [3, 0, 0], [1, -9, 0]], [1, 2, 6, 6]),  # mu10 = 3/2, mu20 = 1/2, mu21 = -3/2
     ]
-    for lam, d in cases:
-        for bound in (0.5, 2.0, 4.5, 9.0, 30.0):
-            got = list(numfield._enumerate_short(lam, d, bound))
-            assert got == _sorted_centre_first(lam, d, bound)
-        assert len(got) > 10
+    # float edges of the e_0 test (`_walk_starts_at_e0`), with whether the walk starts at e_0
+    below, above = (lambda x: math.nextafter(x, -math.inf)), (lambda x: math.nextafter(x, math.inf))
+    q2, q3, q8 = ([[0, 0], [1, 0]], [1, 2, 4]), ([[0, 0], [1, 0]], [3, 1, 4]), ([[0, 0], [1, 0]], [8, 1, 4])
+    edges = [
+        (*q2, 2.0, True),  # bound = q0
+        (*q2, above(2.0), True),
+        (*q2, below(2.0), True),
+        (*q2, 2.0 - 1e-9, True),  # q0 <= bound + 1e-9 holds, just
+        (*q2, below(2.0 - 1e-9), False),  # and fails one ulp lower
+        (*q3, 1 / 3, True),  # q0 = 1/3, a rounded quotient
+        (*q3, above(1 / 3), True),
+        (*q3, below(1 / 3), True),
+        (*q3, 1 / 3 - 1e-9, False),  # q0 <= bound + 1e-9, but floor(sqrt(bound/q0) + 1e-9) = 0
+        (*q8, 0.125 * (1 - 2e-9) ** 2, False),  # sqrt(bound/q0) = 1 - 2e-9: hi = 0
+        (*q8, 0.125 * (1 - 1e-9) ** 2, True),  # 1 - 1e-9: hi = 1
+        (*q8, 0.125 * (1 - 0.5e-9) ** 2, True),
+        (*q2, 0.0, False),
+        (*q2, -1.0, False),
+        ([[0, 0], [1, 0]], [1, 2, -2], 30.0, False),  # q1 < 0 at the top level
+        ([[0, 0], [1, 0]], [1, 2, 0], 30.0, False),  # q1 = 0
+        ([[0, 0], [1, 0]], [1, -2, -4], 30.0, False),  # q0 < 0 below a live level
+        ([[0, 0, 0], [1, 0, 0], [0, 0, 0]], [1, 2, -2, -4], 30.0, False),  # q1 < 0 in the middle
+    ]
+    cases = [(lam, d, bound, None) for lam, d in ties for bound in (0.5, 2.0, 4.5, 9.0, 30.0)] + edges
+    for lam, d, bound, starts in cases:
+        got = list(numfield._enumerate_short(lam, d, bound))
+        assert got == _sorted_centre_first(lam, d, bound)
+        e0 = (1,) + (0,) * (len(d) - 2)
+        if starts is not None:
+            assert (got[:1] == [e0]) == starts
+        if starts:
+            with monkeypatch.context() as m:  # e_0 comes before the walk is built
+                m.setattr(numfield, "_walk", None)
+                assert next(numfield._enumerate_short(lam, d, bound)) == e0
+    assert all(len(list(numfield._enumerate_short(lam, d, 30.0))) > 10 for lam, d in ties)
     # under x1 = 1 the centre of level 0 is -1/2: it tries -1 before 0, and -2 before 1
     lam, d = [[0, 0], [1, 0]], [1, 2, 4]
     level0 = [c[0] for c in numfield._enumerate_short(lam, d, 30.0) if c[1] == 1]
     assert level0[:4] == [-1, 0, -2, 1]
+
+
+def test_abandoned_walks_leave_no_reference_cycles(spec7, quintic):
+    # a search drops the walk at its first hit; with the collector off,
+    # walks abandoned after 1, 2 and 3 vectors must leave nothing for it
+    cases = ((spec7, 97), (spec7, 10009), (quintic, 89))
+    data = [_search_data(spec, p, a) for spec, p in cases for a in split_completely(spec, p)]
+    gc.collect()
+    gc.disable()
+    try:
+        for lam, d, base in data:
+            for taken in (1, 2, 3):
+                walk = numfield._enumerate_short(lam, d, base)
+                for _ in range(taken):
+                    next(walk)
+                del walk
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
+
+
+def _search_without_b0(spec, P):
+    """A search whose b_0 fails, from the sorted centre-first order: (stages, b_0, stages run, generator).
+
+    A first radius stage that just holds b_0 goes before `_RADIUS_STAGES`,
+    so the next hit comes from a later stage.
+    """
+    n, target = spec.n, P.p**spec.h
+    root = numfield._lift_root(spec, P, spec.h)
+    basis, lam, d = numfield._lll_reduce(
+        numfield._ideal_power_basis(n, target, root), numfield._ideal_power_gram(spec, target, root)
+    )
+    base = n * (target * math.sqrt(spec.disc_f)) ** (2.0 / n)
+    stages = (math.sqrt(d[1] / d[0] / base) * 1.000001, *numfield._RADIUS_STAGES)
+    e0 = (1,) + (0,) * (n - 1)
+    for stage, mult in enumerate(stages, 1):
+        for coords in _sorted_centre_first(lam, d, mult * mult * base):
+            vec = tuple(sum(c * row[j] for c, row in zip(coords, basis)) for j in range(n))
+            if coords != e0 and abs(spec.norm(vec)) == target:
+                signs = spec.embeddings.signs_of(vec)
+                if -1 in signs:
+                    vec = spec.mul(spec.unit_by_signature[signs], vec)
+                return stages, tuple(basis[0]), stage, vec
+    raise AssertionError("no second generator in the search radius")
+
+
+@pytest.mark.parametrize(
+    "field, primes",
+    [("spec7", (13, 97, 10009)), ("spec9", (19, 73, 10007)), ("quintic", (23, 89))],
+    ids=["spec7", "spec9", "quintic"],
+)
+def test_search_without_b0_returns_the_next_centre_first_hit(monkeypatch, request, field, primes):
+    # no shipped field reaches past b_0, so make the box pass report a wrong
+    # norm for it: the search must go on to the next hit of the order, and
+    # must test b_0 once per radius stage (the walk's own e_0 is dropped)
+    spec = request.getfixturevalue(field)
+    real = numfield.Embeddings.signs_and_norm
+    tested = []
+
+    def b0_fails(self, a):
+        signs, norm = real(self, a)
+        if a == b0:
+            tested.append(a)
+            norm *= 2
+        return signs, norm
+
+    monkeypatch.setattr(numfield.Embeddings, "signs_and_norm", b0_fails)
+    runs = []
+    for p in primes:
+        for a in split_completely(spec, p):
+            P = PrimeDeg1(p, a)
+            with monkeypatch.context() as m:
+                stages, b0, run, want = _search_without_b0(spec, P)
+                m.setattr(numfield, "_RADIUS_STAGES", stages)
+                tested.clear()
+                assert generator_of_power(spec, P) == want
+            assert len(tested) == run
+            runs.append(run)
+    assert min(runs) >= 2  # the hit never came from the stage that holds just b_0
 
 
 def test_lll_rounds_ties_to_even():

@@ -414,9 +414,11 @@ def _traced_peak(spec, limit, sink):
 
 
 def test_serial_sweep_memory_does_not_grow_with_the_window_count(monkeypatch, spec7):
-    # a sink that drops each window (collecting the cyclic garbage of its
-    # generator searches, so the peak does not depend on when the collector
-    # last ran): 16 windows peak within one window's records of 4 windows
+    # a sink that drops each window and runs a full collection, which
+    # empties the interpreter's free lists of small tuples (tracemalloc
+    # counts their blocks as allocated, and they fill as the sweep goes), so
+    # the peak does not depend on when the collector last ran: 16 windows
+    # peak within one window's records of 4 windows
     width = 2**9
     monkeypatch.setattr(sweep, "WINDOW_WIDTH", width)
     records = []
