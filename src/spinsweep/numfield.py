@@ -10,8 +10,8 @@ named condition code.
 
 Algebraic integers are tuples of ints: power-basis coordinates.  All
 parity-critical computations (norms, residue symbols, embedding signs)
-are exact; floating point appears only as a search-radius heuristic in
-the generator search.
+are exact; floating point appears only as the search-radius heuristic
+`base_t2` of the generator search.
 
 Degree-one primes are pairs (p, a) with f(a) = 0 mod p, standing for the
 ideal (p, theta - a).  `generator_of_power` produces a totally positive
@@ -25,8 +25,8 @@ Integral-LLL invariant: `_lll_reduce` carries the Gram-Schmidt data as
 integers (Cohen, GTM 138, Alg. 2.6.7): d[i], the Gram determinant of the
 first i rows, and lam[i][j] = d[j+1] mu[i][j].  Both stay integral
 through size reduction and swaps, so every division is exact and the
-reduction takes the same steps as LLL over the rationals; the search
-reads mu and the squared lengths as correctly rounded int quotients.
+reduction takes the same steps as LLL over the rationals; the
+enumeration reads them as integers, with no float.
 The starting Gram matrix is the only inner-product data LLL reads.
 `generator_of_power` passes it in, built by `_ideal_power_gram` in closed
 form from the power sums s_k = Tr(theta^k) that `FieldSpec` keeps, so no
@@ -58,25 +58,25 @@ products and their negatives (`FieldSpec.unit_by_signature`) cost n - 1
 passes and no Bareiss determinant.
 First-hit rule: `_enumerate_short` yields candidates lazily in a fixed
 depth-first order, one per +- pair, and the search stops at the first of
-norm +-p^h, read from the box pass.  Each level visits its coordinate
-centre first (Schnorr and Euchner): by increasing |x - center|, ties to
-the smaller x, taken by two pointers that leave the integer nearest the
-centre, so the first value tried is that integer and a level ends at the
-first x past the remaining budget.  The set of vectors in a radius stage
-is the one a scan from lo to hi gives; only their order is
-Schnorr-Euchner.  In that order the first candidate is e_0, the first
-row b_0 of the reduced basis, whenever the walk admits it: every q_i > 0,
-so no level ends the walk; x = 0 at centre 0 costs nothing on each level
-above 0, so level 0 keeps the whole bound; and there x = -1, then x = 1,
-pass floor(sqrt(bound/q_0) + 1e-9) >= 1 and q_0 <= bound + 1e-9.
-`_walk_starts_at_e0` is that test, made with the walk's own comparisons
-on its own floats, so `_enumerate_short` yields e_0 before it builds the
-walk, and the order is unchanged.  b_0 was the generator in every search
-measured (c7 below 10^5, c9 below 5 10^4, Q(zeta11)^+ below 2 10^4), so
-a search usually tests e_0, self-checks and returns without building the
-walk at all.  The walk (`_walk`) is a module-level recursive
-generator that takes its state as arguments: a search that abandons it
-leaves no reference cycle for the collector.
+norm +-p^h, read from the box pass.  The walk (`_walk`) is exact: it
+reads the integral LLL data, so each level's centre N / d[i+1], the cost
+of each x and the budget left are rationals, the range of x comes from
+`math.isqrt`, and the float radius enters once, as the Fraction it
+equals.  Each level visits its centre first (Schnorr and Euchner): by
+increasing |x - centre|, ties to the smaller x, taken by two pointers
+that leave the integer nearest the centre, so a level ends at the first
+x past the remaining budget.  The set of vectors in a radius stage is
+the ellipsoid's; only their order is Schnorr-Euchner.  In that order the
+first candidate is e_0, the first row b_0 of the reduced basis, exactly
+when d[1] <= bound: x = 0 at centre 0 costs nothing on each level above
+0, so level 0 keeps the whole bound, and there x = -1 (not yielded) and
+then x = 1 each cost d[1].  So `_enumerate_short` yields e_0 before it
+builds the walk.  b_0 was the generator in every search measured (c7
+below 10^5, c9 below 5 10^4, Q(zeta11)^+ below 2 10^4), so a search
+usually tests e_0, self-checks and returns without building the walk at
+all.  `_walk` is a module-level recursive generator that takes its state
+as arguments: a search that abandons it leaves no reference cycle for
+the collector.
 
 Ideal-power invariant: for p not dividing disc_f, P^h meets Z[theta] in
 exactly the kernel of Z[theta] -> Z/p^h, theta -> a_h, where a_h is the
@@ -133,6 +133,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from .intpoly import (
@@ -738,83 +739,68 @@ def _lll_reduce(basis, gram):
 
 
 def _enumerate_short(lam, d, bound: float):
-    """Coordinate vectors with quadratic form value <= bound, one per +- pair.
+    """Coordinate vectors with quadratic form value <= bound, one per +- pair, in exact arithmetic.
 
     lam, d are the integral Gram-Schmidt data of the basis (see
-    `_lll_reduce`), read as correctly rounded int quotients.
-    A generator: vectors come lazily in the depth-first order of `_walk`,
-    so a caller can stop at the first hit without listing the rest.  When
-    the walk would start with e_0 (`_walk_starts_at_e0`), e_0 comes first
-    and the walk is built only if the caller asks for more; its first
-    yield, that same e_0, is then dropped.
+    `_lll_reduce`).  Every d[i] is positive: d[i] is a leading principal
+    minor of the trace-form Gram matrix, which is positive definite because
+    the field is totally real.  The float bound is read as the Fraction it
+    equals.  A generator: vectors come lazily in the depth-first order of
+    `_walk`, so a caller can stop at the first hit without listing the
+    rest.  The walk starts with e_0 exactly when d[1] <= bound (the
+    module's First-hit rule), so e_0 then comes first, and the walk is
+    built only if the caller asks for more; its first yield, that same
+    e_0, is then dropped.
     """
+    assert all(v > 0 for v in d), "the trace form of a totally real field is positive definite"
     n = len(d) - 1
-    qf = [d[i + 1] / d[i] for i in range(n)]
-    e0 = (1,) + (0,) * (n - 1) if _walk_starts_at_e0(qf, bound) else None
+    e0 = (1,) + (0,) * (n - 1) if d[1] <= bound else None  # int <= float compares exactly
     if e0:
         yield e0
-    muf = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(n)]
-    walk = _walk(n - 1, bound, [0] * n, qf, muf)
+    walk = _walk(n - 1, Fraction(bound), [0] * n, lam, d)
     if e0:
         dropped = next(walk)
         assert dropped == e0, "the walk starts with e_0"
     yield from walk
 
 
-def _walk_starts_at_e0(qf, bound: float) -> bool:
-    """Whether `_walk` yields e_0 = (1, 0, ..., 0) first, by its own tests (the module's First-hit rule).
+def _walk(i, remaining, coords, lam, d):
+    """Level i of the depth-first walk, with coords[i + 1:] fixed and the Fraction `remaining` of the bound left.
 
-    x = -1 at level 0 is tried before x = 1 and has the same cost; it is
-    not yielded, since its top coordinate is negative.
-    """
-    if not all(q > 0 for q in qf):
-        return False
-    q0 = qf[0]
-    return math.floor(math.sqrt(max(bound, 0.0) / q0) + 1e-9) >= 1 and q0 <= bound + 1e-9
-
-
-def _walk(i, remaining, coords, qf, muf):
-    """Level i of the depth-first walk, with coords[i + 1:] fixed and `remaining` of the bound left.
-
+    With N = -sum_(j > i) x_j lam[j][i] and D = d[i+1], the level's centre
+    is N / D and x costs (x D - N)^2 / (d[i] D), so x is within the budget
+    iff |x D - N| <= isqrt(floor(remaining d[i] D)): that gives lo..hi.
     Each vector is kept only if its highest nonzero coordinate is positive.
     Each level visits lo..hi centre first: two pointers leave the integer
     nearest the centre (ties to the smaller x), and each step takes the
-    nearer of the two, the one below on a tie.  The form's share
-    qf (x - center)^2 grows along that order, so the first x past the
-    remaining budget ends the level.  A module-level function taking its
-    state as arguments, so an abandoned walk leaves no reference cycle.
+    nearer of the two, the one below on a tie.  The cost grows along that
+    order, so the first x past the budget, the first outside lo..hi, ends
+    the level.  A module-level function taking its state as arguments, so
+    an abandoned walk leaves no reference cycle.
     """
-    q = qf[i]
-    if q <= 0:
-        return
-    center = 0.0
-    for j in range(i + 1, len(coords)):
-        center -= coords[j] * muf[j][i]
-    half = math.sqrt(max(remaining, 0.0) / q)
-    lo = math.ceil(center - half - 1e-9)
-    hi = math.floor(center + half + 1e-9)
-    if lo <= hi:
-        x = min(max(math.ceil(center - 0.5), lo), hi)
+    D, scale = d[i + 1], d[i] * d[i + 1]
+    N = -sum(coords[j] * lam[j][i] for j in range(i + 1, len(coords)))
+    room = remaining.numerator * scale // remaining.denominator
+    if room >= 0:
+        s = math.isqrt(room)
+        lo, hi = -((s - N) // D), (N + s) // D
+        x = -((D - 2 * N) // (2 * D))  # ceil(N / D - 1/2), in lo..hi whenever lo <= hi
         down, up = x - 1, x + 1
-        while True:
-            used = q * (x - center) ** 2
-            if used > remaining + 1e-9:
-                break
+        while lo <= x <= hi:
             coords[i] = x
             if i:
-                yield from _walk(i - 1, remaining - used, coords, qf, muf)
+                t = x * D - N
+                yield from _walk(i - 1, remaining - Fraction(t * t, scale), coords, lam, d)
             else:
                 for c in reversed(coords):
                     if c:
                         if c > 0:
                             yield tuple(coords)
                         break
-            if down >= lo and (up > hi or abs(down - center) <= abs(up - center)):
+            if down >= lo and (up > hi or abs(down * D - N) <= abs(up * D - N)):
                 x, down = down, down - 1
-            elif up <= hi:
-                x, up = up, up + 1
             else:
-                break
+                x, up = up, up + 1
     coords[i] = 0
 
 

@@ -402,7 +402,7 @@ def format_report(result: SweepResult) -> str:
         f"split primes: {S.total()}  (S+ = {S[1]}, S- = {S[-1]};"
         f" ramified skipped: {len(result.skipped_ramified)})",
         "",
-        f"{'quantity':<12} | {'empirical':<19} | {'theoretical':<12} | {'|delta|':<9} | pass/fail",
+        f"{'quantity':<12} | {'empirical':<18} | {'theoretical':<12} | {'|delta|':<9} | pass/fail",
     ]
     lines = head
     for name, emp, stderr, theo, delta, ok in result.report_rows:

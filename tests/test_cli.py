@@ -10,7 +10,7 @@ import pytest
 import spinsweep
 from spinsweep import numfield, sweep
 from spinsweep.cli import BUILTIN_FIELDS, _load_field, main
-from test_numfield import QUINTIC11
+from test_numfield import QUINTIC11, shanks_cubic
 
 
 def builtin_path():
@@ -387,6 +387,18 @@ def test_sweep_search_failure_is_named(monkeypatch, capsys, condition, inject):
     assert code == 4
     assert err.startswith(f"sweep failed [{condition}]: p=13: ")  # first split prime
     assert "Traceback" not in err
+
+
+def test_sweep_non_principal_prime_is_a_named_miss(tmp_path, capsys):
+    # a real miss, not an injected one: Shanks m = 12 has class number 3, so
+    # with h = 1 typed in, P over 13 has no generator and the search runs out
+    cfg = tmp_path / "shanks-12.cfg"
+    cfg.write_text(shanks_cubic(12))
+    code = main(["sweep", "--field", str(cfg), "--limit", "200"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == "sweep failed [GeneratorNotFound]: p=13: no generator of norm 13 within the search radius\n"
+    assert captured.out == ""
 
 
 def test_sweep_rejects_a_modulus_that_is_not_a_multiple_of_the_conductor(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import copy
 import gc
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -705,38 +706,42 @@ def test_generator_digests_are_pinned(spec7, spec9, quintic):
         "5792096a5ba1466e55ac6d13927cfc86e9151920a0971e3b810b51233e01bf18"
 
 
-def _scan_lo_to_hi(lam, d, bound):
-    """The enumeration before centre-first order: each level scanned from lo up to hi."""
-    n = len(d) - 1
-    muf = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(n)]
-    qf = [d[i + 1] / d[i] for i in range(n)]
-    coords = [0] * n
+def _scan_lo_to_hi(gram, bound):
+    """The vectors of the ellipsoid x^T G x <= bound, one per +- pair, from a scan of its bounding box.
+
+    Reads the Gram matrix G alone, in exact arithmetic: x_i^2 <= bound
+    (G^-1)_ii on the ellipsoid, and (G^-1)_ii is the i-th principal minor
+    over det G.  Each coordinate runs from lo up to hi.
+    """
+    n = len(gram)
+    det = det_bareiss(gram)
+    bound = Fraction(bound)
+    if bound < 0:
+        return []
+    limit = math.floor(bound)  # x^T G x is an integer
+    ranges = []
+    for i in range(n):
+        minor = det_bareiss([row[:i] + row[i + 1:] for k, row in enumerate(gram) if k != i])
+        r = math.isqrt(math.floor(bound * minor / det))
+        ranges.append(range(-r, r + 1))
     out = []
-
-    def descend(i, remaining):
-        if i < 0:
-            top = [c for c in coords if c]
-            if top and top[-1] > 0:
-                out.append(tuple(coords))
-            return
-        center = -sum(coords[j] * muf[j][i] for j in range(i + 1, n))
-        half = math.sqrt(max(remaining, 0.0) / qf[i])
-        for x in range(math.ceil(center - half - 1e-9), math.floor(center + half + 1e-9) + 1):
-            coords[i] = x
-            used = qf[i] * (x - center) ** 2
-            if used <= remaining + 1e-9:
-                descend(i - 1, remaining - used)
-        coords[i] = 0
-
-    descend(n - 1, bound)
+    for rest in itertools.product(*reversed(ranges[1:])):
+        rest = rest[::-1]
+        top = next((c for c in reversed(rest) if c), 0)
+        # x^T G x = G_00 x_0^2 + 2 x_0 link + inner for x = (x_0, rest)
+        link = sum(g * c for g, c in zip(gram[0][1:], rest))
+        inner = sum(rest[i] * gram[i + 1][j + 1] * rest[j] for i in range(n - 1) for j in range(n - 1))
+        for x0 in ranges[0]:
+            if (top > 0 or not top and x0 > 0) and gram[0][0] * x0 * x0 + 2 * x0 * link + inner <= limit:
+                out.append((x0, *rest))
     return out
 
 
 def _search_data(spec, p, a):
     """LLL data of the lattice of (p, theta - a) and the search's base radius, as generator_of_power has them."""
     lattice = numfield._ideal_power_basis(spec.n, p, a)
-    _, lam, d = numfield._lll_reduce(lattice, numfield._ideal_power_gram(spec, p, a))
-    return lam, d, spec.n * (p * math.sqrt(spec.disc_f)) ** (2.0 / spec.n)
+    basis, lam, d = numfield._lll_reduce(lattice, numfield._ideal_power_gram(spec, p, a))
+    return basis, lam, d, spec.n * (p * math.sqrt(spec.disc_f)) ** (2.0 / spec.n)
 
 
 def test_centre_first_enumerates_the_same_vectors(spec7, quintic):
@@ -745,19 +750,20 @@ def test_centre_first_enumerates_the_same_vectors(spec7, quintic):
     for spec, p in cases:
         stages = numfield._RADIUS_STAGES if spec.n == 3 else numfield._RADIUS_STAGES[:2]
         for a in split_completely(spec, p):
-            lam, d, base = _search_data(spec, p, a)
+            basis, lam, d, base = _search_data(spec, p, a)
+            gram = [[trace_inner(spec, u, v) for v in basis] for u in basis]
             for mult in stages:
                 got = list(numfield._enumerate_short(lam, d, mult * mult * base))
-                want = _scan_lo_to_hi(lam, d, mult * mult * base)
+                want = _scan_lo_to_hi(gram, mult * mult * base)
                 assert len(set(got)) == len(got) and sorted(got) == sorted(want)
                 assert got  # the search always has candidates to try
 
 
 def _sorted_centre_first(lam, d, bound):
-    """The enumeration as a sort per level: lo..hi by (|x - center|, x), stopping at the first x past the budget."""
+    """The enumeration as a sort per level, in Fractions: by (|x - centre|, x), stopping at the first x past the budget."""
     n = len(d) - 1
-    muf = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(n)]
-    qf = [d[i + 1] / d[i] for i in range(n)]
+    mu = [[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(n)]
+    q = [Fraction(d[i + 1], d[i]) for i in range(n)]
     coords = [0] * n
     out = []
 
@@ -767,21 +773,19 @@ def _sorted_centre_first(lam, d, bound):
             if top and top[-1] > 0:
                 out.append(tuple(coords))
             return
-        if qf[i] <= 0:
-            return
-        center = -sum(coords[j] * muf[j][i] for j in range(i + 1, n))
-        half = math.sqrt(max(remaining, 0.0) / qf[i])
-        lo = math.ceil(center - half - 1e-9)
-        hi = math.floor(center + half + 1e-9)
-        for x in sorted(range(lo, hi + 1), key=lambda x: (abs(x - center), x)):
-            used = qf[i] * (x - center) ** 2
-            if used > remaining + 1e-9:
+        centre = -sum(coords[j] * mu[j][i] for j in range(i + 1, n))
+        # a float range with a margin of one on each side; the exact test ends the level
+        half = math.sqrt(max(remaining, 0) / q[i]) + 1
+        for x in sorted(range(math.floor(centre - half), math.ceil(centre + half) + 1),
+                        key=lambda x: (abs(x - centre), x)):
+            used = q[i] * (x - centre) ** 2
+            if used > remaining:
                 break
             coords[i] = x
             descend(i - 1, remaining - used)
         coords[i] = 0
 
-    descend(n - 1, bound)
+    descend(n - 1, Fraction(bound))
     return out
 
 
@@ -792,7 +796,7 @@ def test_two_pointers_enumerate_in_the_sorted_centre_first_order(spec7, quintic)
     for spec, p in cases:
         stages = numfield._RADIUS_STAGES if spec.n == 3 else numfield._RADIUS_STAGES[:2]
         for a in split_completely(spec, p):
-            lam, d, base = _search_data(spec, p, a)
+            _, lam, d, base = _search_data(spec, p, a)
             for mult in stages:
                 bound = mult * mult * base
                 assert list(numfield._enumerate_short(lam, d, bound)) == _sorted_centre_first(lam, d, bound)
@@ -807,35 +811,27 @@ def test_two_pointers_break_ties_to_the_smaller_x(monkeypatch):
         ([[0, 0, 0], [1, 0, 0], [-1, 3, 0]], [1, 2, 6, 12]),  # mu10 = 1/2, mu20 = -1/2, mu21 = 1/2
         ([[0, 0, 0], [3, 0, 0], [1, -9, 0]], [1, 2, 6, 6]),  # mu10 = 3/2, mu20 = 1/2, mu21 = -3/2
     ]
-    # float edges of the e_0 test (`_walk_starts_at_e0`), with whether the walk starts at e_0
+    # exact edges of the budget: whether the walk starts at e_0 (d[1] <= bound), and its vectors
     below, above = (lambda x: math.nextafter(x, -math.inf)), (lambda x: math.nextafter(x, math.inf))
-    q2, q3, q8 = ([[0, 0], [1, 0]], [1, 2, 4]), ([[0, 0], [1, 0]], [3, 1, 4]), ([[0, 0], [1, 0]], [8, 1, 4])
+    q2, q3 = ([[0, 0], [1, 0]], [1, 2, 4]), ([[0, 0], [0, 0]], [1, 3, 1])
     edges = [
-        (*q2, 2.0, True),  # bound = q0
-        (*q2, above(2.0), True),
-        (*q2, below(2.0), True),
-        (*q2, 2.0 - 1e-9, True),  # q0 <= bound + 1e-9 holds, just
-        (*q2, below(2.0 - 1e-9), False),  # and fails one ulp lower
-        (*q3, 1 / 3, True),  # q0 = 1/3, a rounded quotient
-        (*q3, above(1 / 3), True),
-        (*q3, below(1 / 3), True),
-        (*q3, 1 / 3 - 1e-9, False),  # q0 <= bound + 1e-9, but floor(sqrt(bound/q0) + 1e-9) = 0
-        (*q8, 0.125 * (1 - 2e-9) ** 2, False),  # sqrt(bound/q0) = 1 - 2e-9: hi = 0
-        (*q8, 0.125 * (1 - 1e-9) ** 2, True),  # 1 - 1e-9: hi = 1
-        (*q8, 0.125 * (1 - 0.5e-9) ** 2, True),
-        (*q2, 0.0, False),
-        (*q2, -1.0, False),
-        ([[0, 0], [1, 0]], [1, 2, -2], 30.0, False),  # q1 < 0 at the top level
-        ([[0, 0], [1, 0]], [1, 2, 0], 30.0, False),  # q1 = 0
-        ([[0, 0], [1, 0]], [1, -2, -4], 30.0, False),  # q0 < 0 below a live level
-        ([[0, 0, 0], [1, 0, 0], [0, 0, 0]], [1, 2, -2, -4], 30.0, False),  # q1 < 0 in the middle
+        (*q2, 2.0, True, [(1, 0)]),  # bound = d[1], the cost of e_0
+        (*q2, above(2.0), True, [(1, 0)]),
+        (*q2, below(2.0), False, []),  # one ulp below d[1]: nothing is within the budget
+        (*q2, 2.5, True, [(1, 0), (-1, 1), (0, 1)]),  # (-1, 1) and (0, 1) cost 2 + 1/2 exactly
+        (*q2, below(2.5), True, [(1, 0)]),
+        (*q3, 1 / 3, False, []),  # (0, 1) costs 1/3, just above the rounded float 1/3
+        (*q3, above(1 / 3), False, [(0, 1)]),
+        (*q2, 0.0, False, []),
+        (*q2, -1.0, False, []),
     ]
-    cases = [(lam, d, bound, None) for lam, d in ties for bound in (0.5, 2.0, 4.5, 9.0, 30.0)] + edges
-    for lam, d, bound, starts in cases:
+    cases = [(lam, d, bound, None, None) for lam, d in ties for bound in (0.5, 2.0, 4.5, 9.0, 30.0)] + edges
+    for lam, d, bound, starts, want in cases:
         got = list(numfield._enumerate_short(lam, d, bound))
         assert got == _sorted_centre_first(lam, d, bound)
         e0 = (1,) + (0,) * (len(d) - 2)
         if starts is not None:
+            assert got == want
             assert (got[:1] == [e0]) == starts
         if starts:
             with monkeypatch.context() as m:  # e_0 comes before the walk is built
@@ -846,6 +842,30 @@ def test_two_pointers_break_ties_to_the_smaller_x(monkeypatch):
     lam, d = [[0, 0], [1, 0]], [1, 2, 4]
     level0 = [c[0] for c in numfield._enumerate_short(lam, d, 30.0) if c[1] == 1]
     assert level0[:4] == [-1, 0, -2, 1]
+    # a Gram determinant <= 0 at any level is no trace form of a totally real field
+    for lam, d in [
+        ([[0, 0], [1, 0]], [1, 2, -2]),  # the top level
+        ([[0, 0], [1, 0]], [1, 2, 0]),
+        ([[0, 0], [1, 0]], [1, -2, -4]),  # below a live level
+        ([[0, 0, 0], [1, 0, 0], [0, 0, 0]], [1, 2, -2, -4]),  # in the middle
+    ]:
+        with pytest.raises(AssertionError, match="positive definite"):
+            next(numfield._enumerate_short(lam, d, 30.0))
+
+
+@pytest.mark.parametrize("p, a, above, run", [
+    (13, 7, (-6, 3), [-3, -4, -2, -5, -1, -6, 0, -7, 1]),  # level-0 centre exactly -3
+    (631, 79, (-5, 1), [2, 3, 1, 4, 0, 5, -1, 6]),  # level-0 centre exactly 5/2
+])
+def test_exact_centres_break_ties_to_the_smaller_x(spec7, p, a, above, run):
+    # at these c7 primes a level-0 centre of the last radius stage is an
+    # integer or a half-integer; a float centre lands on one side of it and
+    # can try the larger of two equidistant x first (-2 before -4, 3 before 2)
+    _, lam, d, base = _search_data(spec7, p, a)
+    bound = numfield._RADIUS_STAGES[-1] ** 2 * base
+    got = list(numfield._enumerate_short(lam, d, bound))
+    assert got == _sorted_centre_first(lam, d, bound)
+    assert [x[0] for x in got if x[1:] == above] == run
 
 
 def test_abandoned_walks_leave_no_reference_cycles(spec7, quintic):
@@ -856,7 +876,7 @@ def test_abandoned_walks_leave_no_reference_cycles(spec7, quintic):
     gc.collect()
     gc.disable()
     try:
-        for lam, d, base in data:
+        for _, lam, d, base in data:
             for taken in (1, 2, 3):
                 walk = numfield._enumerate_short(lam, d, base)
                 for _ in range(taken):
@@ -989,6 +1009,33 @@ def test_generator_rejects_ramified_prime(spec7, spec9):
         for h in (1, 3):
             with pytest.raises(RamifiedPrime):
                 generator_of_power(with_h(spec, h), P)
+
+
+def test_non_principal_prime_walks_every_stage_and_misses(monkeypatch):
+    # Shanks m = 12 has class number 3; typed in as h = 1, the primes over 13
+    # are not principal, so the search tests every vector of every radius
+    # stage, to the end of each walk, and names the miss
+    spec = load_spec(shanks_cubic(12))
+    assert split_completely(spec, 13) == [7, 8, 10]
+    real = numfield.Embeddings.signs_and_norm
+    tested = []
+
+    def count(self, a):
+        tested.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(numfield.Embeddings, "signs_and_norm", count)
+    for a in (7, 8, 10):
+        tested.clear()
+        with pytest.raises(numfield.GeneratorNotFound, match="^no generator of norm 13 within the search radius$"):
+            generator_of_power(spec, PrimeDeg1(13, a))
+        _, lam, d, base = _search_data(spec, 13, a)
+        stages = [list(numfield._enumerate_short(lam, d, mult * mult * base)) for mult in numfield._RADIUS_STAGES]
+        assert len(tested) == sum(map(len, stages)) and all(stages)
+    # at h = 3 the cube of each is principal, and the same search finds its generator
+    cubed = with_h(spec, 3)
+    for a in (7, 8, 10):
+        assert spec.norm(generator_of_power(cubed, PrimeDeg1(13, a))) == 13**3
 
 
 LIFT_PRIMES = (13, 19, 97, 1009, 10009)

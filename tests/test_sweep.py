@@ -536,6 +536,23 @@ def test_format_report_columns(result7):
     assert ("PASS" in text) or ("FAIL" in text)
 
 
+def test_report_header_bars_line_up_with_the_rows(spec7, star7, result7):
+    # every " | " column separator of the header sits at the column of the
+    # one in each row, with and without primes ("|delta|" is a title, not a separator)
+    empty = dataclasses.replace(result7, tally=Tally(),
+                                report_rows=sweep.build_report_rows(spec7, Tally(), star7.norm_sign))
+
+    def separators(line):
+        return [i for i in range(len(line)) if line.startswith(" | ", i)]
+
+    for result in (result7, empty):
+        lines = sweep.format_report(result).splitlines()
+        header, rows = lines[3], lines[4:-2]
+        assert header.startswith("quantity") and len(rows) >= 7 and lines[-2] == ""
+        assert len(separators(header)) == 4
+        assert all(separators(row) == separators(header) for row in rows)
+
+
 def test_violation_on_tampered_star_table(spec7):
     # flipping the star value on a whole orbit must trip the two-route
     # R-membership comparison (single-class flips are already rejected by
