@@ -51,8 +51,9 @@ def class_rep(family: RingFamily, bits: M4Class) -> Elem:
 def oracle_star_table(family: RingFamily) -> StarTable:
     """Star table by brute force: the oracle on every class against its conjugates.
 
-    The norm sign is the exact field norm of the class representative mod 4,
-    so neither column reads the trace form.
+    The norm sign is the field norm of the class representative mod 4, a
+    determinant that mod 4 needs only f mod 4 (`rings[2].f`), so neither
+    column reads the trace form.
     """
     r3 = family.rings[3]
     n = family.n
@@ -66,7 +67,7 @@ def oracle_star_table(family: RingFamily) -> StarTable:
                 val = -1
                 break
         star[bits] = val
-        nrm = norm_mod([c % 4 for c in rep], family.spec.f) % 4
+        nrm = norm_mod([c % 4 for c in rep], family.rings[2].f) % 4
         assert nrm in (1, 3), "norm of a unit lift must be odd"
         norm_sign[bits] = 1 if nrm == 1 else -1
     return StarTable(star, norm_sign)

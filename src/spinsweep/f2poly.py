@@ -7,18 +7,16 @@ stored form is always normalized; the zero polynomial is the int 0.
 Inputs are capped at degree 63: the module serves cyclic fields of degree
 n <= 31, where every intermediate product (degree <= 62) stays word-sized.
 
-Beyond ring arithmetic the module knows one structured object: x^n - 1
-over GF(2) for odd n.  `cyclic_mul` multiplies in the quotient ring
-GF(2)[x]/(x^n - 1), the product behind every circulant the residue layer
-uses, and `cyclic_inv` inverts there; `cyclotomic_cosets` gives the
-factors' degrees and reciprocal pairing from the cosets of 2 mod n.  The
-factors themselves are not built here: the tests factor x^n - 1 as the
-independent reference for the cosets.
+The module serves one ring, GF(2)[x]/(x^n - 1) for odd n, and imports no
+other module of the package.  `cyclic_mul` multiplies there, the product
+behind every circulant the residue layer uses, and `cyclic_inv` inverts
+there; `cyclotomic_cosets` gives the degrees and reciprocal pairing of
+the factors of x^n - 1 from the cosets of 2 mod n.  The factors are not
+built here: the tests factor x^n - 1 as the independent reference for
+the cosets.  The one general polynomial gcd is `intpoly.gcd_mod`.
 """
 
 from __future__ import annotations
-
-from .intpoly import prime_factors
 
 F2Poly = int  # alias used in signatures; see module docstring
 
@@ -85,24 +83,6 @@ def divmod_(a: F2Poly, b: F2Poly) -> tuple[F2Poly, F2Poly]:
     return q, a
 
 
-def rem(a: F2Poly, b: F2Poly) -> F2Poly:
-    """Remainder of a modulo b, for nonzero b."""
-    return divmod_(a, b)[1]
-
-
-def gcd(a: F2Poly, b: F2Poly) -> F2Poly:
-    """Greatest common divisor of a and b (monic, as every nonzero gcd is over GF(2))."""
-    _check(a), _check(b)
-    while b:
-        a, b = b, rem(a, b)
-    return a
-
-
-def mulmod(a: F2Poly, b: F2Poly, m: F2Poly) -> F2Poly:
-    """Product of a and b reduced modulo m."""
-    return rem(mul(a, b), m)
-
-
 def from_coeffs(coeffs) -> F2Poly:
     """Build a polynomial from a coefficient sequence, index i = coefficient of x^i."""
     a = 0
@@ -121,28 +101,6 @@ def poly_str(a: F2Poly) -> str:
         if (a >> i) & 1:
             terms.append("1" if i == 0 else "x" if i == 1 else f"x^{i}")
     return " + ".join(terms)
-
-
-def is_irreducible(f: F2Poly) -> bool:
-    """Deterministic irreducibility test (Rabin): f of degree >= 1."""
-    _check(f)
-    d = f.bit_length() - 1
-    if d < 1:
-        return False
-    x = 2
-    # x^(2^d) == x mod f, and x^(2^(d/q)) - x coprime to f for prime q | d
-    t = x
-    for _ in range(d):
-        t = mulmod(t, t, f)
-    if t != rem(x, f):
-        return False
-    for q in prime_factors(d):
-        t = x
-        for _ in range(d // q):
-            t = mulmod(t, t, f)
-        if gcd(f, t ^ x) != 1:
-            return False
-    return True
 
 
 def cyclotomic_cosets(n: int) -> list[frozenset[int]]:

@@ -7,12 +7,13 @@ the discriminant of f (of the trace form built from `newton_power_sums`).
 
 All arithmetic in Z[x]/(f, m) for monic f lives here: `mul_mod` and
 `pow_mod` reduce by f and then, when m is given, every coefficient into
-[0, m).  The split test and root descent mod p (`numfield`) and the
-residue rings O/2^k (`residue`) use them, and the root descent's gcd mod p
-is Euclid on `poly_rem_monic`, each remainder made monic mod p before it
-divides.  No other module multiplies or divides polynomials modulo f
-itself.  `mult_matrix` builds each row from the one before by a shift and
-one subtraction of a multiple of f, with no full product.
+[0, m).  The split test, the root descent mod p and the test that f is
+irreducible mod 2 (`numfield`) and the residue rings O/2^k (`residue`)
+use them.  `gcd_mod` is the package's one polynomial gcd: Euclid mod p on
+`poly_rem_monic`, each remainder made monic before it divides.  No other
+module multiplies or divides polynomials modulo f itself.  `mult_matrix`
+builds each row from the one before by a shift and one subtraction of a
+multiple of f, with no full product.
 
 Packing invariant of `pow_mod`: a residue mod (f, m) is one int holding its
 n = deg f coefficients, each in [0, m), in slots of B = 2 bits(m) +
@@ -25,8 +26,8 @@ each low slot mod m restores the invariant.  `mul_mod` stays the generic
 product for everything else.
 
 The module also holds the package's one integer factoriser,
-`prime_factors`: Rabin's irreducibility test (`f2poly`) factors the
-degree with it, and `numfield.conductor_multiple` the discriminant.
+`prime_factors`: Rabin's test (`numfield.FieldSpec`) factors the degree
+with it, and `numfield.conductor_multiple` the discriminant.
 """
 
 from __future__ import annotations
@@ -55,6 +56,18 @@ def poly_rem_monic(a, f) -> tuple[int, ...]:
             for j in range(n):
                 a[i - n + j] -= c * f[j]
     return tuple(a[:n]) + (0,) * max(0, n - len(a))
+
+
+def gcd_mod(a, b, p):
+    """Monic gcd mod p of monic a and any b: Euclid on `poly_rem_monic`, each remainder made monic."""
+    while any(c % p for c in b):
+        b = [c % p for c in b]
+        while b[-1] == 0:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, poly_rem_monic(a, b)
+    return a
 
 
 def compose_mod(g, s, f) -> tuple[int, ...]:

@@ -83,9 +83,11 @@ exactly the kernel of Z[theta] -> Z/p^h, theta -> a_h, where a_h is the
 Hensel lift of a (`_lift_root`).  So the lattice of P^h has the basis
 p^h, theta^j (theta - a_h) (j < n - 1), and g lies in P^h iff
 g(a_h) = 0 mod p^h; the search's membership self-check is that one
-evaluation.  Every product and remainder modulo a monic polynomial, mod p
-or exact, is `intpoly`'s; the root descent's gcd mod p is Euclid on
-`poly_rem_monic`, with each remainder made monic.
+evaluation.  Every product, remainder and gcd modulo a monic polynomial,
+mod p or exact, is `intpoly`'s: the root descent's gcd mod p is
+`intpoly.gcd_mod`, and so is the gcd mod 2 of Rabin's test, which
+`FieldSpec` runs on x = theta with `pow_mod` to prove f irreducible mod 2
+(condition C4).
 
 Split test through the half power: `split_completely` computes
 half = x^((p-1)/2) mod (f, p) once; p splits iff x half^2 = x, which is
@@ -139,6 +141,7 @@ from typing import NamedTuple
 from .intpoly import (
     compose_mod,
     det_bareiss,
+    gcd_mod,
     mul_mod,
     newton_power_sums,
     norm_mod,
@@ -147,7 +150,6 @@ from .intpoly import (
     pow_mod,
     prime_factors,
 )
-from . import f2poly
 
 
 class FieldConfigError(ValueError):
@@ -441,9 +443,14 @@ class FieldSpec:
         if self.f[-1] != 1:
             raise FieldConfigError("f must be monic")
         # monic and irreducible mod 2 implies irreducible over Q, 2 inert, and
-        # (Dedekind) an odd index [O : Z[theta]], so the power basis serves at 2
-        fbar = f2poly.from_coeffs(c % 2 for c in self.f)
-        if not f2poly.is_irreducible(fbar):
+        # (Dedekind) an odd index [O : Z[theta]], so the power basis serves at 2.
+        # Rabin's test, x = theta: x^(2^n) = x mod (f, 2), and x^(2^(n/q)) - x
+        # is prime to f mod 2 for each prime q | n
+        x = (0, 1) + (0,) * (n - 2)
+        if pow_mod(x, 2**n, self.f, 2) != x or any(
+            len(gcd_mod(self.f, [a - b for a, b in zip(pow_mod(x, 2 ** (n // q), self.f, 2), x)], 2)) != 1
+            for q in prime_factors(n)
+        ):
             raise C4Violation("f is reducible mod 2, so 2 is not inert")
         # power sums s_k = Tr(theta^k), k <= 2n - 2: the trace form on the power
         # basis is (s_(i+j)), its determinant is disc(f), and the generator
@@ -458,13 +465,12 @@ class FieldSpec:
         # sigma must be a root of f and must generate a group of order n
         if any(compose_mod(self.f, self.sigma, self.f)):
             raise NotAutomorphism("f(s(x)) is not divisible by f")
-        identity = (0, 1) + (0,) * (n - 2)
-        powers = [identity, poly_rem_monic(self.sigma, self.f)]
+        powers = [x, poly_rem_monic(self.sigma, self.f)]
         for k in range(1, n):
-            if powers[-1] == identity:
+            if powers[-1] == x:
                 raise NotAutomorphism(f"sigma has order {k} < n")
             powers.append(compose_mod(powers[-1], self.sigma, self.f))
-        if powers.pop() != identity:
+        if powers.pop() != x:
             raise NotAutomorphism("sigma does not have order n")
         if len(self.units) != n - 1:
             raise BadUnit(f"expected {n - 1} units, got {len(self.units)}")
@@ -516,18 +522,6 @@ class FieldSpec:
 
 
 # -- prime splitting --------------------------------------------------------
-
-
-def _pgcd(a, b, p):
-    """Monic gcd mod p of monic a and any b: Euclid on `poly_rem_monic`, each remainder made monic."""
-    while any(c % p for c in b):
-        b = [c % p for c in b]
-        while b[-1] == 0:
-            b.pop()
-        inv = pow(b[-1], -1, p)
-        b = [c * inv % p for c in b]
-        a, b = b, poly_rem_monic(a, b)
-    return a
 
 
 def eval_mod(a, x: int, p: int) -> int:
@@ -621,8 +615,8 @@ def _one_root(g, p, half):
         if k == p:
             raise RootNotSeparated(f"no shift mod {p} separated the roots of f")
         h = half if k == 0 else pow_mod((k * step % p, 1), (p - 1) // 2, g, p)
-        low = _pgcd(g, (h[0] - 1, *h[1:]), p)
-        factors = [low] if len(low) == 2 else [low, _pgcd(g, (h[0] + 1, *h[1:]), p)]
+        low = gcd_mod(g, (h[0] - 1, *h[1:]), p)
+        factors = [low] if len(low) == 2 else [low, gcd_mod(g, (h[0] + 1, *h[1:]), p)]
         proper = [d for d in factors if 0 < len(d) - 1 < len(g) - 1]
         if proper:
             g = min(proper, key=len)

@@ -57,7 +57,7 @@ from functools import cached_property
 from itertools import product
 
 from . import f2poly
-from .intpoly import compose_mod, mul_mod, newton_power_sums, poly_rem_monic, pow_mod
+from .intpoly import compose_mod, gcd_mod, mul_mod, newton_power_sums, poly_rem_monic, pow_mod
 
 Elem = tuple[int, ...]
 M4Class = tuple[int, ...]
@@ -154,15 +154,16 @@ def find_normal_basis(ring: ResidueRing) -> tuple[Elem, tuple[Elem, ...], tuple[
     Returns y, its orbit tau^k(y) and its trace Gram sequence c_k = Tr(y tau^k(y)),
     each computed once.  O/2 is a field because FieldSpec's C4 makes f
     irreducible mod 2, so its trace form is non-degenerate and the orbit is
-    a basis iff c is a unit of GF(2)[x]/(x^n - 1): gcd(c, x^n + 1) = 1
-    (y = 0 gives c = 0).
+    a basis iff c is a unit of GF(2)[x]/(x^n - 1): `intpoly.gcd_mod` of
+    x^n - 1 and c mod 2 is 1 (y = 0 gives c = 0, and the gcd x^n - 1).
     """
     if ring.level != 1:
         raise ValueError("normal basis search runs at modulus level 1")
+    xn_minus_1 = (-1,) + (0,) * (ring.n - 1) + (1,)
     for cand in product((0, 1), repeat=ring.n):
         orbit = tuple(ring.apply_tau(cand, k) for k in range(ring.n))
         c = _traces(ring, cand, orbit)
-        if f2poly.gcd(f2poly.from_coeffs(c), (1 << ring.n) | 1) == 1:
+        if len(gcd_mod(xn_minus_1, c, 2)) == 1:
             return cand, orbit, c
     raise RuntimeError("internal error: no normal basis generator found")
 
@@ -171,7 +172,6 @@ def find_normal_basis(ring: ResidueRing) -> tuple[Elem, tuple[Elem, ...], tuple[
 class RingFamily:
     """Rings at levels 1..3 over one field, with a fixed normal-basis presentation."""
 
-    spec: object
     rings: dict[int, ResidueRing]
     y: Elem
     y_orbit: tuple[Elem, ...]
@@ -186,7 +186,7 @@ def build_family(spec) -> RingFamily:
     """The rings O/2, O/4, O/8 of a validated field spec (only its f and sigma are read)."""
     rings = {k: ResidueRing(k, spec.f, spec.sigma) for k in (1, 2, 3)}
     y, orbit, c = find_normal_basis(rings[1])
-    return RingFamily(spec, rings, y, orbit, CirculantA(c))
+    return RingFamily(rings, y, orbit, CirculantA(c))
 
 
 def m4_class_of(family: RingFamily, u: Elem) -> M4Class:

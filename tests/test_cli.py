@@ -369,8 +369,11 @@ def _self_check_norm_misreported(monkeypatch):
 
 
 def _no_shift_separates(monkeypatch):
-    # a gcd that never splits off a proper factor, so the root descent runs out of shifts
-    monkeypatch.setattr(numfield, "_pgcd", lambda a, b, p: a)
+    # a gcd that never splits off a proper factor, so the root descent runs out of shifts;
+    # load first, since C4 takes the same gcd at load
+    spec = _load_field("simplest-cubic-7")
+    monkeypatch.setattr("spinsweep.cli._load_field", lambda arg: spec)
+    monkeypatch.setattr(numfield, "gcd_mod", lambda a, b, p: a)
 
 
 @pytest.mark.parametrize("condition, inject", [
@@ -580,7 +583,6 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_submodule_import_loads_only_its_dependencies():
-    # the package root imports nothing, so f2poly brings in intpoly alone
+    # the package root imports nothing, and f2poly is a leaf: it loads no other spinsweep module
     loaded = _modules_after_import("spinsweep.f2poly")
-    assert {m for m in loaded if m.split(".")[0] == "spinsweep"} == {"spinsweep", "spinsweep.intpoly",
-                                                                     "spinsweep.f2poly"}
+    assert {m for m in loaded if m.split(".")[0] == "spinsweep"} == {"spinsweep", "spinsweep.f2poly"}

@@ -1,14 +1,32 @@
 import pytest
 
 from spinsweep import f2poly
-from spinsweep.f2poly import F2Poly, cyclotomic_cosets, divmod_, from_coeffs, gcd, mul, mulmod, rem
+from spinsweep.f2poly import F2Poly, cyclotomic_cosets, divmod_, from_coeffs, mul
 
 X3_P1 = from_coeffs([1, 0, 0, 1])       # x^3 + 1
 X2_X_1 = from_coeffs([1, 1, 1])         # x^2 + x + 1
 X_P1 = from_coeffs([1, 1])              # x + 1
 
 
-# -- the reference factorization of x^n - 1 that `cyclotomic_cosets` is checked against
+# -- the reference factorization of x^n - 1 that `cyclotomic_cosets` is checked against,
+# on its own general-modulus GF(2) arithmetic (the package has only the cyclic ring)
+
+
+def rem(a: F2Poly, b: F2Poly) -> F2Poly:
+    """Remainder of a modulo b, for nonzero b."""
+    return divmod_(a, b)[1]
+
+
+def gcd(a: F2Poly, b: F2Poly) -> F2Poly:
+    """Greatest common divisor of a and b (monic, as every nonzero gcd is over GF(2))."""
+    while b:
+        a, b = b, rem(a, b)
+    return a
+
+
+def mulmod(a: F2Poly, b: F2Poly, m: F2Poly) -> F2Poly:
+    """Product of a and b reduced modulo m."""
+    return rem(mul(a, b), m)
 
 
 def degree(a: F2Poly):

@@ -5,7 +5,9 @@ from itertools import product
 
 import pytest
 
-from spinsweep.intpoly import mul_mod, mult_matrix, norm_mod, pow_mod, prime_factors
+from spinsweep.f2poly import from_coeffs
+from spinsweep.intpoly import gcd_mod, mul_mod, mult_matrix, norm_mod, pow_mod, prime_factors
+from test_f2poly import gcd
 
 CUBICS = ((-1, -2, 1, 1), (-1, -3, 0, 1))
 QUINTIC = (1, 3, -3, -4, 1, 1)
@@ -144,6 +146,18 @@ def test_norm_mod_pinned_and_against_rational_elimination(spec7, spec9):
         for _ in range(40):
             a = tuple(rng.randrange(-99, 100) for _ in range(n))
             assert norm_mod(a, f) == _norm_by_fractions(a, f)
+
+
+def test_gcd_mod_matches_the_gf2_gcd():
+    # at p = 2, against the bit-packed Euclid of the GF(2) reference: every monic
+    # a of degree <= 5 with every b of degree < 6, b = 0 included
+    def coeffs(bits):
+        return tuple(bits >> i & 1 for i in range(bits.bit_length()))
+
+    for a in range(1, 1 << 6):
+        for b in range(1 << 6):
+            g = gcd_mod(coeffs(a), coeffs(b), 2)
+            assert g[-1] == 1 and from_coeffs(g) == gcd(a, b), (a, b)
 
 
 def test_prime_factors_against_brute_force():

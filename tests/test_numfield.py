@@ -29,6 +29,7 @@ from spinsweep.numfield import (
     split_completely,
 )
 from spinsweep.sweep import build_tables
+from test_f2poly import trial_division_irreducible
 from test_intpoly import PINNED_NORMS, _norm_by_fractions
 
 GOOD7 = """
@@ -67,6 +68,43 @@ def test_reject_reducible_mod_2():
     for f in ("[0, -1, 0, 1]", "[0, 0, 0, 1]"):  # x^3 - x, x^3
         with pytest.raises(C4Violation):
             load_spec(GOOD7.replace("[-1, -2, 1, 1]", f))
+
+
+def _config_with_identity_sigma(f):
+    return f'name = "c4"\nf = {list(f)}\nsigma = [0, 1]\nh = 1\nunit = [1]\n'
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_c4_agrees_with_trial_division(n):
+    # every monic f with 0/1 coefficients: C4 exactly when trial division finds
+    # a factor mod 2; a passing f goes on to sigma = x, which has order 1
+    for low in range(1 << n):
+        f = [low >> i & 1 for i in range(n)] + [1]
+        if trial_division_irreducible(f2poly.from_coeffs(f)):
+            with pytest.raises(NotAutomorphism, match="order 1"):
+                load_spec(_config_with_identity_sigma(f))
+        else:
+            with pytest.raises(C4Violation):
+                load_spec(_config_with_identity_sigma(f))
+
+
+@pytest.mark.parametrize("n, factors", [
+    (15, (0b100101, 0b101001, 0b101111)),  # three quintics: only q = 3 rejects, gcd f
+    (45, (0b1000000011, 0b1000010001, 0b1000010111, 0b1000011011, 0b1000100001)),  # five nonics: only q = 5
+    (15, (0b10, 0b11, 0b1011, 0b100101, 0b101001)),  # x (x + 1), a cubic, two quintics: proper gcds
+])
+def test_c4_gcd_step_rejects_products_of_factors_of_degree_dividing_n(n, factors):
+    # distinct irreducibles mod 2 whose degrees divide n: x^(2^n) = x mod (f, 2)
+    # holds, so only the gcd of f with some x^(2^(n/q)) - x, q | n prime, rejects f
+    bits = 1
+    for g in factors:
+        assert trial_division_irreducible(g) and n % (g.bit_length() - 1) == 0
+        bits = f2poly.mul(bits, g)
+    f = [bits >> i & 1 for i in range(n + 1)]
+    x = (0, 1) + (0,) * (n - 2)
+    assert pow_mod(x, 2**n, f, 2) == x
+    with pytest.raises(C4Violation):
+        load_spec(_config_with_identity_sigma(f))
 
 
 def test_reject_even_degree():
@@ -280,7 +318,7 @@ def test_translate_moves_every_root_by_t(spec7, spec9):
 def test_loaded_spec_gives_valid_residue_rings(request, field):
     # the residue rings check only their level: what FieldSpec checked must hold in each
     spec = load_spec(LOADED_CONFIGS[field]) if field in LOADED_CONFIGS else request.getfixturevalue(field)
-    assert f2poly.is_irreducible(f2poly.from_coeffs(c % 2 for c in spec.f))
+    assert trial_division_irreducible(f2poly.from_coeffs(c % 2 for c in spec.f))
     theta = (0, 1) + (0,) * (spec.n - 2)
     for k in (1, 2, 3):
         ring = residue.ResidueRing(k, spec.f, spec.sigma)
@@ -380,7 +418,7 @@ def test_descent_shifts_visit_every_residue_once(monkeypatch, spec7):
         return real_pow(a, e, g, p)
 
     monkeypatch.setattr(numfield, "pow_mod", recording_pow)
-    monkeypatch.setattr(numfield, "_pgcd", lambda a, b, p: a)
+    monkeypatch.setattr(numfield, "gcd_mod", lambda a, b, p: a)
     for p in _primes_below(200):
         g = [c % p for c in spec7.f]
         half = real_pow((0, 1), (p - 1) // 2, g, p)
@@ -404,8 +442,8 @@ def test_descent_finds_a_root_of_products_of_linear_factors():
     # quadratic and gcd(g, h + 1) trivial, so the descent goes on from a quadratic
     g = _poly_from_roots([0, 1, 4], 13)
     half = pow_mod((0, 1), 6, g, 13)
-    assert len(numfield._pgcd(g, (half[0] - 1, *half[1:]), 13)) == 3
-    assert len(numfield._pgcd(g, (half[0] + 1, *half[1:]), 13)) == 1
+    assert len(numfield.gcd_mod(g, (half[0] - 1, *half[1:]), 13)) == 3
+    assert len(numfield.gcd_mod(g, (half[0] + 1, *half[1:]), 13)) == 1
     assert numfield._one_root(g, 13, half) in (0, 1, 4)
 
 

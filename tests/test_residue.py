@@ -22,6 +22,7 @@ from spinsweep.residue import (
     star_table,
 )
 from spinsweep.sweep import build_tables
+from test_f2poly import gcd
 
 ZERO = (0, 0, 0)
 ONES = (1, 1, 1)
@@ -113,7 +114,7 @@ def test_unit_gram_is_full_rank_orbit(request, fam_name, y):
     for cand in product((0, 1), repeat=n):
         if any(cand):
             full = _gf2_rank(_orbit(r1, cand)) == n
-            assert (f2poly.gcd(_gram(r1, cand), (1 << n) | 1) == 1) == full, cand
+            assert (gcd(_gram(r1, cand), (1 << n) | 1) == 1) == full, cand
             if full:
                 full_rank.append(cand)
     found, orbit, c = find_normal_basis(r1)
@@ -214,7 +215,7 @@ def _families11_off_self_dual(family11):
     fams = []
     for cand in product((0, 1), repeat=5):
         c = _gram(r1, cand)
-        if c != 1 and f2poly.gcd(c, 0b100001) == 1:
+        if c != 1 and gcd(c, 0b100001) == 1:
             basis = (cand, tuple(_orbit(r1, cand)), residue._traces(r1, cand, _orbit(r1, cand)))
             with mock.patch.object(residue, "find_normal_basis", lambda ring: basis):
                 fams.append(residue.build_family(ZETA11_PLUS))
@@ -506,7 +507,7 @@ def _symmetric_units(n):
     out = []
     for c0, half in product((0, 1), product((0, 1), repeat=(n - 1) // 2)):
         c = (c0,) + half + half[::-1]
-        if c != (1,) + (0,) * (n - 1) and f2poly.gcd(f2poly.from_coeffs(c), (1 << n) | 1) == 1:
+        if c != (1,) + (0,) * (n - 1) and gcd(f2poly.from_coeffs(c), (1 << n) | 1) == 1:
             out.append(CirculantA(c))
     return out
 
