@@ -58,8 +58,12 @@ def poly_rem_monic(a, f) -> tuple[int, ...]:
     return tuple(a[:n]) + (0,) * max(0, n - len(a))
 
 
-def gcd_mod(a, b, p):
-    """Monic gcd mod p of monic a and any b: Euclid on `poly_rem_monic`, each remainder made monic."""
+def gcd_mod(a, b, p) -> tuple[int, ...]:
+    """Monic gcd mod p of monic a and any b, as a tuple reduced mod p (a reduced when b = 0 mod p).
+
+    Euclid on `poly_rem_monic`, each remainder made monic.
+    """
+    a = [c % p for c in a]
     while any(c % p for c in b):
         b = [c % p for c in b]
         while b[-1] == 0:
@@ -67,7 +71,7 @@ def gcd_mod(a, b, p):
         inv = pow(b[-1], -1, p)
         b = [c * inv % p for c in b]
         a, b = b, poly_rem_monic(a, b)
-    return a
+    return tuple(a)
 
 
 def compose_mod(g, s, f) -> tuple[int, ...]:

@@ -92,7 +92,10 @@ mod p or exact, is `intpoly`'s: the root descent's gcd mod p is
 Split test through the half power: `split_completely` computes
 half = x^((p-1)/2) mod (f, p) once; p splits iff x half^2 = x, which is
 the x^p = x certificate that f mod p is a product of distinct linear
-factors, and the root descent reuses half as its shift-0 power.  The
+factors, and the root descent reuses half as its shift-0 power.
+Certificate invariant: it fails at every p | disc_f (ramified, or only
+dividing the index of Z[theta]): f mod p then has a repeated root and
+x^p - x is squarefree, so such p get [] with no separate test.  The
 descent (`_one_root`) takes, at each shift s, gcd(g, h - 1) for
 h = (x + s)^((p-1)/2) mod (g, p), and gcd(g, h + 1) only when the first
 is not linear; the two part the roots by the residue symbol of r + s, and
@@ -106,13 +109,9 @@ of both, and those of r + 1 agree exactly when those of r do.  So when
 shift 0 fails (about a quarter of split primes), shifts 1 and 2 would
 fail too.
 
-Since K is abelian, whether p splits depends only on p mod the conductor
-(Artin reciprocity), and `conductor_multiple` gives a multiple M of it
-from disc_f and n: p splits iff p mod M lies in H, a subgroup of index n
-of (Z/M)^*.  The sweep holds H as a table built once from one prime per
-class and checked to be such a subgroup (`sweep.FieldTables`); it runs
-the direct test only at primes of H, where a failure is a violation, so
-every split prime is still certified by it.
+`conductor_multiple` gives a multiple M of the conductor from disc_f and
+n; the sweep's table of split classes mod M stands on it, and every split
+prime is still certified by the direct test (the `sweep` module).
 
 Sigma-orbit invariant: the config guarantees f(s(x)) = 0 mod f and that
 sigma has order n, so for p not dividing disc_f the map b -> s(b) mod p
@@ -178,10 +177,6 @@ class BadUnit(FieldConfigError):
     condition = "unit"
 
 
-class RamifiedPrime(Exception):
-    """Rational prime divides disc_f; callers must exclude it."""
-
-
 class PrimeFailure(RuntimeError):
     """Per-prime work gave no answer; a sweep reports it by class name, with the prime."""
 
@@ -235,7 +230,10 @@ class Embeddings:
         self._boxes = tuple(_power_box(b, self._n) for b in self._brackets)
 
     def signs_of(self, a: AlgInt) -> tuple[int, ...]:
-        """Exact sign of a(theta) under each real embedding, ascending root order."""
+        """Exact sign of a(theta) under each real embedding, ascending root order.
+
+        Only tests call it; searches use `signs_and_norm`.  perfbench/tracer.py wraps it by name.
+        """
         return tuple([sign for sign, _, _, _ in self._certify(a)])
 
     def signs_and_norm(self, a: AlgInt) -> tuple[tuple[int, ...], int]:
@@ -518,6 +516,10 @@ class FieldSpec:
         return mul_mod(a, b, self.f)
 
     def norm(self, a: AlgInt) -> int:
+        """N(a) by Bareiss: the tests' independent reference for the box norm.
+
+        No package code calls it (searches read the box norm); perfbench/tracer.py wraps it by name.
+        """
         return norm_mod(a, self.f)
 
 
@@ -532,18 +534,13 @@ def eval_mod(a, x: int, p: int) -> int:
     return acc
 
 
-def check_unramified(spec: FieldSpec, p: int) -> None:
-    """Raise ValueError unless p is an odd prime candidate, RamifiedPrime when p divides disc_f."""
+def _check_deg1_prime(spec: FieldSpec, P: PrimeDeg1) -> None:
+    """Reject P unless it is (p, theta - a) with p odd and prime to disc_f, and f(a) = 0 mod p."""
+    p, a = P
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be an odd prime")
     if spec.disc_f % p == 0:
-        raise RamifiedPrime(p)
-
-
-def _check_deg1_prime(spec: FieldSpec, P: PrimeDeg1) -> None:
-    """Reject P unless it is (p, theta - a) with p unramified and f(a) = 0 mod p."""
-    p, a = P
-    check_unramified(spec, p)
+        raise ValueError(f"P lies above {p}, which divides disc_f")
     if not 0 <= a < p or eval_mod(spec.f, a, p):
         raise ValueError("P is not a degree-one prime of this field")
 
@@ -569,11 +566,11 @@ def conductor_multiple(spec: FieldSpec) -> int:
 
 
 def _sigma_orbit(spec: FieldSpec, a: int, p: int) -> list[int]:
-    """a, s(a), ..., s^(n-1)(a) mod p for a root a of f mod p, p unramified."""
+    """a, s(a), ..., s^(n-1)(a) mod p for a root a of f mod p, p prime to disc_f."""
     orbit = [a]
     for _ in range(spec.n - 1):
         orbit.append(eval_mod(spec.sigma, orbit[-1], p))
-    assert len(set(orbit)) == spec.n, "sigma acts freely on the roots of an unramified prime"
+    assert len(set(orbit)) == spec.n, "sigma acts freely on the roots mod a prime to disc_f"
     return orbit
 
 
@@ -583,9 +580,11 @@ def split_completely(spec: FieldSpec, p: int) -> list[int]:
     One powering: half = x^((p-1)/2) mod (f, p), and p splits iff
     x half^2 = x, which is x^p = x, the exact certificate that f mod p is a
     product of distinct linear factors.  The root descent reuses half as
-    its shift-0 power.  Raises RamifiedPrime when p divides disc_f.
+    its shift-0 power.  Every p dividing disc_f gets []: f mod p then has a
+    repeated root, and x^p - x has none.  ValueError unless p is odd.
     """
-    check_unramified(spec, p)
+    if p < 3 or p % 2 == 0:
+        raise ValueError("p must be an odd prime")
     x = (0, 1) + (0,) * (spec.n - 2)
     half = pow_mod(x, (p - 1) // 2, spec.f, p)
     if mul_mod(x, mul_mod(half, half, spec.f, p), spec.f, p) != x:
@@ -809,8 +808,8 @@ def generator_of_power(spec: FieldSpec, P: PrimeDeg1) -> AlgInt:
     takes the first with |norm| = p^h, and multiplies by the unit whose
     sign pattern cancels the candidate's.  Each element tested, the
     returned one included, gets its signs and norm from one box pass
-    (`Embeddings.signs_and_norm`).  Raises RamifiedPrime for p
-    dividing disc_f and ValueError when P is not a prime of this field.
+    (`Embeddings.signs_and_norm`).  ValueError when P is not a
+    degree-one prime of this field or lies above a p dividing disc_f.
     """
     _check_deg1_prime(spec, P)
     n, h = spec.n, spec.h

@@ -31,9 +31,11 @@ p, so records, tallies and CSV output are identical for every worker count.
 Split-class invariant: K is abelian, so by Artin reciprocity p splits
 completely iff p mod M lies in H, a subgroup of index n of (Z/M)^*, for
 M = `numfield.conductor_multiple`.  `build_tables` finds H once, by the
-direct split test at the least unramified prime of each unit class, and
-checks that it is a subgroup of index n; the sweep then runs the split
-test only at primes of H, where it must split.  So the split test runs at
+direct split test at the least prime of each unit class, and checks that
+it is a subgroup of index n; the sweep then runs the split test only at
+primes of H, where it must split.  A prime of disc_f divides M, so it is
+in no unit class and never split, as the test's own certificate would
+also say (`numfield.split_completely`).  So the split test runs at
 the same primes for every worker count.  The only state kept between
 primes is one exact memo on the tables: the mod-4 class of each generator
 residue mod 4 already classified.  It lasts one sweep when serial and one
@@ -51,6 +53,7 @@ import os
 
 from . import numfield, residue
 from .density import density_report
+from .intpoly import prime_factors
 from .numfield import PrimeDeg1
 
 
@@ -113,7 +116,6 @@ class FieldTables:
 
     def split_roots(self, p: int) -> list[int]:
         """`numfield.split_completely(spec, p)`, tested only when p mod modulus is a split class."""
-        numfield.check_unramified(self.spec, p)
         if p % self.modulus not in self.split_classes:
             return []
         roots = numfield.split_completely(self.spec, p)
@@ -133,18 +135,18 @@ class FieldTables:
 
 
 def _split_classes(spec: numfield.FieldSpec, modulus: int) -> frozenset[int]:
-    """H, the unit classes mod modulus whose least unramified prime splits completely.
+    """H, the unit classes mod modulus whose least prime splits completely.
 
-    Primes are tried in ascending order, skipping those dividing disc_f or
-    modulus, and each unit class is decided by its first prime.  H must be
-    a subgroup of index n, or modulus is not a multiple of the conductor.
+    Primes are tried in ascending order, skipping those dividing modulus,
+    and each unit class is decided by its first prime.  H must be a
+    subgroup of index n, or modulus is not a multiple of the conductor.
     """
     units = sum(math.gcd(r, modulus) == 1 for r in range(modulus))
     decided = {}
     lo, hi = 3, 4 * modulus
     while len(decided) < units:
         for p in odd_primes_in(lo, hi):
-            if spec.disc_f % p and modulus % p and p % modulus not in decided:
+            if modulus % p and p % modulus not in decided:
                 try:
                     decided[p % modulus] = bool(numfield.split_completely(spec, p))
                 except numfield.PrimeFailure as exc:
@@ -167,7 +169,7 @@ def build_tables(spec: numfield.FieldSpec) -> FieldTables:
 
 
 def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
-    """Classify one odd unramified prime; None when p does not split completely."""
+    """Classify one odd prime; None when p does not split completely, as for every p dividing disc_f."""
     spec = tables.spec
     n = spec.n
     roots = tables.split_roots(p)
@@ -232,21 +234,17 @@ def odd_primes_in(lo: int, hi: int) -> list[int]:
 # -- sweep driver -------------------------------------------------------------
 
 
-def _classify_range(tables: FieldTables, lo: int, hi: int):
-    """Records of the split primes and the ramified primes skipped in the window [lo, hi)."""
+def _classify_range(tables: FieldTables, lo: int, hi: int) -> list[PrimeRecord]:
+    """Records of the split primes in the window [lo, hi)."""
     records = []
-    skipped = []
     for p in odd_primes_in(lo, hi):
         try:
             rec = classify_prime(tables, p)
-        except numfield.RamifiedPrime:
-            skipped.append(p)
-            continue
         except numfield.PrimeFailure as exc:
             raise type(exc)(f"p={p}: {exc}") from exc
         if rec is not None:
             records.append(rec)
-    return records, skipped
+    return records
 
 
 @dataclass
@@ -255,7 +253,7 @@ class SweepResult:
     limit: int
     tally: Tally
     norm_sign: dict  # sign sector of each mod-4 class: +1 for S+, -1 for S-
-    skipped_ramified: list[int]
+    skipped_ramified: list[int]  # the primes of disc_f up to limit, none of which splits
     report_rows: list  # (quantity, empirical, stderr, theoretical Fraction, delta, passed)
 
     @property
@@ -315,17 +313,16 @@ def run_sweep(spec: numfield.FieldSpec, limit: int, jobs: int = 1, sink=None) ->
     # the pool starts all its workers at the first submit, so start no idle ones
     jobs = min(jobs, len(bounds))
     tables = build_tables(spec)
-    tally, skipped = Tally(), []
+    tally = Tally()
 
-    def take(records, window_skipped):
+    def take(records):
         tally.update((rec.m4_bits, rec.spins) for rec in records)
-        skipped.extend(window_skipped)
         if sink is not None:
             sink(records)
 
     if jobs == 1:
         for lo, hi in bounds:
-            take(*_classify_range(tables, lo, hi))
+            take(_classify_range(tables, lo, hi))
     else:
         # imported here, so that a serial sweep never loads multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -335,13 +332,14 @@ def run_sweep(spec: numfield.FieldSpec, limit: int, jobs: int = 1, sink=None) ->
                 for lo, hi in bounds:
                     ahead.append(pool.submit(_classify_range, tables, lo, hi))
                     if len(ahead) == 2 * jobs:
-                        take(*ahead.popleft().result())
+                        take(ahead.popleft().result())
                 while ahead:
-                    take(*ahead.popleft().result())
+                    take(ahead.popleft().result())
             except BrokenProcessPool as exc:
                 raise WorkerCrashed(str(exc)) from exc
     norm_sign = tables.star.norm_sign
     rows = build_report_rows(spec, tally, norm_sign)
+    skipped = [q for q in prime_factors(abs(spec.disc_f)) if q <= limit]  # disc_f is odd (C4)
     return SweepResult(spec, limit, tally, norm_sign, skipped, rows)
 
 
@@ -372,7 +370,6 @@ def build_report_rows(spec: numfield.FieldSpec, tally: Tally, norm_sign: dict):
     """
     tol = DEFAULT_TOLERANCES
     rep = density_report(spec.n)
-    half = Fraction(1, 1 << ((spec.n - 1) // 2))
     sector = norm_sign.__getitem__
     S, R, F = marginal(tally, sector), marginal(tally, sector, in_R), marginal(tally, sector, in_F)
     rows = [
@@ -381,8 +378,9 @@ def build_report_rows(spec: numfield.FieldSpec, tally: Tally, norm_sign: dict):
         _ratio_row("F-/S-", F[-1], S[-1], rep.dF_minus, tol["F-/S-"]),
         _ratio_row("R+/S+", R[1], S[1], rep.dR_plus, tol["R+/S+"]),
         _ratio_row("R-/S-", R[-1], S[-1], rep.dR_minus, tol["R-/S-"]),
-        _ratio_row("F+/R+", F[1], R[1], half, tol["F+/R+"]),
-        _ratio_row("F-/R-", F[-1], R[-1], half, tol["F-/R-"]),
+        # F is a subset of R, so d(F+|R+) = d(F+|S+) / d(R+|S+), and likewise for S-
+        _ratio_row("F+/R+", F[1], R[1], rep.dF_plus / rep.dR_plus, tol["F+/R+"]),
+        _ratio_row("F-/R-", F[-1], R[-1], rep.dF_minus / rep.dR_minus, tol["F-/R-"]),
     ]
     # mod-4 equidistribution: each class bin against its own sign sector, which
     # classify_prime has checked to be p mod 4 for every prime in the bin
@@ -397,22 +395,20 @@ def build_report_rows(spec: numfield.FieldSpec, tally: Tally, norm_sign: dict):
 def format_report(result: SweepResult) -> str:
     """Aligned text table: quantity | empirical | theoretical | |delta| | pass/fail."""
     S = marginal(result.tally, result.norm_sign.__getitem__)
-    head = [
+    lines = [
         f"field = {result.spec.name}   X = {result.limit}",
         f"split primes: {S.total()}  (S+ = {S[1]}, S- = {S[-1]};"
         f" ramified skipped: {len(result.skipped_ramified)})",
         "",
         f"{'quantity':<12} | {'empirical':<18} | {'theoretical':<12} | {'|delta|':<9} | pass/fail",
     ]
-    lines = head
     for name, emp, stderr, theo, delta, ok in result.report_rows:
         theo_s = f"{theo.numerator}/{theo.denominator}"
         emp_s, delta_s = ("no primes", "-") if emp is None else (f"{emp:.5f} +- {stderr:.5f}", f"{delta:.5f}")
         lines.append(
             f"{name:<12} | {emp_s:<18} | {theo_s:<12} | {delta_s:<9} | " + ("PASS" if ok else "FAIL")
         )
-    lines.append("")
-    lines.append(f"overall: {'PASS' if result.passed else 'FAIL'}")
+    lines += ["", f"overall: {'PASS' if result.passed else 'FAIL'}"]
     return "\n".join(lines)
 
 

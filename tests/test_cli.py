@@ -321,7 +321,7 @@ def test_sweep_jobs_splits_the_range(monkeypatch, capsys, in_process_pool):
 
     def record(tables, lo, hi):
         windows.append((lo, hi))
-        return [], []
+        return []
 
     monkeypatch.setattr(sweep, "_classify_range", record)
     code = main(["sweep", "--field", "simplest-cubic-7", "--limit", "100000", "--jobs", "2"])
@@ -393,14 +393,14 @@ def test_sweep_search_failure_is_named(monkeypatch, capsys, condition, inject):
 
 
 def test_sweep_non_principal_prime_is_a_named_miss(tmp_path, capsys):
-    # a real miss, not an injected one: Shanks m = 12 has class number 3, so
-    # with h = 1 typed in, P over 13 has no generator and the search runs out
-    cfg = tmp_path / "shanks-12.cfg"
-    cfg.write_text(shanks_cubic(12))
+    # a real miss, not an injected one: Shanks m = 14 has class number 3, so
+    # with h = 1 typed in, P over 17 has no generator and the search runs out
+    cfg = tmp_path / "shanks-14.cfg"
+    cfg.write_text(shanks_cubic(14))
     code = main(["sweep", "--field", str(cfg), "--limit", "200"])
     captured = capsys.readouterr()
     assert code == 4
-    assert captured.err == "sweep failed [GeneratorNotFound]: p=13: no generator of norm 13 within the search radius\n"
+    assert captured.err == "sweep failed [GeneratorNotFound]: p=17: no generator of norm 17 within the search radius\n"
     assert captured.out == ""
 
 

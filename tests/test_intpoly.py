@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from spinsweep.f2poly import from_coeffs
-from spinsweep.intpoly import gcd_mod, mul_mod, mult_matrix, norm_mod, pow_mod, prime_factors
+from spinsweep.intpoly import gcd_mod, mul_mod, mult_matrix, norm_mod, poly_rem_monic, pow_mod, prime_factors
 from test_f2poly import gcd
 
 CUBICS = ((-1, -2, 1, 1), (-1, -3, 0, 1))
@@ -158,6 +158,34 @@ def test_gcd_mod_matches_the_gf2_gcd():
         for b in range(1 << 6):
             g = gcd_mod(coeffs(a), coeffs(b), 2)
             assert g[-1] == 1 and from_coeffs(g) == gcd(a, b), (a, b)
+
+
+def test_gcd_mod_is_reduced_when_b_vanishes_mod_p():
+    # b = 0 mod 2 ends Euclid before it starts: the gcd is a, reduced mod 2
+    assert gcd_mod((-1, 0, 0, 1), (2, 4), 2) == (1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_gcd_mod_is_the_greatest_common_monic_divisor(p):
+    # every monic a and every b over GF(p), both of degree <= 3 (b = 0
+    # included), passed with coefficients lifted out of [0, p): the gcd is a
+    # monic tuple reduced mod p that divides both, of the degree of their
+    # largest common monic divisor, found by trying every monic d of degree <= 3
+    monic = [(*low, 1) for k in range(4) for low in product(range(p), repeat=k)]
+
+    def divisors(g):
+        return {d for d in monic if not any(c % p for c in poly_rem_monic(g, d))}
+
+    def lift(g):
+        return tuple(c + p * (-1) ** i for i, c in enumerate(g))
+
+    for a in monic:
+        of_a = divisors(a)
+        for b in product(range(p), repeat=4):
+            common = of_a & divisors(b)
+            g = gcd_mod((*lift(a[:-1]), 1), lift(b), p)
+            assert type(g) is tuple and g[-1] == 1 and all(0 <= c < p for c in g), (a, b, g)
+            assert g in common and len(g) == max(map(len, common)), (a, b, g)
 
 
 def test_prime_factors_against_brute_force():

@@ -10,7 +10,16 @@ from types import SimpleNamespace
 import pytest
 
 from spinsweep import f2poly, numfield, residue
-from spinsweep.intpoly import compose_mod, det_bareiss, mul_mod, norm_mod, poly_mul, poly_rem_monic, pow_mod
+from spinsweep.intpoly import (
+    compose_mod,
+    det_bareiss,
+    mul_mod,
+    norm_mod,
+    poly_mul,
+    poly_rem_monic,
+    pow_mod,
+    prime_factors,
+)
 from spinsweep.numfield import (
     BadUnit,
     C4Violation,
@@ -19,7 +28,6 @@ from spinsweep.numfield import (
     FieldConfigError,
     NotAutomorphism,
     PrimeDeg1,
-    RamifiedPrime,
     RootNotSeparated,
     conjugate_chain,
     eval_mod,
@@ -362,18 +370,16 @@ def test_split_5_empty(spec7):
 
 
 def test_split_7_ramified(spec7):
-    with pytest.raises(RamifiedPrime):
-        split_completely(spec7, 7)
+    # 7 | disc_f and f = (x - 2)^3 mod 7: the certificate x^7 = x fails on the repeated root
+    assert split_completely(spec7, 7) == []
+    assert brute_roots(spec7, 7) == [2]
 
 
 @pytest.mark.parametrize("p", [p for p in range(3, 2000, 2)
                                if all(p % q for q in range(3, int(p**0.5) + 1, 2))] + [9973])
 def test_split_matches_brute_force(spec7, spec9, p):
+    # at p | disc_f (7 for c7, 3 for c9) f mod p has fewer than n distinct roots, so []
     for spec in (spec7, spec9, SHIFTED7):
-        if spec.disc_f % p == 0:
-            with pytest.raises(RamifiedPrime):
-                split_completely(spec, p)
-            continue
         roots = split_completely(spec, p)
         brute = brute_roots(spec, p)
         assert roots == (sorted(brute) if len(brute) == spec.n else [])
@@ -470,7 +476,7 @@ def test_descent_powerings_below_1e5(monkeypatch, spec7, spec9):
     monkeypatch.setattr(numfield, "_one_root", flagged_root)
     for spec in (spec7, spec9):
         count[0] = 0
-        split = sum(bool(split_completely(spec, p)) for p in _primes_below(10**5) if spec.disc_f % p)
+        split = sum(bool(split_completely(spec, p)) for p in _primes_below(10**5))
         assert split > 3000
         assert count[0] <= 1200, (spec.name, count[0])
 
@@ -499,10 +505,6 @@ def test_split_classes_agree_with_the_direct_split_test(request, text, modulus):
         assert split == {1, modulus - 1}
     x = (0, 1) + (0,) * (spec.n - 2)
     for p in _primes_below(20_000):
-        if spec.disc_f % p == 0:
-            with pytest.raises(RamifiedPrime):
-                tables.split_roots(p)
-            continue
         direct = pow_mod((0, 1), p, spec.f, p) == x
         assert bool(tables.split_roots(p)) == direct, p
 
@@ -522,9 +524,10 @@ def test_conjugate_orbit(spec7):
 
 
 def test_conjugate_rejects_foreign_prime(spec7):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a degree-one prime"):
         conjugate_chain(spec7, PrimeDeg1(13, 1))
-    with pytest.raises(RamifiedPrime):
+    # f(2) = 0 mod 7, but 7 | disc_f
+    with pytest.raises(ValueError, match="^P lies above 7, which divides disc_f$"):
         conjugate_chain(spec7, PrimeDeg1(7, 2))
 
 
@@ -707,7 +710,7 @@ def test_lll_takes_the_reference_steps(spec7, spec9, quintic, h):
         for p in _primes_below(10**5):
             if split == 300:
                 break
-            if spec.disc_f % p == 0 or not (roots := split_completely(spec, p)):
+            if not (roots := split_completely(spec, p)):
                 continue
             split += 1
             for a in roots:
@@ -725,9 +728,8 @@ def _primes_below(limit):
 def _generator_digest(spec, limit):
     digest = hashlib.sha256()
     for p in _primes_below(limit):
-        if spec.disc_f % p:
-            for a in split_completely(spec, p):
-                digest.update(repr((p, a, generator_of_power(spec, PrimeDeg1(p, a)))).encode())
+        for a in split_completely(spec, p):
+            digest.update(repr((p, a, generator_of_power(spec, PrimeDeg1(p, a)))).encode())
     return digest.hexdigest()
 
 
@@ -1045,16 +1047,41 @@ def test_generator_rejects_ramified_prime(spec7, spec9):
     for spec, P in ((spec7, PrimeDeg1(7, 2)), (spec9, PrimeDeg1(3, 1))):
         assert eval_mod(spec.f, P.a, P.p) == 0
         for h in (1, 3):
-            with pytest.raises(RamifiedPrime):
+            with pytest.raises(ValueError, match=f"^P lies above {P.p}, which divides disc_f$"):
                 generator_of_power(with_h(spec, h), P)
 
 
+DISC_PRIME_FIELDS = {
+    "real-cyclotomic-19": REAL_CYCLOTOMIC19,
+    **{f"shanks-{m}": shanks_cubic(m) for m in (2, 4, 10, 12, 14)},
+}
+
+
+@pytest.mark.parametrize("field", ["spec7", "spec9", "quintic", *DISC_PRIME_FIELDS])
+def test_primes_of_disc_f_do_not_split(request, field):
+    # f mod q has a repeated root when q | disc_f and x^q - x has none, so the
+    # certificate alone gives []; on Shanks m = 12, q = 3 divides only the index
+    # of Z[theta].  Each root a of f mod q still names no prime the chain or the
+    # search accepts
+    spec = load_spec(DISC_PRIME_FIELDS[field]) if field in DISC_PRIME_FIELDS else request.getfixturevalue(field)
+    for q in prime_factors(abs(spec.disc_f)):
+        assert split_completely(spec, q) == []
+        roots = brute_roots(spec, q)
+        assert 0 < len(roots) < spec.n
+        for a in roots:
+            for call in (conjugate_chain, generator_of_power):
+                with pytest.raises(ValueError, match=f"^P lies above {q}, which divides disc_f$"):
+                    call(spec, PrimeDeg1(q, a))
+
+
 def test_non_principal_prime_walks_every_stage_and_misses(monkeypatch):
-    # Shanks m = 12 has class number 3; typed in as h = 1, the primes over 13
-    # are not principal, so the search tests every vector of every radius
-    # stage, to the end of each walk, and names the miss
-    spec = load_spec(shanks_cubic(12))
-    assert split_completely(spec, 13) == [7, 8, 10]
+    # Shanks m = 14 (conductor 247, Z[theta] the maximal order) has class
+    # number 3; typed in as h = 1, the primes over 17 are not principal, so the
+    # search tests every vector of every radius stage, to the end of each
+    # walk, and names the miss
+    spec = load_spec(shanks_cubic(14))
+    assert spec.disc_f == 247**2
+    assert split_completely(spec, 17) == [6, 12, 13]
     real = numfield.Embeddings.signs_and_norm
     tested = []
 
@@ -1063,17 +1090,18 @@ def test_non_principal_prime_walks_every_stage_and_misses(monkeypatch):
         return real(self, a)
 
     monkeypatch.setattr(numfield.Embeddings, "signs_and_norm", count)
-    for a in (7, 8, 10):
+    for a in (6, 12, 13):
         tested.clear()
-        with pytest.raises(numfield.GeneratorNotFound, match="^no generator of norm 13 within the search radius$"):
-            generator_of_power(spec, PrimeDeg1(13, a))
-        _, lam, d, base = _search_data(spec, 13, a)
+        with pytest.raises(numfield.GeneratorNotFound, match="^no generator of norm 17 within the search radius$"):
+            generator_of_power(spec, PrimeDeg1(17, a))
+        _, lam, d, base = _search_data(spec, 17, a)
         stages = [list(numfield._enumerate_short(lam, d, mult * mult * base)) for mult in numfield._RADIUS_STAGES]
-        assert len(tested) == sum(map(len, stages)) and all(stages)
+        assert [len(stage) for stage in stages] == [19, 83, 687]
+        assert len(tested) == sum(map(len, stages))
     # at h = 3 the cube of each is principal, and the same search finds its generator
     cubed = with_h(spec, 3)
-    for a in (7, 8, 10):
-        assert spec.norm(generator_of_power(cubed, PrimeDeg1(13, a))) == 13**3
+    for a in (6, 12, 13):
+        assert spec.norm(generator_of_power(cubed, PrimeDeg1(17, a))) == 17**3
 
 
 LIFT_PRIMES = (13, 19, 97, 1009, 10009)
@@ -1188,10 +1216,7 @@ def test_symbol_flip_for_one_mod_4_generators(spec7):
     split = []
     for p in range(3, 700, 2):
         if all(p % q for q in range(3, int(p**0.5) + 1, 2)):
-            try:
-                roots = split_completely(spec7, p)
-            except RamifiedPrime:
-                continue
+            roots = split_completely(spec7, p)
             if roots:
                 split.append(PrimeDeg1(p, roots[0]))
     # unit squares available for nudging a generator into 1 + 4O
@@ -1337,16 +1362,15 @@ def test_generator_search_takes_no_bareiss_norm(monkeypatch, spec7, quintic):
     monkeypatch.setattr(numfield.FieldSpec, "norm", lambda spec, a: pytest.fail("FieldSpec.norm called"))
     for spec, limit in ((spec7, 2000), (quintic, 500)):
         for p in _primes_below(limit):
-            if spec.disc_f % p:
-                for a in split_completely(spec, p):
-                    generator_of_power(spec, PrimeDeg1(p, a))
+            for a in split_completely(spec, p):
+                generator_of_power(spec, PrimeDeg1(p, a))
     assert fallbacks == []
 
 
 SIGNATURE_FIELDS = {
     "real-quintic-11": QUINTIC11,
     **{f"shanks-{m}": shanks_cubic(m) for m in (2, 4, 8, 10)},
-    "shanks-12-h3": shanks_cubic(12).replace("h = 1", "h = 3"),
+    "shanks-14-h3": shanks_cubic(14).replace("h = 1", "h = 3"),
     "real-cyclotomic-19": REAL_CYCLOTOMIC19,
 }
 

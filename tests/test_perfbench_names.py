@@ -1,7 +1,8 @@
 """The benchmark's tracer must still find every function it times, and its pins must hold.
 
 `perfbench/tracer.py` names its targets by module and attribute; a rename
-in `spinsweep` would only show when a traced benchmark run fails.  The
+in `spinsweep` would only show when a traced benchmark run fails.  A traced
+small sweep must also pass the checks the benchmark makes on its counts.  The
 `exact-kernels` workload checks values pinned in `perfbench/workloads.py`
 (pure data); a change that breaks them fails here rather than only in the
 benchmark.  These tests read both files from `perfbench/` and change
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 import spinsweep.cli  # noqa: F401  (the tracer patches every loaded spinsweep module)
-from spinsweep import checks, residue
+from spinsweep import checks, residue, sweep
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,3 +75,24 @@ def test_tracer_targets_resolve_and_restore():
         assert getattr(owner, attr) is fn
     for target, fn in originals.items():
         assert tracer._resolve(*target)[2] is fn
+
+
+def test_traced_sweep_passes_the_benchmark_checks(tmp_path, capsys):
+    # the two checks perfbench/child.py makes on every traced sweep pass: the
+    # traced split primes are the CSV rows, and each row makes 2(n - 1)
+    # identity checks; and every odd prime up to X is classified once
+    tracer = _load("tracer")
+    csv = tmp_path / "c7.csv"
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        spinsweep.cli.main(["sweep", "--field", "simplest-cubic-7", "--limit", "2000", "--jobs", "1",
+                            "--csv", str(csv)])
+    finally:
+        tr.uninstall()
+    capsys.readouterr()
+    rows = csv.read_text(encoding="utf-8").count("\n") - 1
+    metrics = tracer.layer_metrics(tr.spans)
+    assert rows == metrics["sweep.split_primes"] == 97
+    assert metrics["sweep.identity_checks"] == 2 * (3 - 1) * rows == 388
+    assert metrics["sweep.primes_tested"] == len(sweep.odd_primes_in(3, 2001)) == 302

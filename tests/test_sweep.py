@@ -161,7 +161,9 @@ def test_report_rows_from_records(request, field):
 
 
 def test_ramified_primes_still_skipped(spec9):
-    # the ramified check runs before the table lookup, so p | disc_f is listed, not classified
+    # 3 | disc_f divides the modulus, so it is in no split class and classifies as
+    # not split; the report lists it from the factors of disc_f
+    assert sweep.classify_prime(sweep.build_tables(spec9), 3) is None
     assert run_sweep(spec9, 1000, jobs=1).skipped_ramified == [3]
 
 
@@ -448,7 +450,7 @@ def test_pool_parent_holds_at_most_two_windows_per_worker(monkeypatch, spec7, in
     def window(tables, lo, hi):
         done.append((lo, hi))
         held.append(len(done) - len(taken))
-        return [], []
+        return []
 
     monkeypatch.setattr(sweep, "_classify_range", window)
     run_sweep(spec7, 50_000, jobs=3, sink=taken.append)
