@@ -21,10 +21,17 @@ from .residue import Elem, M4Class, RingFamily, StarTable, hilbert2, m4_class_of
 
 # largest degree the suites are run at: at n = 5 the well-definedness loop of
 # `hilbert_suite` alone is 32 * 32 * (32 + 496) = 540 672 oracle calls.  On a
-# 2-vCPU sandbox they average about 0.3 ms with the ring's product memo (6 ms
-# without), so about three minutes, while the memo grows to some 17 000 lists
-# of 528 products, about 300 MB
+# 2-vCPU sandbox its first 6 of 32 classes take 7.3 s (0.07 ms a call), so the
+# loop takes about 45 s, while the ring's product memo grows by some 510
+# tuples of 528 packed products per class, about 16 000 tuples and 310 MB in
+# all.  The memo still holds |squares| ints per key, so memory keeps the cap
 MAX_SUITE_DEGREE = 3
+
+# largest degree `oracle_star_table` is run at: the oracle squares each of the
+# 8^n elements of O/8 once per ring, so `verify-kernel` takes about 0.3 s at
+# n = 5 on a 2-vCPU sandbox, but 8^7 = 2 097 152 ring products at n = 7, and
+# at n = 9 8^9 of some 16 us each, over half an hour
+MAX_ORACLE_DEGREE = 5
 
 
 @dataclass(frozen=True)
@@ -156,9 +163,13 @@ def hilbert_suite(family: RingFamily) -> list[CheckResult]:
     return out
 
 
-def kernel_routes(star: StarTable, pairing: residue.CirculantA):
-    """The (ker_plus, ker_minus) counts three ways: closed form, star table, autocorrelation."""
-    return s_pair(len(pairing.c)), (star.ker_plus, star.ker_minus), residue.kernel_counts_via_B(pairing)
+def kernel_routes(star: StarTable | None, pairing: residue.CirculantA):
+    """The (ker_plus, ker_minus) counts three ways: closed form, star table, autocorrelation.
+
+    The star-table count is None when `star` is (the oracle was not run).
+    """
+    brute = None if star is None else (star.ker_plus, star.ker_minus)
+    return s_pair(len(pairing.c)), brute, residue.kernel_counts_via_B(pairing)
 
 
 def kernel_suite(family: RingFamily, star: StarTable) -> list[CheckResult]:

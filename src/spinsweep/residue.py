@@ -35,9 +35,16 @@ Built on top of the rings:
     scales to a primitive integral one; the congruence condition is
     therefore exactly solvability at the place 2.  Each ring remembers the
     products v*t (t a square) for every v its oracle has scanned with
-    (`ResidueRing.square_multiples`, packed in lanes of 4 bits, created on
-    the first call): the memo belongs to the ring object, so every
-    `build_family` starts with an empty one, and nothing else caches them.
+    (`ResidueRing.square_multiples`, created on the first call): the memo
+    belongs to the ring object, so every `build_family` starts with an
+    empty one, and nothing else caches them.  The scans work on packed
+    elements (`ResidueRing.pack`), coefficient j in lane j of
+    bits(n (m - 1)^2) bits, m = 2^level, and mask holds m - 1 in every
+    lane.  Lane invariant: a sum of at most n lane-wise products of
+    residues in [0, m), and so also a sum of two packed elements, stays
+    below 2^lane, so no lane carries into the next and `& mask` reduces
+    every lane mod m.  A memo entry therefore costs n ring products: with
+    row_j = pack(v theta^j), pack(v t) = (sum_j t_j row_j) & mask.
 
 The normal-basis test, the class coordinates, the pairing, the star
 values, b and h are one product, `f2poly.cyclic_mul` in GF(2)[x]/(x^n - 1),
@@ -55,6 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from operator import mul
 
 from . import f2poly
 from .intpoly import compose_mod, gcd_mod, mul_mod, newton_power_sums, poly_rem_monic, pow_mod
@@ -86,6 +94,7 @@ class ResidueRing:
         self.level = level
         self.mod = 1 << level
         m = self.mod
+        self.lane = (self.n * (m - 1) ** 2).bit_length()  # bits per coefficient in `pack`
         self.f = tuple(c % m for c in f_int)
         self.sigma = tuple(c % m for c in poly_rem_monic(tuple(sigma_int), tuple(f_int)))
 
@@ -126,10 +135,10 @@ class ResidueRing:
     # -- the oracle's packed scans (filled by `hilbert2`, never by __init__) --
 
     def pack(self, a: Elem) -> int:
-        """a as one int: coefficient j, reduced mod 2^level, in lane j of level + 1 bits."""
+        """a as one int: coefficient j, reduced mod 2^level, in lane j of `lane` bits."""
         packed = 0
         for c in reversed(a):
-            packed = packed << self.level + 1 | c % self.mod
+            packed = packed << self.lane | c % self.mod
         return packed
 
     @cached_property
@@ -229,8 +238,10 @@ def hilbert2(ring: ResidueRing, a: Elem, b: Elem) -> int:
 
     def scan(u: Elem, v: Elem) -> bool:
         """Is u + v*t a square for some square t?  Lanes add without carry; the mask reduces mod 8."""
-        if v not in memo:
-            memo[v] = tuple(ring.pack(ring.mul(v, t)) for t in ring.squares)
+        if v not in memo:  # one packed dot product per square (the lane invariant)
+            theta_powers = (tuple(int(i == j) for i in range(ring.n)) for j in range(ring.n))
+            rows = [ring.pack(ring.mul(v, e)) for e in theta_powers]
+            memo[v] = tuple(sum(map(mul, t, rows)) & mask for t in ring.squares)
         pu = ring.pack(u)
         return any((pu + w) & mask in squares for w in memo[v])
 

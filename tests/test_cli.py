@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import spinsweep
-from spinsweep import numfield, sweep
+from spinsweep import checks, numfield, residue, sweep
 from spinsweep.cli import BUILTIN_FIELDS, _load_field, main
-from test_numfield import QUINTIC11, shanks_cubic
+from test_numfield import QUINTIC11, REAL_CYCLOTOMIC19, shanks_cubic
 
 
 def builtin_path():
@@ -71,9 +71,16 @@ def test_unknown_flag_rejected(capsys):
 
 def test_verify_kernel(capsys):
     assert main(["verify-kernel", "--field", builtin_path()]) == 0
-    out = capsys.readouterr().out
-    assert "verdict: AGREE" in out
-    assert "(1, 3)" in out
+    assert capsys.readouterr().out == """\
+field = simplest-cubic-7  (n = 3)
+normal basis generator y = (0, 0, 1)
+pairing c-sequence = (1, 0, 0)
+h(x) = 1
+kernel counts  closed-form      = (1, 3)
+kernel counts  star-table       = (1, 3)
+kernel counts  autocorrelation  = (1, 3)
+verdict: AGREE
+"""
 
 
 def test_verify_kernel_builtin_name(capsys):
@@ -145,8 +152,54 @@ def test_selfcheck_rejects_degree_above_three(quintic_cfg):
 
 def test_verify_kernel_runs_at_degree_five(quintic_cfg, capsys):
     assert main(["verify-kernel", "--field", quintic_cfg]) == 0
+    assert capsys.readouterr().out == """\
+field = real-quintic-11  (n = 5)
+normal basis generator y = (0, 0, 0, 0, 1)
+pairing c-sequence = (1, 0, 0, 0, 0)
+h(x) = 1
+kernel counts  closed-form      = (1, 5)
+kernel counts  star-table       = (1, 5)
+kernel counts  autocorrelation  = (1, 5)
+verdict: AGREE
+"""
+
+
+@pytest.fixture
+def cyclotomic19_cfg(tmp_path):
+    cfg = tmp_path / "c19.cfg"
+    cfg.write_text(REAL_CYCLOTOMIC19)
+    return str(cfg)
+
+
+NOT_RUN_AT_NINE = ("kernel counts  star-table       = not run (the mod-8 oracle runs at n <= 5; "
+                   "at n = 9 it would enumerate 8^9 elements)")
+
+
+def test_verify_kernel_above_the_oracle_compares_two_routes(cyclotomic19_cfg):
+    # in a subprocess with a timeout: the oracle's squares at n = 9 would take over half an hour
+    proc = subprocess.run([sys.executable, "-m", "spinsweep.cli", "verify-kernel", "--field", cyclotomic19_cfg],
+                          capture_output=True, text=True, timeout=60, env=_env_with_package())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "field = real-cyclotomic-19  (n = 9)"
+    assert lines[4:] == [
+        "kernel counts  closed-form      = (1, 27)",
+        NOT_RUN_AT_NINE,
+        "kernel counts  autocorrelation  = (1, 27)",
+        "verdict: AGREE  (closed-form vs autocorrelation)",
+    ]
+
+
+def test_verify_kernel_above_the_oracle_disagreement_exits_3(cyclotomic19_cfg, monkeypatch, capsys):
+    def refuse(family):
+        raise AssertionError("oracle run above MAX_ORACLE_DEGREE")
+
+    monkeypatch.setattr(checks, "oracle_star_table", refuse)
+    monkeypatch.setattr(residue, "kernel_counts_via_B", lambda pairing: (1, 26))
+    assert main(["verify-kernel", "--field", cyclotomic19_cfg]) == 3
     out = capsys.readouterr().out
-    assert "(n = 5)" in out and "verdict: AGREE" in out
+    assert NOT_RUN_AT_NINE in out
+    assert out.endswith("verdict: DISAGREE  (closed-form vs autocorrelation)\n")
 
 
 def test_sweep_csv_to_stdout_is_clean(capsys):

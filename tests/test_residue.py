@@ -315,6 +315,63 @@ def test_oracle_memo_is_per_ring(spec7, spec9, family7, family9):
     assert r7.square_multiples and r9.square_multiples  # each ring keeps its own products
 
 
+def _memo_products(ring, units):
+    """The oracle's memo entry for each unit v, filled by one call with v as the scanned factor."""
+    for v in units:
+        hilbert2(ring, ring.one(), v)  # scan(1, v) runs first and memoizes v
+    return {v: ring.square_multiples[v] for v in units}
+
+
+@pytest.mark.parametrize("field", ["spec7", "spec9"])
+def test_memo_dot_products_are_packed_ring_products(request, field):
+    # the lane invariant: each memo entry, n products v*theta^j and one masked
+    # dot product per square, is pack(v*t) for every square t, for every unit v
+    spec = request.getfixturevalue(field)
+    ring = ResidueRing(3, spec.f, spec.sigma)
+    assert ring.lane == 8  # bits(3 * 7^2 = 147)
+    units = [v for v in product(range(8), repeat=3) if ring.is_unit(v)]
+    for v, got in _memo_products(ring, units).items():
+        assert got == tuple(ring.pack(ring.mul(v, t)) for t in ring.squares)
+
+
+def test_memo_dot_products_are_packed_ring_products_at_n5(family11):
+    ring = family11.rings[3]
+    assert ring.lane == 8  # bits(5 * 7^2 = 245)
+    rng = random.Random(11)
+    units = set()
+    while len(units) < 40:
+        v = tuple(rng.randrange(8) for _ in range(5))
+        if ring.is_unit(v):
+            units.add(v)
+    for v, got in _memo_products(ring, sorted(units)).items():
+        assert got == tuple(ring.pack(ring.mul(v, t)) for t in ring.squares)
+
+
+@pytest.mark.parametrize("field", ["spec7", "spec9"])
+def test_oracle_matches_its_definition(request, field):
+    # +1 iff a*s1 + b*s2 is a square for some squares s1, s2 with one of s1, s2 and
+    # a*s1 + b*s2 a unit, read off the definition: no division by a unit square
+    spec = request.getfixturevalue(field)
+    family = residue.build_family(spec)
+    ring = family.rings[3]
+    squares = ring.squares
+    reps = [class_rep(family, bits) for bits in product((0, 1), repeat=3)]
+
+    def by_definition(a, b):
+        b_s = {s2: ring.mul(b, s2) for s2 in squares}
+        for s1 in squares:
+            x = ring.mul(a, s1)
+            for s2, y in b_s.items():
+                z = tuple((i + j) % 8 for i, j in zip(x, y))
+                if z in squares and (ring.is_unit(s1) or ring.is_unit(s2) or ring.is_unit(z)):
+                    return 1
+        return -1
+
+    for a in reps:
+        for b in reps:
+            assert hilbert2(ring, a, b) == by_definition(a, b), (a, b)
+
+
 def test_hilbert_rejects_bad_inputs(family7):
     r3 = family7.rings[3]
     r2 = family7.rings[2]
