@@ -21,11 +21,18 @@ Built on top of the rings:
     (-1)^Tr(xz), so A is the trace Gram matrix of the normal basis,
     c_k = Tr(y tau^k(y)) mod 2, and since N(1 + 2x) = 1 + 2 Tr(x) mod 4,
     norm_sign(u) = (-1)^(c_0 |u|);
-  * kernel counts from a cyclic-convolution enumeration (`b_map`,
-    `kernel_counts_via_B` against `CirculantA.h`).  The scan visits all
-    2^n vectors in Gray-code order and updates b instead of recomputing it:
-    if u = u' + x^k, then b(u) = b(u') + 1 + x^-k u'(x) + x^k u'(1/x), one
-    rotation of u' and one of its reversal, which is kept alongside u;
+  * kernel counts from a bit-sliced enumeration of all 2^n vectors
+    (`b_map`, `kernel_counts_via_B` against `CirculantA.h`).  u = L + H,
+    L its low m = min(n, SCAN_BLOCK_BITS) bits and H the rest, so
+    b(u) = b(L) + b(H) + X(L, H) with X(L, H) = L(x) H(1/x) + H(x) L(1/x).
+    Plane invariant: for the current H, bit L of the 2^m-bit int P_j is
+    coefficient j of b(L + H).  So b(u) = t for exactly the L where bit L
+    of P_j is t_j for every j, and a few ORs and ANDs over the n planes and
+    one popcount count them for all 2^m values of L at once.  Flipping bit k
+    of a vector w changes b(w) by 1 + x^-k w(x) + x^k w(1/x): over the low
+    bits this builds the planes of b(L) by doubling, and as H walks in
+    Gray-code order it moves P_j by the part of X that one high bit adds,
+    complemented where it flips coefficient j of b(H);
   * the reference the checks and tests compare against: the symbol as a
     brute-force solvability oracle mod 8 (`hilbert2`), two scans over the
     ring's squares (`ResidueRing.squares`).  It decides solvability of
@@ -39,12 +46,12 @@ Built on top of the rings:
     belongs to the ring object, so every `build_family` starts with an
     empty one, and nothing else caches them.  The scans work on packed
     elements (`ResidueRing.pack`), coefficient j in lane j of
-    bits(n (m - 1)^2) bits, m = 2^level, and mask holds m - 1 in every
-    lane.  Lane invariant: a sum of at most n lane-wise products of
-    residues in [0, m), and so also a sum of two packed elements, stays
-    below 2^lane, so no lane carries into the next and `& mask` reduces
-    every lane mod m.  A memo entry therefore costs n ring products: with
-    row_j = pack(v theta^j), pack(v t) = (sum_j t_j row_j) & mask.
+    bits(n (m - 1)^2) bits, m = 2^level, and `ResidueRing.mask` holds
+    m - 1 in every lane.  Lane invariant: a sum of at most n lane-wise
+    products of residues in [0, m), and so also a sum of two packed
+    elements, stays below 2^lane, so no lane carries into the next and
+    `& mask` reduces every lane mod m.  A memo entry therefore costs n ring
+    products: with row_j = pack(v theta^j), pack(v t) = (sum_j t_j row_j) & mask.
 
 The normal-basis test, the class coordinates, the pairing, the star
 values, b and h are one product, `f2poly.cyclic_mul` in GF(2)[x]/(x^n - 1),
@@ -60,9 +67,9 @@ c * b(u) is 0 or 1, the invariant `density.s_pair` states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import product
-from operator import mul
+from functools import cached_property, reduce
+from itertools import compress, product
+from operator import and_, getitem, mul, or_, xor
 
 from . import f2poly
 from .intpoly import compose_mod, gcd_mod, mul_mod, newton_power_sums, poly_rem_monic, pow_mod
@@ -95,6 +102,7 @@ class ResidueRing:
         self.mod = 1 << level
         m = self.mod
         self.lane = (self.n * (m - 1) ** 2).bit_length()  # bits per coefficient in `pack`
+        self.mask = self.pack((m - 1,) * self.n)  # m - 1 in every lane
         self.f = tuple(c % m for c in f_int)
         self.sigma = tuple(c % m for c in poly_rem_monic(tuple(sigma_int), tuple(f_int)))
 
@@ -233,8 +241,7 @@ def hilbert2(ring: ResidueRing, a: Elem, b: Elem) -> int:
         raise ValueError("hilbert symbol is evaluated mod 8 (level 3)")
     if not (ring.is_unit(a) and ring.is_unit(b)):
         raise ValueError("hilbert symbol requires unit arguments")
-    squares, memo = ring.packed_squares, ring.square_multiples
-    mask = ring.pack((ring.mod - 1,) * ring.n)
+    squares, memo, mask = ring.packed_squares, ring.square_multiples, ring.mask
 
     def scan(u: Elem, v: Elem) -> bool:
         """Is u + v*t a square for some square t?  Lanes add without carry; the mask reduces mod 8."""
@@ -279,11 +286,10 @@ def star_table(family: RingFamily) -> StarTable:
     """Star values and norm signs of all 2^n classes: star(u) = +1 iff c * b(u) is 0 or 1."""
     a = family.pairing
     n = family.n
-    c = f2poly.from_coeffs(a.c)
     star: dict[M4Class, int] = {}
     norm_sign: dict[M4Class, int] = {}
     for bits in product((0, 1), repeat=n):
-        trivial = f2poly.cyclic_mul(c, b_map(f2poly.from_coeffs(bits), n), n) in (0, 1)
+        trivial = f2poly.cyclic_mul(a.c_poly, b_map(f2poly.from_coeffs(bits), n), n) in (0, 1)
         star[bits] = 1 if trivial else -1
         norm_sign[bits] = -1 if a.c[0] * sum(bits) % 2 else 1
     return StarTable(star, norm_sign)
@@ -296,10 +302,11 @@ class CirculantA:
     Entry (i, j) is c[(i - j) mod n], so A v is the cyclic product c * v in
     GF(2)[x]/(x^n - 1) and the pairing of classes u, v is (-1)^(u^T A v).
     A is invertible iff c is a unit there; h = c^-1 solves A h = e_0, and
-    h(x) = x^n h(1/x) mod x^n - 1 since c is.
+    h(x) = x^n h(1/x) mod x^n - 1 since c is.  c_poly is c packed once.
     """
 
     c: tuple[int, ...]
+    c_poly: f2poly.F2Poly = field(init=False, repr=False, compare=False)
     h: f2poly.F2Poly = field(init=False)
 
     def __post_init__(self):
@@ -307,20 +314,30 @@ class CirculantA:
         for i in range(1, n):
             if self.c[i] != self.c[n - i]:
                 raise AssertionError("pairing matrix must be symmetric (upstream bug)")
+        c_poly = f2poly.from_coeffs(self.c)
         try:
-            h = f2poly.cyclic_inv(f2poly.from_coeffs(self.c), n)
+            h = f2poly.cyclic_inv(c_poly, n)
         except ValueError:
             raise AssertionError("pairing matrix must be invertible (upstream bug)") from None
+        object.__setattr__(self, "c_poly", c_poly)
         object.__setattr__(self, "h", h)
 
     def pairing(self, u, v) -> int:
-        av = f2poly.cyclic_mul(f2poly.from_coeffs(self.c), f2poly.from_coeffs(v), len(self.c))
+        av = f2poly.cyclic_mul(self.c_poly, f2poly.from_coeffs(v), len(self.c))
         return -1 if (f2poly.from_coeffs(u) & av).bit_count() & 1 else 1
 
 
 def build_matrix_A(family: RingFamily) -> CirculantA:
     """Pairing matrix as the trace Gram matrix of the normal basis: c_k = Tr(y tau^k(y))."""
     return family.pairing
+
+
+# Low bits of u per block in `kernel_counts_via_B`: m = min(n, SCAN_BLOCK_BITS), so each
+# plane is a 2^m-bit int and the Python loop runs 2^(n - m) times.  At n = 31, widths
+# 12, 14, 16 took 6.5, 2.9, 1.8 s (2-vCPU Xeon, Python 3.11), and at n <= 17 all three
+# take about 1 ms for the whole ladder.  14 is not the fastest at n = 31, but with it
+# the walk over H runs from n = 15 on, where a direct scan of all 2^n images is cheap.
+SCAN_BLOCK_BITS = 14
 
 
 def b_map(u: int, n: int) -> f2poly.F2Poly:
@@ -341,29 +358,46 @@ def b_map(u: int, n: int) -> f2poly.F2Poly:
 def kernel_counts_via_B(a: CirculantA) -> tuple[int, int]:
     """Count bit vectors whose autocorrelation is 0 resp. the distinguished h.
 
-    Every u is visited once, in Gray-code order: step i flips bit k = ctz(i).
-    Flipping bit k adds x^k, so b(u + x^k) = b(u) + 1 + x^-k u(x) + x^k u(1/x),
-    one rotation of u and one of its reversal u(1/x).  Both are kept doubled
-    (bit j and bit j + n) so that each rotation is a shift.  The steps run in
-    blocks of 2^low, the flips of the low bits precomputed once.
+    Bit-sliced (the module docstring states the plane invariant): lp[k] has
+    bit L set iff L has bit k, for k < m.  The base planes (H = 0) come by
+    doubling: setting bit l of every L < 2^l adds [j = 0] + L_(j+l) + L_(l-j)
+    to coefficient j of b(L).  Flipping high bit i of H adds
+    d = 1 + x^-i H(x) + x^i H(1/x) to b(H) and L_(i+j) + L_(i-j) to
+    coefficient j of X(L, H), so plane j moves by that fixed plane or by its
+    complement, as d_j is 0 or 1.  Then b(u) = 0 at the bits L where no
+    plane is set, and b(u) = h where exactly the planes with h_j = 1 are.
     """
     n, h = len(a.c), a.h
+    m = min(n, SCAN_BLOCK_BITS)
+    lanes = 1 << m
+    ones = (1 << lanes) - 1
+    lp, p = [0] * n, [0] * n
+    for l in range(m):  # the planes over L < 2^l, doubled to L < 2^(l + 1)
+        w = 1 << l
+        low = (1 << w) - 1
+        for j in range(n):
+            p[j] |= (p[j] ^ lp[(j + l) % n] ^ lp[(l - j) % n] ^ (low if j == 0 else 0)) << w
+        for k in range(l):
+            lp[k] |= lp[k] << w
+        lp[l] = low << w
+    # moves[i][j][d_j]: what plane j is XORed with when high bit i flips; d_j is a
+    # character of format(d, digits)[::-1], d's bits from bit 0 up
+    moves = {i: [{"0": x, "1": x ^ ones} for x in (lp[(i + j) % n] ^ lp[(i - j) % n] for j in range(n))]
+             for i in range(m, n)}
+    on = [h >> j & 1 for j in range(n)]
+    off = [1 - s for s in on]
+    digits = f"0{n}b"
     full = (1 << n) - 1
-    # (right shift of u, right shift of its reversal, bits flipped in each) when bit k flips
-    steps = [(k, n - k, 1 << k | 1 << k + n, 1 << (n - k) % n | 1 << (n - k) % n + n)
-             for k in range(n)]
-    low = min(n, 10)
-    ruler = [steps[(i & -i).bit_length() - 1] for i in range(1, 1 << low)]
-    count0, count_h = 1, 0  # u = 0 has b = 0
-    b = u2 = rev2 = 0
-    for block in range(1 << (n - low)):
-        head = [steps[low + (block & -block).bit_length() - 1]] if block else []
-        for k, r, flip, flip_rev in head + ruler:
-            b ^= ((u2 >> k) ^ (rev2 >> r)) & full ^ 1
-            u2 ^= flip
-            rev2 ^= flip_rev
-            if b == 0:
-                count0 += 1
-            elif b == h:
-                count_h += 1
+    count0 = count_h = 0
+    u2 = rev2 = 0  # H and its reversal H(1/x), doubled (bit j and bit j + n)
+    for g in range(1 << (n - m)):
+        if g:  # step g flips high bit i = m + ctz(g)
+            i = m + (g & -g).bit_length() - 1
+            d = ((u2 >> i) ^ (rev2 >> n - i)) & full ^ 1
+            p[:] = map(xor, p, map(getitem, moves[i], format(d, digits)[::-1]))
+            u2 ^= 1 << i | 1 << i + n
+            rev2 ^= 1 << n - i | 1 << 2 * n - i
+        rest = reduce(or_, compress(p, off), 0)  # set where some plane with h_j = 0 is
+        count0 += lanes - reduce(or_, compress(p, on), rest).bit_count()
+        count_h += (reduce(and_, compress(p, on)) & ~rest).bit_count()
     return count0, count_h

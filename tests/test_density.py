@@ -31,9 +31,12 @@ TABLE_CELLS = {
 )
 def test_s_pair_values(n, expected):
     assert s_pair(n) == expected
-    if n <= 21:
-        # field-free route: count b(u) = 0 and b(u) = 1 over all 2^n bit vectors
-        assert kernel_counts_via_B(CirculantA((1,) + (0,) * (n - 1))) == expected
+
+
+@pytest.mark.parametrize("n", range(3, 32, 2))
+def test_s_pair_matches_field_free_scan(n):
+    # count b(u) = 0 and b(u) = 1 over all 2^n bit vectors, with no field at all
+    assert kernel_counts_via_B(CirculantA((1,) + (0,) * (n - 1))) == s_pair(n)
 
 
 def test_s_pair_rejects_even():

@@ -553,9 +553,13 @@ def test_b_map_against_direct_convolution():
             assert b_map(mask, n) == expected
 
 
-def _direct_counts(n, h):
-    """(count of b(u) = 0, count of b(u) = h) with b_map on every u, the definition."""
-    images = [b_map(u, n) for u in range(1 << n)]
+def _images(n):
+    """b_map of every u < 2^n, the definition."""
+    return [b_map(u, n) for u in range(1 << n)]
+
+
+def _direct_counts(images, h):
+    """(count of b(u) = 0, count of b(u) = h) over the images b(u) of every u."""
     return images.count(0), images.count(h)
 
 
@@ -570,13 +574,53 @@ def _symmetric_units(n):
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
-def test_gray_scan_matches_direct_scan(n):
-    units = _symmetric_units(n)
+def test_gray_scan_matches_direct_scan(n, monkeypatch):
+    # narrow blocks put most bits of u in the Gray walk over H; the shipped width is one block here
+    images, units = _images(n), _symmetric_units(n)
     assert (n == 3) == (not units)
-    pairings = [CirculantA((1,) + (0,) * (n - 1))] + random.Random(n).sample(units, min(2, len(units)))
-    assert pairings[0].h == 1 and all(a.h != 1 for a in pairings[1:])
-    for a in pairings:
-        assert kernel_counts_via_B(a) == _direct_counts(n, a.h), a.c
+    assert residue.SCAN_BLOCK_BITS >= n
+    for width in (1, 2, 3, 5, residue.SCAN_BLOCK_BITS):
+        monkeypatch.setattr(residue, "SCAN_BLOCK_BITS", width)
+        for a in [CirculantA((1,) + (0,) * (n - 1))] + units:
+            assert kernel_counts_via_B(a) == _direct_counts(images, a.h), (width, a.c)
+
+
+def test_scan_matches_direct_scan_above_one_block():
+    # at n = 15 the shipped width leaves high bits, so the walk over H runs
+    n = 15
+    assert residue.SCAN_BLOCK_BITS < n
+    images, units = _images(n), _symmetric_units(n)
+    assert len(units) == 44
+    for a in [CirculantA((1,) + (0,) * (n - 1))] + units:
+        assert kernel_counts_via_B(a) == _direct_counts(images, a.h), a.c
+
+
+def test_plane_invariant_by_hand_at_n5():
+    # u = L + H at n = 5 with m = 2: L = u mod 4.  b(L) for L = 0, 1, x, 1 + x is 0, 1, 1, x + x^4
+    n = 5
+    assert [b_map(L, n) for L in range(4)] == [0, 1, 1, 0b10010]
+    # so the base planes (H = 0; bit L of P_j = coefficient j of b(L)) are P_0 = 0b0110, P_1 = P_4 = 0b1000
+    lp = [0b1010, 0b1100, 0, 0, 0]  # bit L of lp[k] is bit k of L; zero above the block
+    p = [0b0110, 0b1000, 0, 0, 0b1000]
+    # the doubling from L < 2 to L < 4 (l = 1): the new half is P_j + [j = 0] + L_(j+1) + L_(1-j)
+    half = [0b10, 0, 0, 0, 0]
+    for j in range(n):
+        step = lp[(j + 1) % n] ^ lp[(1 - j) % n] ^ (0b11 if j == 0 else 0)
+        assert half[j] | ((half[j] ^ step) & 0b11) << 2 == p[j]
+    # H = 0 -> x^2 flips bit i = 2: d = 1 + x^-2 H(x) + x^2 H(1/x) = 1, so plane j moves by
+    # L_(2+j) + L_(2-j), complemented at j = 0 only
+    moves = [lp[(2 + j) % n] ^ lp[(2 - j) % n] ^ (0b1111 if j == 0 else 0) for j in range(n)]
+    assert moves == [0b1111, 0b1100, 0b1010, 0b1010, 0b1100]
+    p = [x ^ y for x, y in zip(p, moves)]
+    assert p == [0b1001, 0b0100, 0b1010, 0b1010, 0b0100]
+    # the invariant at H = x^2: b(x^2) = 1, b(1 + x^2) = x^2 + x^3, b(x + x^2) = x + x^4,
+    # b(1 + x + x^2) = 1 + x^2 + x^3
+    assert [b_map(L | 0b100, n) for L in range(4)] == [0b00001, 0b01100, 0b10010, 0b01101]
+    for L in range(4):
+        assert sum((p[j] >> L & 1) << j for j in range(n)) == b_map(L | 0b100, n)
+    # counts for h = 1: no L has every plane clear, and only L = 0 has P_0 alone
+    rest = p[1] | p[2] | p[3] | p[4]
+    assert (p[0] | rest) == 0b1111 and p[0] & ~rest == 0b0001
 
 
 def test_gray_step_by_hand_at_n5():
@@ -588,7 +632,7 @@ def test_gray_step_by_hand_at_n5():
     # x^-3 u'(x) = x^2 + x^3 + x^4 and x^3 u'(1/x) = x + x^2 + x^3
     down, up = 0b11100, 0b01110
     assert b_map(u_old, n) ^ 1 ^ down ^ up == 0b11110 == b_map(u_new, n)
-    # the scan's shifts of u' and of its reversal u'(1/x) = 1 + x^3 + x^4, each doubled
+    # the scan applies this rule to H: the shifts of u' and of its reversal u'(1/x) = 1 + x^3 + x^4, each doubled
     rev = 0b11001
     assert (u_old | u_old << n) >> k & 0b11111 == down
     assert (rev | rev << n) >> n - k & 0b11111 == up
