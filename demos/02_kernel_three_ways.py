@@ -37,5 +37,5 @@ for name in ("simplest-cubic-7", "cyclic-cubic-9"):
     print(f"   closed form        : {s_pair(spec.n)}")
     print(f"   star-table count   : {(star.ker_plus, star.ker_minus)}")
     print(f"   autocorrelation    : {residue.kernel_counts_via_B(pairing)}")
-    print(f"   star(1) = {star.star[(0,0,0)]}, star(-1) = {star.star[(1,1,1)]}")
+    print(f"   star(1) = {star.star[0]}, star(-1) = {star.star[(1 << spec.n) - 1]}")
     print()

@@ -26,14 +26,15 @@ print("(1, b)_2 = +1 for every unit b: ", all(
 
 print()
 print("Full 8 x 8 symbol table on square classes (rows/cols in binary order):")
-bits_list = list(product((0, 1), repeat=3))
-reps = {c: checks.class_rep(family, c) for c in bits_list}
-for u in bits_list:
-    row = [residue.hilbert2(r3, reps[u], reps[v]) for v in bits_list]
-    print("  ", "".join(map(str, u)), " ".join(f"{v:+d}" for v in row))
+# a class is an int, bit j its coordinate j; rows go in the order of their printed bits
+classes = sorted(range(8), key=lambda u: residue.class_bits(u, 3))
+reps = [checks.class_rep(family, u) for u in range(8)]
+for u in classes:
+    row = [residue.hilbert2(r3, reps[u], reps[v]) for v in classes]
+    print("  ", residue.class_bits(u, 3), " ".join(f"{v:+d}" for v in row))
 
 print()
 print("Same table from the circulant bilinear form (must match):", all(
     residue.hilbert2(r3, reps[u], reps[v]) == family.pairing.pairing(u, v)
-    for u in bits_list for v in bits_list
+    for u in classes for v in classes
 ))

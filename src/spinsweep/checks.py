@@ -17,7 +17,8 @@ from itertools import product
 from . import residue
 from .density import s_pair
 from .intpoly import norm_mod
-from .residue import Elem, M4Class, RingFamily, StarTable, hilbert2, m4_class_of, rot
+from .f2poly import F2Poly
+from .residue import Elem, RingFamily, StarTable, hilbert2, m4_class_of, rot
 
 # largest degree the suites are run at: at n = 5 the well-definedness loop of
 # `hilbert_suite` alone is 32 * 32 * (32 + 496) = 540 672 oracle calls.  On a
@@ -45,12 +46,12 @@ def _result(name, ok, detail=""):
     return CheckResult(name, bool(ok), detail if not ok else "")
 
 
-def class_rep(family: RingFamily, bits: M4Class) -> Elem:
-    """Distinguished mod-8 representative: the product of the factors 1 + 2 tau^i(y) picked by bits."""
+def class_rep(family: RingFamily, u: F2Poly) -> Elem:
+    """Distinguished mod-8 representative: the product of the factors 1 + 2 tau^i(y) over the set bits i of u."""
     r3 = family.rings[3]
     out = r3.one()
-    for b, v in zip(bits, family.y_orbit):
-        if b:
+    for i, v in enumerate(family.y_orbit):
+        if u >> i & 1:
             out = r3.mul(out, (1 + 2 * v[0],) + tuple(2 * c for c in v[1:]))
     return out
 
@@ -64,20 +65,19 @@ def oracle_star_table(family: RingFamily) -> StarTable:
     """
     r3 = family.rings[3]
     n = family.n
-    star: dict = {}
-    norm_sign: dict = {}
-    for bits in product((0, 1), repeat=n):
-        rep = class_rep(family, bits)
+    star, norm_sign = [], []
+    for u in range(1 << n):
+        rep = class_rep(family, u)
         val = 1
         for k in range(1, n):
             if hilbert2(r3, rep, r3.apply_tau(rep, k)) == -1:
                 val = -1
                 break
-        star[bits] = val
+        star.append(val)
         nrm = norm_mod([c % 4 for c in rep], family.rings[2].f) % 4
         assert nrm in (1, 3), "norm of a unit lift must be odd"
-        norm_sign[bits] = 1 if nrm == 1 else -1
-    return StarTable(star, norm_sign)
+        norm_sign.append(1 if nrm == 1 else -1)
+    return StarTable(tuple(star), tuple(norm_sign))
 
 
 def m4_suite(family: RingFamily) -> list[CheckResult]:
@@ -94,15 +94,14 @@ def m4_suite(family: RingFamily) -> list[CheckResult]:
         _result("m4/surjective", len(classes) == 1 << n, f"{len(classes)} classes"),
     ]
     squares = {r2.mul(u, u) for u in units}
-    kernel = set(classes.get(tuple([0] * n), []))
+    kernel = set(classes.get(0, []))
     out.append(_result("m4/kernel-is-squares", kernel == squares,
                        f"kernel {len(kernel)} vs squares {len(squares)}"))
-    fixed = {c for c in classes if rot(c, 1) == c}
-    expected = {tuple([0] * n), tuple([1] * n)}
-    out.append(_result("m4/galois-fixed", fixed == expected, f"fixed classes {sorted(fixed)}"))
+    fixed = {c for c in classes if rot(c, 1, n) == c}
+    out.append(_result("m4/galois-fixed", fixed == {0, (1 << n) - 1}, f"fixed classes {sorted(fixed)}"))
     # the class map intertwines the Galois action with coordinate rotation
     equivariant = all(
-        m4_class_of(family, r2.apply_tau(u, 1)) == rot(m4_class_of(family, u), 1)
+        m4_class_of(family, r2.apply_tau(u, 1)) == rot(m4_class_of(family, u), 1, n)
         for u in units
     )
     out.append(_result("m4/equivariant", equivariant))
@@ -113,10 +112,10 @@ def hilbert_suite(family: RingFamily) -> list[CheckResult]:
     """Exhaustive symbol properties over all class pairs at small n, against the family's pairing."""
     r3 = family.rings[3]
     n = family.n
-    all_bits = list(product((0, 1), repeat=n))
-    reps = {c: class_rep(family, c) for c in all_bits}
+    classes = range(1 << n)
+    reps = [class_rep(family, u) for u in classes]
     table = {
-        (u, v): hilbert2(r3, reps[u], reps[v]) for u in all_bits for v in all_bits
+        (u, v): hilbert2(r3, reps[u], reps[v]) for u in classes for v in classes
     }
 
     unit_squares = [s for s in r3.squares if r3.is_unit(s)]
@@ -124,10 +123,10 @@ def hilbert_suite(family: RingFamily) -> list[CheckResult]:
               for t in product((0, 1), repeat=n)]
 
     ok_well = True
-    for u in all_bits:
+    for u in classes:
         variants = [r3.mul(reps[u], s) for s in shifts]  # representative + 4B
         variants += [r3.mul(reps[u], s) for s in unit_squares]  # times unit squares
-        for v in all_bits:
+        for v in classes:
             if any(hilbert2(r3, w, reps[v]) != table[u, v] for w in variants):
                 ok_well = False
     out = [_result("hilbert/well-defined", ok_well)]
@@ -135,31 +134,30 @@ def hilbert_suite(family: RingFamily) -> list[CheckResult]:
     ok_bilin = all(
         hilbert2(r3, r3.mul(reps[u], reps[v]), reps[w])
         == table[u, w] * table[v, w]
-        for u in all_bits for v in all_bits for w in all_bits
+        for u in classes for v in classes for w in classes
     )
     out.append(_result("hilbert/bilinear", ok_bilin))
 
     out.append(_result("hilbert/symmetric",
-                       all(table[u, v] == table[v, u] for u in all_bits for v in all_bits)))
+                       all(table[u, v] == table[v, u] for u in classes for v in classes)))
 
-    zero = tuple([0] * n)
     out.append(_result("hilbert/non-degenerate",
-                       all(any(table[u, v] == -1 for v in all_bits)
-                           for u in all_bits if u != zero)))
+                       all(any(table[u, v] == -1 for v in classes)
+                           for u in classes if u)))
 
     ok_equi = all(
         hilbert2(r3, r3.apply_tau(reps[u], 1), r3.apply_tau(reps[v], 1)) == table[u, v]
-        for u in all_bits for v in all_bits
+        for u in classes for v in classes
     )
     out.append(_result("hilbert/galois-equivariant", ok_equi))
 
     neg = r3.neg_one()
     out.append(_result("hilbert/self-pairing-is-minus-one",
-                       all(table[u, u] == hilbert2(r3, reps[u], neg) for u in all_bits)))
+                       all(table[u, u] == hilbert2(r3, reps[u], neg) for u in classes)))
 
     out.append(_result("hilbert/bilinear-form-identity",
                        all(table[u, v] == family.pairing.pairing(u, v)
-                           for u in all_bits for v in all_bits)))
+                           for u in classes for v in classes)))
     return out
 
 
@@ -182,22 +180,22 @@ def kernel_suite(family: RingFamily, star: StarTable) -> list[CheckResult]:
     n = family.n
     pairing = family.pairing
     r3 = family.rings[3]
+    ones = (1 << n) - 1  # the class of -1
     closed, brute, convol = kernel_routes(star, pairing)
     out = [
         _result("kernel/three-way-agreement", closed == brute == convol,
                 f"closed {closed}, star-table {brute}, autocorrelation {convol}"),
-        _result("kernel/star-of-one", star.star[tuple([0] * n)] == 1),
-        _result("kernel/star-of-minus-one", star.star[tuple([1] * n)] == -1),
+        _result("kernel/star-of-one", star.star[0] == 1),
+        _result("kernel/star-of-minus-one", star.star[ones] == -1),
         _result("kernel/minus-one-pairing",
                 hilbert2(r3, r3.neg_one(), r3.neg_one()) == -1),
     ]
     # c_0 reflects the norm sign of the basis element's class
-    alpha = class_rep(family, (1,) + (0,) * (n - 1))  # 1 + 2y
+    alpha = class_rep(family, 1)  # 1 + 2y
     alpha_class = m4_class_of(family, tuple(c % 4 for c in alpha))
     out.append(_result("kernel/c0-vs-norm-sign",
                        (pairing.c[0] == 0) == (star.norm_sign[alpha_class] == 1)))
     # pairing of the all-ones class with itself vs star(-1): (-1,-1) = -1
-    ones = tuple([1] * n)
     out.append(_result("kernel/all-ones-parity", pairing.pairing(ones, ones) == -1))
     # h is palindromic and the identity matrix case is sanity-covered by h = 1
     hbits = [(pairing.h >> i) & 1 for i in range(n)]

@@ -13,7 +13,10 @@ Built on top of the rings:
 
   * the group of invertible classes mod 4 taken up to squares, a GF(2)
     vector space of dimension n presented in a normal basis y, tau(y), ...
-    of O/2 (`m4_class_of`; `checks.class_rep` lifts a class back to O/8);
+    of O/2 (`m4_class_of`; `checks.class_rep` lifts a class back to O/8).
+    A class is an `f2poly.F2Poly`, bit j its coordinate on tau^j(y); the
+    generator acts as the product by x (`rot`), tables over the classes are
+    tuples indexed by them, and only output prints one (`class_bits`);
   * the dyadic Hilbert symbol on those classes as a circulant GF(2) form
     (`CirculantA`, built once per family as its `pairing`) and the star
     values and norm signs it gives (`star_table`), by linear algebra
@@ -55,13 +58,14 @@ Built on top of the rings:
 
 The normal-basis test, the class coordinates, the pairing, the star
 values, b and h are one product, `f2poly.cyclic_mul` in GF(2)[x]/(x^n - 1),
-with classes read as polynomials and c the trace Gram sequence of y.  The
-orbit of y is a basis iff c is a unit there (the trace form of O/2 is
-non-degenerate); h = c^-1 (`f2poly.cyclic_inv`, once, when the `CirculantA`
-is built); if u^(2^n-1) = 1 + 2w and t_j = Tr(w tau^j(y)), the class of u
-is b = h * t.  Further A v = c * v, b(u) = u(x) u(1/x), and the pairing of
-u with rot(u, k) is coefficient k of c * b(u).  So u is star-trivial iff
-c * b(u) is 0 or 1, the invariant `density.s_pair` states.
+of classes, which are polynomials there, and c, the trace Gram sequence of
+y.  The orbit of y is a basis iff c is a unit there (the trace form of O/2
+is non-degenerate); h = c^-1 (`f2poly.cyclic_inv`, once, when the
+`CirculantA` is built); if u^(2^n-1) = 1 + 2w and t_j = Tr(w tau^j(y)),
+the class of u is b = h * t.  Further A v = c * v, b(u) = u(x) u(1/x), and
+the pairing of u with rot(u, k, n) = x^k u is coefficient k of c * b(u).
+So u is star-trivial iff c * b(u) is 0 or 1, the invariant
+`density.s_pair` states.
 """
 
 from __future__ import annotations
@@ -75,13 +79,16 @@ from . import f2poly
 from .intpoly import compose_mod, gcd_mod, mul_mod, newton_power_sums, poly_rem_monic, pow_mod
 
 Elem = tuple[int, ...]
-M4Class = tuple[int, ...]
 
 
-def rot(bits: M4Class, k: int) -> M4Class:
-    """Coordinates of a class after k applications of the Galois generator."""
-    n = len(bits)
-    return tuple(bits[(j - k) % n] for j in range(n))
+def rot(u: f2poly.F2Poly, k: int, n: int) -> f2poly.F2Poly:
+    """The class u after k applications of the Galois generator: u * x^k, a cyclic shift of its n bits."""
+    return (u << k % n | u >> n - k % n) & ((1 << n) - 1)
+
+
+def class_bits(u: f2poly.F2Poly, n: int) -> str:
+    """The class u as n characters 0/1, coordinate 0 first: its form in the CSV and the report."""
+    return format(u, f"0{n}b")[::-1]
 
 
 class ResidueRing:
@@ -160,9 +167,9 @@ class ResidueRing:
         return {}
 
 
-def _traces(ring: ResidueRing, x: Elem, ys) -> tuple[int, ...]:
-    """Tr(x y) mod 2 for each y in ys, read from the power sums Tr(theta^j) of f (level 1)."""
-    return tuple(sum(a * t for a, t in zip(ring.mul(x, y), ring.trace)) % 2 for y in ys)
+def _traces(ring: ResidueRing, x: Elem, ys) -> f2poly.F2Poly:
+    """Tr(x y_j) mod 2 in bit j, for the j-th y of ys, read from the power sums Tr(theta^i) of f (level 1)."""
+    return sum((sum(a * t for a, t in zip(ring.mul(x, y), ring.trace)) & 1) << j for j, y in enumerate(ys))
 
 
 def find_normal_basis(ring: ResidueRing) -> tuple[Elem, tuple[Elem, ...], tuple[int, ...]]:
@@ -179,7 +186,8 @@ def find_normal_basis(ring: ResidueRing) -> tuple[Elem, tuple[Elem, ...], tuple[
     xn_minus_1 = (-1,) + (0,) * (ring.n - 1) + (1,)
     for cand in product((0, 1), repeat=ring.n):
         orbit = tuple(ring.apply_tau(cand, k) for k in range(ring.n))
-        c = _traces(ring, cand, orbit)
+        gram = _traces(ring, cand, orbit)
+        c = tuple(gram >> k & 1 for k in range(ring.n))
         if len(gcd_mod(xn_minus_1, c, 2)) == 1:
             return cand, orbit, c
     raise RuntimeError("internal error: no normal basis generator found")
@@ -206,12 +214,12 @@ def build_family(spec) -> RingFamily:
     return RingFamily(rings, y, orbit, CirculantA(c))
 
 
-def m4_class_of(family: RingFamily, u: Elem) -> M4Class:
+def m4_class_of(family: RingFamily, u: Elem) -> f2poly.F2Poly:
     """Class of a unit mod 4 in the square-class group, normal-basis coordinates.
 
     The (2^n - 1)-th power of u lands in 1 + 2*O/4 (it kills the odd-order
-    component), and u^(2^n-1) = 1 + 2w determines the class: the bits are
-    the coordinates b of w in the normal basis.  The map is a surjective
+    component), and u^(2^n-1) = 1 + 2w determines the class: bit j of b is
+    the coordinate of w on tau^j(y).  The map is a surjective
     homomorphism onto (Z/2)^n whose kernel is exactly the squares.  With
     t_j = Tr(w tau^j(y)) mod 2, t = c * b, so b = h * t.
     """
@@ -221,10 +229,9 @@ def m4_class_of(family: RingFamily, u: Elem) -> M4Class:
     if not r2.is_unit(u):
         raise ValueError("m4_class_of expects a unit")
     v = r2.pow(u, (1 << r2.n) - 1)
-    assert f2poly.from_coeffs(v) == 1, "power did not land in 1 + 2O"
+    assert tuple(c & 1 for c in v) == r2.one(), "power did not land in 1 + 2O"
     t = _traces(family.rings[1], tuple(c >> 1 for c in v), family.y_orbit)
-    b = f2poly.cyclic_mul(family.pairing.h, f2poly.from_coeffs(t), r2.n)
-    return tuple((b >> j) & 1 for j in range(r2.n))
+    return f2poly.cyclic_mul(family.pairing.h, t, r2.n)
 
 
 def hilbert2(ring: ResidueRing, a: Elem, b: Elem) -> int:
@@ -257,41 +264,37 @@ def hilbert2(ring: ResidueRing, a: Elem, b: Elem) -> int:
 
 @dataclass(frozen=True)
 class StarTable:
-    """Per-class values of the all-conjugates pairing and of the norm sign."""
+    """Per-class values of the all-conjugates pairing and of the norm sign, each a tuple indexed by the class."""
 
-    star: dict[M4Class, int]
-    norm_sign: dict[M4Class, int]
+    star: tuple[int, ...]
+    norm_sign: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(next(iter(self.star)))
-        plus = sum(1 for v in self.norm_sign.values() if v == 1)
-        if plus != 1 << (n - 1):
+        n = len(self.star).bit_length() - 1
+        if self.norm_sign.count(1) != 1 << (n - 1):
             raise AssertionError("norm sign must split the classes in half")
-        for c in self.star:
-            if self.star[c] != self.star[rot(c, 1)] or self.norm_sign[c] != self.norm_sign[rot(c, 1)]:
+        for u in range(1 << n):
+            if self.star[u] != self.star[rot(u, 1, n)] or self.norm_sign[u] != self.norm_sign[rot(u, 1, n)]:
                 raise AssertionError("star/norm values must be constant on Galois orbits")
 
     @property
     def ker_plus(self) -> int:
         """Classes with star +1 and norm sign +1."""
-        return sum(1 for c, s in self.star.items() if s == 1 and self.norm_sign[c] == 1)
+        return sum(1 for s, g in zip(self.star, self.norm_sign) if s == 1 and g == 1)
 
     @property
     def ker_minus(self) -> int:
         """Classes with star +1 and norm sign -1."""
-        return sum(1 for c, s in self.star.items() if s == 1 and self.norm_sign[c] == -1)
+        return sum(1 for s, g in zip(self.star, self.norm_sign) if s == 1 and g == -1)
 
 
 def star_table(family: RingFamily) -> StarTable:
     """Star values and norm signs of all 2^n classes: star(u) = +1 iff c * b(u) is 0 or 1."""
     a = family.pairing
     n = family.n
-    star: dict[M4Class, int] = {}
-    norm_sign: dict[M4Class, int] = {}
-    for bits in product((0, 1), repeat=n):
-        trivial = f2poly.cyclic_mul(a.c_poly, b_map(f2poly.from_coeffs(bits), n), n) in (0, 1)
-        star[bits] = 1 if trivial else -1
-        norm_sign[bits] = -1 if a.c[0] * sum(bits) % 2 else 1
+    classes = range(1 << n)
+    star = tuple(1 if f2poly.cyclic_mul(a.c_poly, b_map(u, n), n) in (0, 1) else -1 for u in classes)
+    norm_sign = tuple(-1 if a.c[0] * u.bit_count() % 2 else 1 for u in classes)
     return StarTable(star, norm_sign)
 
 
@@ -322,9 +325,9 @@ class CirculantA:
         object.__setattr__(self, "c_poly", c_poly)
         object.__setattr__(self, "h", h)
 
-    def pairing(self, u, v) -> int:
-        av = f2poly.cyclic_mul(self.c_poly, f2poly.from_coeffs(v), len(self.c))
-        return -1 if (f2poly.from_coeffs(u) & av).bit_count() & 1 else 1
+    def pairing(self, u: f2poly.F2Poly, v: f2poly.F2Poly) -> int:
+        """(-1)^(u^T A v) for classes u and v."""
+        return -1 if (u & f2poly.cyclic_mul(self.c_poly, v, len(self.c))).bit_count() & 1 else 1
 
 
 def build_matrix_A(family: RingFamily) -> CirculantA:

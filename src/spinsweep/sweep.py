@@ -53,7 +53,7 @@ import os
 
 from . import numfield, residue
 from .density import density_report
-from .intpoly import prime_factors
+from .f2poly import F2Poly
 from .numfield import PrimeDeg1
 
 
@@ -67,12 +67,12 @@ class WorkerCrashed(RuntimeError):
 
 @dataclass(frozen=True)
 class PrimeRecord:
-    """One split prime; its CSV row adds p mod 4, in_R(spins) and in_F(spins)."""
+    """One split prime, m4_bits its packed class; its CSV row adds p mod 4, in_R(spins) and in_F(spins)."""
 
     p: int
     root_a: int
     spins: tuple[int, ...]
-    m4_bits: tuple[int, ...]
+    m4_bits: F2Poly
 
 
 def in_R(spins: tuple[int, ...]) -> bool:
@@ -86,7 +86,7 @@ def in_F(spins: tuple[int, ...]) -> bool:
 
 
 class Tally(Counter):
-    """Split primes per joint cell (m4_bits, spins); tallies of disjoint ranges add with +.
+    """Split primes per joint cell (m4_bits, spins), m4_bits a packed class; tallies of disjoint ranges add with +.
 
     Every count of the report is a marginal of the cells: a cell lies in
     S+ or S- as norm_sign[m4_bits] is +1 or -1 (classify_prime checks that
@@ -112,7 +112,7 @@ class FieldTables:
     star: residue.StarTable
     modulus: int
     split_classes: frozenset[int]
-    m4: dict[tuple[int, ...], tuple[int, ...]] = field(init=False, default_factory=dict)
+    m4: dict[tuple[int, ...], F2Poly] = field(init=False, default_factory=dict)
 
     def split_roots(self, p: int) -> list[int]:
         """`numfield.split_completely(spec, p)`, tested only when p mod modulus is a split class."""
@@ -125,7 +125,7 @@ class FieldTables:
             )
         return roots
 
-    def m4_class(self, alpha) -> tuple[int, ...]:
+    def m4_class(self, alpha) -> F2Poly:
         """`residue.m4_class_of` of alpha mod 4, computed once per residue mod 4."""
         key = tuple(c % 4 for c in alpha)
         bits = self.m4.get(key)
@@ -184,7 +184,7 @@ def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
 
     for k in range(1, n):
         product = spins[k - 1] * spins[n - k - 1]
-        pairing = tables.family.pairing.pairing(bits, residue.rot(bits, k))
+        pairing = tables.family.pairing.pairing(bits, residue.rot(bits, k, n))
         if product != pairing:
             raise SpinRelationViolation(
                 f"p={p}: spin({k})*spin({n - k}) = {product} but Hilbert pairing = {pairing}"
@@ -202,7 +202,7 @@ def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
     for k in range(1, n):
         alpha_k = numfield.generator_of_power(spec, chain[k])
         bits_k = tables.m4_class(alpha_k)
-        if bits_k != residue.rot(bits, k):
+        if bits_k != residue.rot(bits, k, n):
             raise SpinRelationViolation(
                 f"p={p}: class of conjugate prime is not the rotated class"
             )
@@ -252,8 +252,7 @@ class SweepResult:
     spec: numfield.FieldSpec
     limit: int
     tally: Tally
-    norm_sign: dict  # sign sector of each mod-4 class: +1 for S+, -1 for S-
-    skipped_ramified: list[int]  # the primes of disc_f up to limit, none of which splits
+    norm_sign: tuple[int, ...]  # sign sector of each mod-4 class: +1 for S+, -1 for S-
     report_rows: list  # (quantity, empirical, stderr, theoretical Fraction, delta, passed)
 
     @property
@@ -338,9 +337,7 @@ def run_sweep(spec: numfield.FieldSpec, limit: int, jobs: int = 1, sink=None) ->
             except BrokenProcessPool as exc:
                 raise WorkerCrashed(str(exc)) from exc
     norm_sign = tables.star.norm_sign
-    rows = build_report_rows(spec, tally, norm_sign)
-    skipped = [q for q in prime_factors(abs(spec.disc_f)) if q <= limit]  # disc_f is odd (C4)
-    return SweepResult(spec, limit, tally, norm_sign, skipped, rows)
+    return SweepResult(spec, limit, tally, norm_sign, build_report_rows(spec, tally, norm_sign))
 
 
 def _ratio_row(name, num, den, theoretical, tol):
@@ -362,7 +359,7 @@ def marginal(tally: Tally, key, rule=lambda spins: True) -> Counter:
     return counts
 
 
-def build_report_rows(spec: numfield.FieldSpec, tally: Tally, norm_sign: dict):
+def build_report_rows(spec: numfield.FieldSpec, tally: Tally, norm_sign: tuple[int, ...]):
     """Report rows, each a ratio of two marginals of the tally's cells.
 
     S, R and F count per sign sector norm_sign[bits]; each histogram bin
@@ -386,8 +383,8 @@ def build_report_rows(spec: numfield.FieldSpec, tally: Tally, norm_sign: dict):
     # classify_prime has checked to be p mod 4 for every prime in the bin
     uniform = Fraction(1, 1 << (spec.n - 1))
     histogram = marginal(tally, lambda bits: bits)
-    for bits in sorted(histogram):
-        label = "hist[" + "".join(map(str, bits)) + "]"
+    for bits in sorted(histogram, key=lambda u: residue.class_bits(u, spec.n)):
+        label = f"hist[{residue.class_bits(bits, spec.n)}]"
         rows.append(_ratio_row(label, histogram[bits], S[sector(bits)], uniform, tol["hist"]))
     return rows
 
@@ -397,8 +394,7 @@ def format_report(result: SweepResult) -> str:
     S = marginal(result.tally, result.norm_sign.__getitem__)
     lines = [
         f"field = {result.spec.name}   X = {result.limit}",
-        f"split primes: {S.total()}  (S+ = {S[1]}, S- = {S[-1]};"
-        f" ramified skipped: {len(result.skipped_ramified)})",
+        f"split primes: {S.total()}  (S+ = {S[1]}, S- = {S[-1]})",
         "",
         f"{'quantity':<12} | {'empirical':<18} | {'theoretical':<12} | {'|delta|':<9} | pass/fail",
     ]
@@ -427,6 +423,6 @@ def emit_csv(records, n: int, header: bool = True) -> str:
     for rec in sorted(records, key=lambda r: r.p):
         row = [str(rec.p), str(rec.p % 4), str(rec.root_a)]
         row += [str(s) for s in rec.spins]
-        row += [str(int(in_R(rec.spins))), str(int(in_F(rec.spins))), "".join(map(str, rec.m4_bits))]
+        row += [str(int(in_R(rec.spins))), str(int(in_F(rec.spins))), residue.class_bits(rec.m4_bits, n)]
         lines.append(",".join(row))
     return "".join(line + "\n" for line in lines)

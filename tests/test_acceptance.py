@@ -96,8 +96,8 @@ def test_criterion_3_three_way_kernel(spec7, spec9, capsys):
         ok &= residue.star_table(family) == star  # the form's table is the oracle's
         ok &= s_pair(3) == (star.ker_plus, star.ker_minus) == (1, 3)
         ok &= residue.kernel_counts_via_B(pairing) == (1, 3)
-        ok &= star.star[(0, 0, 0)] == 1
-        ok &= star.star[(1, 1, 1)] == -1
+        ok &= star.star[0b000] == 1
+        ok &= star.star[0b111] == -1
         ok &= residue.hilbert2(r3, r3.neg_one(), r3.neg_one()) == -1
     elapsed = time.time() - t0
     with capsys.disabled():
@@ -181,7 +181,7 @@ def test_criterion_7_zero_tolerance_consistency(sweep_result, spec7, capsys):
     for rec in records:
         bits = rec.m4_bits
         for k in range(1, n):
-            pairing = tables.family.pairing.pairing(bits, residue.rot(bits, k))
+            pairing = tables.family.pairing.pairing(bits, residue.rot(bits, k, n))
             ok &= rec.spins[k - 1] * rec.spins[n - k - 1] == pairing
             products += 1
         in_r_spin = all(rec.spins[k - 1] * rec.spins[n - k - 1] == 1 for k in range(1, n))

@@ -1196,7 +1196,7 @@ def test_r4_equivariance_and_norm_sign(spec7, family7, star7):
         bits = _m4_class(spec7, family7, P)
         assert star7.norm_sign[bits] == (1 if p % 4 == 1 else -1)
         Q = conjugate_chain(spec7, P)[1]
-        assert _m4_class(spec7, family7, Q) == residue.rot(bits, 1)
+        assert _m4_class(spec7, family7, Q) == residue.rot(bits, 1, 3)
 
 
 def test_r4_plus_classes_for_one_mod_four(spec7, family7, star7):

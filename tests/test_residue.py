@@ -24,8 +24,8 @@ from spinsweep.residue import (
 from spinsweep.sweep import build_tables
 from test_f2poly import gcd
 
-ZERO = (0, 0, 0)
-ONES = (1, 1, 1)
+ZERO = 0b000
+ONES = 0b111
 
 # Q(zeta_11)^+, given only what the residue layer reads: theta = zeta + zeta^-1
 ZETA11_PLUS = SimpleNamespace(n=5, f=(1, 3, -3, -4, 1, 1), sigma=(-2, 0, 1))
@@ -94,7 +94,7 @@ def _orbit(ring, y):
 
 def _gram(ring, y):
     """c_k = Tr(y tau^k(y)) mod 2 as a GF(2) polynomial."""
-    return f2poly.from_coeffs(residue._traces(ring, y, _orbit(ring, y)))
+    return residue._traces(ring, y, _orbit(ring, y))
 
 
 def test_normal_basis_conjugates_independent(family7, family9, family11):
@@ -174,7 +174,7 @@ def test_m4_structure_exhaustive(family7):
     squares = {r2.mul(u, u) for u in units}
     assert len(squares) == 7
     assert set(classes[ZERO]) == squares  # kernel is exactly the squares
-    fixed = {c for c in classes if rot(c, 1) == c}
+    fixed = {c for c in classes if rot(c, 1, 3) == c}
     assert fixed == {ZERO, ONES}
 
 
@@ -186,7 +186,7 @@ def test_m4_is_homomorphism(family7):
             ca = m4_class_of(family7, a)
             cb = m4_class_of(family7, b)
             cab = m4_class_of(family7, r2.mul(a, b))
-            assert cab == tuple(x ^ y for x, y in zip(ca, cb))
+            assert cab == ca ^ cb
 
 
 def test_m4_rejects_non_units(family7):
@@ -202,7 +202,7 @@ def test_m4_dictionary_roundtrip(family7, family9, family11):
     for fam in (family7, family9, family11):
         r2 = fam.rings[2]
         squares = {r2.mul(u, u) for u in product(range(4), repeat=fam.n) if r2.is_unit(u)}
-        for bits in product((0, 1), repeat=fam.n):
+        for bits in range(1 << fam.n):
             rep = tuple(c % 4 for c in class_rep(fam, bits))
             assert m4_class_of(fam, rep) == bits
             for s in squares:
@@ -216,14 +216,14 @@ def _families11_off_self_dual(family11):
     for cand in product((0, 1), repeat=5):
         c = _gram(r1, cand)
         if c != 1 and gcd(c, 0b100001) == 1:
-            basis = (cand, tuple(_orbit(r1, cand)), residue._traces(r1, cand, _orbit(r1, cand)))
+            basis = (cand, tuple(_orbit(r1, cand)), tuple(c >> k & 1 for k in range(5)))
             with mock.patch.object(residue, "find_normal_basis", lambda ring: basis):
                 fams.append(residue.build_family(ZETA11_PLUS))
     return fams
 
 
 def _classes_of_reps(fam):
-    reps = [class_rep(fam, bits) for bits in product((0, 1), repeat=fam.n)]
+    reps = [class_rep(fam, bits) for bits in range(1 << fam.n)]
     return [m4_class_of(fam, tuple(c % 4 for c in rep)) for rep in reps]
 
 
@@ -233,7 +233,7 @@ def test_m4_classes_off_self_dual_basis(family11):
     fams = _families11_off_self_dual(family11)
     assert len(fams) == 10
     assert {fam.pairing.c for fam in fams} == {(1, 1, 0, 0, 1), (1, 0, 1, 1, 0)}
-    every_class = list(product((0, 1), repeat=5))
+    every_class = list(range(1 << 5))
     for fam in fams:
         c, h = f2poly.from_coeffs(fam.pairing.c), fam.pairing.h
         assert f2poly.cyclic_mul(c, h, 5) == 1 != h
@@ -291,7 +291,7 @@ def test_oracle_on_sampled_unit_pairs(family7, pairing7, family9, pairing9):
 def test_oracle_memo_is_per_ring(spec7, spec9, family7, family9):
     # the same raw tuples are different elements of O/8 on c7 and on c9; a memo
     # of products keyed on the tuple alone would hand one ring the other's
-    elems = [class_rep(family7, bits) for bits in product((0, 1), repeat=3)]
+    elems = [class_rep(family7, bits) for bits in range(1 << 3)]
 
     def form_table(fam):  # the symbol read off the pairing, no oracle involved
         cls = [m4_class_of(fam, tuple(c % 4 for c in a)) for a in elems]
@@ -355,7 +355,7 @@ def test_oracle_matches_its_definition(request, field):
     family = residue.build_family(spec)
     ring = family.rings[3]
     squares = ring.squares
-    reps = [class_rep(family, bits) for bits in product((0, 1), repeat=3)]
+    reps = [class_rep(family, bits) for bits in range(1 << 3)]
 
     def by_definition(a, b):
         b_s = {s2: ring.mul(b, s2) for s2 in squares}
@@ -397,7 +397,7 @@ def test_kernel_counts_both_fields(star7, star9):
 
 
 def test_norm_sign_splits_in_half(star7):
-    assert sum(1 for v in star7.norm_sign.values() if v == 1) == 4
+    assert star7.norm_sign.count(1) == 4
 
 
 def test_star_table_matches_oracle(star7, oracle_star7, star9, oracle_star9):
@@ -412,6 +412,13 @@ def test_star_table_matches_oracle_at_n5(family11):
     assert form.star == oracle.star
     assert form.norm_sign == oracle.norm_sign
     assert (form.ker_plus, form.ker_minus) == (oracle.ker_plus, oracle.ker_minus) == (1, 5)
+
+
+def test_star_table_matches_oracle_per_class(star7, oracle_star7, star9, oracle_star9):
+    for form, oracle in ((star7, oracle_star7), (star9, oracle_star9)):
+        assert len(form.star) == len(form.norm_sign) == len(oracle.star) == len(oracle.norm_sign) == 8
+        for u in range(8):
+            assert (form.star[u], form.norm_sign[u]) == (oracle.star[u], oracle.norm_sign[u]), u
 
 
 def test_tables_never_call_the_oracle(monkeypatch, spec7, spec9, family11):
@@ -431,21 +438,21 @@ def test_tables_never_call_the_oracle(monkeypatch, spec7, spec9, family11):
 
 def test_pairing_matrix_matches_brute_force(family7, pairing7):
     r3 = family7.rings[3]
-    for u in product((0, 1), repeat=3):
-        for v in product((0, 1), repeat=3):
+    for u in range(1 << 3):
+        for v in range(1 << 3):
             direct = hilbert2(r3, class_rep(family7, u), class_rep(family7, v))
             assert direct == pairing7.pairing(u, v)
 
 
 def test_pairing_matrix_matches_oracle_at_n5(family11):
     r3 = family11.rings[3]
-    lifts = [class_rep(family11, e) for e in _unit_vectors(5)]  # 1 + 2 tau^i(y)
+    lifts = [class_rep(family11, 1 << i) for i in range(5)]  # 1 + 2 tau^i(y)
     oracle_c = tuple(0 if hilbert2(r3, lifts[0], b) == 1 else 1 for b in lifts)
     assert build_matrix_A(family11).c == oracle_c == (1, 0, 0, 0, 0)
 
 
 def test_pairing_c0_vs_norm_sign(family7, oracle_star7, pairing7):
-    alpha_class = m4_class_of(family7, tuple(c % 4 for c in class_rep(family7, (1, 0, 0))))
+    alpha_class = m4_class_of(family7, tuple(c % 4 for c in class_rep(family7, 0b001)))
     assert (pairing7.c[0] == 0) == (oracle_star7.norm_sign[alpha_class] == 1)
 
 
@@ -484,6 +491,17 @@ def _unit_vectors(n):
     return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
+def _bits(u, n):
+    """The class u as its coordinate tuple, bit j at index j."""
+    return tuple(u >> j & 1 for j in range(n))
+
+
+def _tuple_rot(bits, k):
+    """A coordinate tuple after k steps of the Galois generator: coordinate j moves to j + k."""
+    n = len(bits)
+    return tuple(bits[(j - k) % n] for j in range(n))
+
+
 def _off_identity_units(n):
     """Symmetric c with c_0 = 1, other than the identity, whose circulant is invertible (brute force)."""
     out = []
@@ -514,17 +532,17 @@ def test_circulant_layer_off_identity(c):
     # every shipped field has c = (1, 0, ..., 0), so run the layer on a stand-in family
     n = len(c)
     a = CirculantA(c)
-    classes = list(product((0, 1), repeat=n))
-    vs = classes if n == 5 else _unit_vectors(n) + random.Random(n).sample(classes, 24)
+    classes = range(1 << n)
+    vs = classes if n == 5 else [1 << i for i in range(n)] + random.Random(n).sample(classes, 24)
     for v in vs:
-        av = _apply(c, v)
+        av = _apply(c, _bits(v, n))
         for u in classes:
-            assert a.pairing(u, v) == (-1) ** (sum(x * y for x, y in zip(u, av)) % 2)
-    assert _apply(c, tuple((a.h >> j) & 1 for j in range(n))) == _unit_vectors(n)[0]
+            assert a.pairing(u, v) == (-1) ** (sum(x * y for x, y in zip(_bits(u, n), av)) % 2)
+    assert _apply(c, _bits(a.h, n)) == _unit_vectors(n)[0]
     star = star_table(SimpleNamespace(n=n, pairing=a)).star
     for u in classes:
-        au = _apply(c, u)  # A is symmetric, so u^T A w = (A u) . w
-        trivial = all(sum(x * y for x, y in zip(au, rot(u, k))) % 2 == 0 for k in range(1, n))
+        au = _apply(c, _bits(u, n))  # A is symmetric, so u^T A w = (A u) . w
+        trivial = all(sum(x * y for x, y in zip(au, _tuple_rot(_bits(u, n), k))) % 2 == 0 for k in range(1, n))
         assert star[u] == (1 if trivial else -1)
 
 
@@ -660,7 +678,7 @@ def test_h_poly_inverts_every_symmetric_unit(n):
         c = (c0,) + half + half[::-1]
         if len({_apply(c, v) for v in product((0, 1), repeat=n)}) == 1 << n:
             h = CirculantA(c).h
-            assert _apply(c, tuple((h >> j) & 1 for j in range(n))) == _unit_vectors(n)[0]
+            assert _apply(c, _bits(h, n)) == _unit_vectors(n)[0]
             units += 1
     assert units == 1 + sum(len(c) == n for c in OFF_IDENTITY)
 
@@ -690,8 +708,19 @@ def test_three_way_agreement(oracle_star7, pairing7, oracle_star9, pairing9):
 # -- galois compatibility between class map and rotation ----------------------
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_rot_is_the_product_by_x_to_the_k(n):
+    # the packed shift against the cyclic product by x^k and against the coordinate rule
+    for u in range(1 << n):
+        bits = _bits(u, n)
+        for k in range(n):
+            moved = rot(u, k, n)
+            assert moved == f2poly.cyclic_mul(u, 1 << k, n)
+            assert _bits(moved, n) == _tuple_rot(bits, k)
+
+
 def test_class_rotation_matches_tau(family7):
     r2 = family7.rings[2]
     for u in product(range(4), repeat=3):
         if r2.is_unit(u):
-            assert m4_class_of(family7, r2.apply_tau(u)) == rot(m4_class_of(family7, u), 1)
+            assert m4_class_of(family7, r2.apply_tau(u)) == rot(m4_class_of(family7, u), 1, 3)

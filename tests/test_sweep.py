@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +19,7 @@ from spinsweep.sweep import (
     odd_primes_in,
     run_sweep,
 )
-from test_numfield import QUINTIC11, translate
+from test_numfield import QUINTIC11, shanks_cubic, translate
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +92,8 @@ def test_classify_non_split_is_none(tables7):
 
 def test_classify_13_and_29(tables7):
     r13 = classify_prime(tables7, 13)
-    assert r13.p == 13 and r13.root_a == 7 and r13.spins == (-1, 1)
-    assert emit_csv([r13], 3).splitlines()[1] == "13,1,7,-1,1,0,0," + "".join(map(str, r13.m4_bits))
+    assert r13.p == 13 and r13.root_a == 7 and r13.spins == (-1, 1) and r13.m4_bits == 0b110
+    assert emit_csv([r13], 3).splitlines()[1] == "13,1,7,-1,1,0,0,011"  # coordinate 0 first
     r29 = classify_prime(tables7, 29)
     assert r29.p == 29
     assert all(s in (1, -1) for s in r29.spins)
@@ -122,7 +123,7 @@ def test_R_and_F_predicates():
     assert sweep.in_F((1, 1, 1, 1)) and not sweep.in_F((1, 1, -1, 1))
 
 
-def _row_counts(records):
+def _row_counts(records, n):
     """(numerator, denominator) of every report row, straight from the records."""
     S, R, F, hist, sector = Counter(), Counter(), Counter(), Counter(), {}
     for rec in records:
@@ -141,7 +142,7 @@ def _row_counts(records):
         "F+/R+": (F[1], R[1]), "F-/R-": (F[-1], R[-1]),
     }
     for bits, count in hist.items():
-        counts["hist[" + "".join(map(str, bits)) + "]"] = (count, S[sector[bits]])
+        counts[f"hist[{residue.class_bits(bits, n)}]"] = (count, S[sector[bits]])
     return counts
 
 
@@ -149,7 +150,7 @@ def _row_counts(records):
 def test_report_rows_from_records(request, field):
     # every row's numerator and denominator, recounted from p mod 4, in_R, in_F and the class
     result, records = request.getfixturevalue(field)
-    counts = _row_counts(records)
+    counts = _row_counts(records, result.spec.n)
     assert [row[0] for row in result.report_rows] == list(counts)[:7] + sorted(
         name for name in counts if name.startswith("hist["))
     for name, emp, stderr, theo, _, _ in result.report_rows:
@@ -157,14 +158,20 @@ def test_report_rows_from_records(request, field):
         theta = float(theo)
         assert emp == num / den and stderr == math.sqrt(theta * (1 - theta) / den)
     assert result.tally.total() == len(records)
-    assert result.skipped_ramified == {"swept7": [7], "swept9": [3]}[field]
 
 
-def test_ramified_primes_still_skipped(spec9):
-    # 3 | disc_f divides the modulus, so it is in no split class and classifies as
-    # not split; the report lists it from the factors of disc_f
+def test_ramified_primes_do_not_split(spec9):
+    # 3 | disc_f divides the modulus, so it is in no split class and classifies as not split
     assert sweep.classify_prime(sweep.build_tables(spec9), 3) is None
-    assert run_sweep(spec9, 1000, jobs=1).skipped_ramified == [3]
+    assert "ramified" not in sweep.format_report(run_sweep(spec9, 1000, jobs=1))
+
+
+def test_report_header_counts_split_primes_only():
+    # Shanks m = 12: disc_f = 3^6 7^2, but 3 divides only the index of Z[theta] and
+    # the field is Q(zeta_7)^+, unramified at 3; the header names no skipped primes
+    spec = numfield.load_spec(shanks_cubic(12).replace("h = 1", "h = 3"))
+    header = sweep.format_report(run_sweep(spec, 2000, jobs=1)).splitlines()[1]
+    assert header == "split primes: 97  (S+ = 48, S- = 49)"
 
 
 def _gf2_rank(vectors):
@@ -175,10 +182,6 @@ def _gf2_rank(vectors):
         if v:
             basis.append(v)
     return len(basis)
-
-
-def _class_int(bits):
-    return sum(bit << j for j, bit in enumerate(bits))
 
 
 @pytest.mark.parametrize("field, shifts", [("spec7", (1, -2)), ("spec9", (1, -2)), ("quintic", (1, -3))])
@@ -197,7 +200,7 @@ def test_translated_presentation_sweeps_the_same(request, field, shifts):
         assert [r.p for r in records] == [r.p for r in base_records]
         assert [r.spins for r in records] == [r.spins for r in base_records]
         assert result.report_rows[:7] == base.report_rows[:7]
-        pairs = [(_class_int(a.m4_bits), _class_int(b.m4_bits)) for a, b in zip(base_records, records)
+        pairs = [(a.m4_bits, b.m4_bits) for a, b in zip(base_records, records)
                  if (a.root_a - t - b.root_a) % a.p == 0]
         assert len(pairs) > 0.9 * len(base_records)
         # the pairs span the graph of one linear bijection of GF(2)^n exactly when
@@ -302,7 +305,7 @@ def test_poisoned_m4_memo_trips_the_conjugate_class_check(spec7):
         pytest.fail("no prime whose conjugate generator has another residue mod 4")
     tables = build_tables(spec7)
     true_bits = tables.m4_class(keys[1])
-    tables.m4[keys[1]] = tuple(1 - b for b in true_bits)
+    tables.m4[keys[1]] = true_bits ^ 0b111
     with pytest.raises(sweep.SpinRelationViolation, match=f"^p={p}: class of conjugate prime"):
         classify_prime(tables, p)
     tables.m4[keys[1]] = true_bits
@@ -486,10 +489,27 @@ def test_csv_row_fields(records7):
     line = emit_csv([rec], 3).strip().split("\n")[1]
     parts = line.split(",")
     assert parts[0] == str(rec.p)
-    assert parts[-1] == "".join(map(str, rec.m4_bits))
+    assert parts[-1] == residue.class_bits(rec.m4_bits, 3)
     assert parts[1] == str(rec.p % 4)
     assert parts[-2] == str(int(sweep.in_F(rec.spins)))
     assert parts[-3] == str(int(sweep.in_R(rec.spins)))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_class_labels_read_back_to_the_class(n):
+    # the CSV column and the hist[...] label print a class bit 0 first; reading each back gives the class
+    classes = range(1 << n)
+    records = [sweep.PrimeRecord(p, 0, (1,) * (n - 1), u) for p, u in enumerate(classes)]
+    column = [line.rsplit(",", 1)[1] for line in emit_csv(records, n).splitlines()[1:]]
+    assert [int(bits[::-1], 2) for bits in column] == list(classes)
+    assert all(bits[j] == str(u >> j & 1) for u, bits in zip(classes, column) for j in range(n))
+    # class u gets u + 1 primes, all in S+, so each hist row's count names its class
+    tally = Tally({(u, (1,) * (n - 1)): u + 1 for u in classes})
+    rows = sweep.build_report_rows(SimpleNamespace(n=n), tally, (1,) * (1 << n))
+    hist = [(name[len("hist["):-1], emp) for name, emp, *_ in rows if name.startswith("hist[")]
+    assert [label for label, _ in hist] == sorted(column)
+    for label, emp in hist:
+        assert round(emp * tally.total()) - 1 == int(label[::-1], 2)
 
 
 @pytest.mark.parametrize("field, rows, digest", [
@@ -528,7 +548,7 @@ def test_histogram_sign_sectors(result7, records7, star7):
     sector = Counter(star7.norm_sign[rec.m4_bits] for rec in records7)
     rows = {row[0]: row for row in result7.report_rows}
     for bits, count in Counter(rec.m4_bits for rec in records7).items():
-        label = "hist[" + "".join(map(str, bits)) + "]"
+        label = f"hist[{residue.class_bits(bits, 3)}]"
         assert rows[label][1] == count / sector[star7.norm_sign[bits]]
 
 
@@ -564,10 +584,10 @@ def test_violation_on_tampered_star_table(spec7):
     tables = build_tables(spec7)
     rec = classify_prime(tables, 13)
     bits = rec.m4_bits
-    tampered = dict(tables.star.star)
+    tampered = list(tables.star.star)
     for k in range(3):
-        tampered[rot(bits, k)] = -tampered[rot(bits, k)]
-    broken = dataclasses.replace(tables, star=type(tables.star)(tampered, tables.star.norm_sign))
+        tampered[rot(bits, k, 3)] = -tampered[rot(bits, k, 3)]
+    broken = dataclasses.replace(tables, star=type(tables.star)(tuple(tampered), tables.star.norm_sign))
     with pytest.raises(sweep.SpinRelationViolation):
         classify_prime(broken, 13)
 
@@ -577,9 +597,9 @@ def test_violation_on_flipped_norm_sign(spec7):
     # sign of both 3-class orbits (weight 1 to +1, weight 2 to -1); the table
     # still splits in half and is constant on orbits, so StarTable accepts it
     tables = build_tables(spec7)
-    flipped = {bits: sign if sum(bits) in (0, 3) else -sign
-               for bits, sign in tables.star.norm_sign.items()}
-    assert [flipped[b] for b in ((1, 0, 0), (1, 1, 0))] == [1, -1]
+    flipped = tuple(sign if bits.bit_count() in (0, 3) else -sign
+                    for bits, sign in enumerate(tables.star.norm_sign))
+    assert [flipped[b] for b in (0b001, 0b011)] == [1, -1]
     broken = dataclasses.replace(tables, star=type(tables.star)(tables.star.star, flipped))
     for p in (13, 29, 43):
         with pytest.raises(sweep.SpinRelationViolation, match=f"p={p}: norm sign"):
