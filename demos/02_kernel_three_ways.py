@@ -31,8 +31,9 @@ for name in ("simplest-cubic-7", "cyclic-cubic-9"):
     pairing = family.pairing
 
     print(f"== {spec.name}: f has constant-first coefficients {spec.f}")
-    print(f"   normal basis generator of O/2: y = {family.y}")
-    print(f"   orbit under the Galois generator: {family.y_orbit}")
+    r1 = family.rings[1]
+    print(f"   normal basis generator of O/2: y = {r1.coeffs(family.y)}")
+    print(f"   orbit under the Galois generator: {tuple(map(r1.coeffs, family.y_orbit))}")
     print(f"   pairing circulant c = {pairing.c}, h(x) = {f2poly.poly_str(pairing.h)}")
     print(f"   closed form        : {s_pair(spec.n)}")
     print(f"   star-table count   : {(star.ker_plus, star.ker_minus)}")

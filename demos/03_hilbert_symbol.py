@@ -8,7 +8,6 @@ to print in full.
 """
 
 from importlib import resources
-from itertools import product
 
 from spinsweep import checks, residue
 from spinsweep.numfield import load_spec
@@ -21,7 +20,7 @@ r3 = family.rings[3]
 print("(-1, -1)_2 =", residue.hilbert2(r3, r3.neg_one(), r3.neg_one()), " (always -1 here)")
 print("(1, b)_2 = +1 for every unit b: ", all(
     residue.hilbert2(r3, r3.one(), b) == 1
-    for b in product(range(8), repeat=3) if r3.is_unit(b)
+    for b in r3.elements() if r3.is_unit(b)
 ))
 
 print()

@@ -12,26 +12,27 @@ the residue layer builds its tables from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import residue
 from .density import s_pair
 from .intpoly import norm_mod
 from .f2poly import F2Poly
-from .residue import Elem, RingFamily, StarTable, hilbert2, m4_class_of, rot
+from .residue import Elem, RingFamily, StarTable, m4_class_of, rot
 
 # largest degree the suites are run at: at n = 5 the well-definedness loop of
 # `hilbert_suite` alone is 32 * 32 * (32 + 496) = 540 672 oracle calls.  On a
-# 2-vCPU sandbox its first 6 of 32 classes take 7.3 s (0.07 ms a call), so the
-# loop takes about 45 s, while the ring's product memo grows by some 510
-# tuples of 528 packed products per class, about 16 000 tuples and 310 MB in
-# all.  The memo still holds |squares| ints per key, so memory keeps the cap
+# 2-vCPU sandbox its first 6 of 32 classes take 8.8 s (0.087 ms a call), so
+# the loop takes about 47 s, while the ring's product memo grows by 2555
+# tuples of 528 products, about 52 MB, over those 6 classes: at that rate
+# some 13 600 tuples and 270 MB in all.  The memo holds |squares| ints per
+# key, so memory keeps the cap
 MAX_SUITE_DEGREE = 3
 
 # largest degree `oracle_star_table` is run at: the oracle squares each of the
 # 8^n elements of O/8 once per ring, so `verify-kernel` takes about 0.3 s at
 # n = 5 on a 2-vCPU sandbox, but 8^7 = 2 097 152 ring products at n = 7, and
-# at n = 9 8^9 of some 16 us each, over half an hour
+# at n = 9 8^9 of some 1.4 us each, over three minutes, with every distinct
+# square kept in one set
 MAX_ORACLE_DEGREE = 5
 
 
@@ -52,7 +53,7 @@ def class_rep(family: RingFamily, u: F2Poly) -> Elem:
     out = r3.one()
     for i, v in enumerate(family.y_orbit):
         if u >> i & 1:
-            out = r3.mul(out, (1 + 2 * v[0],) + tuple(2 * c for c in v[1:]))
+            out = r3.mul(out, 1 + 2 * v)
     return out
 
 
@@ -70,11 +71,11 @@ def oracle_star_table(family: RingFamily) -> StarTable:
         rep = class_rep(family, u)
         val = 1
         for k in range(1, n):
-            if hilbert2(r3, rep, r3.apply_tau(rep, k)) == -1:
+            if residue.hilbert2(r3, rep, r3.apply_tau(rep, k)) == -1:
                 val = -1
                 break
         star.append(val)
-        nrm = norm_mod([c % 4 for c in rep], family.rings[2].f) % 4
+        nrm = norm_mod(family.rings[2].coeffs(rep), family.rings[2].f) % 4
         assert nrm in (1, 3), "norm of a unit lift must be odd"
         norm_sign.append(1 if nrm == 1 else -1)
     return StarTable(tuple(star), tuple(norm_sign))
@@ -84,7 +85,7 @@ def m4_suite(family: RingFamily) -> list[CheckResult]:
     """Structure of the square-class group mod 4: size, kernel, fixed classes."""
     r2 = family.rings[2]
     n = family.n
-    units = [u for u in product(range(4), repeat=n) if r2.is_unit(u)]
+    units = [u for u in r2.elements() if r2.is_unit(u)]
     classes = {}
     for u in units:
         classes.setdefault(m4_class_of(family, u), []).append(u)
@@ -115,24 +116,24 @@ def hilbert_suite(family: RingFamily) -> list[CheckResult]:
     classes = range(1 << n)
     reps = [class_rep(family, u) for u in classes]
     table = {
-        (u, v): hilbert2(r3, reps[u], reps[v]) for u in classes for v in classes
+        (u, v): residue.hilbert2(r3, reps[u], reps[v]) for u in classes for v in classes
     }
 
     unit_squares = [s for s in r3.squares if r3.is_unit(s)]
-    shifts = [tuple((1 if j == 0 else 0) + 4 * t[j] for j in range(n))
-              for t in product((0, 1), repeat=n)]
+    shifts = [1 + 4 * t for t in family.rings[1].elements()]  # 1 + 4B, B over O/2
 
     ok_well = True
     for u in classes:
         variants = [r3.mul(reps[u], s) for s in shifts]  # representative + 4B
         variants += [r3.mul(reps[u], s) for s in unit_squares]  # times unit squares
         for v in classes:
-            if any(hilbert2(r3, w, reps[v]) != table[u, v] for w in variants):
+            if any(residue.hilbert2(r3, w, reps[v]) != table[u, v] for w in variants):
                 ok_well = False
     out = [_result("hilbert/well-defined", ok_well)]
 
+    products = [[r3.mul(reps[u], reps[v]) for v in classes] for u in classes]
     ok_bilin = all(
-        hilbert2(r3, r3.mul(reps[u], reps[v]), reps[w])
+        residue.hilbert2(r3, products[u][v], reps[w])
         == table[u, w] * table[v, w]
         for u in classes for v in classes for w in classes
     )
@@ -145,15 +146,16 @@ def hilbert_suite(family: RingFamily) -> list[CheckResult]:
                        all(any(table[u, v] == -1 for v in classes)
                            for u in classes if u)))
 
+    conjugates = [r3.apply_tau(rep, 1) for rep in reps]
     ok_equi = all(
-        hilbert2(r3, r3.apply_tau(reps[u], 1), r3.apply_tau(reps[v], 1)) == table[u, v]
+        residue.hilbert2(r3, conjugates[u], conjugates[v]) == table[u, v]
         for u in classes for v in classes
     )
     out.append(_result("hilbert/galois-equivariant", ok_equi))
 
     neg = r3.neg_one()
     out.append(_result("hilbert/self-pairing-is-minus-one",
-                       all(table[u, u] == hilbert2(r3, reps[u], neg) for u in classes)))
+                       all(table[u, u] == residue.hilbert2(r3, reps[u], neg) for u in classes)))
 
     out.append(_result("hilbert/bilinear-form-identity",
                        all(table[u, v] == family.pairing.pairing(u, v)
@@ -188,11 +190,11 @@ def kernel_suite(family: RingFamily, star: StarTable) -> list[CheckResult]:
         _result("kernel/star-of-one", star.star[0] == 1),
         _result("kernel/star-of-minus-one", star.star[ones] == -1),
         _result("kernel/minus-one-pairing",
-                hilbert2(r3, r3.neg_one(), r3.neg_one()) == -1),
+                residue.hilbert2(r3, r3.neg_one(), r3.neg_one()) == -1),
     ]
     # c_0 reflects the norm sign of the basis element's class
     alpha = class_rep(family, 1)  # 1 + 2y
-    alpha_class = m4_class_of(family, tuple(c % 4 for c in alpha))
+    alpha_class = m4_class_of(family, alpha & family.rings[2].mask)
     out.append(_result("kernel/c0-vs-norm-sign",
                        (pairing.c[0] == 0) == (star.norm_sign[alpha_class] == 1)))
     # pairing of the all-ones class with itself vs star(-1): (-1,-1) = -1

@@ -111,7 +111,7 @@ def _cmd_verify_kernel(args) -> int:
     closed, brute, convol = checks.kernel_routes(checks.oracle_star_table(family) if oracle else None, pairing)
     agree = closed == convol and (not oracle or brute == closed)
     print(f"field = {spec.name}  (n = {spec.n})")
-    print(f"normal basis generator y = {family.y}")
+    print(f"normal basis generator y = {family.rings[1].coeffs(family.y)}")
     print(f"pairing c-sequence = {pairing.c}")
     print(f"h(x) = {f2poly.poly_str(pairing.h)}")
     print(f"kernel counts  closed-form      = {closed}")

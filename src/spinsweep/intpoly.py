@@ -5,15 +5,19 @@ exact; the only division performed is the fraction-free one inside the
 Bareiss determinant, which gives norms (of multiplication matrices) and
 the discriminant of f (of the trace form built from `newton_power_sums`).
 
-All arithmetic in Z[x]/(f, m) for monic f lives here: `mul_mod` and
-`pow_mod` reduce by f and then, when m is given, every coefficient into
-[0, m).  The split test, the root descent mod p and the test that f is
-irreducible mod 2 (`numfield`) and the residue rings O/2^k (`residue`)
-use them.  `gcd_mod` is the package's one polynomial gcd: Euclid mod p on
-`poly_rem_monic`, each remainder made monic before it divides.  No other
-module multiplies or divides polynomials modulo f itself.  `mult_matrix`
-builds each row from the one before by a shift and one subtraction of a
-multiple of f, with no full product.
+`mul_mod` and `pow_mod` multiply in Z[x]/(f, m) for monic f: they reduce
+by f and then, when m is given, every coefficient into [0, m).  The split
+test, the root descent mod p and the test that f is irreducible mod 2
+(`numfield`) use them, and `compose_mod` applies the Galois generator to
+field elements there.  The one other product modulo f is that of the
+residue rings O/2^k (`residue.ResidueRing.mul`), on elements packed into
+one int each; it reads from here only the rows x^(n+k) mod f
+(`mult_matrix`), and the tests keep `mul_mod`, `pow_mod` and
+`compose_mod` as its independent references.  `gcd_mod` is the
+package's one polynomial gcd: Euclid mod p on `poly_rem_monic`, each
+remainder made monic before it divides.  `mult_matrix` builds each row
+from the one before by a shift and one subtraction of a multiple of f,
+with no full product.
 
 Packing invariant of `pow_mod`: a residue mod (f, m) is one int holding its
 n = deg f coefficients, each in [0, m), in slots of B = 2 bits(m) +

@@ -1,13 +1,23 @@
 """Finite arithmetic in O/2^k (k = 1, 2, 3) for a cyclic field with 2 inert.
 
-Elements are tuples of ints of length n: power-basis coordinates modulo
-2^k.  A ring knows its reduced minimal polynomial and the image s(theta)
-of theta under the Galois generator, both reduced from a validated
-`numfield.FieldSpec`.  Elements are immutable; a ring's one mutable value
-is its oracle memo `square_multiples`.  Products and powers are
-`intpoly.mul_mod`/`pow_mod` modulo (f, 2^k), and the generator acts by
-composition, a -> a(s(theta)) (`intpoly.compose_mod`); no reduction by f
-is written here.
+An element is one packed int: its power-basis coordinate j, in [0, 2^k),
+sits in lane j of `ResidueRing.lane` bits (`pack`, `coeffs`).  A ring
+knows its reduced minimal polynomial and the image s(theta) of theta under
+the Galois generator, both reduced from a validated `numfield.FieldSpec`.
+Its one mutable value is its oracle memo `square_multiples`.  Lane
+invariant: with m = 2^k, a sum of at most n lane-wise products of residues
+in [0, m), and so also a sum of two elements, is at most n (m - 1)^2 <=
+49 n < 2^lane, so no lane carries into the next, and since m is a power of two
+`& mask` (m - 1 in every lane) reduces every lane mod m.  A product
+(`mul`) is one int product, whose lane k < 2n - 1 is such a sum; its
+n - 1 high lanes, each masked to [0, m), fold back through the packed rows
+x^(n+k) mod (f, m), which leaves a low lane at most (m - 1) + (n - 1)(m -
+1)^2 <= n (m - 1)^2, and one `& mask` reduces the result.  Powers are
+square-and-multiply on `mul`, the generator acts as the packed linear map
+a -> sum_j a_j pack(s^j mod f) (`apply_tau`), and a is a unit iff one AND
+with the low bit of each lane is nonzero.  The lanes are sized for O/8 at
+every level, so one packing serves a family's three rings: an element of
+O/8 reduces to O/4 by `& mask`, and 1 + 2v lifts v from O/2 to O/8.
 
 Built on top of the rings:
 
@@ -47,14 +57,8 @@ Built on top of the rings:
     products v*t (t a square) for every v its oracle has scanned with
     (`ResidueRing.square_multiples`, created on the first call): the memo
     belongs to the ring object, so every `build_family` starts with an
-    empty one, and nothing else caches them.  The scans work on packed
-    elements (`ResidueRing.pack`), coefficient j in lane j of
-    bits(n (m - 1)^2) bits, m = 2^level, and `ResidueRing.mask` holds
-    m - 1 in every lane.  Lane invariant: a sum of at most n lane-wise
-    products of residues in [0, m), and so also a sum of two packed
-    elements, stays below 2^lane, so no lane carries into the next and
-    `& mask` reduces every lane mod m.  A memo entry therefore costs n ring
-    products: with row_j = pack(v theta^j), pack(v t) = (sum_j t_j row_j) & mask.
+    empty one, and nothing else caches them.  By the lane invariant a scan
+    tests u + v t for a square with one addition and one `& mask`.
 
 The normal-basis test, the class coordinates, the pairing, the star
 values, b and h are one product, `f2poly.cyclic_mul` in GF(2)[x]/(x^n - 1),
@@ -73,12 +77,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, product
-from operator import and_, getitem, mul, or_, xor
+from operator import and_, getitem, or_, xor
 
 from . import f2poly
-from .intpoly import compose_mod, gcd_mod, mul_mod, newton_power_sums, poly_rem_monic, pow_mod
+from .intpoly import gcd_mod, mult_matrix, newton_power_sums, poly_rem_monic
 
-Elem = tuple[int, ...]
+Elem = int  # a packed residue: coefficient j in lane j of `ResidueRing.lane` bits
 
 
 def rot(u: f2poly.F2Poly, k: int, n: int) -> f2poly.F2Poly:
@@ -98,78 +102,111 @@ class ResidueRing:
     they are checked; the ring checks only its level.  Reduction mod 2^level
     is a ring map, so s stays a root of f with tau^n = 1 here, and with 2
     inert Gal(K/Q) maps isomorphically onto the Galois group of O/2, so tau
-    has order n even mod 2.
+    has order n even mod 2.  An element is one packed int (the module
+    docstring states the lane invariant); `pack` and `coeffs` convert
+    coefficient tuples at the edges.
     """
 
     def __init__(self, level: int, f_int, sigma_int):
         if level not in (1, 2, 3):
             raise ValueError("level must be 1, 2 or 3")
-        self.n = len(f_int) - 1
+        self.n = n = len(f_int) - 1
         self.level = level
-        self.mod = 1 << level
-        m = self.mod
-        self.lane = (self.n * (m - 1) ** 2).bit_length()  # bits per coefficient in `pack`
-        self.mask = self.pack((m - 1,) * self.n)  # m - 1 in every lane
+        self.mod = m = 1 << level
+        self.lane = (n * 7**2).bit_length()  # bits per coefficient, sized for O/8 at every level
+        self.mask = self.pack((m - 1,) * n)  # m - 1 in every lane
+        self.low = self.pack((1,) * n)  # 1 in every lane: the coefficients mod 2
         self.f = tuple(c % m for c in f_int)
-        self.sigma = tuple(c % m for c in poly_rem_monic(tuple(sigma_int), tuple(f_int)))
+        # x^(n+k) mod (f, m), k < n - 1: where the high lanes of a product fold to
+        self.fold_rows = tuple(map(self.pack, mult_matrix((0,) * n + (1,), self.f)[:-1]))
+        self.sigma = self.pack(poly_rem_monic(tuple(sigma_int), tuple(f_int)))
+        # tau(theta^j) = s^j mod (f, m): the images of the basis under the generator
+        self.tau_images = tuple(self.pow(self.sigma, j) for j in range(n))
 
-    # -- scalar element arithmetic -------------------------------------
+    # -- packing -------------------------------------------------------
+
+    def pack(self, a) -> Elem:
+        """The coefficient sequence a (constant first), each reduced mod 2^level, as one element."""
+        lane, m = self.lane, self.mod
+        packed = 0
+        for c in reversed(a):
+            packed = packed << lane | c % m
+        return packed
+
+    def coeffs(self, a: Elem) -> tuple[int, ...]:
+        """The n coefficients of the element a, constant first: `pack` undone."""
+        return tuple(a >> j * self.lane & self.mod - 1 for j in range(self.n))
+
+    def elements(self):
+        """Every element of the ring, in the lexicographic order of their coefficient tuples."""
+        return map(self.pack, product(range(self.mod), repeat=self.n))
+
+    # -- element arithmetic --------------------------------------------
 
     def one(self) -> Elem:
-        return (1,) + (0,) * (self.n - 1)
+        return 1
 
     def neg_one(self) -> Elem:
-        return (self.mod - 1,) + (0,) * (self.n - 1)
+        return self.mod - 1
 
     def mul(self, a: Elem, b: Elem) -> Elem:
-        return mul_mod(a, b, self.f, self.mod)
+        """a b: one int product, whose n - 1 high lanes, each reduced mod 2^level, fold back through `fold_rows`."""
+        p = a * b
+        r = p & self.mask
+        p >>= self.n * self.lane
+        top = self.mod - 1
+        for row in self.fold_rows:
+            r += (p & top) * row
+            p >>= self.lane
+        return r & self.mask
 
     def pow(self, a: Elem, e: int) -> Elem:
-        return pow_mod(a, e, self.f, self.mod)
+        """a^e for e >= 0, left-to-right square-and-multiply on `mul`."""
+        if e < 0:
+            raise ValueError(f"pow needs an exponent e >= 0, got {e}")
+        if e == 0:
+            return self.one()
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
 
     def is_unit(self, a: Elem) -> bool:
         # O/2 is a field, so a is a unit iff it is nonzero mod 2
-        return any(c & 1 for c in a)
+        return a & self.low != 0
 
     def apply_tau(self, a: Elem, k: int = 1) -> Elem:
-        """Image of a under the k-th power of the Galois generator: k rounds of a -> a(s(theta))."""
+        """Image of a under the k-th power of the Galois generator: k rounds of a -> sum_j a_j tau(theta^j)."""
+        top = self.mod - 1
         for _ in range(k % self.n):
-            a = tuple(c % self.mod for c in compose_mod(a, self.sigma, self.f))
+            r = 0
+            for image in self.tau_images:
+                r += (a & top) * image
+                a >>= self.lane
+            a = r & self.mask
         return a
 
     @cached_property
-    def trace(self) -> tuple[int, ...]:
-        """Tr(theta^j) mod 2 for j < n, the power sums of f."""
-        return tuple(t % 2 for t in newton_power_sums(self.f, self.n))
+    def trace(self) -> Elem:
+        """Tr(theta^j) mod 2 in lane j, from the power sums of f."""
+        return self.pack([t % 2 for t in newton_power_sums(self.f, self.n)])
 
     @cached_property
     def squares(self) -> frozenset[Elem]:
         """Every square of the ring, from squaring each of its mod^n elements once."""
-        return frozenset(self.mul(a, a) for a in product(range(self.mod), repeat=self.n))
-
-    # -- the oracle's packed scans (filled by `hilbert2`, never by __init__) --
-
-    def pack(self, a: Elem) -> int:
-        """a as one int: coefficient j, reduced mod 2^level, in lane j of `lane` bits."""
-        packed = 0
-        for c in reversed(a):
-            packed = packed << self.lane | c % self.mod
-        return packed
+        return frozenset(self.mul(a, a) for a in self.elements())
 
     @cached_property
-    def packed_squares(self) -> frozenset[int]:
-        """`squares`, each packed."""
-        return frozenset(map(self.pack, self.squares))
-
-    @cached_property
-    def square_multiples(self) -> dict[Elem, tuple[int, ...]]:
-        """v -> the packed products v*t, t in `squares`, for each v this ring's oracle has scanned with."""
+    def square_multiples(self) -> dict[Elem, tuple[Elem, ...]]:
+        """v -> the products v*t, t in `squares`, for each v this ring's oracle has scanned with."""
         return {}
 
 
 def _traces(ring: ResidueRing, x: Elem, ys) -> f2poly.F2Poly:
-    """Tr(x y_j) mod 2 in bit j, for the j-th y of ys, read from the power sums Tr(theta^i) of f (level 1)."""
-    return sum((sum(a * t for a, t in zip(ring.mul(x, y), ring.trace)) & 1) << j for j, y in enumerate(ys))
+    """Tr(x y_j) mod 2 in bit j, for the j-th y of ys: the parity of the coefficients mod 2 that `trace` selects."""
+    return sum(((ring.mul(x, y) & ring.trace).bit_count() & 1) << j for j, y in enumerate(ys))
 
 
 def find_normal_basis(ring: ResidueRing) -> tuple[Elem, tuple[Elem, ...], tuple[int, ...]]:
@@ -184,7 +221,7 @@ def find_normal_basis(ring: ResidueRing) -> tuple[Elem, tuple[Elem, ...], tuple[
     if ring.level != 1:
         raise ValueError("normal basis search runs at modulus level 1")
     xn_minus_1 = (-1,) + (0,) * (ring.n - 1) + (1,)
-    for cand in product((0, 1), repeat=ring.n):
+    for cand in ring.elements():
         orbit = tuple(ring.apply_tau(cand, k) for k in range(ring.n))
         gram = _traces(ring, cand, orbit)
         c = tuple(gram >> k & 1 for k in range(ring.n))
@@ -224,13 +261,13 @@ def m4_class_of(family: RingFamily, u: Elem) -> f2poly.F2Poly:
     t_j = Tr(w tau^j(y)) mod 2, t = c * b, so b = h * t.
     """
     r2 = family.rings[2]
-    if r2.mod != 4 or len(u) != r2.n:
-        raise ValueError("m4_class_of expects a length-n element mod 4")
+    if u != u & r2.mask:
+        raise ValueError("m4_class_of expects a packed element mod 4")
     if not r2.is_unit(u):
         raise ValueError("m4_class_of expects a unit")
     v = r2.pow(u, (1 << r2.n) - 1)
-    assert tuple(c & 1 for c in v) == r2.one(), "power did not land in 1 + 2O"
-    t = _traces(family.rings[1], tuple(c >> 1 for c in v), family.y_orbit)
+    assert v & r2.low == r2.one(), "power did not land in 1 + 2O"
+    t = _traces(family.rings[1], v >> 1 & r2.low, family.y_orbit)  # w = (v - 1) / 2, read mod 2
     return f2poly.cyclic_mul(family.pairing.h, t, r2.n)
 
 
@@ -248,16 +285,13 @@ def hilbert2(ring: ResidueRing, a: Elem, b: Elem) -> int:
         raise ValueError("hilbert symbol is evaluated mod 8 (level 3)")
     if not (ring.is_unit(a) and ring.is_unit(b)):
         raise ValueError("hilbert symbol requires unit arguments")
-    squares, memo, mask = ring.packed_squares, ring.square_multiples, ring.mask
+    squares, memo, mask = ring.squares, ring.square_multiples, ring.mask
 
     def scan(u: Elem, v: Elem) -> bool:
         """Is u + v*t a square for some square t?  Lanes add without carry; the mask reduces mod 8."""
-        if v not in memo:  # one packed dot product per square (the lane invariant)
-            theta_powers = (tuple(int(i == j) for i in range(ring.n)) for j in range(ring.n))
-            rows = [ring.pack(ring.mul(v, e)) for e in theta_powers]
-            memo[v] = tuple(sum(map(mul, t, rows)) & mask for t in ring.squares)
-        pu = ring.pack(u)
-        return any((pu + w) & mask in squares for w in memo[v])
+        if v not in memo:
+            memo[v] = tuple(ring.mul(v, t) for t in squares)
+        return any((u + w) & mask in squares for w in memo[v])
 
     return 1 if scan(a, b) or scan(b, a) else -1
 

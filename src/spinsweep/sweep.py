@@ -101,9 +101,10 @@ class FieldTables:
     split_classes is H, the classes p mod modulus (a multiple of the
     conductor) of the primes that split completely; `build_tables` has
     checked that it is a subgroup of index n of (Z/modulus)^*.  m4 is an
-    exact memo, empty when built: it maps a generator's coordinates mod 4
-    to `residue.m4_class_of` of them, which depends on nothing else, and
-    has at most |(O/4)^*| = 2^n (2^n - 1) keys.  A serial sweep fills one
+    exact memo, empty when built: it maps a generator's residue mod 4, an
+    element of O/4 packed by `residue.ResidueRing.pack`, to
+    `residue.m4_class_of` of it, which depends on nothing else, and has at
+    most |(O/4)^*| = 2^n (2^n - 1) keys.  A serial sweep fills one
     copy, and under a pool every window fills its own pickled copy.
     """
 
@@ -112,7 +113,7 @@ class FieldTables:
     star: residue.StarTable
     modulus: int
     split_classes: frozenset[int]
-    m4: dict[tuple[int, ...], F2Poly] = field(init=False, default_factory=dict)
+    m4: dict[residue.Elem, F2Poly] = field(init=False, default_factory=dict)
 
     def split_roots(self, p: int) -> list[int]:
         """`numfield.split_completely(spec, p)`, tested only when p mod modulus is a split class."""
@@ -127,7 +128,7 @@ class FieldTables:
 
     def m4_class(self, alpha) -> F2Poly:
         """`residue.m4_class_of` of alpha mod 4, computed once per residue mod 4."""
-        key = tuple(c % 4 for c in alpha)
+        key = self.family.rings[2].pack(alpha)
         bits = self.m4.get(key)
         if bits is None:
             bits = self.m4[key] = residue.m4_class_of(self.family, key)

@@ -327,10 +327,10 @@ def test_loaded_spec_gives_valid_residue_rings(request, field):
     # the residue rings check only their level: what FieldSpec checked must hold in each
     spec = load_spec(LOADED_CONFIGS[field]) if field in LOADED_CONFIGS else request.getfixturevalue(field)
     assert trial_division_irreducible(f2poly.from_coeffs(c % 2 for c in spec.f))
-    theta = (0, 1) + (0,) * (spec.n - 2)
     for k in (1, 2, 3):
         ring = residue.ResidueRing(k, spec.f, spec.sigma)
-        assert not any(c % ring.mod for c in compose_mod(ring.f, ring.sigma, ring.f))
+        assert not any(c % ring.mod for c in compose_mod(ring.f, ring.coeffs(ring.sigma), ring.f))
+        theta = ring.pack((0, 1))
         assert ring.apply_tau(theta) != theta
         image = theta
         for _ in range(spec.n):  # one step at a time: apply_tau reads its power mod n
@@ -1164,7 +1164,7 @@ def _spins(spec, P):
 def _m4_class(spec, family, P):
     """Square class mod 4 of the totally positive generator of P^h."""
     alpha = generator_of_power(spec, P)
-    return residue.m4_class_of(family, tuple(c % 4 for c in alpha))
+    return residue.m4_class_of(family, family.rings[2].pack(alpha))
 
 
 def test_spin_values_and_product_identity(spec7, family7):
@@ -1174,7 +1174,7 @@ def test_spin_values_and_product_identity(spec7, family7):
     # the product must be the dyadic Hilbert symbol of the generator and its conjugate
     alpha = generator_of_power(spec7, P)
     r3 = family7.rings[3]
-    a8 = tuple(c % 8 for c in alpha)
+    a8 = r3.pack(alpha)
     assert s1 * s2 == residue.hilbert2(r3, a8, r3.apply_tau(a8, 1))
     # the symbol at P itself (k = 0 or n) degenerates: the generator lies in P
     assert legendre_deg1(spec7, alpha, P) == 0

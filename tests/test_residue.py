@@ -9,6 +9,8 @@ import pytest
 from spinsweep import checks, f2poly, residue
 from spinsweep.checks import class_rep
 from spinsweep.density import s_pair
+from spinsweep.intpoly import compose_mod, mul_mod, pow_mod
+from spinsweep.numfield import load_spec
 from spinsweep.residue import (
     CirculantA,
     ResidueRing,
@@ -23,6 +25,7 @@ from spinsweep.residue import (
 )
 from spinsweep.sweep import build_tables
 from test_f2poly import gcd
+from test_numfield import REAL_CYCLOTOMIC19
 
 ZERO = 0b000
 ONES = 0b111
@@ -48,13 +51,13 @@ def test_ring_reductions_mod_2(spec7, spec9):
 
 def test_sigma_has_order_three_on_all_elements(spec7):
     r3 = ResidueRing(3, spec7.f, spec7.sigma)
-    for a in product(range(8), repeat=3):
+    for a in r3.elements():
         assert r3.apply_tau(r3.apply_tau(r3.apply_tau(a))) == a
 
 
 def test_tau_is_multiplicative(spec7):
     r3 = ResidueRing(3, spec7.f, spec7.sigma)
-    elems = [(1, 2, 3), (5, 0, 7), (2, 2, 1), (1, 1, 1)]
+    elems = [r3.pack(a) for a in ((1, 2, 3), (5, 0, 7), (2, 2, 1), (1, 1, 1))]
     for a in elems:
         for b in elems:
             assert r3.apply_tau(r3.mul(a, b)) == r3.mul(r3.apply_tau(a), r3.apply_tau(b))
@@ -62,25 +65,156 @@ def test_tau_is_multiplicative(spec7):
 
 @pytest.mark.parametrize("field", ["spec7", "spec9"])
 def test_ring_pow_is_repeated_mul_on_O_mod_8(request, field):
-    # ResidueRing.pow (the packed powering of intpoly) against its own generic
-    # product, for every element of O/8 including the non-units
+    # ResidueRing.pow (square-and-multiply) against repeated products, for
+    # every element of O/8 including the non-units
     spec = request.getfixturevalue(field)
     r3 = ResidueRing(3, spec.f, spec.sigma)
-    for a in product(range(8), repeat=3):
+    for a in r3.elements():
         acc = r3.one()
         for e in range(10):
             assert r3.pow(a, e) == acc
             acc = r3.mul(acc, a)
 
 
+# -- packed arithmetic --------------------------------------------------------
+
+
+def _mul_ref(ring, a, b):
+    """a b by intpoly's product of coefficient tuples (reference only)."""
+    return ring.pack(mul_mod(ring.coeffs(a), ring.coeffs(b), ring.f, ring.mod))
+
+
+def _pow_ref(ring, a, e):
+    """a^e by intpoly's powering of coefficient tuples (reference only)."""
+    return ring.pack(pow_mod(ring.coeffs(a), e, ring.f, ring.mod))
+
+
+def _tau_ref(ring, sigma, a, k=1):
+    """tau^k(a) by k compositions a -> a(s(theta)) of coefficient tuples (reference only)."""
+    coeffs = ring.coeffs(a)
+    for _ in range(k):
+        coeffs = [c % ring.mod for c in compose_mod(coeffs, sigma, ring.f)]
+    return ring.pack(coeffs)
+
+
+def _real_cyclotomic(p):
+    """Q(zeta_p)^+ as the residue layer reads it, theta = zeta + 1/zeta and sigma = theta^2 - 2.
+
+    f = 1 + sum_{k=1}^{n} P_k with P_k(theta) = zeta^k + zeta^-k, from
+    P_0 = 2, P_1 = theta and P_(k+1) = theta P_k - P_(k-1).
+    """
+    n = (p - 1) // 2
+    f = [1] + [0] * n
+    prev, cur = [2], [0, 1]
+    for _ in range(n):
+        f = [c + (cur[i] if i < len(cur) else 0) for i, c in enumerate(f)]
+        prev, cur = cur, [c - (prev[i] if i < len(prev) else 0) for i, c in enumerate([0] + cur)]
+    return SimpleNamespace(n=n, f=tuple(f), sigma=(-2, 0, 1))
+
+
+CYCLOTOMIC = {p: _real_cyclotomic(p) for p in (11, 19, 23)}  # n = 5, 9, 11, 2 inert in each
+
+
+def test_real_cyclotomic_fields_are_the_shipped_configs():
+    assert CYCLOTOMIC[11].f == ZETA11_PLUS.f
+    assert CYCLOTOMIC[19].f == tuple(load_spec(REAL_CYCLOTOMIC19).f)
+    assert CYCLOTOMIC[23].f[-1] == 1 and len(CYCLOTOMIC[23].f) == 12
+
+
+def test_pack_and_coeffs_are_inverse(spec7):
+    for level in (1, 2, 3):
+        ring = ResidueRing(level, spec7.f, spec7.sigma)
+        elems = list(ring.elements())
+        assert elems == [ring.pack(a) for a in product(range(ring.mod), repeat=3)]
+        assert [ring.coeffs(a) for a in elems] == list(product(range(ring.mod), repeat=3))
+        assert ring.pack((ring.mod + 1, -1, 2 * ring.mod)) == ring.pack((1, ring.mod - 1, 0))
+
+
+@pytest.mark.parametrize("field", ["spec7", "spec9"])
+def test_packed_arithmetic_on_every_pair_of_O_mod_4(request, field):
+    spec = request.getfixturevalue(field)
+    r2 = ResidueRing(2, spec.f, spec.sigma)
+    elems = list(r2.elements())
+    assert len(elems) == 64
+    for a in elems:
+        for b in elems:
+            assert r2.mul(a, b) == _mul_ref(r2, a, b)
+        for e in (0, 1, 2, 3, 7, 64):
+            assert r2.pow(a, e) == _pow_ref(r2, a, e)
+        assert r2.apply_tau(a) == _tau_ref(r2, spec.sigma, a)
+        assert r2.is_unit(a) == any(c % 2 for c in r2.coeffs(a))
+
+
+@pytest.mark.parametrize("field", ["spec7", "spec9"])
+def test_packed_arithmetic_at_the_lane_bound_on_O_mod_8(request, field):
+    # 7 in every lane: each lane-wise product is 49, and the middle lane of the
+    # int product sums n = 3 of them, 147 < 2^8
+    spec = request.getfixturevalue(field)
+    r3 = ResidueRing(3, spec.f, spec.sigma)
+    sevens = r3.pack((7, 7, 7))
+    assert sevens == r3.mask and r3.lane == 8
+    elems = list(r3.elements())
+    for a in elems:
+        assert r3.mul(a, sevens) == _mul_ref(r3, a, sevens)
+        assert r3.apply_tau(a) == _tau_ref(r3, spec.sigma, a)
+    rng = random.Random(8)
+    for _ in range(2000):
+        a, b = rng.choice(elems), rng.choice(elems)
+        assert r3.mul(a, b) == _mul_ref(r3, a, b)
+        e = rng.randrange(130)
+        assert r3.pow(a, e) == _pow_ref(r3, a, e)
+
+
+@pytest.mark.parametrize("p", sorted(CYCLOTOMIC))
+def test_packed_arithmetic_at_higher_degree(p):
+    # seeded elements at n = 5, 9, 11 on every level, led by the all-(m - 1) element
+    spec = CYCLOTOMIC[p]
+    n = spec.n
+    rng = random.Random(p)
+    for level in (1, 2, 3):
+        ring = ResidueRing(level, spec.f, spec.sigma)
+        assert ring.lane == (n * 49).bit_length()
+        top = ring.pack((ring.mod - 1,) * n)
+        elems = [top] + [ring.pack([rng.randrange(ring.mod) for _ in range(n)]) for _ in range(80)]
+        for a in elems:
+            b = rng.choice(elems)
+            assert ring.mul(a, top) == _mul_ref(ring, a, top)
+            assert ring.mul(a, b) == _mul_ref(ring, a, b)
+        for a in elems[:10]:
+            e = rng.randrange(1 << n)
+            assert ring.pow(a, e) == _pow_ref(ring, a, e)
+            assert ring.apply_tau(a) == _tau_ref(ring, spec.sigma, a)
+        a = elems[1]
+        for k in range(n):
+            assert ring.apply_tau(a, k) == _tau_ref(ring, spec.sigma, a, k)
+
+
+@pytest.mark.parametrize("p", sorted(CYCLOTOMIC))
+def test_tau_has_order_n_at_every_level(p):
+    # tau^n = id one step at a time, and with 2 inert the orbit of theta has n elements even mod 2
+    spec = CYCLOTOMIC[p]
+    for level in (1, 2, 3):
+        ring = ResidueRing(level, spec.f, spec.sigma)
+        theta = ring.pack((0, 1))
+        orbit = [theta]
+        for _ in range(spec.n):
+            orbit.append(ring.apply_tau(orbit[-1]))
+        assert orbit[-1] == theta and len(set(orbit)) == spec.n
+        for a in (ring.mask, ring.pack(range(spec.n))):
+            image = a
+            for _ in range(spec.n):
+                image = ring.apply_tau(image)
+            assert image == a
+
+
 # -- normal basis -------------------------------------------------------------
 
 
-def _gf2_rank(rows):
-    """Rank over GF(2) of coefficient rows, by elimination on bitmasks (reference only)."""
+def _gf2_rank(ring, elems):
+    """Rank over GF(2) of elements of O/2, by elimination on bitmasks of their coefficients (reference only)."""
     basis = []  # distinct leading bits, largest first
-    for row in rows:
-        v = f2poly.from_coeffs(row)
+    for a in elems:
+        v = f2poly.from_coeffs(ring.coeffs(a))
         for b in basis:
             v = min(v, v ^ b)  # clears b's leading bit, touches no higher one
         if v:
@@ -99,7 +233,7 @@ def _gram(ring, y):
 
 def test_normal_basis_conjugates_independent(family7, family9, family11):
     for fam in (family7, family9, family11):
-        assert _gf2_rank(fam.y_orbit) == fam.n
+        assert _gf2_rank(fam.rings[1], fam.y_orbit) == fam.n
 
 
 @pytest.mark.parametrize(
@@ -111,35 +245,37 @@ def test_unit_gram_is_full_rank_orbit(request, fam_name, y):
     r1 = request.getfixturevalue(fam_name).rings[1]
     n = r1.n
     full_rank = []
-    for cand in product((0, 1), repeat=n):
-        if any(cand):
-            full = _gf2_rank(_orbit(r1, cand)) == n
+    for cand in r1.elements():
+        if cand:
+            full = _gf2_rank(r1, _orbit(r1, cand)) == n
             assert (gcd(_gram(r1, cand), (1 << n) | 1) == 1) == full, cand
             if full:
                 full_rank.append(cand)
     found, orbit, c = find_normal_basis(r1)
-    assert found == full_rank[0] == y
-    assert list(orbit) == _orbit(r1, y) and f2poly.from_coeffs(c) == _gram(r1, y)
+    assert found == full_rank[0] == r1.pack(y)
+    assert list(orbit) == _orbit(r1, found) and f2poly.from_coeffs(c) == _gram(r1, found)
 
 
 def test_normal_basis_not_one(family7, family9):
-    assert family7.y != (1, 0, 0)
-    assert family9.y != (1, 0, 0)
+    for fam in (family7, family9):
+        assert fam.rings[1].coeffs(fam.y) != (1, 0, 0)
 
 
 def test_normal_basis_orbit_sums_to_one(family7, family9):
     for fam in (family7, family9):
-        total = tuple(sum(col) % 2 for col in zip(*fam.y_orbit))
+        total = tuple(sum(col) % 2 for col in zip(*map(fam.rings[1].coeffs, fam.y_orbit)))
         assert total == (1, 0, 0)
 
 
-def test_normal_basis_is_lex_smallest(spec7):
-    r1 = ResidueRing(1, spec7.f, spec7.sigma)
-    y = find_normal_basis(r1)[0]
-    for cand in product((0, 1), repeat=3):
-        if not any(cand) or cand >= y:
-            break
-        assert _gf2_rank(_orbit(r1, cand)) < 3, f"{cand} is a smaller normal-basis generator"
+def test_normal_basis_is_lex_smallest(spec7, spec9):
+    for spec in (spec7, spec9):
+        r1 = ResidueRing(1, spec.f, spec.sigma)
+        y = r1.coeffs(find_normal_basis(r1)[0])
+        for cand in product((0, 1), repeat=3):
+            if cand >= y:
+                break
+            if any(cand):
+                assert _gf2_rank(r1, _orbit(r1, r1.pack(cand))) < 3, f"{cand} is a smaller normal-basis generator"
 
 
 def test_find_normal_basis_requires_level_one(spec7):
@@ -158,14 +294,14 @@ def test_m4_identity_and_minus_one(family7):
 
 def test_m4_kills_squares_exhaustively(family7):
     r2 = family7.rings[2]
-    for u in product(range(4), repeat=3):
+    for u in r2.elements():
         if r2.is_unit(u):
             assert m4_class_of(family7, r2.mul(u, u)) == ZERO
 
 
 def test_m4_structure_exhaustive(family7):
     r2 = family7.rings[2]
-    units = [u for u in product(range(4), repeat=3) if r2.is_unit(u)]
+    units = [u for u in r2.elements() if r2.is_unit(u)]
     assert len(units) == 56
     classes = {}
     for u in units:
@@ -180,7 +316,7 @@ def test_m4_structure_exhaustive(family7):
 
 def test_m4_is_homomorphism(family7):
     r2 = family7.rings[2]
-    units = [u for u in product(range(4), repeat=3) if r2.is_unit(u)][:20]
+    units = [u for u in r2.elements() if r2.is_unit(u)][:20]
     for a in units:
         for b in units:
             ca = m4_class_of(family7, a)
@@ -190,10 +326,14 @@ def test_m4_is_homomorphism(family7):
 
 
 def test_m4_rejects_non_units(family7):
-    with pytest.raises(ValueError):
-        m4_class_of(family7, (0, 0, 0))
-    with pytest.raises(ValueError):
-        m4_class_of(family7, (2, 0, 2))
+    r2 = family7.rings[2]
+    for non_unit in (0, r2.pack((2, 0, 2))):
+        with pytest.raises(ValueError, match="expects a unit"):
+            m4_class_of(family7, non_unit)
+    # a unit of O/8 that is not reduced mod 4, and a negative int, are not elements of O/4
+    for stray in (family7.rings[3].pack((5, 0, 0)), -1):
+        with pytest.raises(ValueError, match="packed element mod 4"):
+            m4_class_of(family7, stray)
 
 
 def test_m4_dictionary_roundtrip(family7, family9, family11):
@@ -201,9 +341,9 @@ def test_m4_dictionary_roundtrip(family7, family9, family11):
     # and stay there under multiplication by every square
     for fam in (family7, family9, family11):
         r2 = fam.rings[2]
-        squares = {r2.mul(u, u) for u in product(range(4), repeat=fam.n) if r2.is_unit(u)}
+        squares = {r2.mul(u, u) for u in r2.elements() if r2.is_unit(u)}
         for bits in range(1 << fam.n):
-            rep = tuple(c % 4 for c in class_rep(fam, bits))
+            rep = class_rep(fam, bits) & r2.mask
             assert m4_class_of(fam, rep) == bits
             for s in squares:
                 assert m4_class_of(fam, r2.mul(rep, s)) == bits
@@ -213,7 +353,7 @@ def _families11_off_self_dual(family11):
     """Q(zeta_11)^+ presented on every normal basis of O/2 that is not self-dual (c != 1)."""
     r1 = family11.rings[1]
     fams = []
-    for cand in product((0, 1), repeat=5):
+    for cand in r1.elements():
         c = _gram(r1, cand)
         if c != 1 and gcd(c, 0b100001) == 1:
             basis = (cand, tuple(_orbit(r1, cand)), tuple(c >> k & 1 for k in range(5)))
@@ -224,7 +364,7 @@ def _families11_off_self_dual(family11):
 
 def _classes_of_reps(fam):
     reps = [class_rep(fam, bits) for bits in range(1 << fam.n)]
-    return [m4_class_of(fam, tuple(c % 4 for c in rep)) for rep in reps]
+    return [m4_class_of(fam, rep & fam.rings[2].mask) for rep in reps]
 
 
 def test_m4_classes_off_self_dual_basis(family11):
@@ -253,26 +393,26 @@ def test_minus_one_minus_one(family7, family9):
 
 def test_one_pairs_trivially(family7):
     r3 = family7.rings[3]
-    for b in product(range(8), repeat=3):
+    for b in r3.elements():
         if r3.is_unit(b):
             assert hilbert2(r3, r3.one(), b) == 1
 
 
 def test_a_with_minus_a(family7):
     r3 = family7.rings[3]
-    units = [a for a in product(range(8), repeat=3) if r3.is_unit(a)]
+    units = [a for a in r3.elements() if r3.is_unit(a)]
     for a in units[::7]:  # sampled; x = y = 1, z = 0 solves a x^2 - a y^2 = z^2
-        neg = tuple((-c) % 8 for c in a)
+        neg = r3.pack([-c for c in r3.coeffs(a)])
         assert hilbert2(r3, a, neg) == 1
 
 
 def test_invariance_under_4b_shift(family7):
     r3 = family7.rings[3]
     a = (3, 2, 5)
-    b = (1, 6, 1)
-    base = hilbert2(r3, a, b)
+    b = r3.pack((1, 6, 1))
+    base = hilbert2(r3, r3.pack(a), b)
     for t in product((0, 1), repeat=3):
-        shifted = tuple((x + 4 * y) % 8 for x, y in zip(a, t))
+        shifted = r3.pack([x + 4 * y for x, y in zip(a, t)])
         assert hilbert2(r3, shifted, b) == base
 
 
@@ -281,20 +421,20 @@ def test_oracle_on_sampled_unit_pairs(family7, pairing7, family9, pairing9):
     rng = random.Random(13)
     for fam, pairing in ((family7, pairing7), (family9, pairing9)):
         r3 = fam.rings[3]
-        units = [a for a in product(range(8), repeat=3) if r3.is_unit(a)]
-        cls = {a: m4_class_of(fam, tuple(c % 4 for c in a)) for a in units}
+        units = [a for a in r3.elements() if r3.is_unit(a)]
+        cls = {a: m4_class_of(fam, a & fam.rings[2].mask) for a in units}
         for _ in range(2000):
             a, b = rng.choice(units), rng.choice(units)
             assert hilbert2(r3, a, b) == pairing.pairing(cls[a], cls[b])
 
 
 def test_oracle_memo_is_per_ring(spec7, spec9, family7, family9):
-    # the same raw tuples are different elements of O/8 on c7 and on c9; a memo
-    # of products keyed on the tuple alone would hand one ring the other's
+    # the same packed ints are different elements of O/8 on c7 and on c9; a memo
+    # of products keyed on the int alone would hand one ring the other's
     elems = [class_rep(family7, bits) for bits in range(1 << 3)]
 
     def form_table(fam):  # the symbol read off the pairing, no oracle involved
-        cls = [m4_class_of(fam, tuple(c % 4 for c in a)) for a in elems]
+        cls = [m4_class_of(fam, a & fam.rings[2].mask) for a in elems]
         return [[fam.pairing.pairing(u, v) for v in cls] for u in cls]
 
     def table(ring):
@@ -323,28 +463,27 @@ def _memo_products(ring, units):
 
 
 @pytest.mark.parametrize("field", ["spec7", "spec9"])
-def test_memo_dot_products_are_packed_ring_products(request, field):
-    # the lane invariant: each memo entry, n products v*theta^j and one masked
-    # dot product per square, is pack(v*t) for every square t, for every unit v
+def test_memo_entries_are_ring_products(request, field):
+    # each memo entry is v*t for every square t, for every unit v, against intpoly's product
     spec = request.getfixturevalue(field)
     ring = ResidueRing(3, spec.f, spec.sigma)
     assert ring.lane == 8  # bits(3 * 7^2 = 147)
-    units = [v for v in product(range(8), repeat=3) if ring.is_unit(v)]
+    units = [v for v in ring.elements() if ring.is_unit(v)]
     for v, got in _memo_products(ring, units).items():
-        assert got == tuple(ring.pack(ring.mul(v, t)) for t in ring.squares)
+        assert got == tuple(_mul_ref(ring, v, t) for t in ring.squares)
 
 
-def test_memo_dot_products_are_packed_ring_products_at_n5(family11):
+def test_memo_entries_are_ring_products_at_n5(family11):
     ring = family11.rings[3]
     assert ring.lane == 8  # bits(5 * 7^2 = 245)
     rng = random.Random(11)
     units = set()
     while len(units) < 40:
-        v = tuple(rng.randrange(8) for _ in range(5))
+        v = ring.pack([rng.randrange(8) for _ in range(5)])
         if ring.is_unit(v):
             units.add(v)
     for v, got in _memo_products(ring, sorted(units)).items():
-        assert got == tuple(ring.pack(ring.mul(v, t)) for t in ring.squares)
+        assert got == tuple(_mul_ref(ring, v, t) for t in ring.squares)
 
 
 @pytest.mark.parametrize("field", ["spec7", "spec9"])
@@ -362,7 +501,7 @@ def test_oracle_matches_its_definition(request, field):
         for s1 in squares:
             x = ring.mul(a, s1)
             for s2, y in b_s.items():
-                z = tuple((i + j) % 8 for i, j in zip(x, y))
+                z = ring.pack([i + j for i, j in zip(ring.coeffs(x), ring.coeffs(y))])
                 if z in squares and (ring.is_unit(s1) or ring.is_unit(s2) or ring.is_unit(z)):
                     return 1
         return -1
@@ -372,11 +511,31 @@ def test_oracle_matches_its_definition(request, field):
             assert hilbert2(ring, a, b) == by_definition(a, b), (a, b)
 
 
+def test_suites_make_every_oracle_call(monkeypatch, spec7, spec9):
+    # every symbol the suites check is evaluated: per cubic, 2952 oracle calls in
+    # hilbert_suite and 2965 in run_all (with the oracle star table and
+    # kernel_suite), 5930 for the two cubics together
+    calls = []
+    direct = residue.hilbert2
+    monkeypatch.setattr(residue, "hilbert2", lambda ring, a, b: calls.append((a, b)) or direct(ring, a, b))
+    total = 0
+    for spec in (spec7, spec9):
+        calls.clear()
+        assert all(row.ok for row in checks.hilbert_suite(residue.build_family(spec)))
+        assert len(calls) == 2952
+        calls.clear()
+        rows = checks.run_all(spec)
+        assert len(rows) == 19 and all(row.ok for row in rows)
+        assert len(calls) == 2965
+        total += len(calls)
+    assert total == 5930
+
+
 def test_hilbert_rejects_bad_inputs(family7):
     r3 = family7.rings[3]
     r2 = family7.rings[2]
     with pytest.raises(ValueError):
-        hilbert2(r3, (0, 0, 0), r3.one())
+        hilbert2(r3, 0, r3.one())
     with pytest.raises(ValueError):
         hilbert2(r2, r2.one(), r2.one())
 
@@ -452,7 +611,7 @@ def test_pairing_matrix_matches_oracle_at_n5(family11):
 
 
 def test_pairing_c0_vs_norm_sign(family7, oracle_star7, pairing7):
-    alpha_class = m4_class_of(family7, tuple(c % 4 for c in class_rep(family7, 0b001)))
+    alpha_class = m4_class_of(family7, class_rep(family7, 0b001) & family7.rings[2].mask)
     assert (pairing7.c[0] == 0) == (oracle_star7.norm_sign[alpha_class] == 1)
 
 
@@ -721,6 +880,6 @@ def test_rot_is_the_product_by_x_to_the_k(n):
 
 def test_class_rotation_matches_tau(family7):
     r2 = family7.rings[2]
-    for u in product(range(4), repeat=3):
+    for u in r2.elements():
         if r2.is_unit(u):
             assert m4_class_of(family7, r2.apply_tau(u)) == rot(m4_class_of(family7, u), 1, 3)

@@ -4,7 +4,6 @@ import hashlib
 import math
 import tracemalloc
 from collections import Counter
-from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -268,12 +267,13 @@ def test_build_tables_builds_one_pairing(monkeypatch, spec7):
 def test_m4_memo_is_m4_class_of_on_every_unit_mod_4(request, field):
     tables = build_tables(request.getfixturevalue(field))
     r2 = tables.family.rings[2]
-    units = [u for u in product(range(4), repeat=3) if r2.is_unit(u)]
+    units = [u for u in r2.elements() if r2.is_unit(u)]
     assert len(units) == 56
     for u in units:
-        assert tables.m4_class(u) == residue.m4_class_of(tables.family, u)
+        coords = r2.coeffs(u)  # a generator's coordinates, as the sweep reads them
+        assert tables.m4_class(coords) == residue.m4_class_of(tables.family, u)
         # signed coordinates, as a generator has them, reduce to the same key
-        assert tables.m4_class(tuple(c - 4 for c in u)) == tables.m4_class(u)
+        assert tables.m4_class(tuple(c - 4 for c in coords)) == tables.m4_class(coords)
     assert set(tables.m4) == set(units)
 
 
@@ -305,10 +305,11 @@ def test_poisoned_m4_memo_trips_the_conjugate_class_check(spec7):
         pytest.fail("no prime whose conjugate generator has another residue mod 4")
     tables = build_tables(spec7)
     true_bits = tables.m4_class(keys[1])
-    tables.m4[keys[1]] = true_bits ^ 0b111
+    key = tables.family.rings[2].pack(keys[1])
+    tables.m4[key] = true_bits ^ 0b111
     with pytest.raises(sweep.SpinRelationViolation, match=f"^p={p}: class of conjugate prime"):
         classify_prime(tables, p)
-    tables.m4[keys[1]] = true_bits
+    tables.m4[key] = true_bits
     assert classify_prime(tables, p).p == p
 
 
