@@ -5,29 +5,19 @@ exact; the only division performed is the fraction-free one inside the
 Bareiss determinant, which gives norms (of multiplication matrices) and
 the discriminant of f (of the trace form built from `newton_power_sums`).
 
-`mul_mod` and `pow_mod` multiply in Z[x]/(f, m) for monic f: they reduce
-by f and then, when m is given, every coefficient into [0, m).  The split
-test, the root descent mod p and the test that f is irreducible mod 2
-(`numfield`) use them, and `compose_mod` applies the Galois generator to
-field elements there.  The one other product modulo f is that of the
-residue rings O/2^k (`residue.ResidueRing.mul`), on elements packed into
-one int each; it reads from here only the rows x^(n+k) mod f
-(`mult_matrix`), and the tests keep `mul_mod`, `pow_mod` and
-`compose_mod` as its independent references.  `gcd_mod` is the
-package's one polynomial gcd: Euclid mod p on `poly_rem_monic`, each
-remainder made monic before it divides.  `mult_matrix` builds each row
-from the one before by a shift and one subtraction of a multiple of f,
-with no full product.
-
-Packing invariant of `pow_mod`: a residue mod (f, m) is one int holding its
-n = deg f coefficients, each in [0, m), in slots of B = 2 bits(m) +
-bits(2n) + 1 bits (Kronecker substitution x -> 2^B).  A product of two
-such ints has 2n - 1 slots of at most n (m - 1)^2 each; folding the high
-slots back through the packed rows x^(n+k) mod (f, m), each high slot
-first taken mod m, adds at most (n - 1)(m - 1)^2 to a low slot.  Every
-slot stays below 2n m^2 < 2^B, so no carry crosses a slot, and taking
-each low slot mod m restores the invariant.  `mul_mod` stays the generic
-product for everything else.
+`PackedRing` is Z[x]/(f, m) for monic f, each residue one int (its
+docstring states the lane invariant), and the package's one packed
+product modulo f: `pow_mod` powers in it, the split test and its
+certificate run in it, the root descent mod p and the test that f is
+irreducible mod 2 use it through `pow_mod` (`numfield`), and
+`residue.ResidueRing` is its subclass for O/2^k.  `mul_mod` is the
+generic product of coefficient tuples, and `compose_mod` applies the
+Galois generator to field elements with it.  The tests keep `mul_mod`,
+square-and-multiply on it, and `compose_mod` as independent references
+for the packed ring.  `gcd_mod` is the package's one polynomial gcd:
+Euclid mod p on `poly_rem_monic`, each remainder made monic before it
+divides.  `mult_matrix` builds each row from the one before by a shift
+and one subtraction of a multiple of f, with no full product.
 
 The module also holds the package's one integer factoriser,
 `prime_factors`: Rabin's test (`numfield.FieldSpec`) factors the degree
@@ -94,54 +84,105 @@ def mul_mod(a, b, f, m: int = 0) -> tuple[int, ...]:
 
 
 def pow_mod(a, e: int, f, m: int) -> tuple[int, ...]:
-    """a^e in Z[x]/(f, m), coefficients in [0, m), for monic f, e >= 0 and m >= 1.
+    """a^e in Z[x]/(f, m), coefficients in [0, m), for monic f, e >= 0 and m >= 1: `PackedRing.pow` on a mod f.
 
-    ValueError for e < 0 or m < 1.  Left-to-right binary on Kronecker-packed
-    residues (the packing invariant in the module docstring): each square,
-    and each product by a at a set bit of e, is one int product, folded
-    back to n slots of B = 2 bits(m) + bits(2n) + 1 bits through the packed
-    rows x^(n+k) mod (f, m), k < n - 1, built once per call.  Every slot
-    stays below 2n m^2 < 2^B, so no carry crosses a slot.
+    ValueError for e < 0 or m < 1.
     """
-    if e < 0:
-        raise ValueError(f"pow_mod needs an exponent e >= 0, got {e}")
-    if m < 1:
-        raise ValueError(f"pow_mod needs a modulus m >= 1, got {m}")
-    if e == 0:
-        return tuple(c % m for c in poly_rem_monic((1,), f))
-    n = len(f) - 1
-    width = 2 * m.bit_length() + (2 * n).bit_length() + 1
-    slot = (1 << width) - 1
-    low = (1 << n * width) - 1
-    offsets = range((n - 1) * width, -1, -width)  # of the low slots, top first
+    ring = PackedRing(f, m)
+    return ring.coeffs(ring.pow(ring.pack(poly_rem_monic(a, f)), e))
 
-    def pack(coeffs):
+
+class PackedRing:
+    """Z[x]/(f, m) for monic f and m >= 1, each residue packed into one int.
+
+    Coefficient j of a residue, in [0, m), sits in lane j of `lane` bits
+    (Kronecker substitution x -> 2^lane; `pack`, `coeffs`).  A product
+    (`mul`) is one int product, whose lane k < 2n - 1 is a sum of at most
+    n lane-wise products, at most n (m - 1)^2.  Its n - 1 high lanes, each
+    reduced mod m, fold back through the packed rows x^(n+k) mod (f, m)
+    (`fold_rows`, built once), which adds at most (n - 1)(m - 1)^2 to a
+    low lane, and a last reduction of the n low lanes gives the result.
+    How a lane is reduced is chosen once, from m.  When m is a power of
+    two, by AND with m - 1, and one AND with `mask` (m - 1 in every lane)
+    reduces all n low lanes, so they are reduced before the fold as well
+    and a lane holds at most (m - 1) + (n - 1)(m - 1)^2 <= n (m - 1)^2.
+    Otherwise by taking it mod m, one lane at a time and so only the high
+    lanes before the fold, and a low lane holds at most (2n - 1)(m - 1)^2.
+    Lane invariant: `lane` is the bit length of that bound with m replaced
+    by lane_mod >= m, so no lane carries into the next.  A lane_mod above
+    m lets one packing serve several moduli: `residue.ResidueRing` sizes
+    O/2, O/4 and O/8 alike for O/8.  `pow` is left-to-right
+    square-and-multiply on `mul`.
+    """
+
+    def __init__(self, f, m: int, lane_mod: int | None = None):
+        if m < 1:
+            raise ValueError(f"PackedRing needs a modulus m >= 1, got {m}")
+        self.n = n = len(f) - 1
+        self.mod = m
+        self.f = tuple([c % m for c in f])
+        self.and_reduces = m & (m - 1) == 0
+        terms = n if self.and_reduces else 2 * n - 1  # lane-wise products a lane holds at most
+        self.lane = lane = (terms * ((lane_mod or m) - 1) ** 2).bit_length() or 1
+        self.slot = (1 << lane) - 1  # one lane of ones
+        self.offsets = range((n - 1) * lane, -1, -lane)  # of the low lanes, top first
+        self.mask = self.pack((m - 1,) * n)  # m - 1 in every lane
+        # x^(n+k) mod (f, m), k < n - 1: where the high lanes of a product fold to
+        self.fold_rows = tuple(map(self.pack, mult_matrix((0,) * n + (1,), f)[:-1]))
+
+    def pack(self, a) -> int:
+        """The coefficient sequence a (constant first, at most n terms), each reduced mod m, as one residue."""
+        lane, m = self.lane, self.mod
         packed = 0
-        for c in reversed(coeffs):
-            packed = packed << width | c % m
+        for c in reversed(a):
+            packed = packed << lane | c % m
         return packed
 
-    # x^(n+k) mod (f, m), k < n - 1: where the high slots of a product fold to
-    rows = [pack(row) for row in mult_matrix((0,) * n + (1,), f)[:-1]]
+    def coeffs(self, a: int) -> tuple[int, ...]:
+        """The n coefficients of the residue a, constant first, each reduced mod m: `pack` undone."""
+        return tuple((a >> offset & self.slot) % self.mod for offset in reversed(self.offsets))
 
-    def fold(prod):
-        r = prod & low
-        prod >>= n * width
-        for row in rows:
-            r += (prod & slot) % m * row
-            prod >>= width
+    def one(self) -> int:
+        return 1 % self.mod
+
+    def neg_one(self) -> int:
+        return self.mod - 1
+
+    def mul(self, a: int, b: int) -> int:
+        """a b: one int product, its n - 1 high lanes folded back through `fold_rows` (the lane invariant)."""
+        p = a * b
+        lane, low_bits = self.lane, self.n * self.lane
+        if self.and_reduces:
+            mask, top = self.mask, self.mod - 1
+            r = p & mask
+            p >>= low_bits
+            for row in self.fold_rows:
+                r += (p & top) * row
+                p >>= lane
+            return r & mask
+        slot, m = self.slot, self.mod
+        r = p & (1 << low_bits) - 1
+        p >>= low_bits
+        for row in self.fold_rows:
+            r += (p & slot) % m * row
+            p >>= lane
         packed = 0
-        for offset in offsets:
-            packed = packed << width | (r >> offset & slot) % m
+        for offset in self.offsets:
+            packed = packed << lane | (r >> offset & slot) % m
         return packed
 
-    base = pack(poly_rem_monic(a, f))
-    r = base
-    for bit in bin(e)[3:]:
-        r = fold(r * r)
-        if bit == "1":
-            r = fold(base * r)
-    return tuple(r >> offset & slot for offset in reversed(offsets))
+    def pow(self, a: int, e: int) -> int:
+        """a^e for e >= 0, left-to-right square-and-multiply on `mul`."""
+        if e < 0:
+            raise ValueError(f"pow needs an exponent e >= 0, got {e}")
+        if e == 0:
+            return self.one()
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
 
 
 def mult_matrix(a, f) -> list[list[int]]:

@@ -90,7 +90,8 @@ mod p or exact, is `intpoly`'s: the root descent's gcd mod p is
 (condition C4).
 
 Split test through the half power: `split_completely` computes
-half = x^((p-1)/2) mod (f, p) once; p splits iff x half^2 = x, which is
+half = x^((p-1)/2) once in `intpoly.PackedRing` mod (f, p), and takes
+the certificate from the same ring: p splits iff x half^2 = x, which is
 the x^p = x certificate that f mod p is a product of distinct linear
 factors, and the root descent reuses half as its shift-0 power.
 Certificate invariant: it fails at every p | disc_f (ramified, or only
@@ -138,6 +139,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .intpoly import (
+    PackedRing,
     compose_mod,
     det_bareiss,
     gcd_mod,
@@ -585,11 +587,12 @@ def split_completely(spec: FieldSpec, p: int) -> list[int]:
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be an odd prime")
-    x = (0, 1) + (0,) * (spec.n - 2)
-    half = pow_mod(x, (p - 1) // 2, spec.f, p)
-    if mul_mod(x, mul_mod(half, half, spec.f, p), spec.f, p) != x:
+    ring = PackedRing(spec.f, p)
+    x = ring.pack((0, 1))
+    half = ring.pow(x, (p - 1) // 2)
+    if ring.mul(x, ring.mul(half, half)) != x:
         return []
-    return sorted(_sigma_orbit(spec, _one_root([c % p for c in spec.f], p, half), p))
+    return sorted(_sigma_orbit(spec, _one_root(ring.f, p, ring.coeffs(half)), p))
 
 
 _SHIFT_STEP = 2**61 - 1  # prime, so k -> k * step mod p permutes Z/p for every p != step

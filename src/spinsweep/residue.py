@@ -1,23 +1,10 @@
 """Finite arithmetic in O/2^k (k = 1, 2, 3) for a cyclic field with 2 inert.
 
-An element is one packed int: its power-basis coordinate j, in [0, 2^k),
-sits in lane j of `ResidueRing.lane` bits (`pack`, `coeffs`).  A ring
-knows its reduced minimal polynomial and the image s(theta) of theta under
-the Galois generator, both reduced from a validated `numfield.FieldSpec`.
-Its one mutable value is its oracle memo `square_multiples`.  Lane
-invariant: with m = 2^k, a sum of at most n lane-wise products of residues
-in [0, m), and so also a sum of two elements, is at most n (m - 1)^2 <=
-49 n < 2^lane, so no lane carries into the next, and since m is a power of two
-`& mask` (m - 1 in every lane) reduces every lane mod m.  A product
-(`mul`) is one int product, whose lane k < 2n - 1 is such a sum; its
-n - 1 high lanes, each masked to [0, m), fold back through the packed rows
-x^(n+k) mod (f, m), which leaves a low lane at most (m - 1) + (n - 1)(m -
-1)^2 <= n (m - 1)^2, and one `& mask` reduces the result.  Powers are
-square-and-multiply on `mul`, the generator acts as the packed linear map
-a -> sum_j a_j pack(s^j mod f) (`apply_tau`), and a is a unit iff one AND
-with the low bit of each lane is nonzero.  The lanes are sized for O/8 at
-every level, so one packing serves a family's three rings: an element of
-O/8 reduces to O/4 by `& mask`, and 1 + 2v lifts v from O/2 to O/8.
+An element is one packed int: `ResidueRing` is an `intpoly.PackedRing`
+mod 2^k, whose docstring states the lane invariant.  A ring knows its
+reduced minimal polynomial and the image s(theta) of theta under the
+Galois generator, both reduced from a validated `numfield.FieldSpec`.
+Its one mutable value is its oracle memo `square_multiples`.
 
 Built on top of the rings:
 
@@ -80,7 +67,7 @@ from itertools import compress, product
 from operator import and_, getitem, or_, xor
 
 from . import f2poly
-from .intpoly import gcd_mod, mult_matrix, newton_power_sums, poly_rem_monic
+from .intpoly import PackedRing, gcd_mod, newton_power_sums, poly_rem_monic
 
 Elem = int  # a packed residue: coefficient j in lane j of `ResidueRing.lane` bits
 
@@ -95,83 +82,35 @@ def class_bits(u: f2poly.F2Poly, n: int) -> str:
     return format(u, f"0{n}b")[::-1]
 
 
-class ResidueRing:
+class ResidueRing(PackedRing):
     """O/2^level presented on the power basis of the reduced minimal polynomial.
 
-    f and sigma come from a validated `numfield.FieldSpec`, the one place
-    they are checked; the ring checks only its level.  Reduction mod 2^level
-    is a ring map, so s stays a root of f with tau^n = 1 here, and with 2
-    inert Gal(K/Q) maps isomorphically onto the Galois group of O/2, so tau
-    has order n even mod 2.  An element is one packed int (the module
-    docstring states the lane invariant); `pack` and `coeffs` convert
-    coefficient tuples at the edges.
+    A `PackedRing` mod 2^level with lanes sized for O/8 at every level
+    (`lane_mod = 8`), so one packing serves a family's three rings: an
+    element of O/8 reduces to O/4 by `& mask`, and 1 + 2v lifts v from O/2
+    to O/8.  By the lane invariant the generator acts as the packed linear
+    map a -> sum_j a_j tau(theta^j) (`apply_tau`), and a is a unit iff one
+    AND with the low bit of each lane is nonzero.  f and sigma come from a
+    validated `numfield.FieldSpec`, the one place they are checked; the
+    ring checks only its level.  Reduction mod 2^level is a ring map, so s
+    stays a root of f with tau^n = 1 here, and with 2 inert Gal(K/Q) maps
+    isomorphically onto the Galois group of O/2, so tau has order n even
+    mod 2.
     """
 
     def __init__(self, level: int, f_int, sigma_int):
         if level not in (1, 2, 3):
             raise ValueError("level must be 1, 2 or 3")
-        self.n = n = len(f_int) - 1
+        super().__init__(f_int, 1 << level, lane_mod=8)
         self.level = level
-        self.mod = m = 1 << level
-        self.lane = (n * 7**2).bit_length()  # bits per coefficient, sized for O/8 at every level
-        self.mask = self.pack((m - 1,) * n)  # m - 1 in every lane
-        self.low = self.pack((1,) * n)  # 1 in every lane: the coefficients mod 2
-        self.f = tuple(c % m for c in f_int)
-        # x^(n+k) mod (f, m), k < n - 1: where the high lanes of a product fold to
-        self.fold_rows = tuple(map(self.pack, mult_matrix((0,) * n + (1,), self.f)[:-1]))
+        self.low = self.pack((1,) * self.n)  # 1 in every lane: the coefficients mod 2
         self.sigma = self.pack(poly_rem_monic(tuple(sigma_int), tuple(f_int)))
         # tau(theta^j) = s^j mod (f, m): the images of the basis under the generator
-        self.tau_images = tuple(self.pow(self.sigma, j) for j in range(n))
-
-    # -- packing -------------------------------------------------------
-
-    def pack(self, a) -> Elem:
-        """The coefficient sequence a (constant first), each reduced mod 2^level, as one element."""
-        lane, m = self.lane, self.mod
-        packed = 0
-        for c in reversed(a):
-            packed = packed << lane | c % m
-        return packed
-
-    def coeffs(self, a: Elem) -> tuple[int, ...]:
-        """The n coefficients of the element a, constant first: `pack` undone."""
-        return tuple(a >> j * self.lane & self.mod - 1 for j in range(self.n))
+        self.tau_images = tuple(self.pow(self.sigma, j) for j in range(self.n))
 
     def elements(self):
         """Every element of the ring, in the lexicographic order of their coefficient tuples."""
         return map(self.pack, product(range(self.mod), repeat=self.n))
-
-    # -- element arithmetic --------------------------------------------
-
-    def one(self) -> Elem:
-        return 1
-
-    def neg_one(self) -> Elem:
-        return self.mod - 1
-
-    def mul(self, a: Elem, b: Elem) -> Elem:
-        """a b: one int product, whose n - 1 high lanes, each reduced mod 2^level, fold back through `fold_rows`."""
-        p = a * b
-        r = p & self.mask
-        p >>= self.n * self.lane
-        top = self.mod - 1
-        for row in self.fold_rows:
-            r += (p & top) * row
-            p >>= self.lane
-        return r & self.mask
-
-    def pow(self, a: Elem, e: int) -> Elem:
-        """a^e for e >= 0, left-to-right square-and-multiply on `mul`."""
-        if e < 0:
-            raise ValueError(f"pow needs an exponent e >= 0, got {e}")
-        if e == 0:
-            return self.one()
-        r = a
-        for bit in bin(e)[3:]:
-            r = self.mul(r, r)
-            if bit == "1":
-                r = self.mul(r, a)
-        return r
 
     def is_unit(self, a: Elem) -> bool:
         # O/2 is a field, so a is a unit iff it is nonzero mod 2

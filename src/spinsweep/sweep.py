@@ -40,6 +40,18 @@ the same primes for every worker count.  The only state kept between
 primes is one exact memo on the tables: the mod-4 class of each generator
 residue mod 4 already classified.  It lasts one sweep when serial and one
 window under a pool, and only skips work whose answer is already known.
+
+Generator independence: a record depends only on the field and p, not on
+which totally positive generator alpha of P^h the search returns.  Two
+of them differ by a totally positive unit, and every such unit is a
+square: the load-time signature table (`numfield.FieldSpec.unit_by_signature`)
+shows that -1 and the listed units realise all 2^n sign patterns.  The
+field is totally real, so its unit group U is {+-1} x Z^(n-1), and the
+sign map U/U^2 -> {+-1}^n is onto between two groups of order 2^n and
+so one to one: a totally positive unit is a square eta^2.  For
+alpha' = eta^2 alpha every residue symbol at sigma^k(P) is that of
+alpha, and so is the mod-4 class, since `residue.m4_class_of` kills
+squares.
 """
 
 from __future__ import annotations
@@ -102,7 +114,7 @@ class FieldTables:
     conductor) of the primes that split completely; `build_tables` has
     checked that it is a subgroup of index n of (Z/modulus)^*.  m4 is an
     exact memo, empty when built: it maps a generator's residue mod 4, an
-    element of O/4 packed by `residue.ResidueRing.pack`, to
+    element of O/4 packed by `intpoly.PackedRing.pack`, to
     `residue.m4_class_of` of it, which depends on nothing else, and has at
     most |(O/4)^*| = 2^n (2^n - 1) keys.  A serial sweep fills one
     copy, and under a pool every window fills its own pickled copy.

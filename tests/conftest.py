@@ -1,5 +1,6 @@
 import pickle
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,21 @@ from spinsweep import checks, numfield, residue
 def _builtin(name):
     ref = resources.files("spinsweep.data") / f"{name}.cfg"
     return numfield.load_spec(ref.read_text(encoding="utf-8"))
+
+
+def real_cyclotomic(p):
+    """Q(zeta_p)^+ as the residue layer reads it, theta = zeta + 1/zeta and sigma = theta^2 - 2.
+
+    f = 1 + sum_{k=1}^{n} P_k with P_k(theta) = zeta^k + zeta^-k, from
+    P_0 = 2, P_1 = theta and P_(k+1) = theta P_k - P_(k-1).
+    """
+    n = (p - 1) // 2
+    f = [1] + [0] * n
+    prev, cur = [2], [0, 1]
+    for _ in range(n):
+        f = [c + (cur[i] if i < len(cur) else 0) for i, c in enumerate(f)]
+        prev, cur = cur, [c - (prev[i] if i < len(prev) else 0) for i, c in enumerate([0] + cur)]
+    return SimpleNamespace(n=n, f=tuple(f), sigma=(-2, 0, 1))
 
 
 @pytest.fixture(scope="session")

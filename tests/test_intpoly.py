@@ -6,7 +6,17 @@ from itertools import product
 import pytest
 
 from spinsweep.f2poly import from_coeffs
-from spinsweep.intpoly import gcd_mod, mul_mod, mult_matrix, norm_mod, poly_rem_monic, pow_mod, prime_factors
+from spinsweep.intpoly import (
+    PackedRing,
+    gcd_mod,
+    mul_mod,
+    mult_matrix,
+    norm_mod,
+    poly_rem_monic,
+    pow_mod,
+    prime_factors,
+)
+from conftest import real_cyclotomic
 from test_f2poly import gcd
 
 CUBICS = ((-1, -2, 1, 1), (-1, -3, 0, 1))
@@ -72,6 +82,25 @@ def test_pow_mod_at_split_test_exponents():
         for p in primes:
             for a in ((0, 1), (p - 3, 1), (5, 1)):
                 assert pow_mod(a, (p - 1) // 2, f, p) == _pow_right_to_left(a, (p - 1) // 2, f, p)
+
+
+@pytest.mark.parametrize("m", [3, 9, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("p", [19, 23])
+def test_packed_ring_at_the_odd_lane_bound(p, m):
+    # n = 9 and 11 (Q(zeta_p)^+), odd m: the all-(m - 1) element makes every
+    # low lane of a product as large as a sum of lane-wise products can be
+    f = real_cyclotomic(p).f
+    n = len(f) - 1
+    ring = PackedRing(f, m)
+    assert ring.lane == ((2 * n - 1) * (m - 1) ** 2).bit_length()
+    top = (m - 1,) * n
+    rng = random.Random(p * 1000 + m % 1000)
+    elems = [top] + [tuple(rng.randrange(m) for _ in range(n)) for _ in range(30)]
+    for a in elems:
+        for b in (top, rng.choice(elems)):
+            assert ring.coeffs(ring.mul(ring.pack(a), ring.pack(b))) == mul_mod(a, b, f, m)
+    for a in elems[:4]:
+        assert pow_mod(a, (m - 1) // 2, f, m) == _pow_right_to_left(a, (m - 1) // 2, f, m)
 
 
 @pytest.mark.parametrize("e", [-1, -2, -(1 << 40)])

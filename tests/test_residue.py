@@ -9,7 +9,7 @@ import pytest
 from spinsweep import checks, f2poly, residue
 from spinsweep.checks import class_rep
 from spinsweep.density import s_pair
-from spinsweep.intpoly import compose_mod, mul_mod, pow_mod
+from spinsweep.intpoly import compose_mod, mul_mod
 from spinsweep.numfield import load_spec
 from spinsweep.residue import (
     CirculantA,
@@ -24,7 +24,9 @@ from spinsweep.residue import (
     star_table,
 )
 from spinsweep.sweep import build_tables
+from conftest import real_cyclotomic
 from test_f2poly import gcd
+from test_intpoly import _pow_right_to_left
 from test_numfield import REAL_CYCLOTOMIC19
 
 ZERO = 0b000
@@ -85,8 +87,8 @@ def _mul_ref(ring, a, b):
 
 
 def _pow_ref(ring, a, e):
-    """a^e by intpoly's powering of coefficient tuples (reference only)."""
-    return ring.pack(pow_mod(ring.coeffs(a), e, ring.f, ring.mod))
+    """a^e by square-and-multiply on intpoly's product of coefficient tuples (reference only)."""
+    return ring.pack(_pow_right_to_left(ring.coeffs(a), e, ring.f, ring.mod))
 
 
 def _tau_ref(ring, sigma, a, k=1):
@@ -97,22 +99,7 @@ def _tau_ref(ring, sigma, a, k=1):
     return ring.pack(coeffs)
 
 
-def _real_cyclotomic(p):
-    """Q(zeta_p)^+ as the residue layer reads it, theta = zeta + 1/zeta and sigma = theta^2 - 2.
-
-    f = 1 + sum_{k=1}^{n} P_k with P_k(theta) = zeta^k + zeta^-k, from
-    P_0 = 2, P_1 = theta and P_(k+1) = theta P_k - P_(k-1).
-    """
-    n = (p - 1) // 2
-    f = [1] + [0] * n
-    prev, cur = [2], [0, 1]
-    for _ in range(n):
-        f = [c + (cur[i] if i < len(cur) else 0) for i, c in enumerate(f)]
-        prev, cur = cur, [c - (prev[i] if i < len(prev) else 0) for i, c in enumerate([0] + cur)]
-    return SimpleNamespace(n=n, f=tuple(f), sigma=(-2, 0, 1))
-
-
-CYCLOTOMIC = {p: _real_cyclotomic(p) for p in (11, 19, 23)}  # n = 5, 9, 11, 2 inert in each
+CYCLOTOMIC = {p: real_cyclotomic(p) for p in (11, 19, 23)}  # n = 5, 9, 11, 2 inert in each
 
 
 def test_real_cyclotomic_fields_are_the_shipped_configs():

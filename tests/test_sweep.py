@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import random
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
@@ -311,6 +312,41 @@ def test_poisoned_m4_memo_trips_the_conjugate_class_check(spec7):
         classify_prime(tables, p)
     tables.m4[key] = true_bits
     assert classify_prime(tables, p).p == p
+
+
+@pytest.mark.parametrize("field", ["spec7", "spec9", "quintic"])
+def test_records_do_not_depend_on_the_totally_positive_generator(request, field):
+    # alpha and eta^2 alpha, eta a seeded product of the listed units and -1,
+    # are both totally positive generators of P^h: the residue symbols at
+    # every sigma^k(P) and the mod-4 class agree (the sweep docstring).  A
+    # listed unit that is not totally positive in place of eta^2 changes
+    # both parts of some records, so each comparison can fail
+    spec = numfield.load_spec(QUINTIC11) if field == "quintic" else request.getfixturevalue(field)
+    tables = build_tables(spec)
+    units = [spec.pad(u) for u in spec.units] + [spec.neg(spec.one())]
+    control = next(u for u in units if -1 in spec.embeddings.signs_and_norm(u)[0])
+    rng = random.Random(23)
+    primes = symbols_changed = class_changed = 0
+    for p in odd_primes_in(3, 20_000):
+        roots = tables.split_roots(p)
+        if not roots:
+            continue
+        chain = numfield.conjugate_chain(spec, PrimeDeg1(p, roots[0]))
+
+        def record(beta):
+            return [numfield.legendre_deg1(spec, beta, Q) for Q in chain], tables.m4_class(beta)
+
+        alpha = numfield.generator_of_power(spec, chain[0])
+        eta = spec.one()
+        for _ in range(rng.randrange(1, 4)):
+            eta = spec.mul(eta, rng.choice(units))
+        symbols, bits = record(alpha)
+        assert record(spec.mul(spec.mul(eta, eta), alpha)) == (symbols, bits), p
+        other_symbols, other_bits = record(spec.mul(control, alpha))
+        symbols_changed += other_symbols != symbols
+        class_changed += other_bits != bits
+        primes += 1
+    assert primes > 400 and symbols_changed and class_changed, (primes, symbols_changed, class_changed)
 
 
 def test_tally_halves_add_up(result7, records7):
