@@ -11,7 +11,7 @@ the residue layer builds its tables from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import residue
 from .density import s_pair
@@ -36,8 +36,7 @@ MAX_SUITE_DEGREE = 3
 MAX_ORACLE_DEGREE = 5
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

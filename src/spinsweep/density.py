@@ -20,7 +20,7 @@ associated ramified 2-extension, and +/- restricts to p = +/-1 mod 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .f2poly import cyclotomic_cosets
@@ -68,25 +68,18 @@ def s_pair(n: int) -> tuple[int, int]:
     return s_plus, s_minus
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(namedtuple("DensityReport", "n s_plus s_minus dF_plus dF_minus dF dR_plus dR_minus dR")):
     """Exact densities for one degree n; all fractions fully reduced."""
 
-    n: int
-    s_plus: int
-    s_minus: int
-    dF_plus: Fraction
-    dF_minus: Fraction
-    dF: Fraction
-    dR_plus: Fraction
-    dR_minus: Fraction
-    dR: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         half_split = Fraction(1, 1 << _half(self.n - 1))
         assert self.dF == (self.dF_plus + self.dF_minus) / 2
         assert self.dF_plus == self.dR_plus * half_split
         assert self.dF_minus == self.dR_minus * half_split
+        return self
 
 
 def density_report(n: int) -> DensityReport:

@@ -7,9 +7,9 @@ the discriminant of f (of the trace form built from `newton_power_sums`).
 
 `PackedRing` is Z[x]/(f, m) for monic f, each residue one int (its
 docstring states the lane invariant), and the package's one packed
-product modulo f: `pow_mod` powers in it, the split test and its
-certificate run in it, the root descent mod p and the test that f is
-irreducible mod 2 use it through `pow_mod` (`numfield`), and
+product modulo f: `pow_mod` powers in it, the split test, its
+certificate and the root descent mod p run in it, the test that f is
+irreducible mod 2 uses it through `pow_mod` (`numfield`), and
 `residue.ResidueRing` is its subclass for O/2^k.  `mul_mod` is the
 generic product of coefficient tuples, and `compose_mod` applies the
 Galois generator to field elements with it.  The tests keep `mul_mod`,

@@ -93,7 +93,8 @@ Split test through the half power: `split_completely` computes
 half = x^((p-1)/2) once in `intpoly.PackedRing` mod (f, p), and takes
 the certificate from the same ring: p splits iff x half^2 = x, which is
 the x^p = x certificate that f mod p is a product of distinct linear
-factors, and the root descent reuses half as its shift-0 power.
+factors, and the root descent starts in that ring and reuses half as
+its shift-0 power.
 Certificate invariant: it fails at every p | disc_f (ramified, or only
 dividing the index of Z[theta]): f mod p then has a repeated root and
 x^p - x is squarefree, so such p get [] with no separate test.  The
@@ -581,9 +582,10 @@ def split_completely(spec: FieldSpec, p: int) -> list[int]:
 
     One powering: half = x^((p-1)/2) mod (f, p), and p splits iff
     x half^2 = x, which is x^p = x, the exact certificate that f mod p is a
-    product of distinct linear factors.  The root descent reuses half as
-    its shift-0 power.  Every p dividing disc_f gets []: f mod p then has a
-    repeated root, and x^p - x has none.  ValueError unless p is odd.
+    product of distinct linear factors.  The root descent starts in the
+    same ring and reuses half as its shift-0 power.  Every p dividing
+    disc_f gets []: f mod p then has a repeated root, and x^p - x has none.
+    ValueError unless p is odd.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be an odd prime")
@@ -592,14 +594,14 @@ def split_completely(spec: FieldSpec, p: int) -> list[int]:
     half = ring.pow(x, (p - 1) // 2)
     if ring.mul(x, ring.mul(half, half)) != x:
         return []
-    return sorted(_sigma_orbit(spec, _one_root(ring.f, p, ring.coeffs(half)), p))
+    return sorted(_sigma_orbit(spec, _one_root(ring, half), p))
 
 
 _SHIFT_STEP = 2**61 - 1  # prime, so k -> k * step mod p permutes Z/p for every p != step
 
 
-def _one_root(g, p, half):
-    """One root of a monic product g of distinct linear factors mod p.
+def _one_root(ring: PackedRing, half: int) -> int:
+    """One root of g = ring.f, a monic product of distinct linear factors mod p = ring.mod.
 
     Deterministic gcd descent: with h = (x + s)^((p-1)/2) mod (g, p),
     gcd(g, h - 1) keeps the roots r with r + s a nonzero square and
@@ -608,20 +610,24 @@ def _one_root(g, p, half):
     already the smallest proper factor, and then gcd(g, h + 1) is not
     taken.  The k-th shift is s = k * _SHIFT_STEP mod p (just k at
     p = _SHIFT_STEP), k < p, so every residue is tried once before
-    RootNotSeparated.  Shift 0 comes first, and its power is half,
-    x^((p-1)/2) mod (g, p), which the split test has already computed.
+    RootNotSeparated.  Shift 0 comes first, and its power is half, packed
+    x^((p-1)/2) in ring, which the split test has already computed.  Each
+    power is taken in the packed ring mod (g, p), built once per g.
     """
+    g, p = ring.f, ring.mod
     step = _SHIFT_STEP % p or 1
     k = 0
     while len(g) > 2:
         if k == p:
             raise RootNotSeparated(f"no shift mod {p} separated the roots of f")
-        h = half if k == 0 else pow_mod((k * step % p, 1), (p - 1) // 2, g, p)
+        h = ring.coeffs(half if k == 0 else ring.pow(ring.pack((k * step % p, 1)), (p - 1) // 2))
         low = gcd_mod(g, (h[0] - 1, *h[1:]), p)
         factors = [low] if len(low) == 2 else [low, gcd_mod(g, (h[0] + 1, *h[1:]), p)]
         proper = [d for d in factors if 0 < len(d) - 1 < len(g) - 1]
         if proper:
             g = min(proper, key=len)
+            if len(g) > 2:
+                ring = PackedRing(g, p)
         k += 1
     return -g[0] % p
 

@@ -61,10 +61,11 @@ So u is star-trivial iff c * b(u) is 0 or 1, the invariant
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import compress, product
 from operator import and_, getitem, or_, xor
+from typing import NamedTuple
 
 from . import f2poly
 from .intpoly import PackedRing, gcd_mod, newton_power_sums, poly_rem_monic
@@ -169,8 +170,7 @@ def find_normal_basis(ring: ResidueRing) -> tuple[Elem, tuple[Elem, ...], tuple[
     raise RuntimeError("internal error: no normal basis generator found")
 
 
-@dataclass
-class RingFamily:
+class RingFamily(NamedTuple):
     """Rings at levels 1..3 over one field, with a fixed normal-basis presentation."""
 
     rings: dict[int, ResidueRing]
@@ -235,20 +235,20 @@ def hilbert2(ring: ResidueRing, a: Elem, b: Elem) -> int:
     return 1 if scan(a, b) or scan(b, a) else -1
 
 
-@dataclass(frozen=True)
-class StarTable:
+class StarTable(namedtuple("StarTable", "star norm_sign")):
     """Per-class values of the all-conjugates pairing and of the norm sign, each a tuple indexed by the class."""
 
-    star: tuple[int, ...]
-    norm_sign: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.star).bit_length() - 1
-        if self.norm_sign.count(1) != 1 << (n - 1):
+    def __new__(cls, star: tuple[int, ...], norm_sign: tuple[int, ...]):
+        self = super().__new__(cls, star, norm_sign)
+        n = len(star).bit_length() - 1
+        if norm_sign.count(1) != 1 << (n - 1):
             raise AssertionError("norm sign must split the classes in half")
         for u in range(1 << n):
-            if self.star[u] != self.star[rot(u, 1, n)] or self.norm_sign[u] != self.norm_sign[rot(u, 1, n)]:
+            if star[u] != star[rot(u, 1, n)] or norm_sign[u] != norm_sign[rot(u, 1, n)]:
                 raise AssertionError("star/norm values must be constant on Galois orbits")
+        return self
 
     @property
     def ker_plus(self) -> int:
@@ -271,7 +271,6 @@ def star_table(family: RingFamily) -> StarTable:
     return StarTable(star, norm_sign)
 
 
-@dataclass(frozen=True)
 class CirculantA:
     """Symmetric invertible circulant GF(2) matrix of the Hilbert pairing.
 
@@ -281,22 +280,19 @@ class CirculantA:
     h(x) = x^n h(1/x) mod x^n - 1 since c is.  c_poly is c packed once.
     """
 
-    c: tuple[int, ...]
-    c_poly: f2poly.F2Poly = field(init=False, repr=False, compare=False)
-    h: f2poly.F2Poly = field(init=False)
+    __slots__ = ("c", "c_poly", "h")
 
-    def __post_init__(self):
-        n = len(self.c)
+    def __init__(self, c: tuple[int, ...]):
+        n = len(c)
         for i in range(1, n):
-            if self.c[i] != self.c[n - i]:
+            if c[i] != c[n - i]:
                 raise AssertionError("pairing matrix must be symmetric (upstream bug)")
-        c_poly = f2poly.from_coeffs(self.c)
+        self.c = c
+        self.c_poly = f2poly.from_coeffs(c)
         try:
-            h = f2poly.cyclic_inv(c_poly, n)
+            self.h = f2poly.cyclic_inv(self.c_poly, n)
         except ValueError:
             raise AssertionError("pairing matrix must be invertible (upstream bug)") from None
-        object.__setattr__(self, "c_poly", c_poly)
-        object.__setattr__(self, "h", h)
 
     def pairing(self, u: f2poly.F2Poly, v: f2poly.F2Poly) -> int:
         """(-1)^(u^T A v) for classes u and v."""

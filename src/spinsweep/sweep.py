@@ -57,11 +57,11 @@ squares.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 import math
 import os
+from typing import NamedTuple
 
 from . import numfield, residue
 from .density import density_report
@@ -77,8 +77,7 @@ class WorkerCrashed(RuntimeError):
     """A worker process of a parallel sweep died before returning its chunk."""
 
 
-@dataclass(frozen=True)
-class PrimeRecord:
+class PrimeRecord(NamedTuple):
     """One split prime, m4_bits its packed class; its CSV row adds p mod 4, in_R(spins) and in_F(spins)."""
 
     p: int
@@ -106,7 +105,6 @@ class Tally(Counter):
     """
 
 
-@dataclass
 class FieldTables:
     """Per-field context shared by all per-prime work, built afresh by every sweep.
 
@@ -120,12 +118,14 @@ class FieldTables:
     copy, and under a pool every window fills its own pickled copy.
     """
 
-    spec: numfield.FieldSpec
-    family: residue.RingFamily
-    star: residue.StarTable
-    modulus: int
-    split_classes: frozenset[int]
-    m4: dict[residue.Elem, F2Poly] = field(init=False, default_factory=dict)
+    def __init__(self, spec: numfield.FieldSpec, family: residue.RingFamily, star: residue.StarTable,
+                 modulus: int, split_classes: frozenset[int]):
+        self.spec = spec
+        self.family = family
+        self.star = star
+        self.modulus = modulus
+        self.split_classes = split_classes
+        self.m4: dict[residue.Elem, F2Poly] = {}
 
     def split_roots(self, p: int) -> list[int]:
         """`numfield.split_completely(spec, p)`, tested only when p mod modulus is a split class."""
@@ -260,8 +260,7 @@ def _classify_range(tables: FieldTables, lo: int, hi: int) -> list[PrimeRecord]:
     return records
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     spec: numfield.FieldSpec
     limit: int
     tally: Tally

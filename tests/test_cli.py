@@ -635,6 +635,13 @@ def test_cli_import_loads_no_process_pool():
     assert "multiprocessing" not in loaded and "concurrent.futures.process" not in loaded
 
 
+def test_cli_import_loads_no_dataclass_machinery():
+    # the record types are NamedTuples and plain classes, so importing the CLI
+    # generates no dataclass methods and loads neither dataclasses nor inspect
+    loaded = _modules_after_import("spinsweep.cli")
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
 def test_submodule_import_loads_only_its_dependencies():
     # the package root imports nothing, and f2poly is a leaf: it loads no other spinsweep module
     loaded = _modules_after_import("spinsweep.f2poly")

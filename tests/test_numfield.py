@@ -11,6 +11,7 @@ import pytest
 
 from spinsweep import f2poly, numfield, residue
 from spinsweep.intpoly import (
+    PackedRing,
     compose_mod,
     det_bareiss,
     mul_mod,
@@ -413,24 +414,32 @@ def _poly_from_roots(roots, p):
     return list(g)
 
 
+def _descent(g, p):
+    """`numfield._one_root` of g mod p, from the shared half power, as `split_completely` calls it."""
+    ring = PackedRing(g, p)
+    return numfield._one_root(ring, ring.pow(ring.pack((0, 1)), (p - 1) // 2))
+
+
 def test_descent_shifts_visit_every_residue_once(monkeypatch, spec7):
     # with a gcd that never splits, the descent runs its whole shift sequence:
-    # shift 0 (the shared half power), then one powering per shift, p in all
+    # shift 0 (the shared half power), then one powering per shift, p in all.
+    # Every powering is a PackedRing.pow, in the split test's ring mod (f, p)
+    # or in one built for a proper factor; both are recorded
     shifts = []
-    real_pow = numfield.pow_mod
+    real_pow = PackedRing.pow
 
-    def recording_pow(a, e, g, p):
-        shifts.append(a[0])
-        return real_pow(a, e, g, p)
+    def recording_pow(ring, a, e):
+        shifts.append(ring.coeffs(a)[0])
+        return real_pow(ring, a, e)
 
-    monkeypatch.setattr(numfield, "pow_mod", recording_pow)
     monkeypatch.setattr(numfield, "gcd_mod", lambda a, b, p: a)
+    monkeypatch.setattr(PackedRing, "pow", recording_pow)
     for p in _primes_below(200):
-        g = [c % p for c in spec7.f]
-        half = real_pow((0, 1), (p - 1) // 2, g, p)
+        ring = PackedRing(spec7.f, p)
+        half = real_pow(ring, ring.pack((0, 1)), (p - 1) // 2)
         shifts.clear()
         with pytest.raises(RootNotSeparated):
-            numfield._one_root(g, p, half)
+            numfield._one_root(ring, half)
         assert sorted([0] + shifts) == list(range(p)), p
 
 
@@ -441,25 +450,25 @@ def test_descent_finds_a_root_of_products_of_linear_factors():
             for trial in range(6):
                 # every other product has root 0
                 roots = [0] * (trial % 2) + rng.sample(range(1, p), n - trial % 2)
-                g = _poly_from_roots(roots, p)
-                half = pow_mod((0, 1), (p - 1) // 2, g, p)
-                assert numfield._one_root(g, p, half) in roots
+                assert _descent(_poly_from_roots(roots, p), p) in roots
     # root 0 with the other two roots squares: at shift 0, gcd(g, h - 1) is
     # quadratic and gcd(g, h + 1) trivial, so the descent goes on from a quadratic
     g = _poly_from_roots([0, 1, 4], 13)
     half = pow_mod((0, 1), 6, g, 13)
     assert len(numfield.gcd_mod(g, (half[0] - 1, *half[1:]), 13)) == 3
     assert len(numfield.gcd_mod(g, (half[0] + 1, *half[1:]), 13)) == 1
-    assert numfield._one_root(g, 13, half) in (0, 1, 4)
+    assert _descent(g, 13) in (0, 1, 4)
 
 
 def test_descent_powerings_below_1e5(monkeypatch, spec7, spec9):
     # powerings inside _one_root (the shared half power not counted) over the
     # split primes below 10^5: 1056 on c7 and 1049 on c9, against 3379 and
-    # 3355 for the shifts 1, 2, 3, ... with one gcd per shift
+    # 3355 for the shifts 1, 2, 3, ... with one gcd per shift.  Both kinds are
+    # counted: in the split test's ring mod (f, p), and in a ring built for a
+    # proper factor (any pow_mod would count here too, as it powers in a PackedRing)
     count = [0]
     inside = [False]
-    real_pow, real_root = numfield.pow_mod, numfield._one_root
+    real_pow, real_root = PackedRing.pow, numfield._one_root
 
     def counting_pow(*args):
         count[0] += inside[0]
@@ -472,7 +481,7 @@ def test_descent_powerings_below_1e5(monkeypatch, spec7, spec9):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(numfield, "pow_mod", counting_pow)
+    monkeypatch.setattr(PackedRing, "pow", counting_pow)
     monkeypatch.setattr(numfield, "_one_root", flagged_root)
     for spec in (spec7, spec9):
         count[0] = 0

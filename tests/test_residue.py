@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import product
 from types import SimpleNamespace
@@ -365,7 +364,7 @@ def test_m4_classes_off_self_dual_basis(family11):
         c, h = f2poly.from_coeffs(fam.pairing.c), fam.pairing.h
         assert f2poly.cyclic_mul(c, h, 5) == 1 != h
         assert _classes_of_reps(fam) == every_class
-        self_dual = dataclasses.replace(fam, pairing=SimpleNamespace(h=1))
+        self_dual = fam._replace(pairing=SimpleNamespace(h=1))
         assert _classes_of_reps(self_dual) != every_class
 
 
@@ -625,6 +624,19 @@ def test_selfcheck_reads_each_ring_trace_once(monkeypatch, spec7):
 def test_circulant_rejects_asymmetric():
     with pytest.raises(AssertionError):
         CirculantA((0, 1, 0))  # c_1 != c_2
+
+
+def test_star_table_checks_at_construction(star7):
+    # a copy compares equal by value; a value changed on one class of a
+    # 3-class orbit is rejected when the table is built
+    assert residue.StarTable(tuple(star7.star), tuple(star7.norm_sign)) == star7
+    for u in (0b001, 0b011):
+        star = tuple(-s if v == u else s for v, s in enumerate(star7.star))
+        with pytest.raises(AssertionError, match="Galois orbits"):
+            residue.StarTable(star, star7.norm_sign)
+        sign = tuple(-s if v == u else s for v, s in enumerate(star7.norm_sign))
+        with pytest.raises(AssertionError, match="in half"):
+            residue.StarTable(star7.star, sign)
 
 
 def _apply(c, v):

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import math
@@ -256,8 +255,8 @@ def test_pool_windows_fill_copies_of_the_tables(monkeypatch, spec7, records7, in
 def test_build_tables_builds_one_pairing(monkeypatch, spec7):
     # the family's CirculantA is the only one, and it inverts c once
     built, inverted = [], []
-    post_init, inverse = residue.CirculantA.__post_init__, f2poly.cyclic_inv
-    monkeypatch.setattr(residue.CirculantA, "__post_init__", lambda a: built.append(a) or post_init(a))
+    init, inverse = residue.CirculantA.__init__, f2poly.cyclic_inv
+    monkeypatch.setattr(residue.CirculantA, "__init__", lambda a, c: built.append(a) or init(a, c))
     monkeypatch.setattr(f2poly, "cyclic_inv", lambda a, n: inverted.append(a) or inverse(a, n))
     tables = build_tables(spec7)
     assert len(built) == len(inverted) == 1
@@ -347,6 +346,57 @@ def test_records_do_not_depend_on_the_totally_positive_generator(request, field)
         class_changed += other_bits != bits
         primes += 1
     assert primes > 400 and symbols_changed and class_changed, (primes, symbols_changed, class_changed)
+
+
+def _second_hit_generator(spec, P):
+    """`numfield.generator_of_power` with one change: the walk's second norm-p^h hit, not its first.
+
+    The same lattice, reduction and radius stages; a vector met again in a
+    later stage is not a new hit.  The hit is made totally positive the same
+    way, by the listed unit of its sign pattern.
+    """
+    n, target = spec.n, P.p**spec.h
+    root = numfield._lift_root(spec, P, spec.h)
+    basis, lam, d = numfield._lll_reduce(numfield._ideal_power_basis(n, target, root),
+                                         numfield._ideal_power_gram(spec, target, root))
+    base_t2 = n * (target * math.sqrt(abs(spec.disc_f))) ** (2.0 / n)
+    hits = []
+    for mult in numfield._RADIUS_STAGES:
+        for coords in numfield._enumerate_short(lam, d, mult * mult * base_t2):
+            cand = tuple(sum(c * row[j] for c, row in zip(coords, basis)) for j in range(n))
+            signs, norm = spec.embeddings.signs_and_norm(cand)
+            if abs(norm) != target or cand in hits:
+                continue
+            hits.append(cand)
+            if len(hits) == 2:
+                if -1 in signs:
+                    cand = spec.mul(spec.unit_by_signature[signs], cand)
+                return cand
+    raise numfield.GeneratorNotFound(f"no second generator of norm {target} within the search radius")
+
+
+@pytest.mark.parametrize("field", ["spec7", "quintic"])
+def test_csv_does_not_depend_on_which_generator_the_search_returns(monkeypatch, request, field):
+    # the sweep with the search's second hit, made totally positive, in place
+    # of its first writes the same CSV to 3 10^4 byte for byte, although most
+    # generators differ (the sweep docstring: two totally positive generators
+    # differ by a square unit).  The sweep's own identity checks reject the
+    # variant without its sign fix-up
+    spec = numfield.load_spec(QUINTIC11) if field == "quintic" else request.getfixturevalue(field)
+    first = emit_csv(collect(spec, 30_000)[1], spec.n)
+    real = numfield.generator_of_power
+    calls = differ = 0
+
+    def second(spec, P):
+        nonlocal calls, differ
+        alpha = _second_hit_generator(spec, P)
+        calls += 1
+        differ += alpha != real(spec, P)
+        return alpha
+
+    monkeypatch.setattr(numfield, "generator_of_power", second)
+    assert emit_csv(collect(spec, 30_000)[1], spec.n) == first
+    assert calls == spec.n * (first.count("\n") - 1) and differ > calls // 2, (calls, differ)
 
 
 def test_tally_halves_add_up(result7, records7):
@@ -504,7 +554,7 @@ def test_rows_without_primes_read_no_primes(spec7, star7, result7):
     rows = sweep.build_report_rows(spec7, Tally(), star7.norm_sign)
     assert [row[0] for row in rows] == ["F/S", "F+/S+", "F-/S-", "R+/S+", "R-/S-", "F+/R+", "F-/R-"]
     assert all(row[1] is row[2] is row[4] is None and row[5] is False for row in rows)
-    text = sweep.format_report(dataclasses.replace(result7, tally=Tally(), report_rows=rows))
+    text = sweep.format_report(result7._replace(tally=Tally(), report_rows=rows))
     lines = text.splitlines()
     assert lines[4] == "F/S          | no primes          | 1/4          | -         | FAIL"
     assert lines[10] == "F-/R-        | no primes          | 1/2          | -         | FAIL"
@@ -598,8 +648,7 @@ def test_format_report_columns(result7):
 def test_report_header_bars_line_up_with_the_rows(spec7, star7, result7):
     # every " | " column separator of the header sits at the column of the
     # one in each row, with and without primes ("|delta|" is a title, not a separator)
-    empty = dataclasses.replace(result7, tally=Tally(),
-                                report_rows=sweep.build_report_rows(spec7, Tally(), star7.norm_sign))
+    empty = result7._replace(tally=Tally(), report_rows=sweep.build_report_rows(spec7, Tally(), star7.norm_sign))
 
     def separators(line):
         return [i for i in range(len(line)) if line.startswith(" | ", i)]
@@ -624,7 +673,8 @@ def test_violation_on_tampered_star_table(spec7):
     tampered = list(tables.star.star)
     for k in range(3):
         tampered[rot(bits, k, 3)] = -tampered[rot(bits, k, 3)]
-    broken = dataclasses.replace(tables, star=type(tables.star)(tuple(tampered), tables.star.norm_sign))
+    broken = sweep.FieldTables(tables.spec, tables.family, type(tables.star)(tuple(tampered), tables.star.norm_sign),
+                               tables.modulus, tables.split_classes)
     with pytest.raises(sweep.SpinRelationViolation):
         classify_prime(broken, 13)
 
@@ -637,7 +687,8 @@ def test_violation_on_flipped_norm_sign(spec7):
     flipped = tuple(sign if bits.bit_count() in (0, 3) else -sign
                     for bits, sign in enumerate(tables.star.norm_sign))
     assert [flipped[b] for b in (0b001, 0b011)] == [1, -1]
-    broken = dataclasses.replace(tables, star=type(tables.star)(tables.star.star, flipped))
+    broken = sweep.FieldTables(tables.spec, tables.family, type(tables.star)(tables.star.star, flipped),
+                               tables.modulus, tables.split_classes)
     for p in (13, 29, 43):
         with pytest.raises(sweep.SpinRelationViolation, match=f"p={p}: norm sign"):
             classify_prime(broken, p)
