@@ -1,86 +1,56 @@
-"""Polynomial arithmetic over GF(2), bit-packed into Python ints.
+"""The ring GF(2)[x]/(x^n - 1), n odd, its elements bit-packed into Python ints.
 
-The polynomial c_d x^d + ... + c_1 x + c_0 is stored as the integer with
-bit i equal to c_i.  There are no leading zeros by construction, so the
-stored form is always normalized; the zero polynomial is the int 0.
-
-Inputs are capped at degree 63: the module serves cyclic fields of degree
-n <= 31, where every intermediate product (degree <= 62) stays word-sized.
-
-The module serves one ring, GF(2)[x]/(x^n - 1) for odd n, and imports no
-other module of the package.  `cyclic_mul` multiplies there, the product
-behind every circulant the residue layer uses, and `cyclic_inv` inverts
-there; `cyclotomic_cosets` gives the degrees and reciprocal pairing of
-the factors of x^n - 1 from the cosets of 2 mod n.  The factors are not
-built here: the tests factor x^n - 1 as the independent reference for
-the cosets.  The one general polynomial gcd is `intpoly.gcd_mod`.
+The polynomial c_d x^d + ... + c_0 is the integer with bit i equal to c_i,
+so the zero polynomial is the int 0; an element of the ring has degree
+< n, and no degree cap applies (the package reaches n = 31).  The module
+imports no other module of the package.  `cyclic_mul` multiplies in the
+ring, the product behind every circulant of the residue layer, and
+`cyclic_inv` inverts by a power: for odd n, x^n - 1 is squarefree, so the
+ring is a product of fields GF(2^|C|), one per coset C of 2 mod n, each
+|C| divides k = ord_n(2), and so a unit u has u^(2^k - 1) = 1 and
+u^-1 = u^(2^k - 2).  `cyclotomic_cosets` gives the degrees and reciprocal
+pairing of the factors of x^n - 1 from those cosets; the tests factor
+x^n - 1, on their own GF(2) product and division, as the reference.  The
+one general polynomial gcd is `intpoly.gcd_mod`.
 """
 
 from __future__ import annotations
 
 F2Poly = int  # alias used in signatures; see module docstring
 
-MAX_DEGREE = 63
-
-
-def _check(a: int) -> int:
-    if a < 0:
-        raise ValueError("negative int is not a GF(2) polynomial")
-    if a.bit_length() - 1 > MAX_DEGREE:
-        raise ValueError(f"degree {a.bit_length() - 1} exceeds supported maximum {MAX_DEGREE}")
-    return a
-
-
-def mul(a: F2Poly, b: F2Poly) -> F2Poly:
-    """Product of a and b."""
-    _check(a), _check(b)
-    c = 0
-    while b:
-        if b & 1:
-            c ^= a
-        a <<= 1
-        b >>= 1
-    return c
-
 
 def cyclic_mul(a: F2Poly, b: F2Poly, n: int) -> F2Poly:
     """Product of a and b in GF(2)[x]/(x^n - 1), for a and b of degree < n."""
     if a >> n or b >> n:
         raise ValueError("cyclic factors must have degree < n")
-    prod = mul(a, b)
+    prod = 0
+    while b:
+        if b & 1:
+            prod ^= a
+        a <<= 1
+        b >>= 1
     return (prod & ((1 << n) - 1)) ^ (prod >> n)
 
 
 def cyclic_inv(a: F2Poly, n: int) -> F2Poly:
-    """Inverse of a in GF(2)[x]/(x^n - 1), for a of degree < n.
+    """Inverse of a in GF(2)[x]/(x^n - 1), for a of degree < n and odd n.
 
-    ValueError unless gcd(a, x^n + 1) = 1.  Extended Euclid against x^n + 1
-    with the invariant s * a = r mod x^n + 1 on both rows; the row reaching
-    r = 1 has deg s < n.
+    a^(2^k - 2) for k = ord_n(2), the product of a^(2^i) for 0 < i < k
+    (module docstring).  ValueError for even n, where 2 has no order mod n,
+    and unless gcd(a, x^n + 1) = 1: a non-unit a has a * a^(2^k - 2) != 1.
     """
     if a >> n:
         raise ValueError("cyclic factors must have degree < n")
-    r0, r1, s0, s1 = (1 << n) | 1, a, 0, 1
-    while r1:
-        q, r = divmod_(r0, r1)
-        r0, r1, s0, s1 = r1, r, s1, s0 ^ mul(q, s1)
-    if r0 != 1:
+    if n % 2 == 0:
+        raise ValueError(f"n must be odd, got {n}: 2 has no order mod an even n")
+    inv, square, power_of_2 = 1, a, 2 % n
+    while power_of_2 != 1 % n:  # one factor a^(2^i) per step, until 2^i = 1 mod n
+        square = cyclic_mul(square, square, n)
+        inv = cyclic_mul(inv, square, n)
+        power_of_2 = 2 * power_of_2 % n
+    if cyclic_mul(a, inv, n) != 1:
         raise ValueError("not a unit of GF(2)[x]/(x^n - 1)")
-    return s0
-
-
-def divmod_(a: F2Poly, b: F2Poly) -> tuple[F2Poly, F2Poly]:
-    """Quotient and remainder of a by b, for nonzero b."""
-    _check(a), _check(b)
-    if b == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    db = b.bit_length() - 1
-    q = 0
-    while a.bit_length() - 1 >= db and a:
-        shift = a.bit_length() - 1 - db
-        q |= 1 << shift
-        a ^= b << shift
-    return q, a
+    return inv
 
 
 def from_coeffs(coeffs) -> F2Poly:
@@ -89,7 +59,7 @@ def from_coeffs(coeffs) -> F2Poly:
     for i, c in enumerate(coeffs):
         if c & 1:
             a |= 1 << i
-    return _check(a)
+    return a
 
 
 def poly_str(a: F2Poly) -> str:

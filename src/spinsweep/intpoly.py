@@ -7,14 +7,14 @@ the discriminant of f (of the trace form built from `newton_power_sums`).
 
 `PackedRing` is Z[x]/(f, m) for monic f, each residue one int (its
 docstring states the lane invariant), and the package's one packed
-product modulo f: `pow_mod` powers in it, the split test, its
-certificate and the root descent mod p run in it, the test that f is
-irreducible mod 2 uses it through `pow_mod` (`numfield`), and
-`residue.ResidueRing` is its subclass for O/2^k.  `mul_mod` is the
-generic product of coefficient tuples, and `compose_mod` applies the
-Galois generator to field elements with it.  The tests keep `mul_mod`,
-square-and-multiply on it, and `compose_mod` as independent references
-for the packed ring.  `gcd_mod` is the package's one polynomial gcd:
+product and only powering modulo f: the split test, its certificate and
+the root descent mod p run in it, so does the test that f is
+irreducible mod 2 (`numfield`), and `residue.ResidueRing` is its
+subclass for O/2^k.  `mul_mod` is the generic product of coefficient
+tuples modulo f alone, and `compose_mod` applies the Galois generator
+to field elements with it.  The tests hold the independent references
+for the packed ring: `mul_mod` reduced mod m, square-and-multiply on it,
+and `compose_mod`.  `gcd_mod` is the package's one polynomial gcd:
 Euclid mod p on `poly_rem_monic`, each remainder made monic before it
 divides.  `mult_matrix` builds each row from the one before by a shift
 and one subtraction of a multiple of f, with no full product.
@@ -77,19 +77,9 @@ def compose_mod(g, s, f) -> tuple[int, ...]:
     return acc
 
 
-def mul_mod(a, b, f, m: int = 0) -> tuple[int, ...]:
-    """Product of a and b modulo monic f (and modulo m when m > 0), padded to degree < deg f."""
-    r = poly_rem_monic(poly_mul(a, b), f)
-    return tuple([c % m for c in r]) if m else r
-
-
-def pow_mod(a, e: int, f, m: int) -> tuple[int, ...]:
-    """a^e in Z[x]/(f, m), coefficients in [0, m), for monic f, e >= 0 and m >= 1: `PackedRing.pow` on a mod f.
-
-    ValueError for e < 0 or m < 1.
-    """
-    ring = PackedRing(f, m)
-    return ring.coeffs(ring.pow(ring.pack(poly_rem_monic(a, f)), e))
+def mul_mod(a, b, f) -> tuple[int, ...]:
+    """Product of a and b modulo monic f, padded to degree < deg f."""
+    return poly_rem_monic(poly_mul(a, b), f)
 
 
 class PackedRing:

@@ -86,8 +86,8 @@ g(a_h) = 0 mod p^h; the search's membership self-check is that one
 evaluation.  Every product, remainder and gcd modulo a monic polynomial,
 mod p or exact, is `intpoly`'s: the root descent's gcd mod p is
 `intpoly.gcd_mod`, and so is the gcd mod 2 of Rabin's test, which
-`FieldSpec` runs on x = theta with `pow_mod` to prove f irreducible mod 2
-(condition C4).
+`FieldSpec` runs on x = theta to prove f irreducible mod 2 (condition
+C4), taking every power in one `intpoly.PackedRing` mod (f, 2).
 
 Split test through the half power: `split_completely` computes
 half = x^((p-1)/2) once in `intpoly.PackedRing` mod (f, p), and takes
@@ -149,7 +149,6 @@ from .intpoly import (
     norm_mod,
     poly_derivative,
     poly_rem_monic,
-    pow_mod,
     prime_factors,
 )
 
@@ -448,8 +447,10 @@ class FieldSpec:
         # Rabin's test, x = theta: x^(2^n) = x mod (f, 2), and x^(2^(n/q)) - x
         # is prime to f mod 2 for each prime q | n
         x = (0, 1) + (0,) * (n - 2)
-        if pow_mod(x, 2**n, self.f, 2) != x or any(
-            len(gcd_mod(self.f, [a - b for a, b in zip(pow_mod(x, 2 ** (n // q), self.f, 2), x)], 2)) != 1
+        ring = PackedRing(self.f, 2)
+        theta = ring.pack(x)
+        if ring.pow(theta, 2**n) != theta or any(
+            len(gcd_mod(self.f, [a - b for a, b in zip(ring.coeffs(ring.pow(theta, 2 ** (n // q))), x)], 2)) != 1
             for q in prime_factors(n)
         ):
             raise C4Violation("f is reducible mod 2, so 2 is not inert")
@@ -856,7 +857,7 @@ def generator_of_power(spec: FieldSpec, P: PrimeDeg1) -> AlgInt:
 # -- residue symbols ---------------------------------------------------------
 
 
-def legendre_deg1(spec: FieldSpec, alpha: AlgInt, Q: PrimeDeg1) -> int:
+def legendre_deg1(alpha: AlgInt, Q: PrimeDeg1) -> int:
     """Quadratic residue symbol of alpha at a degree-one prime, in {+1, 0, -1}."""
     t = eval_mod(alpha, Q.a, Q.p)
     if t == 0:

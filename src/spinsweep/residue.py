@@ -51,12 +51,12 @@ The normal-basis test, the class coordinates, the pairing, the star
 values, b and h are one product, `f2poly.cyclic_mul` in GF(2)[x]/(x^n - 1),
 of classes, which are polynomials there, and c, the trace Gram sequence of
 y.  The orbit of y is a basis iff c is a unit there (the trace form of O/2
-is non-degenerate); h = c^-1 (`f2poly.cyclic_inv`, once, when the
-`CirculantA` is built); if u^(2^n-1) = 1 + 2w and t_j = Tr(w tau^j(y)),
-the class of u is b = h * t.  Further A v = c * v, b(u) = u(x) u(1/x), and
-the pairing of u with rot(u, k, n) = x^k u is coefficient k of c * b(u).
-So u is star-trivial iff c * b(u) is 0 or 1, the invariant
-`density.s_pair` states.
+is non-degenerate); h = c^-1 = c^(2^k - 2), k the order of 2 mod n
+(`f2poly.cyclic_inv`, once, when the `CirculantA` is built); if
+u^(2^n-1) = 1 + 2w and t_j = Tr(w tau^j(y)), the class of u is b = h * t.
+Further A v = c * v, b(u) = u(x) u(1/x), and the pairing of u with
+rot(u, k, n) = x^k u is coefficient k of c * b(u).  So u is star-trivial
+iff c * b(u) is 0 or 1, the invariant `density.s_pair` states.
 """
 
 from __future__ import annotations

@@ -38,8 +38,8 @@ in no unit class and never split, as the test's own certificate would
 also say (`numfield.split_completely`).  So the split test runs at
 the same primes for every worker count.  The only state kept between
 primes is one exact memo on the tables: the mod-4 class of each generator
-residue mod 4 already classified.  It lasts one sweep when serial and one
-window under a pool, and only skips work whose answer is already known.
+residue mod 4 classified in the current window, emptied at every window
+for every worker count, which only skips work whose answer is known.
 
 Generator independence: a record depends only on the field and p, not on
 which totally positive generator alpha of P^h the search returns.  Two
@@ -113,9 +113,9 @@ class FieldTables:
     checked that it is a subgroup of index n of (Z/modulus)^*.  m4 is an
     exact memo, empty when built: it maps a generator's residue mod 4, an
     element of O/4 packed by `intpoly.PackedRing.pack`, to
-    `residue.m4_class_of` of it, which depends on nothing else, and has at
-    most |(O/4)^*| = 2^n (2^n - 1) keys.  A serial sweep fills one
-    copy, and under a pool every window fills its own pickled copy.
+    `residue.m4_class_of` of it, which depends on nothing else.  Every
+    window starts it empty (`_classify_range`), so it holds at most n keys
+    per split prime of one window, and at most |(O/4)^*| = 2^n (2^n - 1).
     """
 
     def __init__(self, spec: numfield.FieldSpec, family: residue.RingFamily, star: residue.StarTable,
@@ -190,7 +190,7 @@ def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:
         return None
     chain = numfield.conjugate_chain(spec, PrimeDeg1(p, roots[0]))
     alpha = numfield.generator_of_power(spec, chain[0])
-    spins = tuple(numfield.legendre_deg1(spec, alpha, chain[k]) for k in range(1, n))
+    spins = tuple(numfield.legendre_deg1(alpha, chain[k]) for k in range(1, n))
     if 0 in spins:
         raise SpinRelationViolation(f"p={p}: residue symbol degenerated to 0")
     bits = tables.m4_class(alpha)
@@ -248,7 +248,8 @@ def odd_primes_in(lo: int, hi: int) -> list[int]:
 
 
 def _classify_range(tables: FieldTables, lo: int, hi: int) -> list[PrimeRecord]:
-    """Records of the split primes in the window [lo, hi)."""
+    """Records of the split primes in the window [lo, hi), on a mod-4 memo emptied first."""
+    tables.m4.clear()
     records = []
     for p in odd_primes_in(lo, hi):
         try:

@@ -4,7 +4,21 @@ from types import SimpleNamespace
 
 import pytest
 
-from spinsweep import checks, numfield, residue
+from spinsweep import checks, intpoly, numfield, residue
+
+
+def mul_mod(a, b, f, m: int) -> tuple[int, ...]:
+    """Reference product in Z[x]/(f, m), m >= 1: `intpoly.mul_mod` modulo monic f, then each coefficient mod m."""
+    return tuple([c % m for c in intpoly.mul_mod(a, b, f)])
+
+
+def pow_mod(a, e: int, f, m: int) -> tuple[int, ...]:
+    """a^e in Z[x]/(f, m), coefficients in [0, m): `PackedRing.pow` on a reduced mod f (`poly_rem_monic`).
+
+    ValueError for e < 0 or m < 1, from the ring.
+    """
+    ring = intpoly.PackedRing(f, m)
+    return ring.coeffs(ring.pow(ring.pack(intpoly.poly_rem_monic(a, f)), e))
 
 
 def _builtin(name):

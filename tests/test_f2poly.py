@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from spinsweep import f2poly
-from spinsweep.f2poly import F2Poly, cyclotomic_cosets, divmod_, from_coeffs, mul
+from spinsweep.f2poly import F2Poly, cyclotomic_cosets, from_coeffs
 
 X3_P1 = from_coeffs([1, 0, 0, 1])       # x^3 + 1
 X2_X_1 = from_coeffs([1, 1, 1])         # x^2 + x + 1
@@ -10,6 +12,30 @@ X_P1 = from_coeffs([1, 1])              # x + 1
 
 # -- the reference factorization of x^n - 1 that `cyclotomic_cosets` is checked against,
 # on its own general-modulus GF(2) arithmetic (the package has only the cyclic ring)
+
+
+def mul(a: F2Poly, b: F2Poly) -> F2Poly:
+    """Product of a and b (carry-less)."""
+    c = 0
+    while b:
+        if b & 1:
+            c ^= a
+        a <<= 1
+        b >>= 1
+    return c
+
+
+def divmod_(a: F2Poly, b: F2Poly) -> tuple[F2Poly, F2Poly]:
+    """Quotient and remainder of a by b, for nonzero b."""
+    if b == 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    db = b.bit_length() - 1
+    q = 0
+    while a.bit_length() - 1 >= db and a:
+        shift = a.bit_length() - 1 - db
+        q |= 1 << shift
+        a ^= b << shift
+    return q, a
 
 
 def rem(a: F2Poly, b: F2Poly) -> F2Poly:
@@ -140,6 +166,37 @@ def test_cyclic_inv_exhaustive(n):
         f2poly.cyclic_inv(1 << n, n)
 
 
+@pytest.mark.parametrize("n", list(range(3, 32, 2)))
+def test_cyclic_inv_is_a_power_at_every_odd_n(n):
+    # the inverse is a^(2^k - 2), k = ord_n(2): seeded a against the reference
+    # gcd with x^n + 1, past the exhaustive test's n <= 9 to where k is 4, 6,
+    # 11 and 5 (n = 15, 21, 23, 31)
+    xn_1 = (1 << n) | 1
+    rng = random.Random(n)
+    units = non_units = 0
+    # x^j, 1 + x (gcd x + 1) and 1 + x + ... + x^(n-1) (gcd (x^n + 1)/(x + 1)) among the seeded
+    for a in [1 << (n - 1), 0b11, (1 << n) - 1, 0] + [rng.randrange(1 << n) for _ in range(200)]:
+        if gcd(a, xn_1) == 1:
+            units += 1
+            inv = f2poly.cyclic_inv(a, n)
+            assert inv >> n == 0 and f2poly.cyclic_mul(a, inv, n) == 1
+            assert f2poly.cyclic_mul(inv, a, n) == 1
+        else:
+            non_units += 1
+            with pytest.raises(ValueError, match="not a unit"):
+                f2poly.cyclic_inv(a, n)
+    assert units > 10 and non_units > 10
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 30])
+def test_cyclic_inv_rejects_an_even_n(n):
+    # 2 has no order mod an even n, so no power a^(2^k - 2) is an inverse
+    with pytest.raises(ValueError, match="must be odd"):
+        f2poly.cyclic_inv(1, n)
+    with pytest.raises(ValueError, match="must be odd"):
+        f2poly.cyclic_inv(0b11, n)
+
+
 def test_divmod_and_rem():
     q, r = divmod_(X3_P1, X2_X_1)
     assert mul(q, X2_X_1) ^ r == X3_P1
@@ -152,11 +209,6 @@ def test_degree_sentinel():
     assert degree(0) == float("-inf")
     assert degree(1) == 0
     assert degree(X3_P1) == 3
-
-
-def test_degree_cap():
-    with pytest.raises(ValueError):
-        f2poly.mul(1 << 70, 1)
 
 
 def test_reciprocal():

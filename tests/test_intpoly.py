@@ -5,18 +5,17 @@ from itertools import product
 
 import pytest
 
+from spinsweep import intpoly
 from spinsweep.f2poly import from_coeffs
 from spinsweep.intpoly import (
     PackedRing,
     gcd_mod,
-    mul_mod,
     mult_matrix,
     norm_mod,
     poly_rem_monic,
-    pow_mod,
     prime_factors,
 )
-from conftest import real_cyclotomic
+from conftest import mul_mod, pow_mod, real_cyclotomic
 from test_f2poly import gcd
 
 CUBICS = ((-1, -2, 1, 1), (-1, -3, 0, 1))
@@ -29,10 +28,10 @@ BIG_PRIMES = (99991, 100003, 999983, 1000003, 2**31 - 1, 2**61 - 1)
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 13, *BIG_PRIMES])
 def test_pow_mod_is_repeated_mul_mod(m):
-    # the packed powering against the generic product, on the cubics and the
-    # quintic (negative coefficients in f), bases with negative coordinates
-    # and more coordinates than deg f included; at m = 1 every power, e = 0
-    # too, is the zero residue
+    # `PackedRing.pow` (conftest's pow_mod) against the generic product, on
+    # the cubics and the quintic (negative coefficients in f), bases with
+    # negative coordinates and more coordinates than deg f included; at m = 1
+    # every power, e = 0 too, is the zero residue
     for f in CUBICS + (QUINTIC,):
         for a in product(range(m), repeat=3) if m <= 4 else ((3, 0, 1), (12, 5, 7), (0, 1, 0), (-9, 4, -1, 7),
                                                              (m - 1, m - 2, 1, -m, 3, m + 5)):
@@ -52,8 +51,10 @@ def test_pow_mod_rejects_a_modulus_below_one(m):
 
 def test_mul_mod_reduces_by_f_and_m():
     f = CUBICS[0]
-    # x * x^2 = x^3 = 1 + 2x - x^2 mod f
-    assert mul_mod((0, 1), (0, 0, 1), f) == (1, 2, -1)
+    # x * x^2 = x^3 = 1 + 2x - x^2 mod f; the package reduces by f alone, the
+    # tests' reference by m as well
+    assert intpoly.mul_mod((0, 1), (0, 0, 1), f) == (1, 2, -1)
+    assert intpoly.mul_mod((), (1, 1), f) == (0, 0, 0)
     assert mul_mod((0, 1), (0, 0, 1), f, 4) == (1, 2, 3)
     assert mul_mod((), (1, 1), f, 4) == (0, 0, 0)
 
@@ -118,13 +119,13 @@ def test_mult_matrix_rows_are_products_with_powers_of_x():
             rows = mult_matrix(a, f)
             assert len(rows) == n
             for j, row in enumerate(rows):
-                assert tuple(row) == mul_mod(a, (0,) * j + (1,), f)
+                assert tuple(row) == intpoly.mul_mod(a, (0,) * j + (1,), f)
 
 
 def _norm_by_fractions(a, f):
-    """det of the rows mul_mod(a, x^j, f), by Gaussian elimination over the rationals."""
+    """det of the rows intpoly.mul_mod(a, x^j, f), by Gaussian elimination over the rationals."""
     n = len(f) - 1
-    rows = [[Fraction(c) for c in mul_mod(a, (0,) * j + (1,), f)] for j in range(n)]
+    rows = [[Fraction(c) for c in intpoly.mul_mod(a, (0,) * j + (1,), f)] for j in range(n)]
     det = Fraction(1)
     for k in range(n):
         pivot = next((i for i in range(k, n) if rows[i][k]), None)

@@ -18,7 +18,6 @@ from spinsweep.intpoly import (
     norm_mod,
     poly_mul,
     poly_rem_monic,
-    pow_mod,
     prime_factors,
 )
 from spinsweep.numfield import (
@@ -38,7 +37,8 @@ from spinsweep.numfield import (
     split_completely,
 )
 from spinsweep.sweep import build_tables
-from test_f2poly import trial_division_irreducible
+from conftest import pow_mod
+from test_f2poly import mul as f2poly_mul, trial_division_irreducible
 from test_intpoly import PINNED_NORMS, _norm_by_fractions
 
 GOOD7 = """
@@ -108,12 +108,33 @@ def test_c4_gcd_step_rejects_products_of_factors_of_degree_dividing_n(n, factors
     bits = 1
     for g in factors:
         assert trial_division_irreducible(g) and n % (g.bit_length() - 1) == 0
-        bits = f2poly.mul(bits, g)
+        bits = f2poly_mul(bits, g)
     f = [bits >> i & 1 for i in range(n + 1)]
     x = (0, 1) + (0,) * (n - 2)
     assert pow_mod(x, 2**n, f, 2) == x
     with pytest.raises(C4Violation):
         load_spec(_config_with_identity_sigma(f))
+
+
+def test_rabin_test_powers_in_one_ring(monkeypatch):
+    # load_spec builds one PackedRing, mod (f, 2), for every power of Rabin's
+    # test, whether f passes or fails it
+    built, init = [], PackedRing.__init__
+
+    def record(ring, f, m, lane_mod=None):
+        built.append((tuple(f), m))
+        init(ring, f, m, lane_mod)
+
+    monkeypatch.setattr(PackedRing, "__init__", record)
+    for text in (GOOD7, QUINTIC11, REAL_CYCLOTOMIC19):
+        built.clear()
+        spec = load_spec(text)
+        assert built == [(spec.f, 2)], spec.name
+    built.clear()
+    f = (0, 1, 0, 0, 1, 1)  # x (x^4 + x^3 + 1): reducible mod 2
+    with pytest.raises(C4Violation):
+        load_spec(_config_with_identity_sigma(f))
+    assert built == [(f, 2)]
 
 
 def test_reject_even_degree():
@@ -465,7 +486,7 @@ def test_descent_powerings_below_1e5(monkeypatch, spec7, spec9):
     # split primes below 10^5: 1056 on c7 and 1049 on c9, against 3379 and
     # 3355 for the shifts 1, 2, 3, ... with one gcd per shift.  Both kinds are
     # counted: in the split test's ring mod (f, p), and in a ring built for a
-    # proper factor (any pow_mod would count here too, as it powers in a PackedRing)
+    # proper factor
     count = [0]
     inside = [False]
     real_pow, real_root = PackedRing.pow, numfield._one_root
@@ -1147,27 +1168,27 @@ def test_power_generator_lies_in_the_kernel(spec7, spec9, h):
 
 def test_legendre_one_and_squares(spec7):
     Q = PrimeDeg1(13, 7)
-    assert legendre_deg1(spec7, spec7.one(), Q) == 1
+    assert legendre_deg1(spec7.one(), Q) == 1
     for beta in ((1, 2, 0), (3, 0, 1), (0, 1, 1)):
         sq = spec7.mul(beta, beta)
         if eval_mod(sq, 7, 13) != 0:
-            assert legendre_deg1(spec7, sq, Q) == 1
+            assert legendre_deg1(sq, Q) == 1
 
 
 def test_legendre_against_square_set(spec7):
     q, b = 13, 7
     squares = {(x * x) % q for x in range(1, q)}
     for t in range(1, q):
-        got = legendre_deg1(spec7, (t, 0, 0), PrimeDeg1(q, b))
+        got = legendre_deg1((t, 0, 0), PrimeDeg1(q, b))
         assert got == (1 if t in squares else -1)
-    assert legendre_deg1(spec7, (13, 0, 0), PrimeDeg1(q, b)) == 0
+    assert legendre_deg1((13, 0, 0), PrimeDeg1(q, b)) == 0
 
 
 def _spins(spec, P):
     """Residue symbols of the totally positive generator of P^h at sigma^k(P), k = 1..n-1."""
     chain = conjugate_chain(spec, P)
     alpha = generator_of_power(spec, P)
-    return tuple(legendre_deg1(spec, alpha, Q) for Q in chain[1:])
+    return tuple(legendre_deg1(alpha, Q) for Q in chain[1:])
 
 
 def _m4_class(spec, family, P):
@@ -1186,7 +1207,7 @@ def test_spin_values_and_product_identity(spec7, family7):
     a8 = r3.pack(alpha)
     assert s1 * s2 == residue.hilbert2(r3, a8, r3.apply_tau(a8, 1))
     # the symbol at P itself (k = 0 or n) degenerates: the generator lies in P
-    assert legendre_deg1(spec7, alpha, P) == 0
+    assert legendre_deg1(alpha, P) == 0
 
 
 def test_spin_orbit_is_permutation(spec7):
@@ -1255,7 +1276,7 @@ def test_symbol_flip_for_one_mod_4_generators(spec7):
             if P.p == Q.p:
                 continue
             alpha = generator_of_power(spec7, P)
-            assert legendre_deg1(spec7, alpha, Q) == legendre_deg1(spec7, adjusted, P)
+            assert legendre_deg1(alpha, Q) == legendre_deg1(adjusted, P)
             flips += 1
     assert flips >= 3, "expected some generators congruent to 1 mod 4O below 700"
 

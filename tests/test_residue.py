@@ -8,7 +8,7 @@ import pytest
 from spinsweep import checks, f2poly, residue
 from spinsweep.checks import class_rep
 from spinsweep.density import s_pair
-from spinsweep.intpoly import compose_mod, mul_mod
+from spinsweep.intpoly import compose_mod
 from spinsweep.numfield import load_spec
 from spinsweep.residue import (
     CirculantA,
@@ -23,7 +23,7 @@ from spinsweep.residue import (
     star_table,
 )
 from spinsweep.sweep import build_tables
-from conftest import real_cyclotomic
+from conftest import mul_mod, real_cyclotomic
 from test_f2poly import gcd
 from test_intpoly import _pow_right_to_left
 from test_numfield import REAL_CYCLOTOMIC19

@@ -252,6 +252,23 @@ def test_pool_windows_fill_copies_of_the_tables(monkeypatch, spec7, records7, in
     assert records == records7
 
 
+def test_serial_windows_start_with_an_empty_m4_memo(monkeypatch, spec7, records7):
+    # a serial sweep empties the mod-4 memo at every window, as a pool window's
+    # pickled copy starts empty, so the memo holds at most n keys per split
+    # prime of one window however large X is
+    seen, classify = [], sweep.classify_prime
+    monkeypatch.setattr(sweep, "classify_prime", lambda tables, p: seen.append((p, len(tables.m4))) or classify(tables, p))
+    monkeypatch.setattr(sweep, "WINDOW_WIDTH", 2**10)
+    _, records = collect(spec7, 6000, 1)
+    assert records == records7
+    bounds = sweep._windows(6000, 1)
+    assert len(bounds) == 6
+    for lo, hi in bounds:
+        sizes = [size for p, size in seen if lo <= p < hi]
+        split = sum(lo <= rec.p < hi for rec in records)
+        assert sizes[0] == 0 < max(sizes) <= spec7.n * split
+
+
 def test_build_tables_builds_one_pairing(monkeypatch, spec7):
     # the family's CirculantA is the only one, and it inverts c once
     built, inverted = [], []
@@ -333,7 +350,7 @@ def test_records_do_not_depend_on_the_totally_positive_generator(request, field)
         chain = numfield.conjugate_chain(spec, PrimeDeg1(p, roots[0]))
 
         def record(beta):
-            return [numfield.legendre_deg1(spec, beta, Q) for Q in chain], tables.m4_class(beta)
+            return [numfield.legendre_deg1(beta, Q) for Q in chain], tables.m4_class(beta)
 
         alpha = numfield.generator_of_power(spec, chain[0])
         eta = spec.one()
