@@ -26,14 +26,13 @@ from spinsweep.numfield import load_spec
 for name in ("simplest-cubic-7", "cyclic-cubic-9"):
     cfg = (resources.files("spinsweep.data") / f"{name}.cfg").read_text()
     spec = load_spec(cfg)
-    family = residue.build_family(spec)
-    star = checks.oracle_star_table(family)
-    pairing = family.pairing
+    ring = residue.build_family(spec)
+    star = checks.oracle_star_table(ring)
+    pairing = ring.pairing
 
     print(f"== {spec.name}: f has constant-first coefficients {spec.f}")
-    r1 = family.rings[1]
-    print(f"   normal basis generator of O/2: y = {r1.coeffs(family.y)}")
-    print(f"   orbit under the Galois generator: {tuple(map(r1.coeffs, family.y_orbit))}")
+    print(f"   normal basis generator of O/2: y = {ring.coeffs(ring.y)}")
+    print(f"   orbit under the Galois generator: {tuple(map(ring.coeffs, ring.y_orbit))}")
     print(f"   pairing circulant c = {pairing.c}, h(x) = {f2poly.poly_str(pairing.h)}")
     print(f"   closed form        : {s_pair(spec.n)}")
     print(f"   star-table count   : {(star.ker_plus, star.ker_minus)}")

@@ -17,7 +17,7 @@ from . import residue
 from .density import s_pair
 from .intpoly import norm_mod
 from .f2poly import F2Poly
-from .residue import Elem, RingFamily, StarTable, m4_class_of, rot
+from .residue import Elem, ResidueRing, StarTable, m4_class_of, rot
 
 # largest degree the suites are run at: at n = 5 the well-definedness loop of
 # `hilbert_suite` alone is 32 * 32 * (32 + 496) = 540 672 oracle calls.  On a
@@ -46,54 +46,51 @@ def _result(name, ok, detail=""):
     return CheckResult(name, bool(ok), detail if not ok else "")
 
 
-def class_rep(family: RingFamily, u: F2Poly) -> Elem:
+def class_rep(ring: ResidueRing, u: F2Poly) -> Elem:
     """Distinguished mod-8 representative: the product of the factors 1 + 2 tau^i(y) over the set bits i of u."""
-    r3 = family.rings[3]
-    out = r3.one()
-    for i, v in enumerate(family.y_orbit):
+    out = ring.one()
+    for i, v in enumerate(ring.y_orbit):
         if u >> i & 1:
-            out = r3.mul(out, 1 + 2 * v)
+            out = ring.mul(out, 1 + 2 * v)
     return out
 
 
-def oracle_star_table(family: RingFamily) -> StarTable:
+def oracle_star_table(ring: ResidueRing) -> StarTable:
     """Star table by brute force: the oracle on every class against its conjugates.
 
     The norm sign is the field norm of the class representative mod 4, a
-    determinant that mod 4 needs only f mod 4 (`rings[2].f`), so neither
-    column reads the trace form.
+    determinant that mod 4 needs only f mod 4, so `ring.f` (f mod 8)
+    serves, and neither column reads the trace form.
     """
-    r3 = family.rings[3]
-    n = family.n
+    n = ring.n
     star, norm_sign = [], []
     for u in range(1 << n):
-        rep = class_rep(family, u)
+        rep = class_rep(ring, u)
         val = 1
         for k in range(1, n):
-            if residue.hilbert2(r3, rep, r3.apply_tau(rep, k)) == -1:
+            if residue.hilbert2(ring, rep, ring.apply_tau(rep, k)) == -1:
                 val = -1
                 break
         star.append(val)
-        nrm = norm_mod(family.rings[2].coeffs(rep), family.rings[2].f) % 4
+        nrm = norm_mod(ring.coeffs(rep), ring.f) % 4
         assert nrm in (1, 3), "norm of a unit lift must be odd"
         norm_sign.append(1 if nrm == 1 else -1)
     return StarTable(tuple(star), tuple(norm_sign))
 
 
-def m4_suite(family: RingFamily) -> list[CheckResult]:
+def m4_suite(ring: ResidueRing) -> list[CheckResult]:
     """Structure of the square-class group mod 4: size, kernel, fixed classes."""
-    r2 = family.rings[2]
-    n = family.n
-    units = [u for u in r2.elements() if r2.is_unit(u)]
+    n, mask4 = ring.n, ring.mask4
+    units = [u for u in ring.elements(4) if ring.is_unit(u)]
     classes = {}
     for u in units:
-        classes.setdefault(m4_class_of(family, u), []).append(u)
+        classes.setdefault(m4_class_of(ring, u), []).append(u)
     out = [
         _result("m4/unit-count", len(units) == (1 << (2 * n)) - (1 << n),
                 f"{len(units)} units mod 4"),
         _result("m4/surjective", len(classes) == 1 << n, f"{len(classes)} classes"),
     ]
-    squares = {r2.mul(u, u) for u in units}
+    squares = {ring.mul(u, u) & mask4 for u in units}
     kernel = set(classes.get(0, []))
     out.append(_result("m4/kernel-is-squares", kernel == squares,
                        f"kernel {len(kernel)} vs squares {len(squares)}"))
@@ -101,38 +98,37 @@ def m4_suite(family: RingFamily) -> list[CheckResult]:
     out.append(_result("m4/galois-fixed", fixed == {0, (1 << n) - 1}, f"fixed classes {sorted(fixed)}"))
     # the class map intertwines the Galois action with coordinate rotation
     equivariant = all(
-        m4_class_of(family, r2.apply_tau(u, 1)) == rot(m4_class_of(family, u), 1, n)
+        m4_class_of(ring, ring.apply_tau(u, 1) & mask4) == rot(m4_class_of(ring, u), 1, n)
         for u in units
     )
     out.append(_result("m4/equivariant", equivariant))
     return out
 
 
-def hilbert_suite(family: RingFamily) -> list[CheckResult]:
-    """Exhaustive symbol properties over all class pairs at small n, against the family's pairing."""
-    r3 = family.rings[3]
-    n = family.n
+def hilbert_suite(ring: ResidueRing) -> list[CheckResult]:
+    """Exhaustive symbol properties over all class pairs at small n, against the ring's pairing."""
+    n = ring.n
     classes = range(1 << n)
-    reps = [class_rep(family, u) for u in classes]
+    reps = [class_rep(ring, u) for u in classes]
     table = {
-        (u, v): residue.hilbert2(r3, reps[u], reps[v]) for u in classes for v in classes
+        (u, v): residue.hilbert2(ring, reps[u], reps[v]) for u in classes for v in classes
     }
 
-    unit_squares = [s for s in r3.squares if r3.is_unit(s)]
-    shifts = [1 + 4 * t for t in family.rings[1].elements()]  # 1 + 4B, B over O/2
+    unit_squares = [s for s in ring.squares if ring.is_unit(s)]
+    shifts = [1 + 4 * t for t in ring.elements(2)]  # 1 + 4B, B over O/2
 
     ok_well = True
     for u in classes:
-        variants = [r3.mul(reps[u], s) for s in shifts]  # representative + 4B
-        variants += [r3.mul(reps[u], s) for s in unit_squares]  # times unit squares
+        variants = [ring.mul(reps[u], s) for s in shifts]  # representative + 4B
+        variants += [ring.mul(reps[u], s) for s in unit_squares]  # times unit squares
         for v in classes:
-            if any(residue.hilbert2(r3, w, reps[v]) != table[u, v] for w in variants):
+            if any(residue.hilbert2(ring, w, reps[v]) != table[u, v] for w in variants):
                 ok_well = False
     out = [_result("hilbert/well-defined", ok_well)]
 
-    products = [[r3.mul(reps[u], reps[v]) for v in classes] for u in classes]
+    products = [[ring.mul(reps[u], reps[v]) for v in classes] for u in classes]
     ok_bilin = all(
-        residue.hilbert2(r3, products[u][v], reps[w])
+        residue.hilbert2(ring, products[u][v], reps[w])
         == table[u, w] * table[v, w]
         for u in classes for v in classes for w in classes
     )
@@ -145,19 +141,19 @@ def hilbert_suite(family: RingFamily) -> list[CheckResult]:
                        all(any(table[u, v] == -1 for v in classes)
                            for u in classes if u)))
 
-    conjugates = [r3.apply_tau(rep, 1) for rep in reps]
+    conjugates = [ring.apply_tau(rep, 1) for rep in reps]
     ok_equi = all(
-        residue.hilbert2(r3, conjugates[u], conjugates[v]) == table[u, v]
+        residue.hilbert2(ring, conjugates[u], conjugates[v]) == table[u, v]
         for u in classes for v in classes
     )
     out.append(_result("hilbert/galois-equivariant", ok_equi))
 
-    neg = r3.neg_one()
+    neg = ring.neg_one()
     out.append(_result("hilbert/self-pairing-is-minus-one",
-                       all(table[u, u] == residue.hilbert2(r3, reps[u], neg) for u in classes)))
+                       all(table[u, u] == residue.hilbert2(ring, reps[u], neg) for u in classes)))
 
     out.append(_result("hilbert/bilinear-form-identity",
-                       all(table[u, v] == family.pairing.pairing(u, v)
+                       all(table[u, v] == ring.pairing.pairing(u, v)
                            for u in classes for v in classes)))
     return out
 
@@ -171,16 +167,15 @@ def kernel_routes(star: StarTable | None, pairing: residue.CirculantA):
     return s_pair(len(pairing.c)), brute, residue.kernel_counts_via_B(pairing)
 
 
-def kernel_suite(family: RingFamily, star: StarTable) -> list[CheckResult]:
+def kernel_suite(ring: ResidueRing, star: StarTable) -> list[CheckResult]:
     """Three independent kernel counts plus the anchor values.
 
     `star` is route 2, the oracle's table (`oracle_star_table`); the
-    family's `pairing` is the trace form, whose autocorrelation count is
+    ring's `pairing` is the trace form, whose autocorrelation count is
     route 3.
     """
-    n = family.n
-    pairing = family.pairing
-    r3 = family.rings[3]
+    n = ring.n
+    pairing = ring.pairing
     ones = (1 << n) - 1  # the class of -1
     closed, brute, convol = kernel_routes(star, pairing)
     out = [
@@ -189,11 +184,11 @@ def kernel_suite(family: RingFamily, star: StarTable) -> list[CheckResult]:
         _result("kernel/star-of-one", star.star[0] == 1),
         _result("kernel/star-of-minus-one", star.star[ones] == -1),
         _result("kernel/minus-one-pairing",
-                residue.hilbert2(r3, r3.neg_one(), r3.neg_one()) == -1),
+                residue.hilbert2(ring, ring.neg_one(), ring.neg_one()) == -1),
     ]
     # c_0 reflects the norm sign of the basis element's class
-    alpha = class_rep(family, 1)  # 1 + 2y
-    alpha_class = m4_class_of(family, alpha & family.rings[2].mask)
+    alpha = class_rep(ring, 1)  # 1 + 2y
+    alpha_class = m4_class_of(ring, alpha & ring.mask4)
     out.append(_result("kernel/c0-vs-norm-sign",
                        (pairing.c[0] == 0) == (star.norm_sign[alpha_class] == 1)))
     # pairing of the all-ones class with itself vs star(-1): (-1,-1) = -1
@@ -206,10 +201,10 @@ def kernel_suite(family: RingFamily, star: StarTable) -> list[CheckResult]:
 
 
 def run_all(spec) -> list[CheckResult]:
-    family = residue.build_family(spec)
-    star = oracle_star_table(family)
+    ring = residue.build_family(spec)
+    star = oracle_star_table(ring)
     rows = []
-    rows += m4_suite(family)
-    rows += hilbert_suite(family)
-    rows += kernel_suite(family, star)
+    rows += m4_suite(ring)
+    rows += hilbert_suite(ring)
+    rows += kernel_suite(ring, star)
     return rows

@@ -105,13 +105,13 @@ def _cmd_density(args) -> int:
 
 def _cmd_verify_kernel(args) -> int:
     spec = _load_field(args.field)
-    family = residue.build_family(spec)
+    ring = residue.build_family(spec)
     oracle = spec.n <= checks.MAX_ORACLE_DEGREE
-    pairing = family.pairing
-    closed, brute, convol = checks.kernel_routes(checks.oracle_star_table(family) if oracle else None, pairing)
+    pairing = ring.pairing
+    closed, brute, convol = checks.kernel_routes(checks.oracle_star_table(ring) if oracle else None, pairing)
     agree = closed == convol and (not oracle or brute == closed)
     print(f"field = {spec.name}  (n = {spec.n})")
-    print(f"normal basis generator y = {family.rings[1].coeffs(family.y)}")
+    print(f"normal basis generator y = {ring.coeffs(ring.y)}")
     print(f"pairing c-sequence = {pairing.c}")
     print(f"h(x) = {f2poly.poly_str(pairing.h)}")
     print(f"kernel counts  closed-form      = {closed}")

@@ -10,9 +10,9 @@ docstring states the lane invariant), and the package's one packed
 product and only powering modulo f: the split test, its certificate and
 the root descent mod p run in it, so does the test that f is
 irreducible mod 2 (`numfield`), and `residue.ResidueRing` is its
-subclass for O/2^k.  `mul_mod` is the generic product of coefficient
-tuples modulo f alone, and `compose_mod` applies the Galois generator
-to field elements with it.  The tests hold the independent references
+subclass for O/8, which reads O/4 and O/2 off by masks.  `mul_mod` is
+the generic product of coefficient tuples modulo f alone, and
+`compose_mod` applies the Galois generator to field elements with it.  The tests hold the independent references
 for the packed ring: `mul_mod` reduced mod m, square-and-multiply on it,
 and `compose_mod`.  `gcd_mod` is the package's one polynomial gcd:
 Euclid mod p on `poly_rem_monic`, each remainder made monic before it
@@ -98,14 +98,12 @@ class PackedRing:
     and a lane holds at most (m - 1) + (n - 1)(m - 1)^2 <= n (m - 1)^2.
     Otherwise by taking it mod m, one lane at a time and so only the high
     lanes before the fold, and a low lane holds at most (2n - 1)(m - 1)^2.
-    Lane invariant: `lane` is the bit length of that bound with m replaced
-    by lane_mod >= m, so no lane carries into the next.  A lane_mod above
-    m lets one packing serve several moduli: `residue.ResidueRing` sizes
-    O/2, O/4 and O/8 alike for O/8.  `pow` is left-to-right
-    square-and-multiply on `mul`.
+    Lane invariant: `lane` is the bit length of that bound, so no lane
+    carries into the next.  `pow` is left-to-right square-and-multiply on
+    `mul`.
     """
 
-    def __init__(self, f, m: int, lane_mod: int | None = None):
+    def __init__(self, f, m: int):
         if m < 1:
             raise ValueError(f"PackedRing needs a modulus m >= 1, got {m}")
         self.n = n = len(f) - 1
@@ -113,7 +111,7 @@ class PackedRing:
         self.f = tuple([c % m for c in f])
         self.and_reduces = m & (m - 1) == 0
         terms = n if self.and_reduces else 2 * n - 1  # lane-wise products a lane holds at most
-        self.lane = lane = (terms * ((lane_mod or m) - 1) ** 2).bit_length() or 1
+        self.lane = lane = (terms * (m - 1) ** 2).bit_length() or 1
         self.slot = (1 << lane) - 1  # one lane of ones
         self.offsets = range((n - 1) * lane, -1, -lane)  # of the low lanes, top first
         self.mask = self.pack((m - 1,) * n)  # m - 1 in every lane

@@ -420,7 +420,7 @@ class FieldSpec:
     Built from the five config values alone.  Validation derives the rest
     from f: the degree n = len(f) - 1, the power sums s_k = Tr(theta^k)
     and disc_f, the determinant of the trace form (s_(i+j)).  It is the
-    only validator of f and sigma: the residue rings and the sweep take
+    only validator of f and sigma: the residue ring and the sweep take
     both as checked here.
     """
 

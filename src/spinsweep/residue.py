@@ -1,12 +1,15 @@
-"""Finite arithmetic in O/2^k (k = 1, 2, 3) for a cyclic field with 2 inert.
+"""Finite arithmetic in O/8, O/4 and O/2 for a cyclic field with 2 inert.
 
-An element is one packed int: `ResidueRing` is an `intpoly.PackedRing`
-mod 2^k, whose docstring states the lane invariant.  A ring knows its
-reduced minimal polynomial and the image s(theta) of theta under the
-Galois generator, both reduced from a validated `numfield.FieldSpec`.
-Its one mutable value is its oracle memo `square_multiples`.
+An element is one packed int.  `ResidueRing` is O/8, an
+`intpoly.PackedRing` mod 8, whose docstring states the lane invariant,
+and O/4 and O/2 are its masks: reduction mod 4 and mod 2 are ring maps.
+A field has one ring (`build_family`).  It knows its reduced minimal
+polynomial and the image s(theta) of theta under the Galois generator,
+both reduced from a validated `numfield.FieldSpec`, and its normal basis
+of O/2 with the pairing read off it.  Its one mutable value is its
+oracle memo `square_multiples`.
 
-Built on top of the rings:
+Built on top of the ring:
 
   * the group of invertible classes mod 4 taken up to squares, a GF(2)
     vector space of dimension n presented in a normal basis y, tau(y), ...
@@ -15,7 +18,7 @@ Built on top of the rings:
     generator acts as the product by x (`rot`), tables over the classes are
     tuples indexed by them, and only output prints one (`class_bits`);
   * the dyadic Hilbert symbol on those classes as a circulant GF(2) form
-    (`CirculantA`, built once per family as its `pairing`) and the star
+    (`CirculantA`, built once per ring as its `pairing`) and the star
     values and norm signs it gives (`star_table`), by linear algebra
     alone.  For a class 1 + 2x the symbol is (1 + 2x, 1 + 2z)_2 =
     (-1)^Tr(xz), so A is the trace Gram matrix of the normal basis,
@@ -40,11 +43,12 @@ Built on top of the rings:
     is inert the dyadic completion is unramified, so a mod-8 solution with
     a unit coordinate lifts (Hensel) and any solution in the completion
     scales to a primitive integral one; the congruence condition is
-    therefore exactly solvability at the place 2.  Each ring remembers the
+    therefore exactly solvability at the place 2.  The ring remembers the
     products v*t (t a square) for every v its oracle has scanned with
-    (`ResidueRing.square_multiples`, created on the first call): the memo
-    belongs to the ring object, so every `build_family` starts with an
-    empty one, and nothing else caches them.  By the lane invariant a scan
+    (`ResidueRing.square_multiples`, created on the first call, like
+    `squares`): the memo belongs to the ring object, so every
+    `build_family` starts with an empty one, the sweep never creates one,
+    and nothing else caches them.  By the lane invariant a scan
     tests u + v t for a square with one addition and one `& mask`.
 
 The normal-basis test, the class coordinates, the pairing, the star
@@ -65,7 +69,6 @@ from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import compress, product
 from operator import and_, getitem, or_, xor
-from typing import NamedTuple
 
 from . import f2poly
 from .intpoly import PackedRing, gcd_mod, newton_power_sums, poly_rem_monic
@@ -84,34 +87,36 @@ def class_bits(u: f2poly.F2Poly, n: int) -> str:
 
 
 class ResidueRing(PackedRing):
-    """O/2^level presented on the power basis of the reduced minimal polynomial.
+    """O/8 on the power basis of the reduced minimal polynomial, with O/4 and O/2 as its masks.
 
-    A `PackedRing` mod 2^level with lanes sized for O/8 at every level
-    (`lane_mod = 8`), so one packing serves a family's three rings: an
-    element of O/8 reduces to O/4 by `& mask`, and 1 + 2v lifts v from O/2
-    to O/8.  By the lane invariant the generator acts as the packed linear
-    map a -> sum_j a_j tau(theta^j) (`apply_tau`), and a is a unit iff one
-    AND with the low bit of each lane is nonzero.  f and sigma come from a
-    validated `numfield.FieldSpec`, the one place they are checked; the
-    ring checks only its level.  Reduction mod 2^level is a ring map, so s
-    stays a root of f with tau^n = 1 here, and with 2 inert Gal(K/Q) maps
+    A `PackedRing` mod 8: the product, powers and conjugates of O/4 or O/2
+    are those of O/8 followed by one AND with `mask4` (3 in every lane) or
+    `low` (1 in every lane), and 1 + 2v lifts v from O/2 to O/8.  By the
+    lane invariant the generator acts as the packed linear map
+    a -> sum_j a_j tau(theta^j) (`apply_tau`), and a is a unit iff one AND
+    with `low` is nonzero.  f and sigma come from a validated
+    `numfield.FieldSpec`, the one place they are checked.  s stays a root
+    of f with tau^n = 1 mod 8, and with 2 inert Gal(K/Q) maps
     isomorphically onto the Galois group of O/2, so tau has order n even
-    mod 2.
+    mod 2.  The constructor fixes the normal-basis presentation: y, its
+    orbit tau^k(y) in O/2 and their trace Gram as the `pairing`.
     """
 
-    def __init__(self, level: int, f_int, sigma_int):
-        if level not in (1, 2, 3):
-            raise ValueError("level must be 1, 2 or 3")
-        super().__init__(f_int, 1 << level, lane_mod=8)
-        self.level = level
+    def __init__(self, f_int, sigma_int):
+        super().__init__(f_int, 8)
         self.low = self.pack((1,) * self.n)  # 1 in every lane: the coefficients mod 2
+        self.mask4 = self.pack((3,) * self.n)  # 3 in every lane: the coefficients mod 4
         self.sigma = self.pack(poly_rem_monic(tuple(sigma_int), tuple(f_int)))
-        # tau(theta^j) = s^j mod (f, m): the images of the basis under the generator
+        # tau(theta^j) = s^j mod (f, 8): the images of the basis under the generator
         self.tau_images = tuple(self.pow(self.sigma, j) for j in range(self.n))
+        # Tr(theta^j) mod 2 in lane j, from the power sums of f
+        self.trace = self.pack([t % 2 for t in newton_power_sums(self.f, self.n)])
+        self.y, self.y_orbit, c = find_normal_basis(self)
+        self.pairing = CirculantA(c)  # the trace Gram c_k = Tr(y tau^k(y)) mod 2 and its inverse h
 
-    def elements(self):
-        """Every element of the ring, in the lexicographic order of their coefficient tuples."""
-        return map(self.pack, product(range(self.mod), repeat=self.n))
+    def elements(self, m: int):
+        """Every element of O/m, m = 2, 4 or 8, in the lexicographic order of their coefficient tuples."""
+        return map(self.pack, product(range(m), repeat=self.n))
 
     def is_unit(self, a: Elem) -> bool:
         # O/2 is a field, so a is a unit iff it is nonzero mod 2
@@ -119,24 +124,18 @@ class ResidueRing(PackedRing):
 
     def apply_tau(self, a: Elem, k: int = 1) -> Elem:
         """Image of a under the k-th power of the Galois generator: k rounds of a -> sum_j a_j tau(theta^j)."""
-        top = self.mod - 1
         for _ in range(k % self.n):
             r = 0
             for image in self.tau_images:
-                r += (a & top) * image
+                r += (a & 7) * image
                 a >>= self.lane
             a = r & self.mask
         return a
 
     @cached_property
-    def trace(self) -> Elem:
-        """Tr(theta^j) mod 2 in lane j, from the power sums of f."""
-        return self.pack([t % 2 for t in newton_power_sums(self.f, self.n)])
-
-    @cached_property
     def squares(self) -> frozenset[Elem]:
-        """Every square of the ring, from squaring each of its mod^n elements once."""
-        return frozenset(self.mul(a, a) for a in self.elements())
+        """Every square of O/8, from squaring each of its 8^n elements once."""
+        return frozenset(self.mul(a, a) for a in self.elements(8))
 
     @cached_property
     def square_multiples(self) -> dict[Elem, tuple[Elem, ...]]:
@@ -152,17 +151,16 @@ def _traces(ring: ResidueRing, x: Elem, ys) -> f2poly.F2Poly:
 def find_normal_basis(ring: ResidueRing) -> tuple[Elem, tuple[Elem, ...], tuple[int, ...]]:
     """Smallest y (lexicographic coefficient order) whose Galois orbit is a basis of O/2.
 
-    Returns y, its orbit tau^k(y) and its trace Gram sequence c_k = Tr(y tau^k(y)),
-    each computed once.  O/2 is a field because FieldSpec's C4 makes f
-    irreducible mod 2, so its trace form is non-degenerate and the orbit is
-    a basis iff c is a unit of GF(2)[x]/(x^n - 1): `intpoly.gcd_mod` of
-    x^n - 1 and c mod 2 is 1 (y = 0 gives c = 0, and the gcd x^n - 1).
+    Returns y, its orbit tau^k(y) (each `& low`, so in O/2) and its trace
+    Gram sequence c_k = Tr(y tau^k(y)), each computed once.  O/2 is a field
+    because FieldSpec's C4 makes f irreducible mod 2, so its trace form is
+    non-degenerate and the orbit is a basis iff c is a unit of
+    GF(2)[x]/(x^n - 1): `intpoly.gcd_mod` of x^n - 1 and c mod 2 is 1 (y = 0
+    gives c = 0, and the gcd x^n - 1).
     """
-    if ring.level != 1:
-        raise ValueError("normal basis search runs at modulus level 1")
     xn_minus_1 = (-1,) + (0,) * (ring.n - 1) + (1,)
-    for cand in ring.elements():
-        orbit = tuple(ring.apply_tau(cand, k) for k in range(ring.n))
+    for cand in ring.elements(2):
+        orbit = tuple(ring.apply_tau(cand, k) & ring.low for k in range(ring.n))
         gram = _traces(ring, cand, orbit)
         c = tuple(gram >> k & 1 for k in range(ring.n))
         if len(gcd_mod(xn_minus_1, c, 2)) == 1:
@@ -170,44 +168,30 @@ def find_normal_basis(ring: ResidueRing) -> tuple[Elem, tuple[Elem, ...], tuple[
     raise RuntimeError("internal error: no normal basis generator found")
 
 
-class RingFamily(NamedTuple):
-    """Rings at levels 1..3 over one field, with a fixed normal-basis presentation."""
-
-    rings: dict[int, ResidueRing]
-    y: Elem
-    y_orbit: tuple[Elem, ...]
-    pairing: CirculantA  # the trace Gram c_k = Tr(y tau^k(y)) mod 2 and its inverse h
-
-    @property
-    def n(self) -> int:
-        return self.rings[1].n
+def build_family(spec) -> ResidueRing:
+    """The ring O/8 of a validated field spec, with its normal basis (only its f and sigma are read)."""
+    return ResidueRing(spec.f, spec.sigma)
 
 
-def build_family(spec) -> RingFamily:
-    """The rings O/2, O/4, O/8 of a validated field spec (only its f and sigma are read)."""
-    rings = {k: ResidueRing(k, spec.f, spec.sigma) for k in (1, 2, 3)}
-    y, orbit, c = find_normal_basis(rings[1])
-    return RingFamily(rings, y, orbit, CirculantA(c))
-
-
-def m4_class_of(family: RingFamily, u: Elem) -> f2poly.F2Poly:
+def m4_class_of(ring: ResidueRing, u: Elem) -> f2poly.F2Poly:
     """Class of a unit mod 4 in the square-class group, normal-basis coordinates.
 
     The (2^n - 1)-th power of u lands in 1 + 2*O/4 (it kills the odd-order
     component), and u^(2^n-1) = 1 + 2w determines the class: bit j of b is
     the coordinate of w on tau^j(y).  The map is a surjective
     homomorphism onto (Z/2)^n whose kernel is exactly the squares.  With
-    t_j = Tr(w tau^j(y)) mod 2, t = c * b, so b = h * t.
+    t_j = Tr(w tau^j(y)) mod 2, t = c * b, so b = h * t.  The power is
+    taken in O/8, whose lanes read mod 4 are those of O/4: bit 0 of each
+    lane is 1 + 2w mod 2 and bit 1 is w.
     """
-    r2 = family.rings[2]
-    if u != u & r2.mask:
+    if u != u & ring.mask4:
         raise ValueError("m4_class_of expects a packed element mod 4")
-    if not r2.is_unit(u):
+    if not ring.is_unit(u):
         raise ValueError("m4_class_of expects a unit")
-    v = r2.pow(u, (1 << r2.n) - 1)
-    assert v & r2.low == r2.one(), "power did not land in 1 + 2O"
-    t = _traces(family.rings[1], v >> 1 & r2.low, family.y_orbit)  # w = (v - 1) / 2, read mod 2
-    return f2poly.cyclic_mul(family.pairing.h, t, r2.n)
+    v = ring.pow(u, (1 << ring.n) - 1)
+    assert v & ring.low == 1, "power did not land in 1 + 2O"
+    t = _traces(ring, v >> 1 & ring.low, ring.y_orbit)  # w = (v - 1) / 2, read mod 2
+    return f2poly.cyclic_mul(ring.pairing.h, t, ring.n)
 
 
 def hilbert2(ring: ResidueRing, a: Elem, b: Elem) -> int:
@@ -220,8 +204,6 @@ def hilbert2(ring: ResidueRing, a: Elem, b: Elem) -> int:
     dividing by y^2 leaves b + a*t = square; so the symbol is +1 iff one of
     the two scans over the ring's squares finds such a t.
     """
-    if ring.level != 3:
-        raise ValueError("hilbert symbol is evaluated mod 8 (level 3)")
     if not (ring.is_unit(a) and ring.is_unit(b)):
         raise ValueError("hilbert symbol requires unit arguments")
     squares, memo, mask = ring.squares, ring.square_multiples, ring.mask
@@ -261,10 +243,10 @@ class StarTable(namedtuple("StarTable", "star norm_sign")):
         return sum(1 for s, g in zip(self.star, self.norm_sign) if s == 1 and g == -1)
 
 
-def star_table(family: RingFamily) -> StarTable:
+def star_table(ring: ResidueRing) -> StarTable:
     """Star values and norm signs of all 2^n classes: star(u) = +1 iff c * b(u) is 0 or 1."""
-    a = family.pairing
-    n = family.n
+    a = ring.pairing
+    n = ring.n
     classes = range(1 << n)
     star = tuple(1 if f2poly.cyclic_mul(a.c_poly, b_map(u, n), n) in (0, 1) else -1 for u in classes)
     norm_sign = tuple(-1 if a.c[0] * u.bit_count() % 2 else 1 for u in classes)
@@ -299,9 +281,9 @@ class CirculantA:
         return -1 if (u & f2poly.cyclic_mul(self.c_poly, v, len(self.c))).bit_count() & 1 else 1
 
 
-def build_matrix_A(family: RingFamily) -> CirculantA:
+def build_matrix_A(ring: ResidueRing) -> CirculantA:
     """Pairing matrix as the trace Gram matrix of the normal basis: c_k = Tr(y tau^k(y))."""
-    return family.pairing
+    return ring.pairing
 
 
 # Low bits of u per block in `kernel_counts_via_B`: m = min(n, SCAN_BLOCK_BITS), so each

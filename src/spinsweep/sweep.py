@@ -35,11 +35,14 @@ direct split test at the least prime of each unit class, and checks that
 it is a subgroup of index n; the sweep then runs the split test only at
 primes of H, where it must split.  A prime of disc_f divides M, so it is
 in no unit class and never split, as the test's own certificate would
-also say (`numfield.split_completely`).  So the split test runs at
-the same primes for every worker count.  The only state kept between
-primes is one exact memo on the tables: the mod-4 class of each generator
-residue mod 4 classified in the current window, emptied at every window
-for every worker count, which only skips work whose answer is known.
+also say (`numfield.split_completely`).  So the split test runs at the
+same primes for every worker count.  `build_tables` also checks that the
+star table's kernel counts are the closed form `density.s_pair(n)`, so a
+wrong table stops the sweep before any prime is classified.  The only
+state kept between primes is one exact memo on the tables: the mod-4
+class of each generator residue mod 4 classified in the current window,
+emptied at every window for every worker count, which only skips work
+whose answer is known.
 
 Generator independence: a record depends only on the field and p, not on
 which totally positive generator alpha of P^h the search returns.  Two
@@ -64,13 +67,13 @@ import os
 from typing import NamedTuple
 
 from . import numfield, residue
-from .density import density_report
+from .density import density_report, s_pair
 from .f2poly import F2Poly
 from .numfield import PrimeDeg1
 
 
 class SpinRelationViolation(Exception):
-    """A zero-tolerance per-prime identity failed; names the offending prime."""
+    """A zero-tolerance identity failed: at one prime, which it names, or in the tables at load."""
 
 
 class WorkerCrashed(RuntimeError):
@@ -111,14 +114,14 @@ class FieldTables:
     split_classes is H, the classes p mod modulus (a multiple of the
     conductor) of the primes that split completely; `build_tables` has
     checked that it is a subgroup of index n of (Z/modulus)^*.  m4 is an
-    exact memo, empty when built: it maps a generator's residue mod 4, an
-    element of O/4 packed by `intpoly.PackedRing.pack`, to
+    exact memo, empty when built: it maps a generator's residue mod 4,
+    `pack(alpha) & mask4` in the field's one residue ring `family`, to
     `residue.m4_class_of` of it, which depends on nothing else.  Every
     window starts it empty (`_classify_range`), so it holds at most n keys
     per split prime of one window, and at most |(O/4)^*| = 2^n (2^n - 1).
     """
 
-    def __init__(self, spec: numfield.FieldSpec, family: residue.RingFamily, star: residue.StarTable,
+    def __init__(self, spec: numfield.FieldSpec, family: residue.ResidueRing, star: residue.StarTable,
                  modulus: int, split_classes: frozenset[int]):
         self.spec = spec
         self.family = family
@@ -140,7 +143,7 @@ class FieldTables:
 
     def m4_class(self, alpha) -> F2Poly:
         """`residue.m4_class_of` of alpha mod 4, computed once per residue mod 4."""
-        key = self.family.rings[2].pack(alpha)
+        key = self.family.pack(alpha) & self.family.mask4
         bits = self.m4.get(key)
         if bits is None:
             bits = self.m4[key] = residue.m4_class_of(self.family, key)
@@ -175,10 +178,15 @@ def _split_classes(spec: numfield.FieldSpec, modulus: int) -> frozenset[int]:
 
 
 def build_tables(spec: numfield.FieldSpec) -> FieldTables:
+    """The sweep's per-field tables; SpinRelationViolation if the star table's kernels are not `s_pair(n)`."""
     family = residue.build_family(spec)
+    star = residue.star_table(family)
+    kernels = star.ker_plus, star.ker_minus
+    if kernels != s_pair(spec.n):
+        raise SpinRelationViolation(f"star-table kernels {kernels} are not the closed form {s_pair(spec.n)}")
     modulus = numfield.conductor_multiple(spec)
     split = _split_classes(spec, modulus)
-    return FieldTables(spec, family, residue.star_table(family), modulus, split)
+    return FieldTables(spec, family, star, modulus, split)
 
 
 def classify_prime(tables: FieldTables, p: int) -> PrimeRecord | None:

@@ -467,6 +467,27 @@ def test_sweep_rejects_a_modulus_that_is_not_a_multiple_of_the_conductor(monkeyp
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+def test_sweep_rejects_star_kernels_off_the_closed_form_before_any_prime(monkeypatch, capsys):
+    # one nontrivial Galois orbit's star flipped: constant on orbits and the norm
+    # sign untouched, so StarTable accepts it, but its kernels are not s_pair(3)
+    table = residue.star_table
+
+    def flipped(ring):
+        star = table(ring)
+        orbit = {0b001, 0b010, 0b100}
+        return residue.StarTable(tuple(-s if u in orbit else s for u, s in enumerate(star.star)), star.norm_sign)
+
+    classified = []
+    classify = sweep.classify_prime
+    monkeypatch.setattr(residue, "star_table", flipped)
+    monkeypatch.setattr(sweep, "classify_prime", lambda tables, p: classified.append(p) or classify(tables, p))
+    code = main(["sweep", "--field", "simplest-cubic-7", "--limit", "20000"])
+    captured = capsys.readouterr()
+    assert code == 3 and classified == []
+    assert captured.err == "hard consistency violation: star-table kernels (1, 0) are not the closed form (1, 3)\n"
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_sweep_rejects_a_split_class_prime_that_does_not_split(monkeypatch, capsys):
     # 43 = 1 mod 7 must split; the table is built before the patch takes effect
     build, split = sweep.build_tables, numfield.split_completely
@@ -640,6 +661,11 @@ def test_cli_import_loads_no_dataclass_machinery():
     # generates no dataclass methods and loads neither dataclasses nor inspect
     loaded = _modules_after_import("spinsweep.cli")
     assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_sweep_import_loads_no_oracle_suites():
+    # the sweep reads the trace form alone; the oracle's suites stay out of its process
+    assert "spinsweep.checks" not in _modules_after_import("spinsweep.sweep")
 
 
 def test_submodule_import_loads_only_its_dependencies():

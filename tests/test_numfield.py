@@ -121,9 +121,9 @@ def test_rabin_test_powers_in_one_ring(monkeypatch):
     # test, whether f passes or fails it
     built, init = [], PackedRing.__init__
 
-    def record(ring, f, m, lane_mod=None):
+    def record(ring, f, m):
         built.append((tuple(f), m))
-        init(ring, f, m, lane_mod)
+        init(ring, f, m)
 
     monkeypatch.setattr(PackedRing, "__init__", record)
     for text in (GOOD7, QUINTIC11, REAL_CYCLOTOMIC19):
@@ -346,18 +346,18 @@ def test_translate_moves_every_root_by_t(spec7, spec9):
 
 @pytest.mark.parametrize("field", ["spec7", "spec9", *LOADED_CONFIGS])
 def test_loaded_spec_gives_valid_residue_rings(request, field):
-    # the residue rings check only their level: what FieldSpec checked must hold in each
+    # the residue ring checks nothing itself: what FieldSpec checked must hold in O/8 and its masks
     spec = load_spec(LOADED_CONFIGS[field]) if field in LOADED_CONFIGS else request.getfixturevalue(field)
     assert trial_division_irreducible(f2poly.from_coeffs(c % 2 for c in spec.f))
-    for k in (1, 2, 3):
-        ring = residue.ResidueRing(k, spec.f, spec.sigma)
-        assert not any(c % ring.mod for c in compose_mod(ring.f, ring.coeffs(ring.sigma), ring.f))
-        theta = ring.pack((0, 1))
-        assert ring.apply_tau(theta) != theta
-        image = theta
-        for _ in range(spec.n):  # one step at a time: apply_tau reads its power mod n
-            image = ring.apply_tau(image)
-        assert image == theta
+    ring = residue.ResidueRing(spec.f, spec.sigma)
+    assert not any(c % 8 for c in compose_mod(ring.f, ring.coeffs(ring.sigma), ring.f))
+    theta = ring.pack((0, 1))
+    for mask in (ring.mask, ring.mask4, ring.low):  # tau moves theta in O/8, O/4 and O/2
+        assert ring.apply_tau(theta) & mask != theta
+    image = theta
+    for _ in range(spec.n):  # one step at a time: apply_tau reads its power mod n
+        image = ring.apply_tau(image)
+    assert image == theta
 
 
 def test_signs_of_theta(spec7):
@@ -1194,7 +1194,7 @@ def _spins(spec, P):
 def _m4_class(spec, family, P):
     """Square class mod 4 of the totally positive generator of P^h."""
     alpha = generator_of_power(spec, P)
-    return residue.m4_class_of(family, family.rings[2].pack(alpha))
+    return residue.m4_class_of(family, family.pack(alpha) & family.mask4)
 
 
 def test_spin_values_and_product_identity(spec7, family7):
@@ -1203,9 +1203,8 @@ def test_spin_values_and_product_identity(spec7, family7):
     assert s1 in (1, -1) and s2 in (1, -1)
     # the product must be the dyadic Hilbert symbol of the generator and its conjugate
     alpha = generator_of_power(spec7, P)
-    r3 = family7.rings[3]
-    a8 = r3.pack(alpha)
-    assert s1 * s2 == residue.hilbert2(r3, a8, r3.apply_tau(a8, 1))
+    a8 = family7.pack(alpha)
+    assert s1 * s2 == residue.hilbert2(family7, a8, family7.apply_tau(a8, 1))
     # the symbol at P itself (k = 0 or n) degenerates: the generator lies in P
     assert legendre_deg1(alpha, P) == 0
 

@@ -270,7 +270,7 @@ def test_serial_windows_start_with_an_empty_m4_memo(monkeypatch, spec7, records7
 
 
 def test_build_tables_builds_one_pairing(monkeypatch, spec7):
-    # the family's CirculantA is the only one, and it inverts c once
+    # the ring's CirculantA is the only one, and it inverts c once
     built, inverted = [], []
     init, inverse = residue.CirculantA.__init__, f2poly.cyclic_inv
     monkeypatch.setattr(residue.CirculantA, "__init__", lambda a, c: built.append(a) or init(a, c))
@@ -280,14 +280,22 @@ def test_build_tables_builds_one_pairing(monkeypatch, spec7):
     assert built[0] is tables.family.pairing is residue.build_matrix_A(tables.family)
 
 
+def test_sweep_builds_no_oracle_state(spec7):
+    # the oracle's squares and its product memo are created on first use, and
+    # neither the tables nor a window of classified primes uses them
+    tables = build_tables(spec7)
+    assert sweep._classify_range(tables, 3, 2000)
+    assert not {"squares", "square_multiples"} & set(vars(tables.family))
+
+
 @pytest.mark.parametrize("field", ["spec7", "spec9"])
 def test_m4_memo_is_m4_class_of_on_every_unit_mod_4(request, field):
     tables = build_tables(request.getfixturevalue(field))
-    r2 = tables.family.rings[2]
-    units = [u for u in r2.elements() if r2.is_unit(u)]
+    ring = tables.family
+    units = [u for u in ring.elements(4) if ring.is_unit(u)]
     assert len(units) == 56
     for u in units:
-        coords = r2.coeffs(u)  # a generator's coordinates, as the sweep reads them
+        coords = ring.coeffs(u)  # a generator's coordinates, as the sweep reads them
         assert tables.m4_class(coords) == residue.m4_class_of(tables.family, u)
         # signed coordinates, as a generator has them, reduce to the same key
         assert tables.m4_class(tuple(c - 4 for c in coords)) == tables.m4_class(coords)
@@ -322,7 +330,7 @@ def test_poisoned_m4_memo_trips_the_conjugate_class_check(spec7):
         pytest.fail("no prime whose conjugate generator has another residue mod 4")
     tables = build_tables(spec7)
     true_bits = tables.m4_class(keys[1])
-    key = tables.family.rings[2].pack(keys[1])
+    key = tables.family.pack(keys[1])
     tables.m4[key] = true_bits ^ 0b111
     with pytest.raises(sweep.SpinRelationViolation, match=f"^p={p}: class of conjugate prime"):
         classify_prime(tables, p)
